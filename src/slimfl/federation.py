@@ -5,12 +5,16 @@ device to decide how much of its two-message uplink decodes, rebuilds the
 global model from the decoded segments, and broadcasts it back (the
 downlink is always assumed successful).  Fixed-width baselines reuse the
 same loop with a single-message uplink and plain decoded-set averaging.
+
+Local training is device-batched (``LocalTraining``): devices with the same
+batch size step together as one (devices, P) stack, with results bitwise
+equal to training each device alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +29,7 @@ from .channel import (
 )
 from .datasets import Dataset, Shard
 from .metrics import CostModel, RoundMetrics
-from .slimnet import Layout, SlimmableParams, build_mask, forward
+from .slimnet import Layout, SlimmableParams, build_mask, forward, masks_for
 from .training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
 
 SCHEMES = ("slimfl", "vanilla-0.5x", "vanilla-1.0x", "vanilla-1.5x")
@@ -39,6 +43,8 @@ class FederationConfig:
     scheme: str = "slimfl"
     aggregation_weighting: str = "empirical"  # "empirical" | "expected"
     vanilla_rate_mode: str = "payload_scaled"  # "payload_scaled" | "same_rate"
+    # Accepted so that existing configs still parse, but selects nothing:
+    # local training always runs device-batched (LocalTraining).
     parallel_devices: bool = False
 
     def validate(self) -> None:
@@ -55,7 +61,7 @@ class FederationConfig:
 @dataclass(eq=False)
 class RoundState:
     global_values: np.ndarray
-    device_values: list[np.ndarray]
+    device_values: Sequence[np.ndarray]  # one vector per device
     lh_only: set[int] = field(default_factory=set)  # devices whose first segment alone decoded
     full: set[int] = field(default_factory=set)  # devices whose both segments decoded
 
@@ -113,7 +119,7 @@ def evaluate(
     """Top-1 accuracy of the half-width and full-width configurations."""
     if len(y) == 0:
         raise ValueError("test set must be nonempty")
-    full_mask = build_mask(params.layout, 1.0)
+    full_mask = masks_for(params.layout, (1.0,))[0]
     acc = []
     for mask in (half_mask, full_mask):
         pred = forward(params, mask, x).argmax(axis=1)
@@ -126,23 +132,70 @@ def _accuracy(params: SlimmableParams, mask, x: np.ndarray, y: np.ndarray) -> fl
     return float((pred == y).mean())
 
 
-class _DeviceWorkers:
-    """Runs per-device local training serially or on a thread pool.
+def _broadcast(values: np.ndarray, n_devices: int) -> np.ndarray:
+    """Every device's start vector for the next round: read-only views of
+    one vector, so no per-device copies."""
+    return np.broadcast_to(values, (n_devices, len(values)))
 
-    Results are keyed by device index, so the schedule cannot change them.
+
+class LocalTraining:
+    """Local steps of every device, one stacked step rule call per group.
+
+    Devices whose effective batch size, min(batch_size, len(shard)), is
+    equal form a group that trains as one (devices, P) stack with its own
+    stacked optimizer.  Each device draws its batches from its own stream,
+    and the step rules compute each row exactly as for one device, so the
+    result does not depend on the grouping.
     """
 
-    def __init__(self, n_devices: int, parallel: bool):
-        self.pool = ThreadPoolExecutor(max_workers=n_devices) if parallel else None
+    def __init__(
+        self,
+        *,
+        layout: Layout,
+        train: Dataset,
+        shards: list[Shard],
+        train_cfg: TrainConfig,
+        batch_rngs: list[np.random.Generator],
+        local_iters: int,
+    ):
+        self.layout = layout
+        self.train = train
+        self.shards = shards
+        self.train_cfg = train_cfg
+        self.batch_rngs = batch_rngs
+        self.local_iters = local_iters
+        self.step_fn = STEP_FUNCTIONS[train_cfg.algorithm]
+        sizes = [min(train_cfg.batch_size, len(shard)) for shard in shards]
+        self.groups = []  # (batch size, device indices, optimizer)
+        for size in sorted(set(sizes)):
+            devices = [k for k, s in enumerate(sizes) if s == size]
+            opt = LocalOptimizer(train_cfg, (len(devices), layout.size))
+            self.groups.append((size, devices, opt))
 
-    def map(self, fn, indices):
-        if self.pool is None:
-            return [fn(k) for k in indices]
-        return list(self.pool.map(fn, indices))
+    def run(self, start_values: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+        """Train every device from its start vector for ``local_iters`` steps.
 
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
+        Returns the trained vectors in device order and each device's loss
+        at its last step.
+        """
+        values: list[np.ndarray] = [None] * len(self.shards)
+        losses = np.empty(len(self.shards))
+        for size, devices, opt in self.groups:
+            params = SlimmableParams(self.layout, np.stack([start_values[k] for k in devices]))
+            for _ in range(self.local_iters):
+                batch_idx = np.stack([
+                    self.batch_rngs[k].choice(self.shards[k].indices, size=size, replace=False)
+                    for k in devices
+                ])
+                result = self.step_fn(
+                    params, self.train.x[batch_idx], self.train.y[batch_idx],
+                    self.train_cfg, opt,
+                )
+                params = result.params
+            for row, k in enumerate(devices):
+                values[k] = params.values[row]
+            losses[devices] = result.loss
+        return values, losses
 
 
 class SlimFLRun:
@@ -166,10 +219,7 @@ class SlimFLRun:
         train_cfg.validate()
         fed_cfg.validate()
         self.layout = layout
-        self.train = train
-        self.shards = shards
         self.test = test
-        self.train_cfg = train_cfg
         self.chan_cfg = chan_cfg
         self.fed_cfg = fed_cfg
         self.cost = cost
@@ -182,34 +232,17 @@ class SlimFLRun:
             chan_cfg.fading, Rayleigh
         ):
             raise ValueError("expected-count weighting needs closed-form (Rayleigh) probabilities")
-        self.step_fn = STEP_FUNCTIONS[train_cfg.algorithm]
-        self.optimizers = [
-            LocalOptimizer(train_cfg, layout.size) for _ in range(fed_cfg.n_devices)
-        ]
-        self.batch_rngs = [
-            rngmod.stream(master_seed, "batch", k) for k in range(fed_cfg.n_devices)
-        ]
+        self.local = LocalTraining(
+            layout=layout, train=train, shards=shards, train_cfg=train_cfg,
+            batch_rngs=[rngmod.stream(master_seed, "batch", k) for k in range(fed_cfg.n_devices)],
+            local_iters=fed_cfg.local_iters,
+        )
+        global_values = init_values.copy()
         self.state = RoundState(
-            global_values=init_values.copy(),
-            device_values=[init_values.copy() for _ in range(fed_cfg.n_devices)],
+            global_values=global_values,
+            device_values=_broadcast(global_values, fed_cfg.n_devices),
         )
         self.round = 0
-        self.workers = _DeviceWorkers(fed_cfg.n_devices, fed_cfg.parallel_devices)
-
-    def _local_update(self, k: int) -> tuple[np.ndarray, float]:
-        shard = self.shards[k]
-        params = SlimmableParams(self.layout, self.state.device_values[k])
-        rng = self.batch_rngs[k]
-        loss = math.nan
-        for _ in range(self.fed_cfg.local_iters):
-            size = min(self.train_cfg.batch_size, len(shard))
-            batch_idx = rng.choice(shard.indices, size=size, replace=False)
-            result = self.step_fn(
-                params, self.train.x[batch_idx], self.train.y[batch_idx],
-                self.train_cfg, self.optimizers[k],
-            )
-            params, loss = result.params, result.loss
-        return params.values, loss
 
     def _decode_sets(self) -> tuple[set[int], set[int]]:
         lh_only, full = set(), set()
@@ -225,10 +258,8 @@ class SlimFLRun:
 
     def run_round(self) -> RoundMetrics:
         self.round += 1
-        results = self.workers.map(self._local_update, range(self.fed_cfg.n_devices))
-        for k, (values, _) in enumerate(results):
-            self.state.device_values[k] = values
-        mean_loss = float(np.mean([loss for _, loss in results]))
+        self.state.device_values, losses = self.local.run(self.state.device_values)
+        mean_loss = float(np.mean(losses))
 
         self.state.lh_only, self.state.full = self._decode_sets()
         self.state.global_values = aggregate(
@@ -240,8 +271,7 @@ class SlimFLRun:
             self.fed_cfg.aggregation_weighting,
             expected_counts=self._expected_counts(),
         )
-        for k in range(self.fed_cfg.n_devices):
-            self.state.device_values[k] = self.state.global_values.copy()
+        self.state.device_values = _broadcast(self.state.global_values, self.fed_cfg.n_devices)
 
         if self.round % self.eval_every == 0:
             params = SlimmableParams(self.layout, self.state.global_values)
@@ -271,10 +301,7 @@ class SlimFLRun:
         return (self.fed_cfg.n_devices * probs[0], self.fed_cfg.n_devices * probs[1])
 
     def run(self) -> list[RoundMetrics]:
-        try:
-            return [self.run_round() for _ in range(self.fed_cfg.rounds)]
-        finally:
-            self.workers.close()
+        return [self.run_round() for _ in range(self.fed_cfg.rounds)]
 
 
 def vanilla_threshold(chan_cfg: ChannelConfig, payload_ratio: float) -> float:
@@ -317,10 +344,7 @@ class VanillaRun:
         fed_cfg.validate()
         self.eval_every = eval_every
         self.layout = layout
-        self.train = train
-        self.shards = shards
         self.test = test
-        self.train_cfg = train_cfg
         self.chan_cfg = chan_cfg
         self.fed_cfg = fed_cfg
         self.model_bits = model_bits
@@ -336,8 +360,7 @@ class VanillaRun:
             payload_ratio = 1.0
         self.threshold = vanilla_threshold(chan_cfg, payload_ratio)
         self.full_mask = build_mask(layout, 1.0)
-        self.step_fn = STEP_FUNCTIONS["widthwise"]
-        self.single_width_cfg = TrainConfig(
+        single_width_cfg = TrainConfig(
             st_weights=(1.0,),
             width_ratios=(1.0,),
             lr=train_cfg.lr,
@@ -351,40 +374,22 @@ class VanillaRun:
             batch_size=train_cfg.batch_size,
             algorithm="widthwise",
         )
-        self.optimizers = [
-            LocalOptimizer(self.single_width_cfg, layout.size)
-            for _ in range(fed_cfg.n_devices)
-        ]
-        self.batch_rngs = [
-            rngmod.stream(master_seed, "batch", stream_tag, k)
-            for k in range(fed_cfg.n_devices)
-        ]
+        self.local = LocalTraining(
+            layout=layout, train=train, shards=shards, train_cfg=single_width_cfg,
+            batch_rngs=[
+                rngmod.stream(master_seed, "batch", stream_tag, k)
+                for k in range(fed_cfg.n_devices)
+            ],
+            local_iters=fed_cfg.local_iters,
+        )
         self.global_values = init_values.copy()
-        self.device_values = [init_values.copy() for _ in range(fed_cfg.n_devices)]
+        self.device_values = _broadcast(self.global_values, fed_cfg.n_devices)
         self.round = 0
-        self.workers = _DeviceWorkers(fed_cfg.n_devices, fed_cfg.parallel_devices)
-
-    def _local_update(self, k: int) -> tuple[np.ndarray, float]:
-        shard = self.shards[k]
-        params = SlimmableParams(self.layout, self.device_values[k])
-        rng = self.batch_rngs[k]
-        loss = math.nan
-        for _ in range(self.fed_cfg.local_iters):
-            size = min(self.train_cfg.batch_size, len(shard))
-            batch_idx = rng.choice(shard.indices, size=size, replace=False)
-            result = self.step_fn(
-                params, self.train.x[batch_idx], self.train.y[batch_idx],
-                self.single_width_cfg, self.optimizers[k],
-            )
-            params, loss = result.params, result.loss
-        return params.values, loss
 
     def run_round(self) -> RoundMetrics:
         self.round += 1
-        results = self.workers.map(self._local_update, range(self.fed_cfg.n_devices))
-        for k, (values, _) in enumerate(results):
-            self.device_values[k] = values
-        mean_loss = float(np.mean([loss for _, loss in results]))
+        self.device_values, losses = self.local.run(self.device_values)
+        mean_loss = float(np.mean(losses))
 
         decoded = set()
         for k in range(self.fed_cfg.n_devices):
@@ -397,8 +402,7 @@ class VanillaRun:
             self.global_values = np.stack(
                 [self.device_values[k] for k in sorted(decoded)]
             ).mean(axis=0)
-        for k in range(self.fed_cfg.n_devices):
-            self.device_values[k] = self.global_values.copy()
+        self.device_values = _broadcast(self.global_values, self.fed_cfg.n_devices)
 
         if self.round % self.eval_every == 0:
             params = SlimmableParams(self.layout, self.global_values)
@@ -421,10 +425,7 @@ class VanillaRun:
         )
 
     def run(self) -> list[RoundMetrics]:
-        try:
-            return [self.run_round() for _ in range(self.fed_cfg.rounds)]
-        finally:
-            self.workers.close()
+        return [self.run_round() for _ in range(self.fed_cfg.rounds)]
 
 
 class CombinedVanillaRun:
@@ -455,8 +456,4 @@ class CombinedVanillaRun:
         )
 
     def run(self) -> list[RoundMetrics]:
-        try:
-            return [self.run_round() for _ in range(self.half_run.fed_cfg.rounds)]
-        finally:
-            self.half_run.workers.close()
-            self.full_run.workers.close()
+        return [self.run_round() for _ in range(self.half_run.fed_cfg.rounds)]

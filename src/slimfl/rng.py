@@ -6,10 +6,15 @@ and changing one stream leaves the others untouched.
 """
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
 
+# Runs derive a stream per device and round from a few recurring labels, so
+# each label is hashed once.  typed=True keeps 1, 1.0 and True apart: they
+# compare equal but have different reprs, hence different words.
+@lru_cache(maxsize=None, typed=True)
 def _label_word(label) -> int:
     digest = hashlib.sha256(repr(label).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -91,8 +91,10 @@ class Layout:
 class SlimmableParams:
     """Flat float64 parameter vector with its layout.
 
-    Treated as immutable by forward/backward; updates go through the
-    optimizer, which returns a fresh vector.
+    ``values`` is one vector of ``layout.size`` or a (devices, layout.size)
+    stack of them, one row per device.  Treated as immutable by
+    forward/backward; updates go through the optimizer, which returns a
+    fresh vector.
     """
 
     layout: Layout
@@ -100,9 +102,10 @@ class SlimmableParams:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (self.layout.size,):
+        if values.ndim not in (1, 2) or values.shape[-1] != self.layout.size:
             raise ValueError(
-                f"parameter vector has length {values.shape}, layout needs {self.layout.size}"
+                f"parameter vector has shape {values.shape}, layout needs "
+                f"({self.layout.size},) or a (devices, {self.layout.size}) stack"
             )
         object.__setattr__(self, "values", values)
 
@@ -153,45 +156,67 @@ def masks_for(layout: Layout, ratios: tuple[float, ...]) -> tuple[WidthMask, ...
     return tuple(build_mask(layout, r) for r in ratios)
 
 
-def _layer_views(params: SlimmableParams, mask: WidthMask, index: int):
-    spec = params.layout.layers[index]
-    w_off, b_off = params.layout.offsets[index]
-    w = params.values[w_off:b_off].reshape(spec.out_dim, spec.in_dim)
-    b = params.values[b_off : b_off + spec.out_dim]
-    w_bits = mask.bits[w_off:b_off].reshape(spec.out_dim, spec.in_dim)
-    b_bits = mask.bits[b_off : b_off + spec.out_dim]
-    return spec, (w_off, b_off), w * w_bits, b * b_bits, w_bits, b_bits
+def _blocks(flat: np.ndarray, layout: Layout, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of layer ``index``'s weight block (..., out, in) and bias (..., out).
+
+    ``flat`` is a flat vector or a stack of them; leading axes are kept.
+    """
+    spec = layout.layers[index]
+    w_off, b_off = layout.offsets[index]
+    lead = flat.shape[:-1]
+    w = flat[..., w_off:b_off].reshape(lead + (spec.out_dim, spec.in_dim))
+    return w, flat[..., b_off : b_off + spec.out_dim]
 
 
-def _check_batch(layout: Layout, batch: np.ndarray) -> np.ndarray:
+def _check_batch(params: SlimmableParams, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != layout.layers[0].in_dim:
+    lead = params.values.shape[:-1]
+    in_dim = params.layout.layers[0].in_dim
+    if batch.shape[:-2] != lead or batch.ndim != len(lead) + 2 or batch.shape[-1] != in_dim:
+        devices = f" with a leading axis of {lead[0]} devices" if lead else ""
         raise ValueError(
-            f"batch shape {batch.shape} does not match input dimension "
-            f"{layout.layers[0].in_dim}"
+            f"batch shape {batch.shape} does not match input dimension {in_dim}{devices}"
         )
     return batch
 
 
-def _traced_forward(params: SlimmableParams, mask: WidthMask, batch: np.ndarray):
-    """Forward pass keeping per-layer inputs and pre-activations for backprop."""
-    h = batch
-    inputs, preacts = [], []
-    n_layers = len(params.layout.layers)
+@dataclass(eq=False)
+class ForwardTrace:
+    """What a forward pass keeps so that its backward need not run it again:
+    each layer's masked weights, its input and its pre-activation."""
+
+    weights: list = field(default_factory=list)
+    inputs: list = field(default_factory=list)
+    preacts: list = field(default_factory=list)
+
+
+def forward(
+    params: SlimmableParams,
+    mask: WidthMask,
+    batch: np.ndarray,
+    trace: ForwardTrace | None = None,
+) -> np.ndarray:
+    """Logits of the masked network; equals the physically extracted sub-network.
+
+    One vector takes a (batch, in) array; a (devices, P) stack takes
+    (devices, batch, in) and returns (devices, batch, classes), device k
+    computed exactly as it would be alone.  A given ``trace`` is filled for
+    a later ``backward`` on the same arguments.
+    """
+    h = _check_batch(params, batch)
+    layout = params.layout
+    n_layers = len(layout.layers)
     for i in range(n_layers):
-        _, _, w_m, b_m, _, _ = _layer_views(params, mask, i)
-        inputs.append(h)
-        z = h @ w_m.T + b_m
-        preacts.append(z)
+        w, b = _blocks(params.values, layout, i)
+        w_bits, b_bits = _blocks(mask.bits, layout, i)
+        w_m = w * w_bits
+        z = h @ np.swapaxes(w_m, -1, -2) + (b * b_bits)[..., None, :]
+        if trace is not None:
+            trace.weights.append(w_m)
+            trace.inputs.append(h)
+            trace.preacts.append(z)
         h = np.clip(z, 0.0, 6.0) if i < n_layers - 1 else z
-    return h, inputs, preacts
-
-
-def forward(params: SlimmableParams, mask: WidthMask, batch: np.ndarray) -> np.ndarray:
-    """Logits of the masked network; equals the physically extracted sub-network."""
-    batch = _check_batch(params.layout, batch)
-    logits, _, _ = _traced_forward(params, mask, batch)
-    return logits
+    return h
 
 
 def backward(
@@ -199,29 +224,37 @@ def backward(
     mask: WidthMask,
     batch: np.ndarray,
     logits_grad: np.ndarray,
+    trace: ForwardTrace | None = None,
 ) -> np.ndarray:
     """Gradient of the loss w.r.t. the flat vector, given d(loss)/d(logits).
 
-    Coordinates outside the mask receive exactly zero.
+    Shapes follow ``forward``: a stack gives one gradient row per device.
+    ``trace`` is the one ``forward`` filled for these arguments; without it
+    the forward pass runs again.  Coordinates outside the mask receive
+    exactly zero.
     """
-    batch = _check_batch(params.layout, batch)
+    batch = _check_batch(params, batch)
     logits_grad = np.asarray(logits_grad, dtype=np.float64)
-    out_dim = params.layout.layers[-1].out_dim
-    if logits_grad.shape != (batch.shape[0], out_dim):
+    layout = params.layout
+    expected = batch.shape[:-1] + (layout.layers[-1].out_dim,)
+    if logits_grad.shape != expected:
         raise ValueError(
-            f"logits gradient shape {logits_grad.shape} does not match "
-            f"({batch.shape[0]}, {out_dim})"
+            f"logits gradient shape {logits_grad.shape} does not match {expected}"
         )
-    _, inputs, preacts = _traced_forward(params, mask, batch)
-    grad = np.zeros(params.layout.size, dtype=np.float64)
+    if trace is None:
+        trace = ForwardTrace()
+        forward(params, mask, batch, trace)
+    # the layer blocks tile the vector, so every coordinate is written
+    grad = np.empty(params.values.shape)
     g = logits_grad
-    for i in reversed(range(len(params.layout.layers))):
-        spec, (w_off, b_off), w_m, _, w_bits, b_bits = _layer_views(params, mask, i)
-        grad[w_off:b_off] = ((g.T @ inputs[i]) * w_bits).ravel()
-        grad[b_off : b_off + spec.out_dim] = g.sum(axis=0) * b_bits
+    for i in reversed(range(len(layout.layers))):
+        w_bits, b_bits = _blocks(mask.bits, layout, i)
+        grad_w, grad_b = _blocks(grad, layout, i)
+        np.multiply(np.swapaxes(g, -1, -2) @ trace.inputs[i], w_bits, out=grad_w)
+        np.multiply(g.sum(axis=-2), b_bits, out=grad_b)
         if i > 0:
-            z = preacts[i - 1]
-            g = (g @ w_m) * ((z > 0.0) & (z < 6.0))
+            z = trace.preacts[i - 1]
+            g = (g @ trace.weights[i]) * ((z > 0.0) & (z < 6.0))
     return grad
 
 

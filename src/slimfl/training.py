@@ -1,6 +1,10 @@
 """Local training for slimmable networks.
 
-Three single-batch update rules are provided:
+Three single-batch update rules are provided.  Each takes one device's
+parameter vector and batch, or a (devices, P) stack of vectors with
+(devices, batch, ...) batches, and then steps every device at once with
+stacked matmuls; device k's result is bitwise the one it gets alone.  Each
+width is forwarded once per step and its trace reused by its backward.
 
 * superposed_step — one optimizer step whose gradient is a convex
   combination of the full-width cross-entropy and per-sub-width
@@ -14,11 +18,11 @@ Three single-batch update rules are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .slimnet import SlimmableParams, backward, forward, masks_for
+from .slimnet import ForwardTrace, SlimmableParams, backward, forward, masks_for
 
 
 def decayed_lr(strong_convexity: float, smoothness: float, t: int) -> float:
@@ -72,40 +76,47 @@ class TrainConfig:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _check_labels(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.shape != (logits.shape[0],):
-        raise ValueError(f"labels shape {labels.shape} does not match batch {logits.shape[0]}")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError(f"labels shape {labels.shape} does not match batch {logits.shape[:-1]}")
+    if labels.min() < 0 or labels.max() >= logits.shape[-1]:
         raise ValueError("label index out of range")
     return labels
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+def _batch_mean(per_example: np.ndarray) -> float | np.ndarray:
+    """Mean over the batch axis: a float for one device, one per device for a stack."""
+    mean = per_example.mean(axis=-1)
+    return float(mean) if mean.ndim == 0 else mean
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
     """Mean negative log-likelihood of the true classes."""
     labels = _check_labels(logits, labels)
     ls = log_softmax(logits)
-    return float(-ls[np.arange(len(labels)), labels].mean())
+    return -_batch_mean(np.take_along_axis(ls, labels[..., None], axis=-1)[..., 0])
 
 
 def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     labels = _check_labels(logits, labels)
     g = softmax(logits)
-    g[np.arange(len(labels)), labels] -= 1.0
-    return g / len(labels)
+    true_class = labels[..., None]
+    np.put_along_axis(g, true_class, np.take_along_axis(g, true_class, axis=-1) - 1.0, axis=-1)
+    return g / labels.shape[-1]
 
 
-def ipkd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray) -> float:
+def ipkd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray) -> float | np.ndarray:
     """Soft cross-entropy of the student against the teacher's softmax.
 
     The teacher side is treated as a constant: no gradient flows into it.
@@ -115,12 +126,13 @@ def ipkd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray) -> float:
             f"student shape {student_logits.shape} != teacher shape {teacher_logits.shape}"
         )
     soft_targets = softmax(teacher_logits)
-    return float(-(soft_targets * log_softmax(student_logits)).sum(axis=1).mean())
+    return -_batch_mean((soft_targets * log_softmax(student_logits)).sum(axis=-1))
 
 
 def ipkd_grad(student_logits: np.ndarray, teacher_logits: np.ndarray) -> np.ndarray:
     """d(ipkd_loss)/d(student_logits); the teacher contributes none."""
-    return (softmax(student_logits) - softmax(teacher_logits)) / len(student_logits)
+    batch = student_logits.shape[-2]
+    return (softmax(student_logits) - softmax(teacher_logits)) / batch
 
 
 @dataclass
@@ -131,7 +143,8 @@ class AdamState:
 
 
 def sgd_update(values: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    return values - lr * grad
+    step = np.multiply(grad, lr)
+    return np.subtract(values, step, out=step)
 
 
 def adam_update(
@@ -143,22 +156,40 @@ def adam_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> np.ndarray:
-    """Bias-corrected moment update; mutates state, returns the new vector."""
+    """Bias-corrected moment update; mutates state, returns the new vector.
+
+    The moments are updated in place and the step is built in two work
+    arrays, one of which becomes the result; each element sees the same
+    operations in the same order as the textbook expressions.
+    """
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1**state.t)
-    v_hat = state.v / (1.0 - beta2**state.t)
-    return values - lr * m_hat / (np.sqrt(v_hat) + eps)
+    step = np.multiply(grad, 1.0 - beta1)
+    state.m *= beta1
+    state.m += step  # m = beta1 * m + (1 - beta1) * g
+    np.multiply(grad, 1.0 - beta2, out=step)
+    step *= grad
+    state.v *= beta2
+    state.v += step  # v = beta2 * v + (1 - beta2) * g * g
+    np.divide(state.m, 1.0 - beta1**state.t, out=step)
+    step *= lr  # lr * m_hat
+    denom = np.divide(state.v, 1.0 - beta2**state.t)
+    np.sqrt(denom, out=denom)
+    denom += eps  # sqrt(v_hat) + eps
+    step /= denom
+    return np.subtract(values, step, out=step)
 
 
 class LocalOptimizer:
-    """Per-device optimizer: owns the step counter and Adam moments."""
+    """Optimizer of one device, or of a stack of devices stepping together.
 
-    def __init__(self, cfg: TrainConfig, n_params: int):
+    Owns the step counter and the Adam moments, shaped like the parameters:
+    ``shape`` is ``P`` for one vector or ``(devices, P)`` for a stack.
+    """
+
+    def __init__(self, cfg: TrainConfig, shape: int | tuple[int, int]):
         self.cfg = cfg
         self.t = 0
-        self.adam = AdamState(m=np.zeros(n_params), v=np.zeros(n_params))
+        self.adam = AdamState(m=np.zeros(shape), v=np.zeros(shape))
 
     def apply(self, values: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
@@ -173,19 +204,28 @@ class LocalOptimizer:
 @dataclass(frozen=True)
 class LossReport:
     """Per-step losses: full-width cross-entropy, per-sub-width distillation,
-    and the convex combination actually descended."""
+    and the convex combination actually descended (per device for a stack)."""
 
-    ce_full: float
-    kd_losses: tuple[float, ...]
-    combined: float
+    ce_full: float | np.ndarray
+    kd_losses: tuple
+    combined: float | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class StepResult:
     params: SlimmableParams
     gradient: np.ndarray
-    loss: float
+    loss: float | np.ndarray
     report: LossReport | None = None
+
+
+def _width_pass(params, mask, batch_x, loss_fn, grad_fn, target):
+    """Logits, loss and parameter gradient of one width; the forward trace
+    is reused by the backward and dropped on return."""
+    trace = ForwardTrace()
+    logits = forward(params, mask, batch_x, trace=trace)
+    loss = loss_fn(logits, target)
+    return logits, loss, backward(params, mask, batch_x, grad_fn(logits, target), trace=trace)
 
 
 def superposed_step(
@@ -201,18 +241,19 @@ def superposed_step(
     loss and, detached, as the distillation teacher for every sub-width.
     """
     masks = masks_for(params.layout, cfg.width_ratios)
-    full = masks[-1]
     w = cfg.st_weights
 
-    teacher_logits = forward(params, full, batch_x)
-    ce = cross_entropy(teacher_logits, batch_y)
-    grad = w[-1] * backward(params, full, batch_x, cross_entropy_grad(teacher_logits, batch_y))
+    teacher_logits, ce, grad = _width_pass(
+        params, masks[-1], batch_x, cross_entropy, cross_entropy_grad, batch_y
+    )
+    grad *= w[-1]
 
     kd = []
     for i, mask in enumerate(masks[:-1]):
-        student_logits = forward(params, mask, batch_x)
-        kd.append(ipkd_loss(student_logits, teacher_logits))
-        grad += w[i] * backward(params, mask, batch_x, ipkd_grad(student_logits, teacher_logits))
+        _, loss, part = _width_pass(params, mask, batch_x, ipkd_loss, ipkd_grad, teacher_logits)
+        kd.append(loss)
+        part *= w[i]
+        grad += part
 
     combined = w[-1] * ce + sum(wi * k for wi, k in zip(w, kd))
     new_values = opt.apply(params.values, grad)
@@ -233,12 +274,14 @@ def widthwise_step(
 ) -> StepResult:
     """Every width trained against the ground truth, widest first; one step."""
     masks = masks_for(params.layout, cfg.width_ratios)
-    grad = np.zeros(params.layout.size)
+    grad = np.zeros(params.values.shape)
     total = 0.0
     for mask in reversed(masks):
-        logits = forward(params, mask, batch_x)
-        total += cross_entropy(logits, batch_y)
-        grad += backward(params, mask, batch_x, cross_entropy_grad(logits, batch_y))
+        _, loss, part = _width_pass(
+            params, mask, batch_x, cross_entropy, cross_entropy_grad, batch_y
+        )
+        total += loss
+        grad += part
     new_values = opt.apply(params.values, grad)
     return StepResult(params=params.with_values(new_values), gradient=grad, loss=total)
 
@@ -257,16 +300,16 @@ def sandwich_step(
     The width sample always contains the smallest ratio; intermediate ratios
     are drawn uniformly without replacement until n_widths widths (counting
     the full and the smallest) have been used.  Losses are summed unweighted.
+    A stack of devices shares one width sample.
     """
     masks = masks_for(params.layout, cfg.width_ratios)
-    full = masks[-1]
     if n_widths is None:
         n_widths = len(masks)
     n_widths = max(2, min(n_widths, len(masks)))
 
-    teacher_logits = forward(params, full, batch_x)
-    ce = cross_entropy(teacher_logits, batch_y)
-    grad = backward(params, full, batch_x, cross_entropy_grad(teacher_logits, batch_y))
+    teacher_logits, total, grad = _width_pass(
+        params, masks[-1], batch_x, cross_entropy, cross_entropy_grad, batch_y
+    )
 
     sampled = [masks[0]]
     middle = list(masks[1:-1])
@@ -280,11 +323,10 @@ def sandwich_step(
             picks = rng.choice(len(middle), size=n_extra, replace=False)
             sampled.extend(middle[j] for j in sorted(picks))
 
-    total = ce
     for mask in sampled:
-        student_logits = forward(params, mask, batch_x)
-        total += ipkd_loss(student_logits, teacher_logits)
-        grad += backward(params, mask, batch_x, ipkd_grad(student_logits, teacher_logits))
+        _, loss, part = _width_pass(params, mask, batch_x, ipkd_loss, ipkd_grad, teacher_logits)
+        total += loss
+        grad += part
 
     new_values = opt.apply(params.values, grad)
     return StepResult(params=params.with_values(new_values), gradient=grad, loss=total)

@@ -55,6 +55,13 @@ class TestRngStreams:
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
 
+    def test_equal_labels_of_different_types_decorrelate(self):
+        # 1 == 1.0 == True, but each repr names its own stream
+        draws = [rngmod.stream(7, label).normal(size=8) for label in (1, 1.0, True)]
+        for i in range(3):
+            for j in range(i):
+                assert not np.allclose(draws[i], draws[j])
+
 
 class TestConfigParsing:
     def test_round_trip_is_identity(self):

@@ -10,6 +10,7 @@ from slimfl.datasets import Dataset, dirichlet_partition
 from slimfl.federation import (
     CombinedVanillaRun,
     FederationConfig,
+    LocalTraining,
     SlimFLRun,
     VanillaRun,
     aggregate,
@@ -18,7 +19,7 @@ from slimfl.federation import (
 )
 from slimfl.metrics import CostModel
 from slimfl.slimnet import Layout, SlimmableParams, build_mask, init_params
-from slimfl.training import TrainConfig
+from slimfl.training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
 from slimfl import rng as rngmod
 
 RNG = np.random.default_rng
@@ -149,6 +150,39 @@ class TestEvaluate:
             evaluate(params, build_mask(layout, 0.5), np.zeros((0, 10)), np.zeros(0, dtype=int))
 
 
+class TestLocalTraining:
+    @pytest.mark.parametrize("rule", sorted(STEP_FUNCTIONS))
+    def test_matches_each_device_trained_alone(self, rule):
+        # skewed shards, some smaller than the batch: several batch-size groups
+        train, _ = make_task(20)
+        layout = Layout.mlp(10, (8,), 4)
+        shards = dirichlet_partition(train.y, 6, 0.1, rngmod.stream(20, "partition"))
+        cfg = TrainConfig(batch_size=32, algorithm=rule)
+        sizes = {min(cfg.batch_size, len(shard)) for shard in shards}
+        assert len(sizes) > 2
+        init = init_params(layout, rngmod.stream(20, "init")).values
+        engine = LocalTraining(
+            layout=layout, train=train, shards=shards, train_cfg=cfg,
+            batch_rngs=[rngmod.stream(20, "batch", k) for k in range(6)], local_iters=2,
+        )
+        start = [init] * 6
+        for _ in range(2):  # optimizer state carries over between rounds
+            start, losses = engine.run(start)
+
+        # reference: the per-device loop, one device at a time
+        step = STEP_FUNCTIONS[rule]
+        for k, shard in enumerate(shards):
+            params = SlimmableParams(layout, init)
+            rng, opt = rngmod.stream(20, "batch", k), LocalOptimizer(cfg, layout.size)
+            size = min(cfg.batch_size, len(shard))
+            for _ in range(2 * 2):  # two rounds of two local steps
+                idx = rng.choice(shard.indices, size=size, replace=False)
+                result = step(params, train.x[idx], train.y[idx], cfg, opt)
+                params = result.params
+            np.testing.assert_array_equal(start[k], params.values)
+            assert losses[k] == result.loss
+
+
 class TestSlimFLRound:
     def test_perfect_channel_aggregates_all_devices_both_segments(self):
         run_a = make_run(seed=7)
@@ -158,7 +192,7 @@ class TestSlimFLRound:
 
         # reconstruct: fresh identical run, local updates only, then plain mean
         run_b = make_run(seed=7)
-        locals_b = [run_b._local_update(k)[0] for k in range(4)]
+        locals_b, _ = run_b.local.run(run_b.state.device_values)
         np.testing.assert_array_equal(
             run_a.state.global_values, np.mean(np.stack(locals_b), axis=0)
         )
@@ -177,7 +211,7 @@ class TestSlimFLRound:
 
     def test_scripted_mixed_outcomes(self):
         run = make_run(seed=9, n_devices=3)
-        locals_ = {k: run._local_update(k)[0] for k in range(3)}
+        locals_, _ = run.local.run(run.state.device_values)
         run_b = make_run(seed=9, n_devices=3)
         run_b._decode_sets = lambda: ({1}, {0})  # device 2 silent
         run_b.run_round()
@@ -208,7 +242,7 @@ class TestVanillaRun:
         run_a = make_run("vanilla-1.0x", seed=12)
         run_a.run_round()
         run_b = make_run("vanilla-1.0x", seed=12)
-        locals_b = [run_b._local_update(k)[0] for k in range(4)]
+        locals_b, _ = run_b.local.run(run_b.device_values)
         np.testing.assert_array_equal(
             run_a.global_values, np.mean(np.stack(locals_b), axis=0)
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slimfl.slimnet import (
+    ForwardTrace,
     LayerSpec,
     Layout,
     SlimmableParams,
@@ -205,6 +206,45 @@ class TestBackward:
         analytic = backward(params, mask, x, logits - target)
         numeric = finite_difference_gradient(loss_fn, params.values.copy())
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
+
+
+class TestDeviceStack:
+    """A (devices, P) stack computes every row bitwise as that device alone."""
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_rows_equal_single_device_passes(self, batch):
+        rng = RNG(9)
+        layout = small_layout()
+        stack = SlimmableParams(
+            layout, np.stack([init_params(layout, rng).values for _ in range(3)])
+        )
+        x = rng.normal(size=(3, batch, 8))
+        logits_grad = rng.normal(size=(3, batch, 3))
+        for ratio in (0.5, 1.0):
+            mask = build_mask(layout, ratio)
+            trace = ForwardTrace()
+            logits = forward(stack, mask, x, trace=trace)
+            grad = backward(stack, mask, x, logits_grad, trace=trace)
+            np.testing.assert_array_equal(grad, backward(stack, mask, x, logits_grad))
+            for k in range(3):
+                alone = stack.with_values(stack.values[k])
+                np.testing.assert_array_equal(logits[k], forward(alone, mask, x[k]))
+                np.testing.assert_array_equal(
+                    grad[k], backward(alone, mask, x[k], logits_grad[k])
+                )
+
+    def test_batch_must_carry_the_device_axis(self):
+        layout = small_layout()
+        stack = SlimmableParams(layout, np.zeros((2, layout.size)))
+        with pytest.raises(ValueError, match="batch shape"):
+            forward(stack, build_mask(layout, 1.0), np.zeros((3, 4, 8)))
+        with pytest.raises(ValueError, match="batch shape"):
+            forward(stack, build_mask(layout, 1.0), np.zeros((4, 8)))
+
+    def test_values_must_be_a_vector_or_a_stack(self):
+        layout = small_layout()
+        with pytest.raises(ValueError, match="layout needs"):
+            SlimmableParams(layout, np.zeros((2, 2, layout.size)))
 
 
 class TestModelCost:

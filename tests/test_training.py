@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from slimfl.slimnet import Layout, build_mask, forward, init_params
+from slimfl.slimnet import Layout, SlimmableParams, build_mask, forward, init_params
 from slimfl.training import (
     AdamState,
     LocalOptimizer,
@@ -17,6 +17,7 @@ from slimfl.training import (
     ipkd_grad,
     ipkd_loss,
     log_softmax,
+    STEP_FUNCTIONS,
     sandwich_step,
     sgd_update,
     softmax,
@@ -386,3 +387,54 @@ class TestSandwichStep:
 
         numeric = numeric_gradient(loss_fn, params.values.copy())
         np.testing.assert_allclose(result.gradient, numeric, rtol=1e-4, atol=1e-7)
+
+
+class TestStackedSteps:
+    """K devices stepped as one stack equal K single-device steps, bit for bit."""
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("rule", sorted(STEP_FUNCTIONS))
+    def test_stack_equals_devices_alone(self, rule, optimizer):
+        n_devices, n_steps = 4, 3
+        cfg = TrainConfig(
+            st_weights=(0.2, 0.3, 0.5), width_ratios=(0.25, 0.5, 1.0),
+            optimizer=optimizer, lr=0.05, algorithm=rule,
+        )
+        step = STEP_FUNCTIONS[rule]
+        singles = [make_net(60 + k) for k in range(n_devices)]
+        layout = singles[0].layout
+        stack = SlimmableParams(layout, np.stack([p.values for p in singles]))
+        single_opts = [LocalOptimizer(cfg, layout.size) for _ in range(n_devices)]
+        stack_opt = LocalOptimizer(cfg, (n_devices, layout.size))
+        for t in range(n_steps):
+            batches = [make_batch(100 * t + k) for k in range(n_devices)]
+            stacked = step(
+                stack, np.stack([x for x, _ in batches]), np.stack([y for _, y in batches]),
+                cfg, stack_opt,
+            )
+            for k, (x, y) in enumerate(batches):
+                alone = step(singles[k], x, y, cfg, single_opts[k])
+                np.testing.assert_array_equal(stacked.params.values[k], alone.params.values)
+                np.testing.assert_array_equal(stacked.gradient[k], alone.gradient)
+                assert stacked.loss[k] == alone.loss
+                if alone.report is not None:
+                    assert stacked.report.ce_full[k] == alone.report.ce_full
+                    assert [kd[k] for kd in stacked.report.kd_losses] == list(
+                        alone.report.kd_losses
+                    )
+                singles[k] = alone.params
+            stack = stacked.params
+
+    def test_stacked_losses_match_per_device_losses(self):
+        rng = RNG(70)
+        logits = rng.normal(size=(3, 5, 4))
+        teacher = rng.normal(size=(3, 5, 4))
+        labels = rng.integers(0, 4, size=(3, 5))
+        ce, kd = cross_entropy(logits, labels), ipkd_loss(logits, teacher)
+        ce_grad = cross_entropy_grad(logits, labels)
+        kd_grad = ipkd_grad(logits, teacher)
+        for k in range(3):
+            assert ce[k] == cross_entropy(logits[k], labels[k])
+            assert kd[k] == ipkd_loss(logits[k], teacher[k])
+            np.testing.assert_array_equal(ce_grad[k], cross_entropy_grad(logits[k], labels[k]))
+            np.testing.assert_array_equal(kd_grad[k], ipkd_grad(logits[k], teacher[k]))
