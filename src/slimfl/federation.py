@@ -6,9 +6,9 @@ global model from the decoded segments, and broadcasts it back (the
 downlink is always assumed successful).  Fixed-width baselines reuse the
 same loop with a single-message uplink and plain decoded-set averaging.
 
-Local training is device-batched (``LocalTraining``): devices with the same
-batch size step together as one (devices, P) stack, with results bitwise
-equal to training each device alone.
+Local training is device-batched (``LocalTraining``): all devices step
+together as one (devices, P) stack, with results bitwise equal to training
+each device alone.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .channel import (
 )
 from .datasets import Dataset, Shard
 from .metrics import CostModel, RoundMetrics
-from .slimnet import Layout, SlimmableParams, build_mask, forward, masks_for
+from .slimnet import BatchRows, Layout, SlimmableParams, build_mask, forward, masks_for
 from .training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
 
 SCHEMES = ("slimfl", "vanilla-0.5x", "vanilla-1.0x", "vanilla-1.5x")
@@ -139,13 +139,14 @@ def _broadcast(values: np.ndarray, n_devices: int) -> np.ndarray:
 
 
 class LocalTraining:
-    """Local steps of every device, one stacked step rule call per group.
+    """Local steps of every device, one stacked step rule call per step.
 
-    Devices whose effective batch size, min(batch_size, len(shard)), is
-    equal form a group that trains as one (devices, P) stack with its own
-    stacked optimizer.  Each device draws its batches from its own stream,
-    and the step rules compute each row exactly as for one device, so the
-    result does not depend on the grouping.
+    All devices train as one (devices, P) stack with one stacked optimizer.
+    A device whose shard is smaller than the batch size draws its whole
+    shard, min(batch_size, len(shard)) samples, and its batch is padded to
+    the longest (``BatchRows``).  Each device draws its batches from its own
+    stream, and the step rules compute each row exactly as for one device,
+    so every device's result is the one it gets trained alone.
     """
 
     def __init__(
@@ -165,37 +166,30 @@ class LocalTraining:
         self.batch_rngs = batch_rngs
         self.local_iters = local_iters
         self.step_fn = STEP_FUNCTIONS[train_cfg.algorithm]
-        sizes = [min(train_cfg.batch_size, len(shard)) for shard in shards]
-        self.groups = []  # (batch size, device indices, optimizer)
-        for size in sorted(set(sizes)):
-            devices = [k for k, s in enumerate(sizes) if s == size]
-            opt = LocalOptimizer(train_cfg, (len(devices), layout.size))
-            self.groups.append((size, devices, opt))
+        self.sizes = [min(train_cfg.batch_size, len(shard)) for shard in shards]
+        width = max(self.sizes)
+        self.rows = BatchRows(self.sizes) if min(self.sizes) < width else None
+        # padding rows hold training sample 0; the step rules ignore them
+        self.batch_idx = np.zeros((len(shards), width), dtype=np.intp)
+        self.opt = LocalOptimizer(train_cfg, (len(shards), layout.size))
 
-    def run(self, start_values: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    def run(self, start_values: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Train every device from its start vector for ``local_iters`` steps.
 
-        Returns the trained vectors in device order and each device's loss
-        at its last step.
+        Returns the trained vectors as a (devices, P) stack and each
+        device's loss at its last step.
         """
-        values: list[np.ndarray] = [None] * len(self.shards)
-        losses = np.empty(len(self.shards))
-        for size, devices, opt in self.groups:
-            params = SlimmableParams(self.layout, np.stack([start_values[k] for k in devices]))
-            for _ in range(self.local_iters):
-                batch_idx = np.stack([
-                    self.batch_rngs[k].choice(self.shards[k].indices, size=size, replace=False)
-                    for k in devices
-                ])
-                result = self.step_fn(
-                    params, self.train.x[batch_idx], self.train.y[batch_idx],
-                    self.train_cfg, opt,
-                )
-                params = result.params
-            for row, k in enumerate(devices):
-                values[k] = params.values[row]
-            losses[devices] = result.loss
-        return values, losses
+        params = SlimmableParams(self.layout, np.stack(start_values))
+        batch_idx = self.batch_idx
+        for _ in range(self.local_iters):
+            for k, (rng, shard, size) in enumerate(zip(self.batch_rngs, self.shards, self.sizes)):
+                batch_idx[k, :size] = rng.choice(shard.indices, size=size, replace=False)
+            result = self.step_fn(
+                params, self.train.x[batch_idx], self.train.y[batch_idx],
+                self.train_cfg, self.opt, rows=self.rows,
+            )
+            params = result.params
+        return params.values, result.loss
 
 
 class SlimFLRun:

@@ -180,6 +180,58 @@ def _check_batch(params: SlimmableParams, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
+def _product(a: np.ndarray, b: np.ndarray, transpose: bool) -> np.ndarray:
+    return a @ (np.swapaxes(b, -1, -2) if transpose else b)
+
+
+class BatchRows:
+    """The real rows of a device stack whose batches are padded to one length.
+
+    Device k's batch holds ``counts[k]`` samples followed by padding rows
+    of any finite data.  A BLAS matmul's result for one row depends on how
+    many rows the matmul has, so every product over the batch rows is first
+    taken over the whole stack and then redone, for the devices of each
+    shorter count, over their real rows alone.  Losses average over the
+    real rows, and logit gradients are exactly zero on the padding, so the
+    sums over the batch that the backward forms equal the unpadded ones.
+    Device k's results are then bitwise those it gets with its batch alone.
+    """
+
+    def __init__(self, counts):
+        counts = np.asarray(counts, dtype=np.intp)
+        width = int(counts.max())
+        self.short = [
+            (int(n), np.flatnonzero(counts == n)) for n in np.unique(counts) if n < width
+        ]
+        self._divisor = counts.astype(np.float64)[:, None, None]
+        self._keep = (np.arange(width) < counts[:, None]).astype(np.float64)[..., None]
+
+    def matmul(self, a: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``a @ b`` (``a @ b^T`` with ``transpose``) for a (devices, batch, n) ``a``."""
+        out = _product(a, b, transpose)
+        for n, devices in self.short:
+            out[devices, :n] = _product(a[devices, :n], b[devices], transpose)
+        return out
+
+    def mean(self, per_example: np.ndarray) -> np.ndarray:
+        """Each device's mean over its real rows of a (devices, batch) array."""
+        out = per_example.mean(axis=-1)
+        for n, devices in self.short:
+            out[devices] = per_example[devices, :n].mean(axis=-1)
+        return out
+
+    def per_example_grad(self, grad: np.ndarray) -> np.ndarray:
+        """A (devices, batch, classes) gradient of summed losses divided by
+        each device's count, zeroed on the padding, in place."""
+        grad /= self._divisor
+        grad *= self._keep
+        return grad
+
+
+def _matmul(rows: BatchRows | None, a: np.ndarray, b: np.ndarray, transpose: bool = False):
+    return _product(a, b, transpose) if rows is None else rows.matmul(a, b, transpose)
+
+
 @dataclass(eq=False)
 class ForwardTrace:
     """What a forward pass keeps so that its backward need not run it again:
@@ -195,13 +247,15 @@ def forward(
     mask: WidthMask,
     batch: np.ndarray,
     trace: ForwardTrace | None = None,
+    rows: BatchRows | None = None,
 ) -> np.ndarray:
     """Logits of the masked network; equals the physically extracted sub-network.
 
     One vector takes a (batch, in) array; a (devices, P) stack takes
     (devices, batch, in) and returns (devices, batch, classes), device k
-    computed exactly as it would be alone.  A given ``trace`` is filled for
-    a later ``backward`` on the same arguments.
+    computed exactly as it would be alone, over its first ``rows`` rows
+    when the stack is padded.  A given ``trace`` is filled for a later
+    ``backward`` on the same arguments.
     """
     h = _check_batch(params, batch)
     layout = params.layout
@@ -210,7 +264,7 @@ def forward(
         w, b = _blocks(params.values, layout, i)
         w_bits, b_bits = _blocks(mask.bits, layout, i)
         w_m = w * w_bits
-        z = h @ np.swapaxes(w_m, -1, -2) + (b * b_bits)[..., None, :]
+        z = _matmul(rows, h, w_m, transpose=True) + (b * b_bits)[..., None, :]
         if trace is not None:
             trace.weights.append(w_m)
             trace.inputs.append(h)
@@ -225,10 +279,12 @@ def backward(
     batch: np.ndarray,
     logits_grad: np.ndarray,
     trace: ForwardTrace | None = None,
+    rows: BatchRows | None = None,
 ) -> np.ndarray:
     """Gradient of the loss w.r.t. the flat vector, given d(loss)/d(logits).
 
-    Shapes follow ``forward``: a stack gives one gradient row per device.
+    Shapes and ``rows`` follow ``forward``: a stack gives one gradient row
+    per device, and a padded stack needs ``logits_grad`` zero on the padding.
     ``trace`` is the one ``forward`` filled for these arguments; without it
     the forward pass runs again.  Coordinates outside the mask receive
     exactly zero.
@@ -243,7 +299,7 @@ def backward(
         )
     if trace is None:
         trace = ForwardTrace()
-        forward(params, mask, batch, trace)
+        forward(params, mask, batch, trace, rows)
     # the layer blocks tile the vector, so every coordinate is written
     grad = np.empty(params.values.shape)
     g = logits_grad
@@ -254,7 +310,7 @@ def backward(
         np.multiply(g.sum(axis=-2), b_bits, out=grad_b)
         if i > 0:
             z = trace.preacts[i - 1]
-            g = (g @ trace.weights[i]) * ((z > 0.0) & (z < 6.0))
+            g = _matmul(rows, g, trace.weights[i]) * ((z > 0.0) & (z < 6.0))
     return grad
 
 

@@ -3,8 +3,10 @@
 Three single-batch update rules are provided.  Each takes one device's
 parameter vector and batch, or a (devices, P) stack of vectors with
 (devices, batch, ...) batches, and then steps every device at once with
-stacked matmuls; device k's result is bitwise the one it gets alone.  Each
-width is forwarded once per step and its trace reused by its backward.
+stacked matmuls; device k's result is bitwise the one it gets alone.  In a
+stack whose devices draw batches of different sizes, each batch is padded
+to the longest and ``slimnet.BatchRows`` says which rows are real.
+Each width is forwarded once per step and its trace reused by its backward.
 
 * superposed_step — one optimizer step whose gradient is a convex
   combination of the full-width cross-entropy and per-sub-width
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slimnet import ForwardTrace, SlimmableParams, backward, forward, masks_for
+from .slimnet import BatchRows, ForwardTrace, SlimmableParams, backward, forward, masks_for
 
 
 def decayed_lr(strong_convexity: float, smoothness: float, t: int) -> float:
@@ -95,28 +97,44 @@ def _check_labels(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _batch_mean(per_example: np.ndarray) -> float | np.ndarray:
+def _batch_mean(per_example: np.ndarray, rows: BatchRows | None) -> float | np.ndarray:
     """Mean over the batch axis: a float for one device, one per device for a stack."""
+    if rows is not None:
+        return rows.mean(per_example)
     mean = per_example.mean(axis=-1)
     return float(mean) if mean.ndim == 0 else mean
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
+def _per_example_grad(grad: np.ndarray, rows: BatchRows | None) -> np.ndarray:
+    """A summed loss's logit gradient divided by the batch size: the mean's."""
+    if rows is not None:
+        return rows.per_example_grad(grad)
+    grad /= grad.shape[-2]
+    return grad
+
+
+def cross_entropy(
+    logits: np.ndarray, labels: np.ndarray, rows: BatchRows | None = None
+) -> float | np.ndarray:
     """Mean negative log-likelihood of the true classes."""
     labels = _check_labels(logits, labels)
     ls = log_softmax(logits)
-    return -_batch_mean(np.take_along_axis(ls, labels[..., None], axis=-1)[..., 0])
+    return -_batch_mean(np.take_along_axis(ls, labels[..., None], axis=-1)[..., 0], rows)
 
 
-def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def cross_entropy_grad(
+    logits: np.ndarray, labels: np.ndarray, rows: BatchRows | None = None
+) -> np.ndarray:
     labels = _check_labels(logits, labels)
     g = softmax(logits)
     true_class = labels[..., None]
     np.put_along_axis(g, true_class, np.take_along_axis(g, true_class, axis=-1) - 1.0, axis=-1)
-    return g / labels.shape[-1]
+    return _per_example_grad(g, rows)
 
 
-def ipkd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray) -> float | np.ndarray:
+def ipkd_loss(
+    student_logits: np.ndarray, teacher_logits: np.ndarray, rows: BatchRows | None = None
+) -> float | np.ndarray:
     """Soft cross-entropy of the student against the teacher's softmax.
 
     The teacher side is treated as a constant: no gradient flows into it.
@@ -126,13 +144,14 @@ def ipkd_loss(student_logits: np.ndarray, teacher_logits: np.ndarray) -> float |
             f"student shape {student_logits.shape} != teacher shape {teacher_logits.shape}"
         )
     soft_targets = softmax(teacher_logits)
-    return -_batch_mean((soft_targets * log_softmax(student_logits)).sum(axis=-1))
+    return -_batch_mean((soft_targets * log_softmax(student_logits)).sum(axis=-1), rows)
 
 
-def ipkd_grad(student_logits: np.ndarray, teacher_logits: np.ndarray) -> np.ndarray:
+def ipkd_grad(
+    student_logits: np.ndarray, teacher_logits: np.ndarray, rows: BatchRows | None = None
+) -> np.ndarray:
     """d(ipkd_loss)/d(student_logits); the teacher contributes none."""
-    batch = student_logits.shape[-2]
-    return (softmax(student_logits) - softmax(teacher_logits)) / batch
+    return _per_example_grad(softmax(student_logits) - softmax(teacher_logits), rows)
 
 
 @dataclass
@@ -219,13 +238,15 @@ class StepResult:
     report: LossReport | None = None
 
 
-def _width_pass(params, mask, batch_x, loss_fn, grad_fn, target):
+def _width_pass(params, mask, batch_x, loss_fn, grad_fn, target, rows):
     """Logits, loss and parameter gradient of one width; the forward trace
     is reused by the backward and dropped on return."""
     trace = ForwardTrace()
-    logits = forward(params, mask, batch_x, trace=trace)
-    loss = loss_fn(logits, target)
-    return logits, loss, backward(params, mask, batch_x, grad_fn(logits, target), trace=trace)
+    logits = forward(params, mask, batch_x, trace=trace, rows=rows)
+    loss = loss_fn(logits, target, rows)
+    return logits, loss, backward(
+        params, mask, batch_x, grad_fn(logits, target, rows), trace=trace, rows=rows
+    )
 
 
 def superposed_step(
@@ -234,6 +255,7 @@ def superposed_step(
     batch_y: np.ndarray,
     cfg: TrainConfig,
     opt: LocalOptimizer,
+    rows: BatchRows | None = None,
 ) -> StepResult:
     """One convex-combination update over all widths.
 
@@ -244,13 +266,15 @@ def superposed_step(
     w = cfg.st_weights
 
     teacher_logits, ce, grad = _width_pass(
-        params, masks[-1], batch_x, cross_entropy, cross_entropy_grad, batch_y
+        params, masks[-1], batch_x, cross_entropy, cross_entropy_grad, batch_y, rows
     )
     grad *= w[-1]
 
     kd = []
     for i, mask in enumerate(masks[:-1]):
-        _, loss, part = _width_pass(params, mask, batch_x, ipkd_loss, ipkd_grad, teacher_logits)
+        _, loss, part = _width_pass(
+            params, mask, batch_x, ipkd_loss, ipkd_grad, teacher_logits, rows
+        )
         kd.append(loss)
         part *= w[i]
         grad += part
@@ -271,6 +295,7 @@ def widthwise_step(
     batch_y: np.ndarray,
     cfg: TrainConfig,
     opt: LocalOptimizer,
+    rows: BatchRows | None = None,
 ) -> StepResult:
     """Every width trained against the ground truth, widest first; one step."""
     masks = masks_for(params.layout, cfg.width_ratios)
@@ -278,7 +303,7 @@ def widthwise_step(
     total = 0.0
     for mask in reversed(masks):
         _, loss, part = _width_pass(
-            params, mask, batch_x, cross_entropy, cross_entropy_grad, batch_y
+            params, mask, batch_x, cross_entropy, cross_entropy_grad, batch_y, rows
         )
         total += loss
         grad += part
@@ -294,6 +319,7 @@ def sandwich_step(
     opt: LocalOptimizer,
     n_widths: int | None = None,
     rng: np.random.Generator | None = None,
+    rows: BatchRows | None = None,
 ) -> StepResult:
     """Full width against ground truth first, then distill sampled widths.
 
@@ -308,7 +334,7 @@ def sandwich_step(
     n_widths = max(2, min(n_widths, len(masks)))
 
     teacher_logits, total, grad = _width_pass(
-        params, masks[-1], batch_x, cross_entropy, cross_entropy_grad, batch_y
+        params, masks[-1], batch_x, cross_entropy, cross_entropy_grad, batch_y, rows
     )
 
     sampled = [masks[0]]
@@ -324,7 +350,9 @@ def sandwich_step(
             sampled.extend(middle[j] for j in sorted(picks))
 
     for mask in sampled:
-        _, loss, part = _width_pass(params, mask, batch_x, ipkd_loss, ipkd_grad, teacher_logits)
+        _, loss, part = _width_pass(
+            params, mask, batch_x, ipkd_loss, ipkd_grad, teacher_logits, rows
+        )
         total += loss
         grad += part
 

@@ -153,7 +153,7 @@ class TestEvaluate:
 class TestLocalTraining:
     @pytest.mark.parametrize("rule", sorted(STEP_FUNCTIONS))
     def test_matches_each_device_trained_alone(self, rule):
-        # skewed shards, some smaller than the batch: several batch-size groups
+        # skewed shards, several smaller than the batch: padded batches of several lengths
         train, _ = make_task(20)
         layout = Layout.mlp(10, (8,), 4)
         shards = dirichlet_partition(train.y, 6, 0.1, rngmod.stream(20, "partition"))

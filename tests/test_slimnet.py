@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slimfl.slimnet import (
+    BatchRows,
     ForwardTrace,
     LayerSpec,
     Layout,
@@ -211,26 +212,36 @@ class TestBackward:
 class TestDeviceStack:
     """A (devices, P) stack computes every row bitwise as that device alone."""
 
-    @pytest.mark.parametrize("batch", [1, 5])
-    def test_rows_equal_single_device_passes(self, batch):
+    # equal batches of 1 and of 5, and batches padded to 8 rows; 32 -> 10 is
+    # a shape whose BLAS rows depend on the matmul's row count
+    @pytest.mark.parametrize(
+        "counts", [[1, 1, 1], [5, 5, 5], [8, 5, 1, 3, 8]], ids=["1", "5", "padded"]
+    )
+    def test_rows_equal_single_device_passes(self, counts):
         rng = RNG(9)
-        layout = small_layout()
+        layout = Layout.mlp(64, (32,), 10)
         stack = SlimmableParams(
-            layout, np.stack([init_params(layout, rng).values for _ in range(3)])
+            layout, np.stack([init_params(layout, rng).values for _ in counts])
         )
-        x = rng.normal(size=(3, batch, 8))
-        logits_grad = rng.normal(size=(3, batch, 3))
+        width = max(counts)
+        rows = BatchRows(counts) if min(counts) < width else None
+        x = rng.normal(size=(len(counts), width, 64))
+        logits_grad = rng.normal(size=(len(counts), width, 10))
+        for k, n in enumerate(counts):
+            logits_grad[k, n:] = 0.0
         for ratio in (0.5, 1.0):
             mask = build_mask(layout, ratio)
             trace = ForwardTrace()
-            logits = forward(stack, mask, x, trace=trace)
-            grad = backward(stack, mask, x, logits_grad, trace=trace)
-            np.testing.assert_array_equal(grad, backward(stack, mask, x, logits_grad))
-            for k in range(3):
+            logits = forward(stack, mask, x, trace=trace, rows=rows)
+            grad = backward(stack, mask, x, logits_grad, trace=trace, rows=rows)
+            np.testing.assert_array_equal(
+                grad, backward(stack, mask, x, logits_grad, rows=rows)
+            )
+            for k, n in enumerate(counts):
                 alone = stack.with_values(stack.values[k])
-                np.testing.assert_array_equal(logits[k], forward(alone, mask, x[k]))
+                np.testing.assert_array_equal(logits[k, :n], forward(alone, mask, x[k, :n]))
                 np.testing.assert_array_equal(
-                    grad[k], backward(alone, mask, x[k], logits_grad[k])
+                    grad[k], backward(alone, mask, x[k, :n], logits_grad[k, :n])
                 )
 
     def test_batch_must_carry_the_device_axis(self):

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from slimfl.slimnet import Layout, SlimmableParams, build_mask, forward, init_params
+from slimfl.slimnet import (
+    BatchRows,
+    Layout,
+    SlimmableParams,
+    build_mask,
+    forward,
+    init_params,
+)
 from slimfl.training import (
     AdamState,
     LocalOptimizer,
@@ -392,28 +399,31 @@ class TestSandwichStep:
 class TestStackedSteps:
     """K devices stepped as one stack equal K single-device steps, bit for bit."""
 
+    # equal batches, and batches of 6, 2, 1, 6 and 4 samples padded to 6 rows
+    @pytest.mark.parametrize("counts", [[6, 6, 6, 6], [6, 2, 1, 6, 4]], ids=["equal", "padded"])
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("rule", sorted(STEP_FUNCTIONS))
-    def test_stack_equals_devices_alone(self, rule, optimizer):
-        n_devices, n_steps = 4, 3
+    def test_stack_equals_devices_alone(self, rule, optimizer, counts):
+        n_devices, n_steps = len(counts), 3
         cfg = TrainConfig(
             st_weights=(0.2, 0.3, 0.5), width_ratios=(0.25, 0.5, 1.0),
             optimizer=optimizer, lr=0.05, algorithm=rule,
         )
         step = STEP_FUNCTIONS[rule]
-        singles = [make_net(60 + k) for k in range(n_devices)]
+        singles = [make_net(60 + k, in_dim=64, hidden=(32,), out=10) for k in range(n_devices)]
         layout = singles[0].layout
         stack = SlimmableParams(layout, np.stack([p.values for p in singles]))
         single_opts = [LocalOptimizer(cfg, layout.size) for _ in range(n_devices)]
         stack_opt = LocalOptimizer(cfg, (n_devices, layout.size))
+        rows = BatchRows(counts) if min(counts) < max(counts) else None
         for t in range(n_steps):
-            batches = [make_batch(100 * t + k) for k in range(n_devices)]
+            batches = [make_batch(100 * t + k, in_dim=64, classes=10) for k in range(n_devices)]
             stacked = step(
                 stack, np.stack([x for x, _ in batches]), np.stack([y for _, y in batches]),
-                cfg, stack_opt,
+                cfg, stack_opt, rows=rows,
             )
-            for k, (x, y) in enumerate(batches):
-                alone = step(singles[k], x, y, cfg, single_opts[k])
+            for k, ((x, y), n) in enumerate(zip(batches, counts)):
+                alone = step(singles[k], x[:n], y[:n], cfg, single_opts[k])
                 np.testing.assert_array_equal(stacked.params.values[k], alone.params.values)
                 np.testing.assert_array_equal(stacked.gradient[k], alone.gradient)
                 assert stacked.loss[k] == alone.loss
