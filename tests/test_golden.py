@@ -53,21 +53,28 @@ algorithm = {algorithm}
 devices = {devices}
 local_iters = {iters}
 scheme = {scheme}
+aggregation_weighting = {weighting}
+vanilla_rate_mode = {rate_mode}
 """
 
 DEFAULTS = dict(
     eval_every=1, per_class=40, alpha=1.0, ratios="0.25,0.5,1.0", weights="0.2,0.3,0.5",
     lr_mode="constant", optimizer="adam", algorithm="superposed", devices=4, iters=1,
-    scheme="slimfl",
+    scheme="slimfl", weighting="empirical", rate_mode="payload_scaled",
 )
 
 CASES = {
     "slimfl-superposed": {},
     "slimfl-widthwise": dict(algorithm="widthwise"),
     "slimfl-sandwich": dict(algorithm="sandwich"),
+    # segment sums divided by the expected decode counts K * exp(-tau)
+    "slimfl-expected": dict(weighting="expected"),
     "vanilla-0.5x": dict(scheme="vanilla-0.5x", ratios="0.5,1.0", weights="0.5,0.5"),
     "vanilla-1.0x": dict(scheme="vanilla-1.0x", ratios="0.5,1.0", weights="0.5,0.5"),
     "vanilla-1.5x": dict(scheme="vanilla-1.5x", ratios="0.5,1.0", weights="0.5,0.5"),
+    "vanilla-same-rate": dict(
+        scheme="vanilla-1.0x", ratios="0.5,1.0", weights="0.5,0.5", rate_mode="same_rate"
+    ),
     # skewed shards, several smaller than the batch: devices train on
     # different batch sizes; also two local steps, SGD and the decayed rate
     "small-shards-sgd": dict(
@@ -78,6 +85,10 @@ CASES = {
 
 # (metrics CSV sha256, final global parameter bytes sha256)
 GOLDEN = {
+    "slimfl-expected": (
+        "29614d2eb57ddff56b66583d1dc763a6aaba7ed2114641ebe991ac779655b9d2",
+        "08539ccab062dce29ee5e33c7db052d85dede900029985ff1cb0471e514ccaa4",
+    ),
     "slimfl-sandwich": (
         "70926f2f9fb7ccc65a75b9d7ad03bc93d226a5377d3c3cb9d5ef9bf00b3d0142",
         "1e0a984b86993a32e0a2863f1cd4f3effdf3016dd79ee7ff2c7b32a89af1f6a7",
@@ -105,6 +116,10 @@ GOLDEN = {
     "vanilla-1.5x": (
         "8ea6cc245d54d7bab3ac354b9dd6ac699406f8b66c4b3a5720f488a2109d9c4a",
         "c41e15c6054b69a21288cf079fd28b65c91d0e35a9b2a494aea521af19da9ea7",
+    ),
+    "vanilla-same-rate": (
+        "c0045e77a8812d6b0777caa011bc861f47d6c27d56a4e9103160ec9ec9f15e20",
+        "a27685c70f03b9a9218de721bfaa09c7407e6deb5eb888df742b9e21cc3c4e09",
     ),
 }
 
