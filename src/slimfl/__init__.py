@@ -28,7 +28,7 @@ from .channel import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_config, serialize_config
 from .datasets import Dataset, Shard, dirichlet_partition, load_idx, synth_dataset, write_idx
-from .federation import FederationConfig, RoundState, SlimFLRun, VanillaRun, aggregate, evaluate
+from .federation import FederatedRun, FederationConfig, aggregate, evaluate
 from .metrics import CostModel, RoundMetrics, detect_convergence, energy_report
 from .rng import stream
 from .slimnet import (

@@ -12,7 +12,7 @@ success probabilities have the closed form exp(-threshold).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,8 +228,3 @@ def config_for_decode_probs(
         power_split=lam,
         fading=fading,
     )
-
-
-def with_noise_db(cfg: ChannelConfig, noise_db: float) -> ChannelConfig:
-    """Copy of cfg with noise power set to 10^(noise_db/10) watts."""
-    return replace(cfg, noise_power_w=10 ** (noise_db / 10.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -89,14 +90,13 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep values: need at least one value")
-    results = []
     for value in values:
         text = _override(base_text, args.param, value.strip())
         cfg = parse_config(text)
         subdir = os.path.join(
             cfg.output_dir, f"sweep_{args.param.replace('.', '_')}", value.strip()
         )
-        cfg = type(cfg)(**{**cfg.__dict__, "output_dir": subdir})
+        cfg = dataclasses.replace(cfg, output_dir=subdir)
         if args.mode == "analyze":
             os.makedirs(subdir, exist_ok=True)
             report = analyze_experiment(cfg)
@@ -104,10 +104,8 @@ def cmd_sweep(args) -> int:
             with open(out, "w") as fh:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-            results.append({"value": value.strip(), "analysis": out})
         else:
-            combined = run_all(cfg)
-            results.append({"value": value.strip(), "summary": combined})
+            run_all(cfg)
         print(f"{args.param} = {value.strip()}: {subdir}")
     return 0
 

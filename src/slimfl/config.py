@@ -302,7 +302,6 @@ def parse_config(text: str) -> ExperimentConfig:
     fed_defaults = FederationConfig()
     federation = FederationConfig(
         n_devices=_get(sections, "federation", "devices", fed_defaults.n_devices),
-        rounds=_get(sections, "experiment", "rounds", 300),
         local_iters=_get(sections, "federation", "local_iters", fed_defaults.local_iters),
         scheme=_get(sections, "federation", "scheme", fed_defaults.scheme),
         aggregation_weighting=_get(
@@ -318,7 +317,7 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         federation.validate()
     except ValueError as exc:
-        raise ConfigError(f"federation: {exc}") from exc
+        raise ConfigError(f"federation.{exc}") from exc
 
     seeds = _get(sections, "experiment", "seeds", (0,))
     if not seeds:

@@ -19,10 +19,10 @@ from .analysis import (
     optimality_gap_bound,
     optimize_power_split,
 )
-from .channel import Rayleigh, decode_probabilities
+from .channel import Rayleigh, decode_probabilities, decode_thresholds
 from .config import ExperimentConfig
 from .datasets import Dataset, class_means, dirichlet_partition, load_idx, synth_dataset
-from .federation import CombinedVanillaRun, SlimFLRun, VanillaRun
+from .federation import FederatedRun, Width, vanilla_threshold
 from .metrics import (
     CostModel,
     RoundMetrics,
@@ -30,7 +30,7 @@ from .metrics import (
     energy_report,
     write_metrics_csv,
 )
-from .slimnet import Layout, backward, forward, init_params, masks_for
+from .slimnet import Layout, active_dims, backward, build_mask, forward, init_params, masks_for
 from .training import cross_entropy_grad
 
 
@@ -40,10 +40,6 @@ class Task:
     test: Dataset
     shards: list
     layout: Layout
-
-
-def _ceil_half(h: int, ratio: float) -> int:
-    return max(1, math.ceil(h * ratio - 1e-9))
 
 
 def build_task(cfg: ExperimentConfig, seed: int) -> Task:
@@ -85,42 +81,81 @@ def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None):
     """Build the run object for cfg's scheme at the given master seed."""
     task = task or build_task(cfg, seed)
     cost = _cost_model(cfg, task.layout)
-    scheme = cfg.federation.scheme
-    common = dict(
-        train=task.train, shards=task.shards, test=task.test,
-        train_cfg=cfg.training, chan_cfg=cfg.channel, fed_cfg=cfg.federation,
-        master_seed=seed, eval_every=cfg.eval_every,
-    )
+    chan = cfg.channel
 
-    if scheme == "slimfl":
-        init = init_params(task.layout, rngmod.stream(seed, "init"))
-        return SlimFLRun(layout=task.layout, init_values=init.values, cost=cost, **common)
-
-    in_dim = task.layout.layers[0].in_dim
-    out_dim = task.layout.layers[-1].out_dim
-    half_hidden = tuple(_ceil_half(h, cfg.model.width_ratios[0]) for h in cfg.model.hidden)
-    half_layout = Layout.mlp(in_dim, half_hidden, out_dim)
-
-    def vanilla(layout, width_label, tag, power=None):
-        init = init_params(layout, rngmod.stream(seed, "init", tag))
-        bits = cost.half_bits if width_label == "half" else cost.full_bits
-        mflops = cost.half_mflops if width_label == "half" else cost.full_mflops
-        payload = 1.0 if width_label == "half" else 2.0
-        return VanillaRun(
-            layout=layout, init_values=init.values, model_bits=bits,
-            model_mflops=mflops, payload_ratio=payload, width_label=width_label,
-            transmit_power_w=power, stream_tag=tag, **common,
+    def run(layout, widths, thresholds, train_cfg, tag=()):
+        init = init_params(layout, rngmod.stream(seed, "init", *tag))
+        return FederatedRun(
+            layout=layout, init_values=init.values, train=task.train, shards=task.shards,
+            test=task.test, train_cfg=train_cfg, chan_cfg=chan, fed_cfg=cfg.federation,
+            widths=widths, thresholds=thresholds, rounds=cfg.rounds, master_seed=seed,
+            stream_tag=tag, eval_every=cfg.eval_every,
         )
 
-    if scheme == "vanilla-0.5x":
-        return vanilla(half_layout, "half", "v-half")
-    if scheme == "vanilla-1.0x":
-        return vanilla(task.layout, "full", "v-full")
-    # vanilla-1.5x: both fixed-width models, each at the full power budget
-    return CombinedVanillaRun(
-        vanilla(half_layout, "half", "v-half", power=cfg.channel.total_power_w),
-        vanilla(task.layout, "full", "v-full", power=cfg.channel.total_power_w),
+    half = ("half", cost.half_bits, cost.half_mflops)
+    full = ("full", cost.full_bits, cost.full_mflops)
+    if cfg.federation.scheme == "slimfl":
+        widths = (
+            Width(build_mask(task.layout, cfg.training.width_ratios[0]), *half),
+            Width(build_mask(task.layout, 1.0), *full),
+        )
+        return run(task.layout, widths, decode_thresholds(chan), cfg.training)
+
+    single_width = replace(
+        cfg.training, st_weights=(1.0,), width_ratios=(1.0,), algorithm="widthwise"
     )
+    layers = task.layout.layers
+    half_layout = Layout.mlp(
+        layers[0].in_dim,
+        tuple(active_dims(spec, cfg.model.width_ratios[0])[0] for spec in layers[:-1]),
+        layers[-1].out_dim,
+    )
+
+    same_rate = cfg.federation.vanilla_rate_mode == "same_rate"
+
+    def vanilla(layout, costs, payload_ratio, tag):
+        threshold = vanilla_threshold(chan, 1.0 if same_rate else payload_ratio)
+        width = Width(build_mask(layout, 1.0), *costs)
+        return run(layout, (width,), np.array([threshold]), single_width, (tag,))
+
+    if cfg.federation.scheme == "vanilla-0.5x":
+        return vanilla(half_layout, half, 1.0, "v-half")
+    if cfg.federation.scheme == "vanilla-1.0x":
+        return vanilla(task.layout, full, 2.0, "v-full")
+    return VanillaPair(
+        vanilla(half_layout, half, 1.0, "v-half"), vanilla(task.layout, full, 2.0, "v-full")
+    )
+
+
+class VanillaPair:
+    """vanilla-1.5x: the half- and full-width baselines side by side, each
+    with the full power budget, reported as one scheme."""
+
+    def __init__(self, half_run: FederatedRun, full_run: FederatedRun):
+        self.half_run = half_run
+        self.full_run = full_run
+
+    def run_round(self) -> RoundMetrics:
+        a = self.half_run.run_round()
+        b = self.full_run.run_round()
+        # A device counts as "both" when its full-width upload decoded and as
+        # "lh_only" when only its half-width upload did.
+        half_ok, full_ok = self.half_run.levels > 0, self.full_run.levels > 0
+        return RoundMetrics(
+            round=a.round,
+            acc_half=a.acc_half,
+            acc_full=b.acc_full,
+            loss=(a.loss + b.loss) / 2.0,
+            decoded_none=int((~half_ok & ~full_ok).sum()),
+            decoded_lh_only=int((half_ok & ~full_ok).sum()),
+            decoded_both=int(full_ok.sum()),
+            decoded_megabits=a.decoded_megabits + b.decoded_megabits,
+            comm_power_mw=a.comm_power_mw + b.comm_power_mw,
+            comp_mflops=a.comp_mflops + b.comp_mflops,
+        )
+
+    def run(self) -> list[RoundMetrics]:
+        return [self.run_round() for _ in range(self.half_run.rounds)]
 
 
 def summarize(cfg: ExperimentConfig, seed: int, metrics: list[RoundMetrics]) -> dict:

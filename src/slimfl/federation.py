@@ -1,10 +1,12 @@
-"""Round orchestration: local training, superposed uplink, aggregation, downlink.
+"""Round orchestration: local training, uplink, aggregation, downlink.
 
-One round runs local steps on every device, draws one fading gain per
-device to decide how much of its two-message uplink decodes, rebuilds the
-global model from the decoded segments, and broadcasts it back (the
-downlink is always assumed successful).  Fixed-width baselines reuse the
-same loop with a single-message uplink and plain decoded-set averaging.
+One round (``FederatedRun``) runs local steps on every device, draws one
+fading gain per device to decide how many of its uplink messages decode,
+rebuilds the global model from the decoded segments, and broadcasts it back
+(the downlink is always assumed successful).  SlimFL's uplink is two
+superposed width messages decoded one after the other; a fixed-width
+FedAvg baseline's is one message carrying its whole model.  Both run the
+same loop; only the widths and decode thresholds differ.
 
 Local training is device-batched (``LocalTraining``): all devices step
 together as one (devices, P) stack, with results bitwise equal to training
@@ -15,21 +17,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rngmod
-from .channel import (
-    ChannelConfig,
-    Rayleigh,
-    decode_thresholds,
-    sample_fading,
-    successive_thresholds,
-)
+from .channel import ChannelConfig, Rayleigh, sample_fading, successive_thresholds
 from .datasets import Dataset, Shard
-from .metrics import CostModel, RoundMetrics
-from .slimnet import BatchRows, Layout, SlimmableParams, build_mask, forward, masks_for
+from .metrics import RoundMetrics
+from .slimnet import BatchRows, Layout, SlimmableParams, WidthMask, forward
 from .training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
 
 SCHEMES = ("slimfl", "vanilla-0.5x", "vanilla-1.0x", "vanilla-1.5x")
@@ -38,7 +34,6 @@ SCHEMES = ("slimfl", "vanilla-0.5x", "vanilla-1.0x", "vanilla-1.5x")
 @dataclass(frozen=True)
 class FederationConfig:
     n_devices: int = 10
-    rounds: int = 300
     local_iters: int = 1
     scheme: str = "slimfl"
     aggregation_weighting: str = "empirical"  # "empirical" | "expected"
@@ -48,30 +43,26 @@ class FederationConfig:
     parallel_devices: bool = False
 
     def validate(self) -> None:
-        if self.n_devices < 1 or self.rounds < 1 or self.local_iters < 1:
-            raise ValueError("n_devices, rounds and local_iters must be >= 1")
+        """Raise ValueError whose message starts with the offending key."""
+        if self.n_devices < 1:
+            raise ValueError("devices: must be >= 1")
+        if self.local_iters < 1:
+            raise ValueError("local_iters: must be >= 1")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
+            raise ValueError(f"scheme: unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.aggregation_weighting not in ("empirical", "expected"):
-            raise ValueError(f"unknown aggregation_weighting {self.aggregation_weighting!r}")
+            raise ValueError(
+                f"aggregation_weighting: unknown weighting {self.aggregation_weighting!r}"
+            )
+        if self.aggregation_weighting == "expected" and self.scheme != "slimfl":
+            # a baseline averages one segment over its decoded devices; it has
+            # no expected-count rule
+            raise ValueError(
+                f"aggregation_weighting: expected applies to scheme slimfl only, "
+                f"not {self.scheme!r}"
+            )
         if self.vanilla_rate_mode not in ("payload_scaled", "same_rate"):
-            raise ValueError(f"unknown vanilla_rate_mode {self.vanilla_rate_mode!r}")
-
-
-@dataclass(eq=False)
-class RoundState:
-    global_values: np.ndarray
-    device_values: Sequence[np.ndarray]  # one vector per device
-    lh_only: set[int] = field(default_factory=set)  # devices whose first segment alone decoded
-    full: set[int] = field(default_factory=set)  # devices whose both segments decoded
-
-    @property
-    def n_lh(self) -> int:
-        return len(self.lh_only) + len(self.full)
-
-    @property
-    def n_rh(self) -> int:
-        return len(self.full)
+            raise ValueError(f"vanilla_rate_mode: unknown mode {self.vanilla_rate_mode!r}")
 
 
 def aggregate(
@@ -103,33 +94,26 @@ def aggregate(
         div_lh, div_rh = expected_counts
     else:
         div_lh, div_rh = len(contributors), len(full)
-    rh_bits = ~lh_bits
-
     stacked = np.stack([device_values[k] for k in contributors])
+    if lh_bits.all():
+        # one segment over every coordinate (a one-message uplink): the plain
+        # FedAvg mean.  Sums the devices in order; a masked copy is laid out
+        # column-major and summed pairwise, which differs in the last bits
+        # from 8 devices on.
+        return stacked.sum(axis=0) / div_lh
     new[lh_bits] = stacked[:, lh_bits].sum(axis=0) / div_lh
     if full:
+        rh_bits = ~lh_bits
         stacked_rh = np.stack([device_values[k] for k in sorted(full)])
         new[rh_bits] = stacked_rh[:, rh_bits].sum(axis=0) / div_rh
     return new
 
 
-def evaluate(
-    params: SlimmableParams, half_mask, x: np.ndarray, y: np.ndarray
-) -> tuple[float, float]:
-    """Top-1 accuracy of the half-width and full-width configurations."""
+def evaluate(params: SlimmableParams, masks, x: np.ndarray, y: np.ndarray) -> list[float]:
+    """Top-1 accuracy of each width configuration, one per mask."""
     if len(y) == 0:
         raise ValueError("test set must be nonempty")
-    full_mask = masks_for(params.layout, (1.0,))[0]
-    acc = []
-    for mask in (half_mask, full_mask):
-        pred = forward(params, mask, x).argmax(axis=1)
-        acc.append(float((pred == y).mean()))
-    return acc[0], acc[1]
-
-
-def _accuracy(params: SlimmableParams, mask, x: np.ndarray, y: np.ndarray) -> float:
-    pred = forward(params, mask, x).argmax(axis=1)
-    return float((pred == y).mean())
+    return [float((forward(params, mask, x).argmax(axis=1) == y).mean()) for mask in masks]
 
 
 def _broadcast(values: np.ndarray, n_devices: int) -> np.ndarray:
@@ -192,112 +176,6 @@ class LocalTraining:
         return params.values, result.loss
 
 
-class SlimFLRun:
-    """One training run of the superposition-coded scheme."""
-
-    def __init__(
-        self,
-        *,
-        layout: Layout,
-        init_values: np.ndarray,
-        train: Dataset,
-        shards: list[Shard],
-        test: Dataset,
-        train_cfg: TrainConfig,
-        chan_cfg: ChannelConfig,
-        fed_cfg: FederationConfig,
-        cost: CostModel,
-        master_seed: int,
-        eval_every: int = 1,
-    ):
-        train_cfg.validate()
-        fed_cfg.validate()
-        self.layout = layout
-        self.test = test
-        self.chan_cfg = chan_cfg
-        self.fed_cfg = fed_cfg
-        self.cost = cost
-        self.master_seed = master_seed
-        self.eval_every = eval_every
-
-        self.half_mask = build_mask(layout, train_cfg.width_ratios[0])
-        self.thresholds = decode_thresholds(chan_cfg)
-        if fed_cfg.aggregation_weighting == "expected" and not isinstance(
-            chan_cfg.fading, Rayleigh
-        ):
-            raise ValueError("expected-count weighting needs closed-form (Rayleigh) probabilities")
-        self.local = LocalTraining(
-            layout=layout, train=train, shards=shards, train_cfg=train_cfg,
-            batch_rngs=[rngmod.stream(master_seed, "batch", k) for k in range(fed_cfg.n_devices)],
-            local_iters=fed_cfg.local_iters,
-        )
-        global_values = init_values.copy()
-        self.state = RoundState(
-            global_values=global_values,
-            device_values=_broadcast(global_values, fed_cfg.n_devices),
-        )
-        self.round = 0
-
-    def _decode_sets(self) -> tuple[set[int], set[int]]:
-        lh_only, full = set(), set()
-        for k in range(self.fed_cfg.n_devices):
-            rng = rngmod.stream(self.master_seed, "fading", k, self.round)
-            chi = float(sample_fading(self.chan_cfg.fading, rng))
-            decoded = int((chi >= self.thresholds).sum())
-            if decoded >= 2:
-                full.add(k)
-            elif decoded == 1:
-                lh_only.add(k)
-        return lh_only, full
-
-    def run_round(self) -> RoundMetrics:
-        self.round += 1
-        self.state.device_values, losses = self.local.run(self.state.device_values)
-        mean_loss = float(np.mean(losses))
-
-        self.state.lh_only, self.state.full = self._decode_sets()
-        self.state.global_values = aggregate(
-            self.state.global_values,
-            self.state.device_values,
-            self.state.lh_only,
-            self.state.full,
-            self.half_mask.bits,
-            self.fed_cfg.aggregation_weighting,
-            expected_counts=self._expected_counts(),
-        )
-        self.state.device_values = _broadcast(self.state.global_values, self.fed_cfg.n_devices)
-
-        if self.round % self.eval_every == 0:
-            params = SlimmableParams(self.layout, self.state.global_values)
-            acc_half, acc_full = evaluate(params, self.half_mask, self.test.x, self.test.y)
-        else:
-            acc_half = acc_full = math.nan
-        n_both, n_lh_only = len(self.state.full), len(self.state.lh_only)
-        decoded_bits = n_both * self.cost.full_bits + n_lh_only * self.cost.half_bits
-        return RoundMetrics(
-            round=self.round,
-            acc_half=acc_half,
-            acc_full=acc_full,
-            loss=mean_loss,
-            decoded_none=self.fed_cfg.n_devices - n_both - n_lh_only,
-            decoded_lh_only=n_lh_only,
-            decoded_both=n_both,
-            decoded_megabits=decoded_bits / 1e6,
-            comm_power_mw=self.chan_cfg.total_power_w * 1000.0,
-            comp_mflops=(self.cost.half_mflops + self.cost.full_mflops)
-            * self.fed_cfg.local_iters,
-        )
-
-    def _expected_counts(self) -> tuple[float, float] | None:
-        if self.fed_cfg.aggregation_weighting != "expected":
-            return None
-        probs = np.exp(-self.thresholds)
-        return (self.fed_cfg.n_devices * probs[0], self.fed_cfg.n_devices * probs[1])
-
-    def run(self) -> list[RoundMetrics]:
-        return [self.run_round() for _ in range(self.fed_cfg.rounds)]
-
-
 def vanilla_threshold(chan_cfg: ChannelConfig, payload_ratio: float) -> float:
     """Single-message decode threshold with the rate scaled to the payload.
 
@@ -311,8 +189,27 @@ def vanilla_threshold(chan_cfg: ChannelConfig, payload_ratio: float) -> float:
     )
 
 
-class VanillaRun:
-    """Fixed-width federated averaging over a single-message uplink."""
+@dataclass(frozen=True, eq=False)
+class Width:
+    """One uplink message: the width configuration it completes and its costs."""
+
+    mask: WidthMask
+    column: str  # "half" | "full": the accuracy column this width fills
+    bits: float  # payload delivered when this is the widest decoded message
+    mflops: float  # local compute per step
+
+
+class FederatedRun:
+    """One training run: local steps, uplink, aggregation, broadcast.
+
+    Each device sends one message per width, in order, and the receiver
+    decodes them one after the other: message i decodes when the device's
+    fading draw reaches ``thresholds[i]``.  SlimFL sends two superposed
+    widths; a fixed-width baseline sends one, the full mask of its own
+    layout.  A device's decode level is how many of its messages decoded.
+    Aggregation averages the first width's coordinates over every device at
+    level >= 1 and the rest over devices at level 2.
+    """
 
     def __init__(
         self,
@@ -325,129 +222,96 @@ class VanillaRun:
         train_cfg: TrainConfig,
         chan_cfg: ChannelConfig,
         fed_cfg: FederationConfig,
-        model_bits: int,
-        model_mflops: float,
-        payload_ratio: float,
-        width_label: str,  # "half" | "full": which accuracy column this model fills
-        transmit_power_w: float | None = None,
-        stream_tag: str = "",
-        master_seed: int = 0,
+        widths: tuple[Width, ...],
+        thresholds: np.ndarray,
+        rounds: int,
+        master_seed: int,
+        stream_tag: tuple[str, ...] = (),
         eval_every: int = 1,
     ):
         train_cfg.validate()
         fed_cfg.validate()
-        self.eval_every = eval_every
+        if len(thresholds) != len(widths):
+            raise ValueError("need one decode threshold per width")
+        if fed_cfg.aggregation_weighting == "expected" and not isinstance(
+            chan_cfg.fading, Rayleigh
+        ):
+            raise ValueError("expected-count weighting needs closed-form (Rayleigh) probabilities")
         self.layout = layout
         self.test = test
         self.chan_cfg = chan_cfg
         self.fed_cfg = fed_cfg
-        self.model_bits = model_bits
-        self.model_mflops = model_mflops
-        self.width_label = width_label
-        self.transmit_power_w = (
-            chan_cfg.total_power_w if transmit_power_w is None else transmit_power_w
-        )
-        self.stream_tag = stream_tag
+        self.widths = widths
+        self.thresholds = np.asarray(thresholds, dtype=np.float64)
+        # K * P(decode) under Rayleigh fading, for expected-count weighting
+        self.expected_counts = tuple(fed_cfg.n_devices * np.exp(-self.thresholds))
+        self.rounds = rounds
         self.master_seed = master_seed
-
-        if fed_cfg.vanilla_rate_mode == "same_rate":
-            payload_ratio = 1.0
-        self.threshold = vanilla_threshold(chan_cfg, payload_ratio)
-        self.full_mask = build_mask(layout, 1.0)
-        single_width_cfg = TrainConfig(
-            st_weights=(1.0,),
-            width_ratios=(1.0,),
-            lr=train_cfg.lr,
-            lr_mode=train_cfg.lr_mode,
-            strong_convexity=train_cfg.strong_convexity,
-            smoothness=train_cfg.smoothness,
-            optimizer=train_cfg.optimizer,
-            beta1=train_cfg.beta1,
-            beta2=train_cfg.beta2,
-            eps=train_cfg.eps,
-            batch_size=train_cfg.batch_size,
-            algorithm="widthwise",
-        )
+        self.stream_tag = stream_tag
+        self.eval_every = eval_every
         self.local = LocalTraining(
-            layout=layout, train=train, shards=shards, train_cfg=single_width_cfg,
+            layout=layout, train=train, shards=shards, train_cfg=train_cfg,
             batch_rngs=[
-                rngmod.stream(master_seed, "batch", stream_tag, k)
+                rngmod.stream(master_seed, "batch", *stream_tag, k)
                 for k in range(fed_cfg.n_devices)
             ],
             local_iters=fed_cfg.local_iters,
         )
         self.global_values = init_values.copy()
         self.device_values = _broadcast(self.global_values, fed_cfg.n_devices)
+        self.levels = np.zeros(fed_cfg.n_devices, dtype=np.intp)
         self.round = 0
+
+    def decode_levels(self) -> np.ndarray:
+        """Each device's decode level this round, from one fading draw."""
+        chi = np.empty(self.fed_cfg.n_devices)
+        for k in range(self.fed_cfg.n_devices):
+            rng = rngmod.stream(self.master_seed, "fading", *self.stream_tag, k, self.round)
+            chi[k] = sample_fading(self.chan_cfg.fading, rng)
+        return (chi[:, None] >= self.thresholds).sum(axis=1)
 
     def run_round(self) -> RoundMetrics:
         self.round += 1
         self.device_values, losses = self.local.run(self.device_values)
         mean_loss = float(np.mean(losses))
 
-        decoded = set()
-        for k in range(self.fed_cfg.n_devices):
-            rng = rngmod.stream(self.master_seed, "fading", self.stream_tag, k, self.round)
-            chi = float(sample_fading(self.chan_cfg.fading, rng))
-            if chi >= self.threshold:
-                decoded.add(k)
-        self.last_decoded = decoded
-        if decoded:
-            self.global_values = np.stack(
-                [self.device_values[k] for k in sorted(decoded)]
-            ).mean(axis=0)
+        levels = self.levels = self.decode_levels()
+        self.global_values = aggregate(
+            self.global_values,
+            self.device_values,
+            set(np.flatnonzero(levels == 1).tolist()),
+            set(np.flatnonzero(levels == 2).tolist()),
+            self.widths[0].mask.bits,
+            self.fed_cfg.aggregation_weighting,
+            expected_counts=self.expected_counts,
+        )
         self.device_values = _broadcast(self.global_values, self.fed_cfg.n_devices)
 
+        acc = {"half": math.nan, "full": math.nan}
         if self.round % self.eval_every == 0:
             params = SlimmableParams(self.layout, self.global_values)
-            acc = _accuracy(params, self.full_mask, self.test.x, self.test.y)
-        else:
-            acc = math.nan
-        n_dec = len(decoded)
-        is_full = self.width_label == "full"
+            masks = [w.mask for w in self.widths]
+            accuracies = evaluate(params, masks, self.test.x, self.test.y)
+            acc.update(zip([w.column for w in self.widths], accuracies))
+        # devices whose widest decoded message is each width
+        at_level = np.bincount(levels, minlength=len(self.widths) + 1).tolist()
+        delivered = list(zip(at_level[1:], self.widths))
+        decoded = {"half": 0, "full": 0}
+        for n, width in delivered:
+            decoded[width.column] += n
+        decoded_bits = sum(n * width.bits for n, width in delivered)
         return RoundMetrics(
             round=self.round,
-            acc_half=math.nan if is_full else acc,
-            acc_full=acc if is_full else math.nan,
+            acc_half=acc["half"],
+            acc_full=acc["full"],
             loss=mean_loss,
-            decoded_none=self.fed_cfg.n_devices - n_dec,
-            decoded_lh_only=0 if is_full else n_dec,
-            decoded_both=n_dec if is_full else 0,
-            decoded_megabits=n_dec * self.model_bits / 1e6,
-            comm_power_mw=self.transmit_power_w * 1000.0,
-            comp_mflops=self.model_mflops * self.fed_cfg.local_iters,
+            decoded_none=at_level[0],
+            decoded_lh_only=decoded["half"],
+            decoded_both=decoded["full"],
+            decoded_megabits=decoded_bits / 1e6,
+            comm_power_mw=self.chan_cfg.total_power_w * 1000.0,
+            comp_mflops=sum(w.mflops for w in self.widths) * self.fed_cfg.local_iters,
         )
 
     def run(self) -> list[RoundMetrics]:
-        return [self.run_round() for _ in range(self.fed_cfg.rounds)]
-
-
-class CombinedVanillaRun:
-    """Two independent fixed-width runs with doubled resources, reported jointly."""
-
-    def __init__(self, half_run: VanillaRun, full_run: VanillaRun):
-        self.half_run = half_run
-        self.full_run = full_run
-
-    def run_round(self) -> RoundMetrics:
-        a = self.half_run.run_round()
-        b = self.full_run.run_round()
-        # A device counts as "both" when its full-width upload decoded and as
-        # "lh_only" when only its half-width upload did.
-        half_set, full_set = self.half_run.last_decoded, self.full_run.last_decoded
-        n_devices = self.half_run.fed_cfg.n_devices
-        return RoundMetrics(
-            round=a.round,
-            acc_half=a.acc_half,
-            acc_full=b.acc_full,
-            loss=(a.loss + b.loss) / 2.0,
-            decoded_none=n_devices - len(half_set | full_set),
-            decoded_lh_only=len(half_set - full_set),
-            decoded_both=len(full_set),
-            decoded_megabits=a.decoded_megabits + b.decoded_megabits,
-            comm_power_mw=a.comm_power_mw + b.comm_power_mw,
-            comp_mflops=a.comp_mflops + b.comp_mflops,
-        )
-
-    def run(self) -> list[RoundMetrics]:
-        return [self.run_round() for _ in range(self.half_run.fed_cfg.rounds)]
+        return [self.run_round() for _ in range(self.rounds)]

@@ -138,12 +138,3 @@ def energy_report(metrics: list[RoundMetrics], convergence_round: int | None) ->
         "comm_power_w_total": sum(m.comm_power_mw for m in rows) / 1000.0,
         "comp_mflops_total": sum(m.comp_mflops for m in rows),
     }
-
-
-def efficiency_ratio(report: dict, baseline: dict) -> dict:
-    """Resource ratios of one scheme against a baseline (same metric keys)."""
-    out = {}
-    for key in ("comm_power_w_total", "comp_mflops_total"):
-        base = baseline[key]
-        out[key] = report[key] / base if base else math.inf
-    return out

@@ -164,6 +164,21 @@ class TestCli:
         assert main(["run", str(config_path)]) == 2
         assert "dataset.train_images" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["vanilla-0.5x", "vanilla-1.0x", "vanilla-1.5x"])
+    def test_expected_weighting_with_baseline_exits_2_naming_field(
+        self, tmp_path, capsys, scheme
+    ):
+        # a baseline has no expected-count rule; the setting must not be ignored
+        config_path = tmp_path / "bad.ini"
+        config_path.write_text(
+            SMALL_RUN.format(out=str(tmp_path / "out")).replace(
+                "scheme = slimfl", f"scheme = {scheme}\naggregation_weighting = expected"
+            )
+        )
+        assert main(["run", str(config_path)]) == 2
+        assert "federation.aggregation_weighting" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "/nonexistent/exp.ini"]) == 2
         assert "does not exist" in capsys.readouterr().err

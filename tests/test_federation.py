@@ -1,18 +1,24 @@
 """Aggregation cases, decode-set plumbing, vanilla baselines, evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from slimfl.channel import ChannelConfig, config_for_decode_probs, rate_for_sinr_threshold
+from slimfl.channel import (
+    ChannelConfig,
+    config_for_decode_probs,
+    decode_thresholds,
+    rate_for_sinr_threshold,
+)
 from slimfl.datasets import Dataset, dirichlet_partition
+from slimfl.experiment import VanillaPair
 from slimfl.federation import (
-    CombinedVanillaRun,
+    FederatedRun,
     FederationConfig,
     LocalTraining,
-    SlimFLRun,
-    VanillaRun,
+    Width,
     aggregate,
     evaluate,
     vanilla_threshold,
@@ -39,28 +45,33 @@ def make_task(seed=0, n=200, dim=10, classes=4):
     return train, Dataset(tx, ty, classes)
 
 
+def single_width(cfg: TrainConfig) -> TrainConfig:
+    return dataclasses.replace(cfg, st_weights=(1.0,), width_ratios=(1.0,), algorithm="widthwise")
+
+
 def make_run(scheme="slimfl", seed=0, rounds=3, n_devices=4, chan=None, parallel=False):
     train, test = make_task(seed)
     layout = Layout.mlp(10, (8,), 4)
     shards = dirichlet_partition(train.y, n_devices, 1.0, rngmod.stream(seed, "partition"))
     init = init_params(layout, rngmod.stream(seed, "init"))
     train_cfg = TrainConfig(batch_size=16)
-    fed_cfg = FederationConfig(
-        n_devices=n_devices, rounds=rounds, scheme=scheme, parallel_devices=parallel
-    )
+    fed_cfg = FederationConfig(n_devices=n_devices, scheme=scheme, parallel_devices=parallel)
     chan = chan or perfect_channel()
     cost = CostModel.reference()
+    full = Width(build_mask(layout, 1.0), "full", cost.full_bits, cost.full_mflops)
+    common = dict(
+        layout=layout, init_values=init.values, train=train, shards=shards, test=test,
+        chan_cfg=chan, fed_cfg=fed_cfg, rounds=rounds, master_seed=seed,
+    )
     if scheme == "slimfl":
-        return SlimFLRun(
-            layout=layout, init_values=init.values, train=train, shards=shards,
-            test=test, train_cfg=train_cfg, chan_cfg=chan, fed_cfg=fed_cfg,
-            cost=cost, master_seed=seed,
+        half = Width(build_mask(layout, 0.5), "half", cost.half_bits, cost.half_mflops)
+        return FederatedRun(
+            train_cfg=train_cfg, widths=(half, full), thresholds=decode_thresholds(chan),
+            **common,
         )
-    return VanillaRun(
-        layout=layout, init_values=init.values, train=train, shards=shards,
-        test=test, train_cfg=train_cfg, chan_cfg=chan, fed_cfg=fed_cfg,
-        model_bits=cost.full_bits, model_mflops=cost.full_mflops,
-        payload_ratio=2.0, width_label="full", stream_tag="v-full", master_seed=seed,
+    return FederatedRun(
+        train_cfg=single_width(train_cfg), widths=(full,),
+        thresholds=np.array([vanilla_threshold(chan, 2.0)]), stream_tag=("v-full",), **common,
     )
 
 
@@ -131,23 +142,23 @@ class TestEvaluate:
         layout = Layout.mlp(10, (8,), 4)
         params = SlimmableParams(layout, np.zeros(layout.size))
         _, test = make_task(3)
-        half = build_mask(layout, 0.5)
-        acc_half, acc_full = evaluate(params, half, test.x, test.y)
+        half, full = build_mask(layout, 0.5), build_mask(layout, 1.0)
+        acc_half, acc_full = evaluate(params, (half, full), test.x, test.y)
         assert acc_half == acc_full == 0.25  # argmax ties resolve to class 0
 
     def test_accuracies_within_unit_interval(self):
         layout = Layout.mlp(10, (8,), 4)
         params = init_params(layout, RNG(4))
         _, test = make_task(5)
-        half = build_mask(layout, 0.5)
-        for acc in evaluate(params, half, test.x, test.y):
+        masks = (build_mask(layout, 0.5), build_mask(layout, 1.0))
+        for acc in evaluate(params, masks, test.x, test.y):
             assert 0.0 <= acc <= 1.0
 
     def test_empty_test_set_rejected(self):
         layout = Layout.mlp(10, (8,), 4)
         params = init_params(layout, RNG(6))
         with pytest.raises(ValueError, match="nonempty"):
-            evaluate(params, build_mask(layout, 0.5), np.zeros((0, 10)), np.zeros(0, dtype=int))
+            evaluate(params, [build_mask(layout, 0.5)], np.zeros((0, 10)), np.zeros(0, dtype=int))
 
 
 class TestLocalTraining:
@@ -192,34 +203,33 @@ class TestSlimFLRound:
 
         # reconstruct: fresh identical run, local updates only, then plain mean
         run_b = make_run(seed=7)
-        locals_b, _ = run_b.local.run(run_b.state.device_values)
-        np.testing.assert_array_equal(
-            run_a.state.global_values, np.mean(np.stack(locals_b), axis=0)
-        )
+        locals_b, _ = run_b.local.run(run_b.device_values)
+        np.testing.assert_array_equal(run_a.global_values, np.mean(np.stack(locals_b), axis=0))
         for k in range(4):
-            np.testing.assert_array_equal(run_a.state.device_values[k], run_a.state.global_values)
+            np.testing.assert_array_equal(run_a.device_values[k], run_a.global_values)
 
     def test_dead_channel_keeps_global(self):
         dead = ChannelConfig(
             rate_bps=rate_for_sinr_threshold(3.0, 75e6), power_split=0.6
         )  # both thresholds infinite
         run = make_run(seed=8, chan=dead)
-        before = run.state.global_values.copy()
+        before = run.global_values.copy()
         metrics = run.run_round()
         assert metrics.decoded_none == 4
-        np.testing.assert_array_equal(run.state.global_values, before)
+        np.testing.assert_array_equal(run.global_values, before)
 
     def test_scripted_mixed_outcomes(self):
         run = make_run(seed=9, n_devices=3)
-        locals_, _ = run.local.run(run.state.device_values)
+        locals_, _ = run.local.run(run.device_values)
         run_b = make_run(seed=9, n_devices=3)
-        run_b._decode_sets = lambda: ({1}, {0})  # device 2 silent
-        run_b.run_round()
-        lh = run_b.half_mask.bits
+        run_b.decode_levels = lambda: np.array([2, 1, 0])  # device 2 silent
+        metrics = run_b.run_round()
+        assert (metrics.decoded_both, metrics.decoded_lh_only, metrics.decoded_none) == (1, 1, 1)
+        lh = run_b.widths[0].mask.bits
         np.testing.assert_allclose(
-            run_b.state.global_values[lh], (locals_[0][lh] + locals_[1][lh]) / 2
+            run_b.global_values[lh], (locals_[0][lh] + locals_[1][lh]) / 2
         )
-        np.testing.assert_array_equal(run_b.state.global_values[~lh], locals_[0][~lh])
+        np.testing.assert_array_equal(run_b.global_values[~lh], locals_[0][~lh])
 
     def test_decoded_bits_use_reference_payloads(self):
         run = make_run(seed=10)
@@ -233,19 +243,22 @@ class TestSlimFLRound:
         par = make_run(seed=11, rounds=3, parallel=True)
         m_seq = seq.run()
         m_par = par.run()
-        np.testing.assert_array_equal(seq.state.global_values, par.state.global_values)
+        np.testing.assert_array_equal(seq.global_values, par.global_values)
         assert m_seq == m_par
 
 
 class TestVanillaRun:
     def test_perfect_channel_is_plain_fedavg(self):
-        run_a = make_run("vanilla-1.0x", seed=12)
-        run_a.run_round()
-        run_b = make_run("vanilla-1.0x", seed=12)
-        locals_b, _ = run_b.local.run(run_b.device_values)
-        np.testing.assert_array_equal(
-            run_a.global_values, np.mean(np.stack(locals_b), axis=0)
-        )
+        # 10 devices: numpy sums 8 or more rows of a masked copy pairwise,
+        # which would differ from the mean in the last bits
+        for n_devices in (4, 10):
+            run_a = make_run("vanilla-1.0x", seed=12, n_devices=n_devices)
+            run_a.run_round()
+            run_b = make_run("vanilla-1.0x", seed=12, n_devices=n_devices)
+            locals_b, _ = run_b.local.run(run_b.device_values)
+            np.testing.assert_array_equal(
+                run_a.global_values, np.mean(np.stack(locals_b), axis=0)
+            )
 
     def test_payload_scaled_threshold_is_harder_for_bigger_models(self):
         chan = config_for_decode_probs(0.7, 0.5)
@@ -268,27 +281,29 @@ class TestVanillaRun:
 
 
 class TestCombinedVanillaRun:
+    """vanilla-1.5x: the half- and full-width baselines paired by the experiment layer."""
+
     def build(self, seed=15, rounds=2):
         train, test = make_task(seed)
         layout_full = Layout.mlp(10, (8,), 4)
         layout_half = Layout.mlp(10, (4,), 4)
         shards = dirichlet_partition(train.y, 3, 1.0, rngmod.stream(seed, "partition"))
-        train_cfg = TrainConfig(batch_size=16)
-        fed_cfg = FederationConfig(n_devices=3, rounds=rounds, scheme="vanilla-1.5x")
+        train_cfg = single_width(TrainConfig(batch_size=16))
+        fed_cfg = FederationConfig(n_devices=3, scheme="vanilla-1.5x")
         chan = perfect_channel()
         cost = CostModel.reference()
 
         def sub(layout, label, tag, bits, mflops, payload):
             init = init_params(layout, rngmod.stream(seed, "init", tag))
-            return VanillaRun(
+            return FederatedRun(
                 layout=layout, init_values=init.values, train=train, shards=shards,
                 test=test, train_cfg=train_cfg, chan_cfg=chan, fed_cfg=fed_cfg,
-                model_bits=bits, model_mflops=mflops, payload_ratio=payload,
-                width_label=label, transmit_power_w=chan.total_power_w,
-                stream_tag=tag, master_seed=seed,
+                widths=(Width(build_mask(layout, 1.0), label, bits, mflops),),
+                thresholds=np.array([vanilla_threshold(chan, payload)]),
+                rounds=rounds, master_seed=seed, stream_tag=(tag,),
             )
 
-        return CombinedVanillaRun(
+        return VanillaPair(
             sub(layout_half, "half", "v-half", cost.half_bits, cost.half_mflops, 1.0),
             sub(layout_full, "full", "v-full", cost.full_bits, cost.full_mflops, 2.0),
         )
@@ -309,3 +324,11 @@ class TestCombinedVanillaRun:
         run = self.build(seed=17)
         m = run.run_round()
         assert m.decoded_megabits == pytest.approx(3 * (86_344 + 172_688) / 1e6)
+
+    def test_scripted_half_only_device_counts_as_lh_only(self):
+        run = self.build(seed=18)
+        run.half_run.decode_levels = lambda: np.array([1, 1, 0])
+        run.full_run.decode_levels = lambda: np.array([1, 0, 0])
+        m = run.run_round()
+        assert (m.decoded_both, m.decoded_lh_only, m.decoded_none) == (1, 1, 1)
+        assert m.decoded_megabits == pytest.approx((2 * 86_344 + 172_688) / 1e6)

@@ -16,8 +16,7 @@ import pytest
 
 from slimfl.channel import config_for_decode_probs
 from slimfl.config import parse_config
-from slimfl.experiment import build_task, make_run
-from slimfl.federation import CombinedVanillaRun, SlimFLRun
+from slimfl.experiment import VanillaPair, build_task, make_run
 from slimfl.metrics import write_metrics_csv
 
 SEED = 5
@@ -130,10 +129,8 @@ def case_config(name):
 
 
 def final_globals(run):
-    if isinstance(run, CombinedVanillaRun):
+    if isinstance(run, VanillaPair):
         return [run.half_run.global_values, run.full_run.global_values]
-    if isinstance(run, SlimFLRun):
-        return [run.state.global_values]
     return [run.global_values]
 
 
