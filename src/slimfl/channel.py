@@ -106,13 +106,15 @@ class ChannelConfig:
     fading: FadingModel = Rayleigh()
 
     def __post_init__(self):
-        for name in ("distance_m", "pathloss_exp", "bandwidth_hz", "total_power_w", "noise_power_w"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.rate_bps < 0:
-            raise ValueError("rate_bps must be >= 0")
+        """Raise ValueError whose message starts with the offending field."""
+        positive = ("distance_m", "pathloss_exp", "bandwidth_hz", "total_power_w", "noise_power_w")
+        for name in positive:
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be positive and finite")
+        if not 0 <= self.rate_bps < math.inf:
+            raise ValueError("rate_bps: must be finite and >= 0")
         if not 0.5 < self.power_split <= 1.0:
-            raise ValueError("power_split must lie in (0.5, 1] so the first message is stronger")
+            raise ValueError("power_split: must lie in (0.5, 1] so the first message is stronger")
 
     @property
     def effective_noise(self) -> float:

@@ -1,7 +1,13 @@
 """Experiment configuration: sectioned key-value files, strictly validated.
 
-Unknown sections or keys are rejected, every diagnostic names the offending
-field as ``section.key``, and parse -> serialize -> parse is the identity.
+The config dataclasses are the schema.  Every field of a section dataclass
+is a key of the section of the same name (``[experiment]`` holds
+``ExperimentConfig``'s own scalars), read and written by the codec of its
+type; a key missing from the file takes the field's default.  Only
+``[channel]`` has a hand-written builder, for its unit shorthands and the
+fading model.  Unknown sections or keys are rejected, every diagnostic
+names the offending field as ``section.key``, and parse -> serialize ->
+parse is the identity.
 """
 
 from __future__ import annotations
@@ -9,7 +15,8 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .channel import ChannelConfig, Rayleigh, Rician, Twdp
 from .federation import FederationConfig
@@ -35,11 +42,22 @@ class DatasetConfig:
     test_labels: str = ""
     limit: int = 0  # cap on train samples for idx datasets; 0 = all
 
+    def validate(self) -> None:
+        """Raise ValueError whose message starts with the offending field."""
+        if self.kind not in ("synth", "idx"):
+            raise ValueError(f"kind: unknown kind {self.kind!r}")
+        if self.kind == "idx":
+            for key in ("train_images", "train_labels", "test_images", "test_labels"):
+                if not getattr(self, key):
+                    raise ValueError(f"{key}: required when dataset.kind = idx")
+        if self.alpha <= 0:
+            raise ValueError("alpha: must be positive")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
+    # the width ratios are TrainConfig.width_ratios, set by [model] width_ratios
     hidden: tuple[int, ...] = (128,)
-    width_ratios: tuple[float, ...] = (0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -58,6 +76,11 @@ class AnalysisConfig:
     grad_batches: int = 32
     lambda_samples: int = 41
 
+    def validate(self) -> None:
+        """Raise ValueError whose message starts with the offending field."""
+        if self.strong_convexity <= 0 or self.smoothness < self.strong_convexity:
+            raise ValueError("strong_convexity: need 0 < strong_convexity <= smoothness")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -73,96 +96,104 @@ class ExperimentConfig:
     costs: CostConfig = field(default_factory=CostConfig)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
+    def validate(self) -> None:
+        """Check the ``[experiment]`` scalars; each section checks its own."""
+        if not self.seeds:
+            raise ValueError("seeds: need at least one seed")
+        if self.rounds < 1:
+            raise ValueError("rounds: must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every: must be >= 1")
 
-def _parse_scalar(raw: str, kind: str, where: str):
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "yes", "1"):
+        return True
+    if raw.lower() in ("false", "no", "0"):
+        return False
+    raise ValueError(raw)
+
+
+def _tuple_of(parse):
+    return lambda raw: tuple(parse(v) for v in raw.split(",") if v.strip() != "")
+
+
+# field type -> (name in diagnostics, parse, format)
+_CODECS = {
+    int: ("int", int, str),
+    float: ("finite float", _finite_float, repr),
+    str: ("str", str, str),
+    bool: ("bool", _bool, lambda v: str(v).lower()),
+    tuple[int, ...]: ("ints", _tuple_of(int), lambda v: ",".join(map(str, v))),
+    tuple[float, ...]: (
+        "finite floats", _tuple_of(_finite_float), lambda v: ",".join(map(repr, v))
+    ),
+}
+
+# INI names that differ from the field they set: (section, field) -> (section, key)
+_RENAMED = {
+    ("federation", "n_devices"): ("federation", "devices"),
+    ("training", "width_ratios"): ("model", "width_ratios"),
+}
+
+_HINTS = typing.get_type_hints(ExperimentConfig)
+# section -> the dataclass behind it, in file order; [experiment] holds
+# ExperimentConfig's own scalars and [channel] has its own builder
+_SECTIONS = {"experiment": ExperimentConfig} | {
+    f.name: _HINTS[f.name] for f in fields(ExperimentConfig) if is_dataclass(_HINTS[f.name])
+}
+
+
+def _key_table() -> dict[tuple[str, str], tuple[str, str, tuple]]:
+    """(INI section, key) -> (section, field, codec) for every key outside [channel]."""
+    table = {}
+    for section, cls in _SECTIONS.items():
+        if section == "channel":
+            continue
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if not is_dataclass(hints[f.name]):  # ExperimentConfig's sections
+                key = _RENAMED.get((section, f.name), (section, f.name))
+                table[key] = (section, f.name, _CODECS[hints[f.name]])
+    return table
+
+
+_KEYS = _key_table()
+
+# ChannelConfig field -> the unit shorthand that may set it instead
+_SHORTHANDS = {
+    "total_power_w": "total_power_dbm",
+    "noise_power_w": "noise_psd_db_hz",
+    "rate_bps": "rate_sinr_threshold",
+}
+_CHANNEL_FIELDS = tuple(f.name for f in fields(ChannelConfig) if f.name != "fading")
+_CHANNEL_KEYS = {"fading": str, "normalize_fading": bool} | dict.fromkeys(
+    (*_CHANNEL_FIELDS, *_SHORTHANDS.values(), "rician_nu", "rician_sigma", "twdp_k", "twdp_delta"),
+    float,
+)
+
+
+def _decode(raw: str, codec: tuple, where: str):
+    kind, parse, _ = codec
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        if kind == "ints":
-            return tuple(int(v) for v in raw.split(",") if v.strip() != "")
-        if kind == "floats":
-            return tuple(float(v) for v in raw.split(",") if v.strip() != "")
-        return raw
+        return parse(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {kind}") from exc
 
 
-# section -> key -> (type-tag, default getter)
-_SCHEMA = {
-    "experiment": {
-        "seeds": "ints",
-        "rounds": "int",
-        "output_dir": "str",
-        "eval_every": "int",
-    },
-    "dataset": {
-        "kind": "str",
-        "alpha": "float",
-        "classes": "int",
-        "per_class": "int",
-        "test_per_class": "int",
-        "dim": "int",
-        "spread": "float",
-        "train_images": "str",
-        "train_labels": "str",
-        "test_images": "str",
-        "test_labels": "str",
-        "limit": "int",
-    },
-    "model": {"hidden": "ints", "width_ratios": "floats"},
-    "channel": {
-        "distance_m": "float",
-        "pathloss_exp": "float",
-        "bandwidth_hz": "float",
-        "total_power_w": "float",
-        "total_power_dbm": "float",
-        "noise_power_w": "float",
-        "noise_psd_db_hz": "float",
-        "rate_bps": "float",
-        "rate_sinr_threshold": "float",
-        "power_split": "float",
-        "fading": "str",
-        "rician_nu": "float",
-        "rician_sigma": "float",
-        "twdp_k": "float",
-        "twdp_delta": "float",
-        "normalize_fading": "bool",
-    },
-    "training": {
-        "st_weights": "floats",
-        "lr": "float",
-        "lr_mode": "str",
-        "strong_convexity": "float",
-        "smoothness": "float",
-        "optimizer": "str",
-        "batch_size": "int",
-        "algorithm": "str",
-    },
-    "federation": {
-        "devices": "int",
-        "local_iters": "int",
-        "scheme": "str",
-        "aggregation_weighting": "str",
-        "vanilla_rate_mode": "str",
-        "parallel_devices": "bool",
-    },
-    "costs": {"use_reference": "bool", "bits_per_param": "float"},
-    "analysis": {
-        "strong_convexity": "float",
-        "smoothness": "float",
-        "init_distance_sq": "float",
-        "grad_batches": "int",
-        "lambda_samples": "int",
-    },
-}
+def _located(exc: ValueError, section: str, renamed: dict) -> ConfigError:
+    """A dataclass check's "field: reason" message, with the field replaced by
+    the ``section.key`` that set it; ``renamed`` is shaped like ``_RENAMED``."""
+    name, _, reason = str(exc).partition(": ")
+    key = renamed.get((section, name), (section, name))
+    return ConfigError(f"{'.'.join(key)}: {reason}")
 
 
 def _read_sections(text: str) -> dict[str, dict[str, str]]:
@@ -173,189 +204,95 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"config syntax: {exc}") from exc
     sections: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"{section}: unknown section")
         sections[section] = {}
         for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _KEYS and not (section == "channel" and key in _CHANNEL_KEYS):
                 raise ConfigError(f"{section}.{key}: unknown key")
             sections[section][key] = value.strip()
     return sections
 
 
-def _get(sections, section, key, fallback=None):
-    raw = sections.get(section, {}).get(key)
-    if raw is None:
-        return fallback
-    return _parse_scalar(raw, _SCHEMA[section][key], f"{section}.{key}")
+def _build_channel(sec: dict[str, str]) -> ChannelConfig:
+    given = {
+        key: _decode(raw, _CODECS[_CHANNEL_KEYS[key]], f"channel.{key}")
+        for key, raw in sec.items()
+    }
+    for name, shorthand in _SHORTHANDS.items():
+        if name in sec and shorthand in sec:
+            raise ConfigError(f"channel.{name}: conflicts with channel.{shorthand}")
 
+    def from_db(key: str) -> float:
+        try:
+            ratio = 10 ** (given[key] / 10.0)
+        except OverflowError:
+            ratio = math.inf
+        if not 0.0 < ratio < math.inf:
+            raise ConfigError(f"channel.{key}: {sec[key]} dB is out of range")
+        return ratio
 
-def _build_channel(sections) -> ChannelConfig:
-    sec = sections.get("channel", {})
-    base = ChannelConfig()
+    values = {name: given[name] for name in _CHANNEL_FIELDS if name in given}
+    bandwidth = values.get("bandwidth_hz", ChannelConfig.bandwidth_hz)
+    if "total_power_dbm" in given:
+        values["total_power_w"] = from_db("total_power_dbm") / 1000.0
+    if "noise_psd_db_hz" in given:
+        values["noise_power_w"] = from_db("noise_psd_db_hz") * bandwidth
+    if "rate_sinr_threshold" in given:
+        if given["rate_sinr_threshold"] < 0:
+            raise ConfigError("channel.rate_sinr_threshold: must be >= 0")
+        values["rate_bps"] = bandwidth * math.log2(1.0 + given["rate_sinr_threshold"])
 
-    if "total_power_w" in sec and "total_power_dbm" in sec:
-        raise ConfigError("channel.total_power_w: conflicts with channel.total_power_dbm")
-    power = _get(sections, "channel", "total_power_w", base.total_power_w)
-    if "total_power_dbm" in sec:
-        power = 10 ** (_get(sections, "channel", "total_power_dbm") / 10.0) / 1000.0
-
-    bandwidth = _get(sections, "channel", "bandwidth_hz", base.bandwidth_hz)
-
-    if "noise_power_w" in sec and "noise_psd_db_hz" in sec:
-        raise ConfigError("channel.noise_power_w: conflicts with channel.noise_psd_db_hz")
-    noise = _get(sections, "channel", "noise_power_w", base.noise_power_w)
-    if "noise_psd_db_hz" in sec:
-        noise = 10 ** (_get(sections, "channel", "noise_psd_db_hz") / 10.0) * bandwidth
-
-    if "rate_bps" in sec and "rate_sinr_threshold" in sec:
-        raise ConfigError("channel.rate_bps: conflicts with channel.rate_sinr_threshold")
-    rate = _get(sections, "channel", "rate_bps", base.rate_bps)
-    if "rate_sinr_threshold" in sec:
-        u = _get(sections, "channel", "rate_sinr_threshold")
-        rate = bandwidth * math.log2(1.0 + u)
-
-    fading_name = _get(sections, "channel", "fading", "rayleigh").lower()
-    normalize = _get(sections, "channel", "normalize_fading", False)
-    if fading_name == "rayleigh":
-        fading = Rayleigh()
-    elif fading_name == "rician":
+    fading_name = given.get("fading", "rayleigh").lower()
+    if fading_name == "rician":
         fading = Rician(
-            nu=_get(sections, "channel", "rician_nu", Rician.nu),
-            sigma=_get(sections, "channel", "rician_sigma", Rician.sigma),
+            nu=given.get("rician_nu", Rician.nu), sigma=given.get("rician_sigma", Rician.sigma)
         )
-        if normalize:
+        if given.get("normalize_fading", False):
+            if fading.mean_power == 0:
+                raise ConfigError("channel.normalize_fading: rician_nu and rician_sigma are 0")
             fading = fading.normalized()
     elif fading_name == "twdp":
         fading = Twdp(
-            k_factor=_get(sections, "channel", "twdp_k", Twdp.k_factor),
-            delta=_get(sections, "channel", "twdp_delta", Twdp.delta),
+            k_factor=given.get("twdp_k", Twdp.k_factor), delta=given.get("twdp_delta", Twdp.delta)
         )
+    elif fading_name == "rayleigh":
+        fading = Rayleigh()
     else:
         raise ConfigError(f"channel.fading: unknown model {fading_name!r}")
 
     try:
-        return ChannelConfig(
-            distance_m=_get(sections, "channel", "distance_m", base.distance_m),
-            pathloss_exp=_get(sections, "channel", "pathloss_exp", base.pathloss_exp),
-            bandwidth_hz=bandwidth,
-            total_power_w=power,
-            noise_power_w=noise,
-            rate_bps=rate,
-            power_split=_get(sections, "channel", "power_split", base.power_split),
-            fading=fading,
-        )
+        return ChannelConfig(**values, fading=fading)
     except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from exc
+        # a field set through its shorthand is reported under the shorthand
+        used = {("channel", n): ("channel", s) for n, s in _SHORTHANDS.items() if s in sec}
+        raise _located(exc, "channel", used) from exc
+
+
+def _validated(section: str, obj):
+    validate = getattr(obj, "validate", None)  # sections without checks have none
+    if validate is not None:
+        try:
+            validate()
+        except ValueError as exc:
+            raise _located(exc, section, _RENAMED) from exc
+    return obj
 
 
 def parse_config(text: str) -> ExperimentConfig:
     sections = _read_sections(text)
-
-    dataset = DatasetConfig(
-        kind=_get(sections, "dataset", "kind", "synth"),
-        alpha=_get(sections, "dataset", "alpha", 1.0),
-        classes=_get(sections, "dataset", "classes", 10),
-        per_class=_get(sections, "dataset", "per_class", 1000),
-        test_per_class=_get(sections, "dataset", "test_per_class", 100),
-        dim=_get(sections, "dataset", "dim", 784),
-        spread=_get(sections, "dataset", "spread", 1.0),
-        train_images=_get(sections, "dataset", "train_images", ""),
-        train_labels=_get(sections, "dataset", "train_labels", ""),
-        test_images=_get(sections, "dataset", "test_images", ""),
-        test_labels=_get(sections, "dataset", "test_labels", ""),
-        limit=_get(sections, "dataset", "limit", 0),
-    )
-    if dataset.kind not in ("synth", "idx"):
-        raise ConfigError(f"dataset.kind: unknown kind {dataset.kind!r}")
-    if dataset.kind == "idx":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            if not getattr(dataset, key):
-                raise ConfigError(f"dataset.{key}: required when dataset.kind = idx")
-    if dataset.alpha <= 0:
-        raise ConfigError("dataset.alpha: must be positive")
-
-    model = ModelConfig(
-        hidden=_get(sections, "model", "hidden", (128,)),
-        width_ratios=_get(sections, "model", "width_ratios", (0.5, 1.0)),
-    )
-
-    defaults = TrainConfig()
-    training = TrainConfig(
-        st_weights=_get(sections, "training", "st_weights", defaults.st_weights),
-        width_ratios=model.width_ratios,
-        lr=_get(sections, "training", "lr", defaults.lr),
-        lr_mode=_get(sections, "training", "lr_mode", defaults.lr_mode),
-        strong_convexity=_get(
-            sections, "training", "strong_convexity", defaults.strong_convexity
-        ),
-        smoothness=_get(sections, "training", "smoothness", defaults.smoothness),
-        optimizer=_get(sections, "training", "optimizer", defaults.optimizer),
-        batch_size=_get(sections, "training", "batch_size", defaults.batch_size),
-        algorithm=_get(sections, "training", "algorithm", defaults.algorithm),
-    )
-    try:
-        training.validate()
-    except ValueError as exc:
-        raise ConfigError(f"training: {exc}") from exc
-
-    fed_defaults = FederationConfig()
-    federation = FederationConfig(
-        n_devices=_get(sections, "federation", "devices", fed_defaults.n_devices),
-        local_iters=_get(sections, "federation", "local_iters", fed_defaults.local_iters),
-        scheme=_get(sections, "federation", "scheme", fed_defaults.scheme),
-        aggregation_weighting=_get(
-            sections, "federation", "aggregation_weighting", fed_defaults.aggregation_weighting
-        ),
-        vanilla_rate_mode=_get(
-            sections, "federation", "vanilla_rate_mode", fed_defaults.vanilla_rate_mode
-        ),
-        parallel_devices=_get(
-            sections, "federation", "parallel_devices", fed_defaults.parallel_devices
-        ),
-    )
-    try:
-        federation.validate()
-    except ValueError as exc:
-        raise ConfigError(f"federation.{exc}") from exc
-
-    seeds = _get(sections, "experiment", "seeds", (0,))
-    if not seeds:
-        raise ConfigError("experiment.seeds: need at least one seed")
-    rounds = _get(sections, "experiment", "rounds", 300)
-    if rounds < 1:
-        raise ConfigError("experiment.rounds: must be >= 1")
-    eval_every = _get(sections, "experiment", "eval_every", 1)
-    if eval_every < 1:
-        raise ConfigError("experiment.eval_every: must be >= 1")
-
-    costs = CostConfig(
-        use_reference=_get(sections, "costs", "use_reference", True),
-        bits_per_param=_get(sections, "costs", "bits_per_param", 32.0),
-    )
-    analysis = AnalysisConfig(
-        strong_convexity=_get(sections, "analysis", "strong_convexity", 1.0),
-        smoothness=_get(sections, "analysis", "smoothness", 10.0),
-        init_distance_sq=_get(sections, "analysis", "init_distance_sq", 1.0),
-        grad_batches=_get(sections, "analysis", "grad_batches", 32),
-        lambda_samples=_get(sections, "analysis", "lambda_samples", 41),
-    )
-    if analysis.strong_convexity <= 0 or analysis.smoothness < analysis.strong_convexity:
-        raise ConfigError("analysis.strong_convexity: need 0 < strong_convexity <= smoothness")
-
-    return ExperimentConfig(
-        seeds=seeds,
-        rounds=rounds,
-        output_dir=_get(sections, "experiment", "output_dir", "runs/out"),
-        eval_every=eval_every,
-        dataset=dataset,
-        model=model,
-        channel=_build_channel(sections),
-        training=training,
-        federation=federation,
-        costs=costs,
-        analysis=analysis,
-    )
+    given: dict[str, dict] = {section: {} for section in _SECTIONS}
+    for (ini_section, key), (section, name, codec) in _KEYS.items():
+        raw = sections.get(ini_section, {}).get(key)
+        if raw is not None:
+            given[section][name] = _decode(raw, codec, f"{ini_section}.{key}")
+    parts = {
+        section: _validated(section, cls(**given[section]))
+        for section, cls in _SECTIONS.items()
+        if section not in ("experiment", "channel")
+    }
+    parts["channel"] = _build_channel(sections.get("channel", {}))
+    return _validated("experiment", ExperimentConfig(**given["experiment"], **parts))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -364,80 +301,21 @@ def load_config(path) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    parser = configparser.ConfigParser(interpolation=None)
+    sections: dict[str, dict[str, str]] = {name: {} for name in _SECTIONS}
+    for (ini_section, key), (section, name, (_, _, fmt)) in _KEYS.items():
+        part = cfg if section == "experiment" else getattr(cfg, section)
+        sections[ini_section][key] = fmt(getattr(part, name))
+
     chan, fading = cfg.channel, cfg.channel.fading
-    fading_name = {"Rayleigh": "rayleigh", "Rician": "rician", "Twdp": "twdp"}[
-        type(fading).__name__
-    ]
-    parser["experiment"] = {
-        "seeds": ",".join(str(s) for s in cfg.seeds),
-        "rounds": str(cfg.rounds),
-        "output_dir": cfg.output_dir,
-        "eval_every": str(cfg.eval_every),
-    }
-    parser["dataset"] = {
-        "kind": cfg.dataset.kind,
-        "alpha": repr(cfg.dataset.alpha),
-        "classes": str(cfg.dataset.classes),
-        "per_class": str(cfg.dataset.per_class),
-        "test_per_class": str(cfg.dataset.test_per_class),
-        "dim": str(cfg.dataset.dim),
-        "spread": repr(cfg.dataset.spread),
-        "train_images": cfg.dataset.train_images,
-        "train_labels": cfg.dataset.train_labels,
-        "test_images": cfg.dataset.test_images,
-        "test_labels": cfg.dataset.test_labels,
-        "limit": str(cfg.dataset.limit),
-    }
-    parser["model"] = {
-        "hidden": ",".join(str(h) for h in cfg.model.hidden),
-        "width_ratios": ",".join(repr(r) for r in cfg.model.width_ratios),
-    }
-    parser["channel"] = {
-        "distance_m": repr(chan.distance_m),
-        "pathloss_exp": repr(chan.pathloss_exp),
-        "bandwidth_hz": repr(chan.bandwidth_hz),
-        "total_power_w": repr(chan.total_power_w),
-        "noise_power_w": repr(chan.noise_power_w),
-        "rate_bps": repr(chan.rate_bps),
-        "power_split": repr(chan.power_split),
-        "fading": fading_name,
-    }
+    sections["channel"] = {name: repr(getattr(chan, name)) for name in _CHANNEL_FIELDS}
+    sections["channel"]["fading"] = type(fading).__name__.lower()
     if isinstance(fading, Rician):
-        parser["channel"]["rician_nu"] = repr(fading.nu)
-        parser["channel"]["rician_sigma"] = repr(fading.sigma)
+        sections["channel"].update(rician_nu=repr(fading.nu), rician_sigma=repr(fading.sigma))
     elif isinstance(fading, Twdp):
-        parser["channel"]["twdp_k"] = repr(fading.k_factor)
-        parser["channel"]["twdp_delta"] = repr(fading.delta)
-    parser["training"] = {
-        "st_weights": ",".join(repr(w) for w in cfg.training.st_weights),
-        "lr": repr(cfg.training.lr),
-        "lr_mode": cfg.training.lr_mode,
-        "strong_convexity": repr(cfg.training.strong_convexity),
-        "smoothness": repr(cfg.training.smoothness),
-        "optimizer": cfg.training.optimizer,
-        "batch_size": str(cfg.training.batch_size),
-        "algorithm": cfg.training.algorithm,
-    }
-    parser["federation"] = {
-        "devices": str(cfg.federation.n_devices),
-        "local_iters": str(cfg.federation.local_iters),
-        "scheme": cfg.federation.scheme,
-        "aggregation_weighting": cfg.federation.aggregation_weighting,
-        "vanilla_rate_mode": cfg.federation.vanilla_rate_mode,
-        "parallel_devices": str(cfg.federation.parallel_devices).lower(),
-    }
-    parser["costs"] = {
-        "use_reference": str(cfg.costs.use_reference).lower(),
-        "bits_per_param": repr(cfg.costs.bits_per_param),
-    }
-    parser["analysis"] = {
-        "strong_convexity": repr(cfg.analysis.strong_convexity),
-        "smoothness": repr(cfg.analysis.smoothness),
-        "init_distance_sq": repr(cfg.analysis.init_distance_sq),
-        "grad_batches": str(cfg.analysis.grad_batches),
-        "lambda_samples": str(cfg.analysis.lambda_samples),
-    }
+        sections["channel"].update(twdp_k=repr(fading.k_factor), twdp_delta=repr(fading.delta))
+
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -73,7 +73,7 @@ def _cost_model(cfg: ExperimentConfig, layout: Layout) -> CostModel:
     if cfg.costs.use_reference:
         return CostModel.reference()
     return CostModel.from_layout(
-        layout, cfg.model.width_ratios[0], cfg.costs.bits_per_param
+        layout, cfg.training.width_ratios[0], cfg.costs.bits_per_param
     )
 
 
@@ -107,7 +107,7 @@ def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None):
     layers = task.layout.layers
     half_layout = Layout.mlp(
         layers[0].in_dim,
-        tuple(active_dims(spec, cfg.model.width_ratios[0])[0] for spec in layers[:-1]),
+        tuple(active_dims(spec, cfg.training.width_ratios[0])[0] for spec in layers[:-1]),
         layers[-1].out_dim,
     )
 
@@ -230,7 +230,7 @@ def analyze_experiment(cfg: ExperimentConfig) -> dict:
     )
 
     init = init_params(task.layout, rngmod.stream(seed, "init"))
-    full_mask = masks_for(task.layout, cfg.model.width_ratios)[-1]
+    full_mask = masks_for(task.layout, cfg.training.width_ratios)[-1]
 
     def grad_fn(indices):
         x, y = task.train.x[indices], task.train.y[indices]

@@ -43,9 +43,9 @@ class FederationConfig:
     parallel_devices: bool = False
 
     def validate(self) -> None:
-        """Raise ValueError whose message starts with the offending key."""
+        """Raise ValueError whose message starts with the offending field."""
         if self.n_devices < 1:
-            raise ValueError("devices: must be >= 1")
+            raise ValueError("n_devices: must be >= 1")
         if self.local_iters < 1:
             raise ValueError("local_iters: must be >= 1")
         if self.scheme not in SCHEMES:

@@ -41,35 +41,33 @@ class TrainConfig:
     strong_convexity: float = 1.0
     smoothness: float = 1.0
     optimizer: str = "adam"  # "adam" | "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 64
     algorithm: str = "superposed"  # "superposed" | "widthwise" | "sandwich"
 
     def validate(self) -> None:
+        """Raise ValueError whose message starts with the offending field."""
         if len(self.st_weights) != len(self.width_ratios):
-            raise ValueError("st_weights and width_ratios must have equal length")
+            raise ValueError("st_weights: need one weight per entry of width_ratios")
         if any(w <= 0 for w in self.st_weights):
-            raise ValueError("st_weights must all be positive")
+            raise ValueError("st_weights: must all be positive")
         if abs(sum(self.st_weights) - 1.0) > 1e-9:
-            raise ValueError(f"st_weights must sum to 1, got {sum(self.st_weights)}")
+            raise ValueError(f"st_weights: must sum to 1, got {sum(self.st_weights)}")
         if list(self.width_ratios) != sorted(self.width_ratios):
-            raise ValueError("width_ratios must be ascending")
+            raise ValueError("width_ratios: must be ascending")
         if abs(self.width_ratios[-1] - 1.0) > 1e-12:
-            raise ValueError("width_ratios must end with 1.0")
+            raise ValueError("width_ratios: must end with 1.0")
         if any(not 0.0 < r <= 1.0 for r in self.width_ratios):
-            raise ValueError("width_ratios must lie in (0, 1]")
+            raise ValueError("width_ratios: must lie in (0, 1]")
         if self.lr <= 0:
-            raise ValueError("lr must be positive")
+            raise ValueError("lr: must be positive")
         if self.lr_mode not in ("constant", "strongly_convex"):
-            raise ValueError(f"unknown lr_mode {self.lr_mode!r}")
+            raise ValueError(f"lr_mode: unknown mode {self.lr_mode!r}")
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ValueError(f"optimizer: unknown optimizer {self.optimizer!r}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError("batch_size: must be >= 1")
         if self.algorithm not in ("superposed", "widthwise", "sandwich"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ValueError(f"algorithm: unknown algorithm {self.algorithm!r}")
 
     def learning_rate(self, t: int) -> float:
         if self.lr_mode == "strongly_convex":
@@ -215,9 +213,7 @@ class LocalOptimizer:
         lr = self.cfg.learning_rate(self.t)
         if self.cfg.optimizer == "sgd":
             return sgd_update(values, grad, lr)
-        return adam_update(
-            self.adam, values, grad, lr, self.cfg.beta1, self.cfg.beta2, self.cfg.eps
-        )
+        return adam_update(self.adam, values, grad, lr)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,20 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slimfl.channel import Rician, Twdp
 from slimfl.cli import main
-from slimfl.config import ConfigError, parse_config, serialize_config
+from slimfl.config import (
+    _CHANNEL_KEYS,
+    _CODECS,
+    _KEYS,
+    _SECTIONS,
+    ConfigError,
+    parse_config,
+    serialize_config,
+)
 from slimfl.experiment import run_experiment
 from slimfl.metrics import write_metrics_csv
 from slimfl import rng as rngmod
@@ -115,6 +125,98 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="training"):
             parse_config("[training]\nst_weights = 0.4,0.4\n")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[experiment]\nseeds =\n", "experiment.seeds"),
+            ("[experiment]\nrounds = 0\n", "experiment.rounds"),
+            ("[experiment]\neval_every = 0\n", "experiment.eval_every"),
+            ("[dataset]\nkind = csv\n", "dataset.kind"),
+            ("[dataset]\nalpha = 0\n", "dataset.alpha"),
+            ("[dataset]\nalpha = nan\n", "dataset.alpha"),
+            ("[model]\nwidth_ratios = 1.0,0.5\n", "model.width_ratios"),
+            ("[model]\nwidth_ratios = 0.25,0.5\n", "model.width_ratios"),
+            ("[model]\nwidth_ratios = -0.5,1.0\n", "model.width_ratios"),
+            ("[training]\nst_weights = 1.0\n", "training.st_weights"),
+            ("[training]\nst_weights = -0.5,1.5\n", "training.st_weights"),
+            ("[training]\nst_weights = 0.4,0.4\n", "training.st_weights"),
+            ("[training]\nlr = 0\n", "training.lr"),
+            ("[training]\nlr = nan\n", "training.lr"),
+            ("[training]\nlr_mode = cyclic\n", "training.lr_mode"),
+            ("[training]\noptimizer = lion\n", "training.optimizer"),
+            ("[training]\nbatch_size = 0\n", "training.batch_size"),
+            ("[training]\nalgorithm = greedy\n", "training.algorithm"),
+            ("[federation]\ndevices = 0\n", "federation.devices"),
+            ("[channel]\ndistance_m = 0\n", "channel.distance_m"),
+            ("[channel]\ndistance_m = inf\n", "channel.distance_m"),
+            ("[channel]\npathloss_exp = -1\n", "channel.pathloss_exp"),
+            ("[channel]\nbandwidth_hz = 0\n", "channel.bandwidth_hz"),
+            ("[channel]\ntotal_power_w = 0\n", "channel.total_power_w"),
+            ("[channel]\nnoise_power_w = 0\n", "channel.noise_power_w"),
+            ("[channel]\nrate_bps = -1\n", "channel.rate_bps"),
+            ("[channel]\npower_split = 0.5\n", "channel.power_split"),
+            ("[channel]\nfading = nakagami\n", "channel.fading"),
+            (
+                "[channel]\nfading = rician\nnormalize_fading = true\n"
+                "rician_nu = 0\nrician_sigma = 0\n",
+                "channel.normalize_fading",
+            ),
+            ("[channel]\nrate_sinr_threshold = -0.5\n", "channel.rate_sinr_threshold"),
+            ("[channel]\nnoise_psd_db_hz = -5000\n", "channel.noise_psd_db_hz"),
+            ("[analysis]\nsmoothness = 0.5\n", "analysis.strong_convexity"),
+        ],
+    )
+    def test_diagnostic_starts_with_key(self, text, key):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value).startswith(f"{key}: ")
+
+
+# every int and float key, as (section, key)
+NUMERIC_KEYS = sorted(
+    [key for key, (_, _, codec) in _KEYS.items() if codec in (_CODECS[int], _CODECS[float])]
+    + [("channel", key) for key, kind in _CHANNEL_KEYS.items() if kind is float]
+)
+KNOWN_KEYS = set(_KEYS) | {("channel", key) for key in _CHANNEL_KEYS}
+
+
+def ini_text(sections: dict[str, dict[str, str]]) -> str:
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+        for name, items in sections.items()
+    )
+
+
+class TestConfigProperties:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        key=st.sampled_from(NUMERIC_KEYS),
+        value=st.one_of(st.integers().map(str), st.floats().map(repr)),
+        fading=st.sampled_from(["rayleigh", "rician", "twdp"]),
+    )
+    def test_numeric_value_round_trips_or_names_its_key(self, key, value, fading):
+        section, name = key
+        sections = {"channel": {"fading": fading}}
+        sections.setdefault(section, {})[name] = value
+        try:
+            cfg = parse_config(ini_text(sections))
+        except ConfigError as exc:
+            # a cross-field check names its own key and mentions the other
+            message = str(exc)
+            assert message.startswith(f"{section}.") and name in message, message
+        else:
+            assert parse_config(serialize_config(cfg)) == cfg
+
+    @settings(deadline=None, database=None)
+    @given(
+        section=st.sampled_from(list(_SECTIONS)),
+        key=st.from_regex(r"[a-z][a-z0-9_]{0,15}", fullmatch=True),
+    )
+    def test_unknown_key_rejected_by_name(self, section, key):
+        assume((section, key) not in KNOWN_KEYS)
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown key"):
+            parse_config(ini_text({section: {key: "1"}}))
+
 
 class TestDeterminism:
     def test_same_seed_gives_byte_identical_csv(self, tmp_path):
@@ -178,6 +280,19 @@ class TestCli:
         assert main(["run", str(config_path)]) == 2
         assert "federation.aggregation_weighting" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        ["total_power_dbm = 5000", "noise_psd_db_hz = 5000", "rate_sinr_threshold = -2"],
+    )
+    def test_out_of_range_shorthand_exits_2_naming_key(self, tmp_path, capsys, line):
+        config_path = tmp_path / "bad.ini"
+        config_path.write_text(
+            SMALL_RUN.format(out=str(tmp_path / "out")) + f"\n[channel]\n{line}\n"
+        )
+        assert main(["analyze", str(config_path)]) == 2
+        key = line.split(" = ")[0]
+        assert f"channel.{key}" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "/nonexistent/exp.ini"]) == 2

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from slimfl.channel import ChannelConfig
-from slimfl.config import parse_config
+from slimfl.config import parse_config, serialize_config
 from slimfl.datasets import write_idx
 from slimfl.experiment import build_task, make_run, run_experiment, summarize
+from slimfl.metrics import CostModel
+from slimfl.slimnet import build_mask
 
 IDX_RUN = """
 [experiment]
@@ -134,6 +136,27 @@ scheme = {scheme}
         cfg = dataclasses.replace(self.small_cfg(scheme), rounds=3)
         metrics, summary = run_experiment(cfg, 9)
         assert len(metrics) == summary["rounds"] == 3
+
+    def test_replaced_width_ratios_reach_every_consumer(self):
+        # the width ratios have one source: a config edited in code builds
+        # the runs its serialize -> parse round trip builds
+        base = self.small_cfg("slimfl")
+        cfg = dataclasses.replace(
+            base,
+            training=dataclasses.replace(base.training, width_ratios=(0.25, 1.0)),
+            costs=dataclasses.replace(base.costs, use_reference=False),
+        )
+        assert parse_config(serialize_config(cfg)) == cfg
+        run = make_run(cfg, seed=2)
+        np.testing.assert_array_equal(run.widths[0].mask.bits, build_mask(run.layout, 0.25).bits)
+        assert run.widths[0].bits == CostModel.from_layout(run.layout, 0.25).half_bits
+        half = make_run(
+            dataclasses.replace(
+                cfg, federation=dataclasses.replace(cfg.federation, scheme="vanilla-0.5x")
+            ),
+            seed=2,
+        )
+        assert half.layout.layers[0].out_dim == 2  # ceil(8 * 0.25)
 
     def test_summary_totals_accumulate(self):
         cfg = self.small_cfg("slimfl")
