@@ -47,12 +47,9 @@ from .slimnet import (
     save_checkpoint,
 )
 from .training import (
-    AdamState,
     LocalOptimizer,
-    LossReport,
     StepResult,
     TrainConfig,
-    adam_update,
     cross_entropy,
     ipkd_loss,
     sandwich_step,

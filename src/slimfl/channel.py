@@ -59,10 +59,17 @@ class Twdp:
     delta: float = 0.1
     mean_power: float = 1.0
 
+    def __post_init__(self):
+        """Raise ValueError whose message starts with the offending field."""
+        if not 0.0 <= self.k_factor < math.inf:
+            raise ValueError("k_factor: must be finite and >= 0")
+        if not 0.0 <= self.delta <= 1.0:
+            raise ValueError("delta: must lie in [0, 1]")
+        if not 0.0 < self.mean_power < math.inf:
+            raise ValueError("mean_power: must be positive and finite")
+
     def wave_parameters(self) -> tuple[float, float, float]:
         """(v1, v2, sigma_d) realizing this (k_factor, delta, mean_power)."""
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
         diffuse = self.mean_power / (1.0 + self.k_factor)  # = 2 sigma_d^2
         specular = self.mean_power - diffuse
         root = math.sqrt(max(0.0, 1.0 - self.delta**2))
@@ -115,16 +122,31 @@ class ChannelConfig:
             raise ValueError("rate_bps: must be finite and >= 0")
         if not 0.5 < self.power_split <= 1.0:
             raise ValueError("power_split: must lie in (0.5, 1] so the first message is stronger")
+        self.sinr_threshold_at(self.rate_bps)  # raises if the threshold overflows
 
     @property
     def effective_noise(self) -> float:
         """Noise referred through the pathloss: noise_power * distance^exponent."""
         return self.noise_power_w * self.distance_m**self.pathloss_exp
 
+    def sinr_threshold_at(self, rate_bps: float) -> float:
+        """Minimum SINR for a message at ``rate_bps``: 2^(rate/bandwidth) - 1.
+
+        Raises a ValueError starting with ``rate_bps`` when it overflows.
+        """
+        try:
+            return 2.0 ** (rate_bps / self.bandwidth_hz) - 1.0
+        except OverflowError:
+            raise ValueError(
+                f"rate_bps: a message at {rate_bps:g} bit/s over bandwidth_hz = "
+                f"{self.bandwidth_hz:g} needs an SINR of 2^{rate_bps / self.bandwidth_hz:g}, "
+                "beyond floating point"
+            ) from None
+
     @property
     def sinr_threshold(self) -> float:
-        """Minimum SINR for the target rate: 2^(rate/bandwidth) - 1."""
-        return 2.0 ** (self.rate_bps / self.bandwidth_hz) - 1.0
+        """Minimum SINR for the target rate."""
+        return self.sinr_threshold_at(self.rate_bps)
 
     @property
     def powers(self) -> tuple[float, float]:

@@ -19,7 +19,7 @@ import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .channel import ChannelConfig, Rayleigh, Rician, Twdp
-from .federation import FederationConfig
+from .federation import FederationConfig, vanilla_threshold
 from .training import TrainConfig
 
 
@@ -253,9 +253,17 @@ def _build_channel(sec: dict[str, str]) -> ChannelConfig:
                 raise ConfigError("channel.normalize_fading: rician_nu and rician_sigma are 0")
             fading = fading.normalized()
     elif fading_name == "twdp":
-        fading = Twdp(
-            k_factor=given.get("twdp_k", Twdp.k_factor), delta=given.get("twdp_delta", Twdp.delta)
-        )
+        try:
+            fading = Twdp(
+                k_factor=given.get("twdp_k", Twdp.k_factor),
+                delta=given.get("twdp_delta", Twdp.delta),
+            )
+        except ValueError as exc:
+            keys = {
+                ("channel", "k_factor"): ("channel", "twdp_k"),
+                ("channel", "delta"): ("channel", "twdp_delta"),
+            }
+            raise _located(exc, "channel", keys) from exc
     elif fading_name == "rayleigh":
         fading = Rayleigh()
     else:
@@ -292,7 +300,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if section not in ("experiment", "channel")
     }
     parts["channel"] = _build_channel(sections.get("channel", {}))
-    return _validated("experiment", ExperimentConfig(**given["experiment"], **parts))
+    cfg = _validated("experiment", ExperimentConfig(**given["experiment"], **parts))
+    fed = cfg.federation
+    if fed.scheme in ("vanilla-1.0x", "vanilla-1.5x") and fed.vanilla_rate_mode != "same_rate":
+        try:  # the full-width baseline sends twice a superposed message's payload
+            vanilla_threshold(cfg.channel, 2.0)
+        except ValueError as exc:
+            reason = str(exc).partition(": ")[2]
+            raise ConfigError(f"channel.rate_bps: {fed.scheme} doubles it; {reason}") from exc
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -30,7 +30,16 @@ from .metrics import (
     energy_report,
     write_metrics_csv,
 )
-from .slimnet import Layout, active_dims, backward, build_mask, forward, init_params, masks_for
+from .slimnet import (
+    ForwardTrace,
+    Layout,
+    active_dims,
+    backward,
+    build_mask,
+    forward,
+    init_params,
+    masks_for,
+)
 from .training import cross_entropy_grad
 
 
@@ -234,8 +243,9 @@ def analyze_experiment(cfg: ExperimentConfig) -> dict:
 
     def grad_fn(indices):
         x, y = task.train.x[indices], task.train.y[indices]
-        logits = forward(init, full_mask, x)
-        return backward(init, full_mask, x, cross_entropy_grad(logits, y))
+        trace = ForwardTrace()
+        logits = forward(init, full_mask, x, trace=trace)
+        return backward(init, full_mask, x, cross_entropy_grad(logits, y), trace=trace)
 
     skew_rng = rngmod.stream(seed, "skew")
     delta_hat, sigma_spread = estimate_data_skew(

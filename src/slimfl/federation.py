@@ -182,8 +182,7 @@ def vanilla_threshold(chan_cfg: ChannelConfig, payload_ratio: float) -> float:
     payload_ratio is the scheme's payload relative to one superposed message
     (the half-width model): 1.0 for a half-width upload, 2.0 for full-width.
     """
-    rate = chan_cfg.rate_bps * payload_ratio
-    u = 2.0 ** (rate / chan_cfg.bandwidth_hz) - 1.0
+    u = chan_cfg.sinr_threshold_at(chan_cfg.rate_bps * payload_ratio)
     return float(
         successive_thresholds([chan_cfg.total_power_w], chan_cfg.effective_noise, u)[0]
     )

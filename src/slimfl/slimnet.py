@@ -193,8 +193,9 @@ class BatchRows:
     taken over the whole stack and then redone, for the devices of each
     shorter count, over their real rows alone.  Losses average over the
     real rows, and logit gradients are exactly zero on the padding, so the
-    sums over the batch that the backward forms equal the unpadded ones.
-    Device k's results are then bitwise those it gets with its batch alone.
+    bias gradients' plain sums over the batch equal the unpadded ones; the
+    weight gradients' products are redone (``batch_sum``).  Device k's
+    results are then bitwise those it gets with its batch alone.
     """
 
     def __init__(self, counts):
@@ -211,6 +212,20 @@ class BatchRows:
         out = _product(a, b, transpose)
         for n, devices in self.short:
             out[devices, :n] = _product(a[devices, :n], b[devices], transpose)
+        return out
+
+    def batch_sum(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """``g^T h`` over each device's real rows, for (devices, batch, .) arrays.
+
+        ``g`` is zero on the padding, yet the BLAS may group the real terms
+        of a sum over the rows by its length: a matrix-vector product (a
+        layer one unit wide) does, and so does a matrix-matrix one over
+        several hundred rows, which it splits into blocks.  So the shorter
+        devices are redone.
+        """
+        out = np.swapaxes(g, -1, -2) @ h
+        for n, devices in self.short:
+            out[devices] = np.swapaxes(g[devices, :n], -1, -2) @ h[devices, :n]
         return out
 
     def mean(self, per_example: np.ndarray) -> np.ndarray:
@@ -230,6 +245,10 @@ class BatchRows:
 
 def _matmul(rows: BatchRows | None, a: np.ndarray, b: np.ndarray, transpose: bool = False):
     return _product(a, b, transpose) if rows is None else rows.matmul(a, b, transpose)
+
+
+def _batch_sum(rows: BatchRows | None, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return np.swapaxes(g, -1, -2) @ h if rows is None else rows.batch_sum(g, h)
 
 
 @dataclass(eq=False)
@@ -306,7 +325,7 @@ def backward(
     for i in reversed(range(len(layout.layers))):
         w_bits, b_bits = _blocks(mask.bits, layout, i)
         grad_w, grad_b = _blocks(grad, layout, i)
-        np.multiply(np.swapaxes(g, -1, -2) @ trace.inputs[i], w_bits, out=grad_w)
+        np.multiply(_batch_sum(rows, g, trace.inputs[i]), w_bits, out=grad_w)
         np.multiply(g.sum(axis=-2), b_bits, out=grad_b)
         if i > 0:
             z = trace.preacts[i - 1]

@@ -1,21 +1,16 @@
 """Local training for slimmable networks.
 
-Three single-batch update rules are provided.  Each takes one device's
-parameter vector and batch, or a (devices, P) stack of vectors with
-(devices, batch, ...) batches, and then steps every device at once with
-stacked matmuls; device k's result is bitwise the one it gets alone.  In a
-stack whose devices draw batches of different sizes, each batch is padded
-to the longest and ``slimnet.BatchRows`` says which rows are real.
-Each width is forwarded once per step and its trace reused by its backward.
+The three update rules are one loop, ``_step``: one optimizer step down a
+weighted sum of the widths' losses, where the full width trains on the
+labels and each other width on the labels or, distilled, on the detached
+full-width logits.  superposed_step (SlimFL's superposition training) uses
+``st_weights`` and distills the sub-widths in ascending order;
+sandwich_step does the same with unit weights; widthwise_step trains every
+width on the labels, widest first, with unit weights.
 
-* superposed_step — one optimizer step whose gradient is a convex
-  combination of the full-width cross-entropy and per-sub-width
-  distillation losses against the detached full-width logits.
-* widthwise_step — every width trained against the ground truth,
-  gradients summed, one optimizer step (the classic multi-width baseline).
-* sandwich_step — full width against ground truth, then the smallest
-  width plus randomly sampled intermediate widths distilled from the
-  detached full-width logits, gradients summed unweighted.
+A rule steps one device's vector, or a (devices, P) stack of vectors with
+(devices, batch, ...) batches, padded where batch sizes differ
+(``slimnet.BatchRows``); device k's result is bitwise the one it gets alone.
 """
 
 from __future__ import annotations
@@ -152,97 +147,93 @@ def ipkd_grad(
     return _per_example_grad(softmax(student_logits) - softmax(teacher_logits), rows)
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-
-def sgd_update(values: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    step = np.multiply(grad, lr)
-    return np.subtract(values, step, out=step)
-
-
-def adam_update(
-    state: AdamState,
-    values: np.ndarray,
-    grad: np.ndarray,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> np.ndarray:
-    """Bias-corrected moment update; mutates state, returns the new vector.
-
-    The moments are updated in place and the step is built in two work
-    arrays, one of which becomes the result; each element sees the same
-    operations in the same order as the textbook expressions.
-    """
-    state.t += 1
-    step = np.multiply(grad, 1.0 - beta1)
-    state.m *= beta1
-    state.m += step  # m = beta1 * m + (1 - beta1) * g
-    np.multiply(grad, 1.0 - beta2, out=step)
-    step *= grad
-    state.v *= beta2
-    state.v += step  # v = beta2 * v + (1 - beta2) * g * g
-    np.divide(state.m, 1.0 - beta1**state.t, out=step)
-    step *= lr  # lr * m_hat
-    denom = np.divide(state.v, 1.0 - beta2**state.t)
-    np.sqrt(denom, out=denom)
-    denom += eps  # sqrt(v_hat) + eps
-    step /= denom
-    return np.subtract(values, step, out=step)
+# Adam's moment decay rates and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class LocalOptimizer:
-    """Optimizer of one device, or of a stack of devices stepping together.
-
-    Owns the step counter and the Adam moments, shaped like the parameters:
-    ``shape`` is ``P`` for one vector or ``(devices, P)`` for a stack.
-    """
+    """Optimizer of one device or a device stack: the step counter and the
+    Adam moments ``m``, ``v``, shaped ``P`` or ``(devices, P)``."""
 
     def __init__(self, cfg: TrainConfig, shape: int | tuple[int, int]):
         self.cfg = cfg
         self.t = 0
-        self.adam = AdamState(m=np.zeros(shape), v=np.zeros(shape))
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
 
     def apply(self, values: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """The stepped vector under SGD or bias-corrected Adam.  Adam's moments
+        update in place and the step is built in two work arrays, one of them
+        the result; each element sees the textbook expressions' operations."""
         self.t += 1
         lr = self.cfg.learning_rate(self.t)
         if self.cfg.optimizer == "sgd":
-            return sgd_update(values, grad, lr)
-        return adam_update(self.adam, values, grad, lr)
-
-
-@dataclass(frozen=True)
-class LossReport:
-    """Per-step losses: full-width cross-entropy, per-sub-width distillation,
-    and the convex combination actually descended (per device for a stack)."""
-
-    ce_full: float | np.ndarray
-    kd_losses: tuple
-    combined: float | np.ndarray
+            step = np.multiply(grad, lr)
+            return np.subtract(values, step, out=step)
+        step = np.multiply(grad, 1.0 - BETA1)
+        self.m *= BETA1
+        self.m += step  # m = beta1 * m + (1 - beta1) * g
+        np.multiply(grad, 1.0 - BETA2, out=step)
+        step *= grad
+        self.v *= BETA2
+        self.v += step  # v = beta2 * v + (1 - beta2) * g * g
+        np.divide(self.m, 1.0 - BETA1**self.t, out=step)
+        step *= lr  # lr * m_hat
+        denom = np.divide(self.v, 1.0 - BETA2**self.t)
+        np.sqrt(denom, out=denom)
+        denom += EPS  # sqrt(v_hat) + eps
+        step /= denom
+        return np.subtract(values, step, out=step)
 
 
 @dataclass(frozen=True, eq=False)
 class StepResult:
+    """One step's new parameters and gradient, and its losses (one per device
+    for a stack): the weighted sum descended, the full width's, and the
+    other widths' in summation order."""
+
     params: SlimmableParams
     gradient: np.ndarray
     loss: float | np.ndarray
-    report: LossReport | None = None
+    full_loss: float | np.ndarray
+    other_losses: tuple
 
 
-def _width_pass(params, mask, batch_x, loss_fn, grad_fn, target, rows):
-    """Logits, loss and parameter gradient of one width; the forward trace
-    is reused by the backward and dropped on return."""
+def _step(params, batch_x, batch_y, opt, rows, full, others, distill) -> StepResult:
+    """One optimizer step down the weighted sum of the widths' losses.
+
+    ``full`` is the full width's ``(mask, weight)``; it trains on the labels
+    and its detached logits are the teacher.  ``others`` are the other
+    widths' pairs in summation order, distilled from the teacher if
+    ``distill``, else trained on the labels.  Each width's forward trace is
+    reused by its backward."""
+    mask, weight = full
     trace = ForwardTrace()
-    logits = forward(params, mask, batch_x, trace=trace, rows=rows)
-    loss = loss_fn(logits, target, rows)
-    return logits, loss, backward(
-        params, mask, batch_x, grad_fn(logits, target, rows), trace=trace, rows=rows
+    teacher = forward(params, mask, batch_x, trace=trace, rows=rows)
+    full_loss = cross_entropy(teacher, batch_y, rows)
+    grad = backward(
+        params, mask, batch_x, cross_entropy_grad(teacher, batch_y, rows), trace=trace, rows=rows
     )
+    grad *= weight
+
+    loss_fn, grad_fn, target = (
+        (ipkd_loss, ipkd_grad, teacher) if distill else (cross_entropy, cross_entropy_grad, batch_y)
+    )
+    other_losses = []
+    for mask, w in others:
+        trace = ForwardTrace()
+        logits = forward(params, mask, batch_x, trace=trace, rows=rows)
+        other_losses.append(loss_fn(logits, target, rows))
+        part = backward(
+            params, mask, batch_x, grad_fn(logits, target, rows), trace=trace, rows=rows
+        )
+        part *= w
+        grad += part
+    del trace  # the last width's activations, before the optimizer allocates
+
+    loss = weight * full_loss + sum(w * k for (_, w), k in zip(others, other_losses))
+    new_params = params.with_values(opt.apply(params.values, grad))
+    return StepResult(new_params, grad, loss, full_loss, tuple(other_losses))
 
 
 def superposed_step(
@@ -253,36 +244,12 @@ def superposed_step(
     opt: LocalOptimizer,
     rows: BatchRows | None = None,
 ) -> StepResult:
-    """One convex-combination update over all widths.
-
-    The full-width pass is computed once and reused both for the ground-truth
-    loss and, detached, as the distillation teacher for every sub-width.
-    """
+    """The convex combination: the full width against the labels and each
+    sub-width, ascending, distilled from it, weighted by ``st_weights``."""
     masks = masks_for(params.layout, cfg.width_ratios)
     w = cfg.st_weights
-
-    teacher_logits, ce, grad = _width_pass(
-        params, masks[-1], batch_x, cross_entropy, cross_entropy_grad, batch_y, rows
-    )
-    grad *= w[-1]
-
-    kd = []
-    for i, mask in enumerate(masks[:-1]):
-        _, loss, part = _width_pass(
-            params, mask, batch_x, ipkd_loss, ipkd_grad, teacher_logits, rows
-        )
-        kd.append(loss)
-        part *= w[i]
-        grad += part
-
-    combined = w[-1] * ce + sum(wi * k for wi, k in zip(w, kd))
-    new_values = opt.apply(params.values, grad)
-    return StepResult(
-        params=params.with_values(new_values),
-        gradient=grad,
-        loss=combined,
-        report=LossReport(ce_full=ce, kd_losses=tuple(kd), combined=combined),
-    )
+    others = list(zip(masks[:-1], w[:-1]))
+    return _step(params, batch_x, batch_y, opt, rows, (masks[-1], w[-1]), others, distill=True)
 
 
 def widthwise_step(
@@ -293,18 +260,10 @@ def widthwise_step(
     opt: LocalOptimizer,
     rows: BatchRows | None = None,
 ) -> StepResult:
-    """Every width trained against the ground truth, widest first; one step."""
+    """Every width against the labels, widest first, losses summed unweighted."""
     masks = masks_for(params.layout, cfg.width_ratios)
-    grad = np.zeros(params.values.shape)
-    total = 0.0
-    for mask in reversed(masks):
-        _, loss, part = _width_pass(
-            params, mask, batch_x, cross_entropy, cross_entropy_grad, batch_y, rows
-        )
-        total += loss
-        grad += part
-    new_values = opt.apply(params.values, grad)
-    return StepResult(params=params.with_values(new_values), gradient=grad, loss=total)
+    others = [(mask, 1.0) for mask in reversed(masks[:-1])]
+    return _step(params, batch_x, batch_y, opt, rows, (masks[-1], 1.0), others, distill=False)
 
 
 def sandwich_step(
@@ -313,47 +272,13 @@ def sandwich_step(
     batch_y: np.ndarray,
     cfg: TrainConfig,
     opt: LocalOptimizer,
-    n_widths: int | None = None,
-    rng: np.random.Generator | None = None,
     rows: BatchRows | None = None,
 ) -> StepResult:
-    """Full width against ground truth first, then distill sampled widths.
-
-    The width sample always contains the smallest ratio; intermediate ratios
-    are drawn uniformly without replacement until n_widths widths (counting
-    the full and the smallest) have been used.  Losses are summed unweighted.
-    A stack of devices shares one width sample.
-    """
+    """The full width against the labels and every sub-width, ascending,
+    distilled from it, losses summed unweighted."""
     masks = masks_for(params.layout, cfg.width_ratios)
-    if n_widths is None:
-        n_widths = len(masks)
-    n_widths = max(2, min(n_widths, len(masks)))
-
-    teacher_logits, total, grad = _width_pass(
-        params, masks[-1], batch_x, cross_entropy, cross_entropy_grad, batch_y, rows
-    )
-
-    sampled = [masks[0]]
-    middle = list(masks[1:-1])
-    n_extra = n_widths - 2
-    if middle and n_extra > 0:
-        if n_extra >= len(middle):
-            sampled.extend(middle)
-        else:
-            if rng is None:
-                raise ValueError("rng required when sampling a strict subset of widths")
-            picks = rng.choice(len(middle), size=n_extra, replace=False)
-            sampled.extend(middle[j] for j in sorted(picks))
-
-    for mask in sampled:
-        _, loss, part = _width_pass(
-            params, mask, batch_x, ipkd_loss, ipkd_grad, teacher_logits, rows
-        )
-        total += loss
-        grad += part
-
-    new_values = opt.apply(params.values, grad)
-    return StepResult(params=params.with_values(new_values), gradient=grad, loss=total)
+    others = [(mask, 1.0) for mask in masks[:-1]]
+    return _step(params, batch_x, batch_y, opt, rows, (masks[-1], 1.0), others, distill=True)
 
 
 STEP_FUNCTIONS = {

@@ -121,6 +121,15 @@ class TestConfigParsing:
         cfg = parse_config(text)
         assert abs(cfg.channel.sinr_threshold - 0.667) < 1e-12
 
+    def test_doubled_rate_checked_only_where_sent(self):
+        # at 100 kHz the rate's own threshold is finite, twice the rate's is not
+        base = SMALL_RUN.format(out="runs/x") + "\n[channel]\nbandwidth_hz = 1e5\n"
+        assert parse_config(base).channel.sinr_threshold > 0
+        for scheme in ("vanilla-0.5x", "vanilla-1.0x\nvanilla_rate_mode = same_rate"):
+            parse_config(base.replace("scheme = slimfl", f"scheme = {scheme}"))
+        with pytest.raises(ConfigError, match="^channel.rate_bps: vanilla-1.5x doubles it"):
+            parse_config(base.replace("scheme = slimfl", "scheme = vanilla-1.5x"))
+
     def test_invalid_st_weights_sum(self):
         with pytest.raises(ConfigError, match="training"):
             parse_config("[training]\nst_weights = 0.4,0.4\n")
@@ -162,6 +171,9 @@ class TestConfigParsing:
                 "channel.normalize_fading",
             ),
             ("[channel]\nrate_sinr_threshold = -0.5\n", "channel.rate_sinr_threshold"),
+            ("[channel]\nfading = twdp\ntwdp_k = -1\n", "channel.twdp_k"),
+            ("[channel]\nfading = twdp\ntwdp_delta = 5\n", "channel.twdp_delta"),
+            ("[channel]\nbandwidth_hz = 1e-3\n", "channel.rate_bps"),
             ("[channel]\nnoise_psd_db_hz = -5000\n", "channel.noise_psd_db_hz"),
             ("[analysis]\nsmoothness = 0.5\n", "analysis.strong_convexity"),
         ],
@@ -293,6 +305,26 @@ class TestCli:
         assert main(["analyze", str(config_path)]) == 2
         key = line.split(" = ")[0]
         assert f"channel.{key}" in capsys.readouterr().err
+
+    # the rate's SINR threshold 2^(rate/bandwidth) - 1 overflows a float:
+    # for every scheme at 1 mHz, and at 100 kHz only for the full-width
+    # baseline, which sends at twice the rate
+    @pytest.mark.parametrize(
+        "command, scheme, bandwidth",
+        [("run", "slimfl", "1e-3"), ("analyze", "slimfl", "1e-3"), ("run", "vanilla-1.0x", "1e5")],
+    )
+    def test_overflowing_rate_exits_2_naming_key(
+        self, tmp_path, capsys, command, scheme, bandwidth
+    ):
+        config_path = tmp_path / "bad.ini"
+        config_path.write_text(
+            SMALL_RUN.format(out=str(tmp_path / "out")).replace("= slimfl", f"= {scheme}")
+            + f"\n[channel]\nbandwidth_hz = {bandwidth}\n"
+        )
+        assert main([command, str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert "channel.rate_bps: " in err and "bandwidth_hz" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "/nonexistent/exp.ini"]) == 2

@@ -212,10 +212,13 @@ class TestBackward:
 class TestDeviceStack:
     """A (devices, P) stack computes every row bitwise as that device alone."""
 
-    # equal batches of 1 and of 5, and batches padded to 8 rows; 32 -> 10 is
-    # a shape whose BLAS rows depend on the matmul's row count
+    # equal batches of 1 and of 5, batches padded to 8 rows, and batches
+    # padded to more rows than the BLAS sums in one block; 32 -> 10 is a
+    # shape whose BLAS rows depend on the matmul's row count
     @pytest.mark.parametrize(
-        "counts", [[1, 1, 1], [5, 5, 5], [8, 5, 1, 3, 8]], ids=["1", "5", "padded"]
+        "counts",
+        [[1, 1, 1], [5, 5, 5], [8, 5, 1, 3, 8], [600, 450, 300, 420, 530]],
+        ids=["1", "5", "padded", "padded-long"],
     )
     def test_rows_equal_single_device_passes(self, counts):
         rng = RNG(9)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slimfl.slimnet import (
     BatchRows,
@@ -14,10 +16,8 @@ from slimfl.slimnet import (
     init_params,
 )
 from slimfl.training import (
-    AdamState,
     LocalOptimizer,
     TrainConfig,
-    adam_update,
     cross_entropy,
     cross_entropy_grad,
     decayed_lr,
@@ -26,7 +26,6 @@ from slimfl.training import (
     log_softmax,
     STEP_FUNCTIONS,
     sandwich_step,
-    sgd_update,
     softmax,
     superposed_step,
     widthwise_step,
@@ -130,22 +129,26 @@ class TestDistillationLoss:
             assert ipkd_loss(other, teacher) >= at_teacher - 1e-12
 
 
+def optimizer(kind, lr, size):
+    return LocalOptimizer(TrainConfig(optimizer=kind, lr=lr), size)
+
+
 class TestOptimizers:
     def test_sgd_step(self):
         values = np.array([1.0, 2.0])
-        np.testing.assert_allclose(sgd_update(values, np.array([0.5, -1.0]), 0.1), [0.95, 2.1])
+        updated = optimizer("sgd", 0.1, 2).apply(values, np.array([0.5, -1.0]))
+        np.testing.assert_allclose(updated, [0.95, 2.1])
 
     def test_adam_zero_gradient_never_moves(self):
         values = np.array([1.0, -2.0, 3.0])
-        state = AdamState(m=np.zeros(3), v=np.zeros(3))
+        opt = optimizer("adam", 0.1, 3)
         for _ in range(50):
-            values = adam_update(state, values, np.zeros(3), lr=0.1)
+            values = opt.apply(values, np.zeros(3))
         np.testing.assert_array_equal(values, [1.0, -2.0, 3.0])
 
     def test_adam_first_step_magnitude_is_lr_signed(self):
         g = np.array([0.7, -1.3, 2.5])
-        state = AdamState(m=np.zeros(3), v=np.zeros(3))
-        updated = adam_update(state, np.zeros(3), g, lr=0.01)
+        updated = optimizer("adam", 0.01, 3).apply(np.zeros(3), g)
         np.testing.assert_allclose(updated, -0.01 * np.sign(g), atol=1e-7)
 
     def test_adam_matches_scripted_oracle_on_quadratic(self):
@@ -155,14 +158,15 @@ class TestOptimizers:
         m = np.zeros(2)
         v = np.zeros(2)
         oracle = theta.copy()
-        state = AdamState(m=np.zeros(2), v=np.zeros(2))
+        opt = optimizer("adam", lr, 2)
         for t in range(1, 101):
             grad = 2.0 * oracle  # d/dx of ||x||^2
             m = b1 * m + (1 - b1) * grad
             v = b2 * v + (1 - b2) * grad**2
             oracle = oracle - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-            theta = adam_update(state, theta, 2.0 * theta, lr, b1, b2, eps)
+            theta = opt.apply(theta, 2.0 * theta)
         np.testing.assert_allclose(theta, oracle, atol=1e-10)
+        assert opt.t == 100
 
 
 class TestLearningRateSchedule:
@@ -214,7 +218,7 @@ class TestUpdateRuleArithmetic:
         half, full = self.quad_grads(theta)
         g = 0.5 * half + 0.5 * full
         np.testing.assert_array_equal(g, [2.0, 1.0])
-        np.testing.assert_array_equal(sgd_update(theta, g, 1.0), [-1.0, 0.0])
+        np.testing.assert_array_equal(optimizer("sgd", 1.0, 2).apply(theta, g), [-1.0, 0.0])
 
     def test_unweighted_sum_step(self):
         theta = np.array([1.0, 1.0])
@@ -258,7 +262,7 @@ class TestSuperposedStep:
 
         numeric = numeric_gradient(loss_fn, params.values.copy())
         np.testing.assert_allclose(result.gradient, numeric, rtol=1e-4, atol=1e-7)
-        assert abs(result.report.combined - loss_fn(params.values)) < 1e-12
+        assert abs(result.loss - loss_fn(params.values)) < 1e-12
 
     def test_zero_first_weight_reduces_to_full_width_sgd(self):
         params = make_net(22)
@@ -279,9 +283,9 @@ class TestSuperposedStep:
         params = make_net(24)
         x, y = make_batch(25)
         cfg = TrainConfig(st_weights=(0.3, 0.7), optimizer="sgd")
-        report = superposed_step(params, x, y, cfg, LocalOptimizer(cfg, params.layout.size)).report
-        recombined = 0.7 * report.ce_full + 0.3 * report.kd_losses[0]
-        assert abs(report.combined - recombined) < 1e-12
+        result = superposed_step(params, x, y, cfg, LocalOptimizer(cfg, params.layout.size))
+        recombined = 0.7 * result.full_loss + 0.3 * result.other_losses[0]
+        assert abs(result.loss - recombined) < 1e-12
 
     def test_distillation_gradient_stays_inside_student_mask(self):
         # teacher values influence the loss but never open masked-out coordinates
@@ -349,34 +353,6 @@ class TestSandwichStep:
         sand = sandwich_step(params, x, y, cfg, LocalOptimizer(cfg, params.layout.size))
         np.testing.assert_allclose(sup.params.values, sand.params.values, atol=1e-6)
 
-    def test_smallest_width_always_sampled(self):
-        params = make_net(44)
-        x, y = make_batch(45)
-        cfg = TrainConfig(
-            st_weights=(0.25, 0.25, 0.25, 0.25), width_ratios=(0.25, 0.5, 0.75, 1.0)
-        )
-        rng = RNG(46)
-        half_bits = build_mask(params.layout, 0.25).bits
-        # n_widths=2 keeps only {smallest, full}; the smallest mask must always
-        # receive distillation gradient (nonzero inside, and the run never asks
-        # for an rng draw beyond the sampler)
-        for _ in range(5):
-            result = sandwich_step(
-                params, x, y, cfg, LocalOptimizer(cfg, params.layout.size), n_widths=2, rng=rng
-            )
-            assert np.abs(result.gradient[half_bits]).sum() > 0
-
-    def test_intermediate_sampling_needs_rng(self):
-        params = make_net(47)
-        x, y = make_batch(48)
-        cfg = TrainConfig(
-            st_weights=(0.25, 0.25, 0.25, 0.25), width_ratios=(0.25, 0.5, 0.75, 1.0)
-        )
-        with pytest.raises(ValueError, match="rng"):
-            sandwich_step(
-                params, x, y, cfg, LocalOptimizer(cfg, params.layout.size), n_widths=3
-            )
-
     def test_gradient_matches_finite_differences(self):
         params = make_net(49)
         x, y = make_batch(50)
@@ -396,6 +372,34 @@ class TestSandwichStep:
         np.testing.assert_allclose(result.gradient, numeric, rtol=1e-4, atol=1e-7)
 
 
+def assert_stack_equals_devices_alone(cfg, singles, batches, counts):
+    """Step the devices ``singles`` as one stack and each alone, bit for bit.
+
+    ``batches[t][k]`` is device k's (x, y) at step t, ``max(counts)`` rows
+    of which the first ``counts[k]`` are real.
+    """
+    step = STEP_FUNCTIONS[cfg.algorithm]
+    layout = singles[0].layout
+    stack = SlimmableParams(layout, np.stack([p.values for p in singles]))
+    single_opts = [LocalOptimizer(cfg, layout.size) for _ in singles]
+    stack_opt = LocalOptimizer(cfg, (len(singles), layout.size))
+    rows = BatchRows(counts) if min(counts) < max(counts) else None
+    for step_batches in batches:
+        stacked = step(
+            stack, np.stack([x for x, _ in step_batches]),
+            np.stack([y for _, y in step_batches]), cfg, stack_opt, rows=rows,
+        )
+        for k, ((x, y), n) in enumerate(zip(step_batches, counts)):
+            alone = step(singles[k], x[:n], y[:n], cfg, single_opts[k])
+            assert stacked.params.values[k].tobytes() == alone.params.values.tobytes()
+            assert stacked.gradient[k].tobytes() == alone.gradient.tobytes()
+            assert stacked.loss[k] == alone.loss
+            assert stacked.full_loss[k] == alone.full_loss
+            assert [loss[k] for loss in stacked.other_losses] == list(alone.other_losses)
+            singles[k] = alone.params
+        stack = stacked.params
+
+
 class TestStackedSteps:
     """K devices stepped as one stack equal K single-device steps, bit for bit."""
 
@@ -404,36 +408,56 @@ class TestStackedSteps:
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("rule", sorted(STEP_FUNCTIONS))
     def test_stack_equals_devices_alone(self, rule, optimizer, counts):
-        n_devices, n_steps = len(counts), 3
         cfg = TrainConfig(
             st_weights=(0.2, 0.3, 0.5), width_ratios=(0.25, 0.5, 1.0),
             optimizer=optimizer, lr=0.05, algorithm=rule,
         )
-        step = STEP_FUNCTIONS[rule]
-        singles = [make_net(60 + k, in_dim=64, hidden=(32,), out=10) for k in range(n_devices)]
-        layout = singles[0].layout
-        stack = SlimmableParams(layout, np.stack([p.values for p in singles]))
-        single_opts = [LocalOptimizer(cfg, layout.size) for _ in range(n_devices)]
-        stack_opt = LocalOptimizer(cfg, (n_devices, layout.size))
-        rows = BatchRows(counts) if min(counts) < max(counts) else None
-        for t in range(n_steps):
-            batches = [make_batch(100 * t + k, in_dim=64, classes=10) for k in range(n_devices)]
-            stacked = step(
-                stack, np.stack([x for x, _ in batches]), np.stack([y for _, y in batches]),
-                cfg, stack_opt, rows=rows,
-            )
-            for k, ((x, y), n) in enumerate(zip(batches, counts)):
-                alone = step(singles[k], x[:n], y[:n], cfg, single_opts[k])
-                np.testing.assert_array_equal(stacked.params.values[k], alone.params.values)
-                np.testing.assert_array_equal(stacked.gradient[k], alone.gradient)
-                assert stacked.loss[k] == alone.loss
-                if alone.report is not None:
-                    assert stacked.report.ce_full[k] == alone.report.ce_full
-                    assert [kd[k] for kd in stacked.report.kd_losses] == list(
-                        alone.report.kd_losses
-                    )
-                singles[k] = alone.params
-            stack = stacked.params
+        singles = [make_net(60 + k, in_dim=64, hidden=(32,), out=10) for k in range(len(counts))]
+        batches = [
+            [make_batch(100 * t + k, in_dim=64, classes=10) for k in range(len(counts))]
+            for t in range(3)
+        ]
+        assert_stack_equals_devices_alone(cfg, singles, batches, counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rule=st.sampled_from(sorted(STEP_FUNCTIONS)),
+        optimizer=st.sampled_from(["adam", "sgd"]),
+        in_dim=st.integers(1, 12),
+        hidden=st.lists(st.integers(1, 10), min_size=1, max_size=2),
+        classes=st.integers(2, 5),
+        sub_ratios=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3, unique=True),
+        counts=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        n_steps=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    # a one-unit layer makes the weight gradient a matrix-vector product
+    @example(
+        rule="sandwich", optimizer="sgd", in_dim=2, hidden=[1], classes=2,
+        sub_ratios=[0.5], counts=[1, 2, 6], n_steps=1, seed=1,
+    )
+    def test_stack_equals_devices_alone_property(
+        self, rule, optimizer, in_dim, hidden, classes, sub_ratios, counts, n_steps, seed
+    ):
+        # any layout, 2-4 widths, device count and padded batch sizes
+        rng = RNG(seed)
+        weights = rng.uniform(0.1, 1.0, len(sub_ratios) + 1)
+        cfg = TrainConfig(
+            st_weights=tuple(weights / weights.sum()),
+            width_ratios=(*sorted(sub_ratios), 1.0),
+            optimizer=optimizer, lr=0.05, algorithm=rule,
+        )
+        layout = Layout.mlp(in_dim, tuple(hidden), classes)
+        singles = [
+            params.with_values(params.values + rng.normal(0.0, 0.05, layout.size))
+            for params in (init_params(layout, rng) for _ in counts)
+        ]
+        width = max(counts)
+        batches = [
+            [(rng.normal(size=(width, in_dim)), rng.integers(0, classes, width)) for _ in counts]
+            for _ in range(n_steps)
+        ]
+        assert_stack_equals_devices_alone(cfg, singles, batches, counts)
 
     def test_stacked_losses_match_per_device_losses(self):
         rng = RNG(70)
