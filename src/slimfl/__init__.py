@@ -15,12 +15,11 @@ from .analysis import (
 )
 from .channel import (
     ChannelConfig,
-    DecodingOutcome,
     Rayleigh,
     Rician,
     Twdp,
     config_for_decode_probs,
-    decode,
+    decode_levels,
     decode_probabilities,
     decode_thresholds,
     sample_fading,

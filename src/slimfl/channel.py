@@ -196,25 +196,16 @@ def decode_probabilities(cfg: ChannelConfig) -> np.ndarray:
     if not isinstance(cfg.fading, Rayleigh):
         raise ValueError(
             "closed-form decode probabilities need Rayleigh fading; "
-            "use decode() draws for other models"
+            "use decode_levels() on sampled draws for other models"
         )
     thresholds = decode_thresholds(cfg)
     return np.exp(-thresholds)
 
 
-@dataclass(frozen=True)
-class DecodingOutcome:
-    """decoded_upto counts messages decoded in order: 0 none, 1 first, 2 both."""
-
-    decoded_upto: int
-    fading_draw: float
-
-
-def decode(cfg: ChannelConfig, rng: np.random.Generator) -> DecodingOutcome:
-    """One uplink attempt: a single fading draw gates both messages."""
-    chi = float(sample_fading(cfg.fading, rng))
-    thresholds = decode_thresholds(cfg)
-    return DecodingOutcome(decoded_upto=int((chi >= thresholds).sum()), fading_draw=chi)
+def decode_levels(chi: np.ndarray | float, thresholds: np.ndarray) -> np.ndarray:
+    """How many messages each fading draw decodes, in order: the count of
+    successive thresholds it reaches (0 none, 1 the first, 2 both)."""
+    return (np.asarray(chi)[..., None] >= thresholds).sum(-1)
 
 
 def config_for_decode_probs(

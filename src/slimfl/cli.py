@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import configparser
 import dataclasses
+import io
 import json
 import os
 import sys
 
-from .config import ConfigError, load_config, parse_config, serialize_config
+from .config import _SHORTHANDS, ConfigError, load_config, parse_config, serialize_config
 from .experiment import analyze_experiment, run_all
 
 EXIT_BAD_CONFIG = 2
@@ -48,21 +50,25 @@ def cmd_analyze(args) -> int:
 
 
 def _override(cfg_text: str, dotted: str, value: str) -> str:
-    """Re-serialize the config with one section.key replaced."""
+    """Re-serialize the config with one section.key replaced.
+
+    A ``[channel]`` field and its unit shorthand set one value, so an
+    override of either replaces both.
+    """
     if "." not in dotted:
         raise ConfigError(f"sweep parameter {dotted!r}: use section.key form")
     section, key = dotted.split(".", 1)
     base = parse_config(cfg_text)  # validate the base before editing
-    text = serialize_config(base)
-    import configparser
-
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(text)
+    parser.read_string(serialize_config(base))
     if not parser.has_section(section):
         parser.add_section(section)
+    if section == "channel":
+        for pair in _SHORTHANDS.items():
+            if key in pair:
+                for option in pair:
+                    parser.remove_option(section, option)
     parser.set(section, key, value)
-    import io
-
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

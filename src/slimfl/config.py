@@ -52,12 +52,22 @@ class DatasetConfig:
                     raise ValueError(f"{key}: required when dataset.kind = idx")
         if self.alpha <= 0:
             raise ValueError("alpha: must be positive")
+        for key in ("classes", "per_class", "test_per_class", "dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key}: must be >= 1")
+        if self.limit < 0:
+            raise ValueError("limit: must be >= 0 (0 keeps every sample)")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     # the width ratios are TrainConfig.width_ratios, set by [model] width_ratios
     hidden: tuple[int, ...] = (128,)
+
+    def validate(self) -> None:
+        """Raise ValueError whose message starts with the offending field."""
+        if any(units < 1 for units in self.hidden):
+            raise ValueError("hidden: every layer must have >= 1 unit")
 
 
 @dataclass(frozen=True)
@@ -308,6 +318,12 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             reason = str(exc).partition(": ")[2]
             raise ConfigError(f"channel.rate_bps: {fed.scheme} doubles it; {reason}") from exc
+    if fed.aggregation_weighting == "expected" and not isinstance(cfg.channel.fading, Rayleigh):
+        raise ConfigError(
+            "federation.aggregation_weighting: expected needs the closed-form decode "
+            f"probabilities of Rayleigh fading, not channel.fading = "
+            f"{type(cfg.channel.fading).__name__.lower()}"
+        )
     return cfg
 
 

@@ -1,12 +1,13 @@
 """Round orchestration: local training, uplink, aggregation, downlink.
 
 One round (``FederatedRun``) runs local steps on every device, draws one
-fading gain per device to decide how many of its uplink messages decode,
-rebuilds the global model from the decoded segments, and broadcasts it back
-(the downlink is always assumed successful).  SlimFL's uplink is two
-superposed width messages decoded one after the other; a fixed-width
-FedAvg baseline's is one message carrying its whole model.  Both run the
-same loop; only the widths and decode thresholds differ.
+fading gain per device to find its decode level (how many of its uplink
+messages decode), rebuilds the global model from the decoded segments of
+the (devices, P) stack, and broadcasts it back (the downlink is always
+assumed successful).  SlimFL's uplink is two superposed width messages
+decoded one after the other; a fixed-width FedAvg baseline's is one
+message carrying its whole model.  Both run the same loop; only the widths
+and decode thresholds differ.
 
 Local training is device-batched (``LocalTraining``): all devices step
 together as one (devices, P) stack, with results bitwise equal to training
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .channel import ChannelConfig, Rayleigh, sample_fading, successive_thresholds
+from .channel import ChannelConfig, Rayleigh, decode_levels, sample_fading, successive_thresholds
 from .datasets import Dataset, Shard
 from .metrics import RoundMetrics
 from .slimnet import BatchRows, Layout, SlimmableParams, WidthMask, forward
@@ -67,45 +68,34 @@ class FederationConfig:
 
 def aggregate(
     global_values: np.ndarray,
-    device_values,
-    lh_only: set[int],
-    full: set[int],
-    lh_bits: np.ndarray,
-    weighting: str = "empirical",
-    expected_counts: tuple[float, float] | None = None,
+    device_values: np.ndarray,
+    levels: np.ndarray,
+    first_bits: np.ndarray,
+    divisors: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Rebuild the global vector from decoded segments.
+    """Rebuild the global vector from the (devices, P) stack and each
+    device's decode level (how many of its messages decoded).
 
-    First segment: averaged over every device that delivered at least the
-    first message.  Second segment: averaged over devices that delivered
-    both; retained from the previous global when nobody did.  With
-    weighting="expected" the segment sums are divided by the expected
-    decode counts instead of the realized ones (analysis cross-checks).
+    The first segment (``first_bits``) is averaged over every device at
+    level >= 1, the rest over devices at level 2; a segment nobody
+    delivered keeps its previous global value.  ``divisors`` replaces the
+    realized counts of the two averages (expected-count weighting).
     """
-    if lh_only & full:
-        raise ValueError("a device cannot be in both decode sets")
-    new = global_values.copy()
-    contributors = sorted(lh_only | full)
-    if not contributors:
-        return new
-    if weighting == "expected":
-        if expected_counts is None:
-            raise ValueError("expected weighting needs expected_counts")
-        div_lh, div_rh = expected_counts
-    else:
-        div_lh, div_rh = len(contributors), len(full)
-    stacked = np.stack([device_values[k] for k in contributors])
-    if lh_bits.all():
+    decoded = device_values[levels >= 1]
+    if not len(decoded):
+        return global_values.copy()
+    full = device_values[levels >= 2]
+    div_first, div_rest = (len(decoded), len(full)) if divisors is None else divisors
+    if first_bits.all():
         # one segment over every coordinate (a one-message uplink): the plain
         # FedAvg mean.  Sums the devices in order; a masked copy is laid out
         # column-major and summed pairwise, which differs in the last bits
         # from 8 devices on.
-        return stacked.sum(axis=0) / div_lh
-    new[lh_bits] = stacked[:, lh_bits].sum(axis=0) / div_lh
-    if full:
-        rh_bits = ~lh_bits
-        stacked_rh = np.stack([device_values[k] for k in sorted(full)])
-        new[rh_bits] = stacked_rh[:, rh_bits].sum(axis=0) / div_rh
+        return decoded.sum(axis=0) / div_first
+    new = global_values.copy()
+    new[first_bits] = decoded[:, first_bits].sum(axis=0) / div_first
+    if len(full):
+        new[~first_bits] = full[:, ~first_bits].sum(axis=0) / div_rest
     return new
 
 
@@ -163,7 +153,7 @@ class LocalTraining:
         Returns the trained vectors as a (devices, P) stack and each
         device's loss at its last step.
         """
-        params = SlimmableParams(self.layout, np.stack(start_values))
+        params = SlimmableParams(self.layout, np.array(start_values))
         batch_idx = self.batch_idx
         for _ in range(self.local_iters):
             for k, (rng, shard, size) in enumerate(zip(self.batch_rngs, self.shards, self.sizes)):
@@ -232,9 +222,8 @@ class FederatedRun:
         fed_cfg.validate()
         if len(thresholds) != len(widths):
             raise ValueError("need one decode threshold per width")
-        if fed_cfg.aggregation_weighting == "expected" and not isinstance(
-            chan_cfg.fading, Rayleigh
-        ):
+        expected = fed_cfg.aggregation_weighting == "expected"
+        if expected and not isinstance(chan_cfg.fading, Rayleigh):
             raise ValueError("expected-count weighting needs closed-form (Rayleigh) probabilities")
         self.layout = layout
         self.test = test
@@ -242,8 +231,8 @@ class FederatedRun:
         self.fed_cfg = fed_cfg
         self.widths = widths
         self.thresholds = np.asarray(thresholds, dtype=np.float64)
-        # K * P(decode) under Rayleigh fading, for expected-count weighting
-        self.expected_counts = tuple(fed_cfg.n_devices * np.exp(-self.thresholds))
+        # expected-count weighting divides by K * P(decode) under Rayleigh fading
+        self.divisors = fed_cfg.n_devices * np.exp(-self.thresholds) if expected else None
         self.rounds = rounds
         self.master_seed = master_seed
         self.stream_tag = stream_tag
@@ -267,7 +256,7 @@ class FederatedRun:
         for k in range(self.fed_cfg.n_devices):
             rng = rngmod.stream(self.master_seed, "fading", *self.stream_tag, k, self.round)
             chi[k] = sample_fading(self.chan_cfg.fading, rng)
-        return (chi[:, None] >= self.thresholds).sum(axis=1)
+        return decode_levels(chi, self.thresholds)
 
     def run_round(self) -> RoundMetrics:
         self.round += 1
@@ -276,13 +265,8 @@ class FederatedRun:
 
         levels = self.levels = self.decode_levels()
         self.global_values = aggregate(
-            self.global_values,
-            self.device_values,
-            set(np.flatnonzero(levels == 1).tolist()),
-            set(np.flatnonzero(levels == 2).tolist()),
-            self.widths[0].mask.bits,
-            self.fed_cfg.aggregation_weighting,
-            expected_counts=self.expected_counts,
+            self.global_values, self.device_values, levels, self.widths[0].mask.bits,
+            self.divisors,
         )
         self.device_values = _broadcast(self.global_values, self.fed_cfg.n_devices)
 

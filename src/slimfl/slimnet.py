@@ -357,20 +357,6 @@ def model_cost(layout: Layout, mask: WidthMask, bits_per_param: float = 32.0) ->
     )
 
 
-@dataclass(frozen=True)
-class ReferenceCost:
-    mflops_per_round: float
-    param_count: int
-    bits_per_round: int
-
-
-# Per-round cost figures of the reference ultra-light MobileNet profile,
-# carried as constants for energy accounting.  The desk-scale MLP has its
-# own computed costs via model_cost().
-REFERENCE_COST_HALF = ReferenceCost(mflops_per_round=0.79, param_count=2293, bits_per_round=86344)
-REFERENCE_COST_FULL = ReferenceCost(mflops_per_round=2.76, param_count=4586, bits_per_round=172688)
-
-
 def init_params(layout: Layout, rng: np.random.Generator) -> SlimmableParams:
     """He-style normal init for the clamped activation; biases start at zero."""
     values = np.zeros(layout.size, dtype=np.float64)

@@ -270,9 +270,7 @@ def test_criterion_6_aggregation_matches_brute_force():
             if weighting == "expected"
             else None
         )
-        got = aggregate(
-            previous, devices, lh_only, full, lh_bits, weighting, expected_counts
-        )
+        got = aggregate(previous, np.stack(devices), membership, lh_bits, expected_counts)
 
         contributors = sorted(lh_only | full)
         full_sorted = sorted(full)

@@ -11,7 +11,7 @@ from slimfl.channel import (
     Rician,
     Twdp,
     config_for_decode_probs,
-    decode,
+    decode_levels,
     decode_probabilities,
     decode_thresholds,
     rate_for_sinr_threshold,
@@ -177,27 +177,28 @@ class TestFadingModels:
 
 
 class TestDecode:
+    def draw_levels(self, cfg, seed, n):
+        chi = sample_fading(cfg.fading, RNG(seed), size=n)
+        return chi, decode_levels(chi, decode_thresholds(cfg))
+
     def test_infeasible_never_decodes(self):
         cfg = reference_config(
             rate_bps=rate_for_sinr_threshold(2.0, 75e6), power_split=0.6
         )
-        rng = RNG(4)
-        assert all(decode(cfg, rng).decoded_upto == 0 for _ in range(200))
+        _, levels = self.draw_levels(cfg, 4, 200)
+        assert (levels == 0).all()
 
     def test_zero_rate_always_decodes_both(self):
-        cfg = reference_config(rate_bps=0.0)
-        rng = RNG(5)
-        assert all(decode(cfg, rng).decoded_upto == 2 for _ in range(200))
+        _, levels = self.draw_levels(reference_config(rate_bps=0.0), 5, 200)
+        assert (levels == 2).all()
 
     def test_outcome_frequencies_match_closed_form(self):
         cfg = config_for_decode_probs(0.7, 0.5)
         probs = decode_probabilities(cfg)
         np.testing.assert_allclose(probs, [0.7, 0.5], atol=1e-12)
         n = 10**5
-        rng = RNG(6)
-        counts = np.zeros(3)
-        for _ in range(n):
-            counts[decode(cfg, rng).decoded_upto] += 1
+        _, levels = self.draw_levels(cfg, 6, n)
+        counts = np.bincount(levels, minlength=3)
         expected = np.array([1 - probs[0], probs[0] - probs[1], probs[1]])
         for freq, p in zip(counts / n, expected):
             se = math.sqrt(p * (1 - p) / n)
@@ -206,13 +207,17 @@ class TestDecode:
     def test_single_draw_couples_both_messages(self):
         # outcome is a prefix: decoding the second implies the first
         cfg = config_for_decode_probs(0.9, 0.3)
-        rng = RNG(8)
-        for _ in range(500):
-            out = decode(cfg, rng)
-            assert out.decoded_upto in (0, 1, 2)
-            thresholds = decode_thresholds(cfg)
-            if out.decoded_upto == 2:
-                assert out.fading_draw >= thresholds[0]
+        chi, levels = self.draw_levels(cfg, 8, 500)
+        thresholds = decode_thresholds(cfg)
+        assert set(levels.tolist()) <= {0, 1, 2}
+        assert (chi[levels == 2] >= thresholds[0]).all()
+        np.testing.assert_array_equal(levels >= 1, chi >= thresholds[0])
+
+    def test_keeps_the_shape_of_the_draws(self):
+        thresholds = np.array([0.5, 1.5])
+        assert decode_levels(1.0, thresholds) == 1
+        chi = np.array([[0.1, 0.5, 1.0], [1.5, 2.0, 0.0]])
+        np.testing.assert_array_equal(decode_levels(chi, thresholds), [[0, 1, 1], [2, 2, 0]])
 
 
 class TestBackSolvedConfig:

@@ -143,6 +143,13 @@ class TestConfigParsing:
             ("[dataset]\nkind = csv\n", "dataset.kind"),
             ("[dataset]\nalpha = 0\n", "dataset.alpha"),
             ("[dataset]\nalpha = nan\n", "dataset.alpha"),
+            ("[dataset]\ndim = 0\n", "dataset.dim"),
+            ("[dataset]\nclasses = 0\n", "dataset.classes"),
+            ("[dataset]\nper_class = 0\n", "dataset.per_class"),
+            ("[dataset]\ntest_per_class = 0\n", "dataset.test_per_class"),
+            ("[dataset]\nlimit = -1\n", "dataset.limit"),
+            ("[model]\nhidden = 0\n", "model.hidden"),
+            ("[model]\nhidden = 32,-4\n", "model.hidden"),
             ("[model]\nwidth_ratios = 1.0,0.5\n", "model.width_ratios"),
             ("[model]\nwidth_ratios = 0.25,0.5\n", "model.width_ratios"),
             ("[model]\nwidth_ratios = -0.5,1.0\n", "model.width_ratios"),
@@ -156,6 +163,10 @@ class TestConfigParsing:
             ("[training]\nbatch_size = 0\n", "training.batch_size"),
             ("[training]\nalgorithm = greedy\n", "training.algorithm"),
             ("[federation]\ndevices = 0\n", "federation.devices"),
+            (
+                "[federation]\naggregation_weighting = expected\n[channel]\nfading = rician\n",
+                "federation.aggregation_weighting",
+            ),
             ("[channel]\ndistance_m = 0\n", "channel.distance_m"),
             ("[channel]\ndistance_m = inf\n", "channel.distance_m"),
             ("[channel]\npathloss_exp = -1\n", "channel.pathloss_exp"),
@@ -366,6 +377,26 @@ class TestCli:
         }
         assert obj_at["0.662"] <= obj_at["0.6"] + 1e-9
         assert obj_at["0.662"] <= obj_at["0.8"] + 1e-9
+
+    # a shorthand and its field set one value; the re-serialized base holds
+    # the field, so the override must replace it
+    @pytest.mark.parametrize(
+        "param, values",
+        [
+            ("channel.total_power_dbm", ("20", "23")),
+            ("channel.noise_psd_db_hz", ("-172", "-169")),
+            ("channel.rate_sinr_threshold", ("0.5", "0.667")),
+            ("channel.rate_bps", ("3e7", "5e7")),
+        ],
+    )
+    def test_sweep_analyze_over_channel_rate_and_shorthands(self, tmp_path, param, values):
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(SMALL_RUN.format(out=str(tmp_path / "out")))
+        args = ["sweep", str(config_path), "--param", param, f"--values={','.join(values)}"]
+        assert main([*args, "--mode", "analyze"]) == 0
+        sweep_dir = tmp_path / "out" / f"sweep_{param.replace('.', '_')}"
+        reports = [(sweep_dir / v / "analysis.json").read_text() for v in values]
+        assert reports[0] != reports[1]
 
     def test_widths_table(self, capsys):
         assert main(["widths", "--peaks", "23,382,5", "--target", "100"]) == 0

@@ -1,10 +1,12 @@
-"""Aggregation cases, decode-set plumbing, vanilla baselines, evaluation."""
+"""Aggregation cases, decode-level plumbing, vanilla baselines, evaluation."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slimfl.channel import (
     ChannelConfig,
@@ -80,27 +82,27 @@ class TestAggregate:
         self.layout = Layout.mlp(6, (4,), 3)
         self.lh_bits = build_mask(self.layout, 0.5).bits
         rng = RNG(1)
-        self.devices = [rng.normal(size=self.layout.size) for _ in range(4)]
+        self.devices = rng.normal(size=(4, self.layout.size))
         self.previous = rng.normal(size=self.layout.size)
 
     def test_identical_devices_yield_their_value(self):
-        shared = self.devices[0]
-        new = aggregate(self.previous, [shared] * 4, {0, 1}, {2, 3}, self.lh_bits)
-        np.testing.assert_allclose(new, shared)
+        shared = np.stack([self.devices[0]] * 4)
+        new = aggregate(self.previous, shared, np.array([1, 1, 2, 2]), self.lh_bits)
+        np.testing.assert_allclose(new, self.devices[0])
 
     def test_everyone_full_equals_fedavg(self):
-        new = aggregate(self.previous, self.devices, set(), {0, 1, 2, 3}, self.lh_bits)
-        np.testing.assert_array_equal(new, np.mean(np.stack(self.devices), axis=0))
+        new = aggregate(self.previous, self.devices, np.full(4, 2), self.lh_bits)
+        np.testing.assert_array_equal(new, np.mean(self.devices, axis=0))
 
     def test_two_device_case(self):
         # device A delivered only its first segment, device B both
-        new = aggregate(self.previous, self.devices, {0}, {1}, self.lh_bits)
+        new = aggregate(self.previous, self.devices, np.array([1, 2, 0, 0]), self.lh_bits)
         lh = self.lh_bits
         np.testing.assert_allclose(new[lh], (self.devices[0][lh] + self.devices[1][lh]) / 2)
         np.testing.assert_array_equal(new[~lh], self.devices[1][~lh])
 
     def test_second_segment_retained_when_nobody_delivers_it(self):
-        new = aggregate(self.previous, self.devices, {0, 2}, set(), self.lh_bits)
+        new = aggregate(self.previous, self.devices, np.array([1, 0, 1, 0]), self.lh_bits)
         np.testing.assert_array_equal(new[~self.lh_bits], self.previous[~self.lh_bits])
         np.testing.assert_allclose(
             new[self.lh_bits],
@@ -108,17 +110,13 @@ class TestAggregate:
         )
 
     def test_nothing_decoded_leaves_global_unchanged(self):
-        new = aggregate(self.previous, self.devices, set(), set(), self.lh_bits)
+        new = aggregate(self.previous, self.devices, np.zeros(4, dtype=int), self.lh_bits)
         np.testing.assert_array_equal(new, self.previous)
-
-    def test_overlapping_sets_rejected(self):
-        with pytest.raises(ValueError, match="both decode sets"):
-            aggregate(self.previous, self.devices, {0, 1}, {1}, self.lh_bits)
+        assert new is not self.previous
 
     def test_expected_weighting_divides_by_expected_counts(self):
         new = aggregate(
-            self.previous, self.devices, {0}, {1}, self.lh_bits,
-            weighting="expected", expected_counts=(3.2, 1.6),
+            self.previous, self.devices, np.array([1, 2, 0, 0]), self.lh_bits, (3.2, 1.6)
         )
         lh = self.lh_bits
         np.testing.assert_allclose(new[lh], (self.devices[0][lh] + self.devices[1][lh]) / 3.2)
@@ -126,15 +124,52 @@ class TestAggregate:
 
     def test_brute_force_oracle_spot_check(self):
         # per-coordinate reimplementation with plain python sums
-        lh_only, full = {0, 3}, {1}
-        new = aggregate(self.previous, self.devices, lh_only, full, self.lh_bits)
-        contributors = sorted(lh_only | full)
+        levels = np.array([1, 2, 0, 1])
+        new = aggregate(self.previous, self.devices, levels, self.lh_bits)
         for j in range(self.layout.size):
-            if self.lh_bits[j]:
-                expected = sum(self.devices[k][j] for k in contributors) / len(contributors)
-            else:
-                expected = sum(self.devices[k][j] for k in sorted(full)) / len(full)
+            delivered = [0, 1, 3] if self.lh_bits[j] else [1]
+            expected = sum(self.devices[k][j] for k in delivered) / len(delivered)
             assert new[j] == expected
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        levels=st.lists(st.integers(0, 2), min_size=1, max_size=32),
+        size=st.integers(1, 40),
+        first_bits=st.one_of(st.just("all"), st.integers(0, 2**16)),
+        expected=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_coordinate_oracle_for_any_k(
+        self, levels, size, first_bits, expected, seed
+    ):
+        rng = RNG(seed)
+        levels = np.array(levels)
+        devices = rng.normal(size=(len(levels), size))
+        previous = rng.normal(size=size)
+        if first_bits == "all":
+            bits = np.ones(size, dtype=bool)
+        else:
+            bits = RNG(first_bits).random(size) < 0.5
+        divisors = tuple(rng.uniform(0.1, 2.0, 2) * len(levels)) if expected else None
+        got = aggregate(previous, devices, levels, bits, divisors)
+
+        first, rest = np.flatnonzero(levels >= 1), np.flatnonzero(levels == 2)
+        div_first, div_rest = (len(first), len(rest)) if divisors is None else divisors
+        oracle = previous.copy()
+        for j in range(size):
+            if len(first) and bits.all() and size > 1:
+                # a one-segment mean sums the devices in order (a single
+                # coordinate is one contiguous column, reduced as below)
+                total = 0.0
+                for k in first:
+                    total += devices[k, j]
+                oracle[j] = total / div_first
+            elif len(first) and bits[j]:
+                # a masked segment: numpy's reduction of one contiguous column
+                oracle[j] = devices[first, j].sum() / div_first
+            elif len(rest) and not bits[j]:
+                oracle[j] = devices[rest, j].sum() / div_rest
+        assert np.array_equal(got, oracle), (got - oracle)
 
 
 class TestEvaluate:
