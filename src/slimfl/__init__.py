@@ -41,9 +41,7 @@ from .slimnet import (
     complement_bits,
     forward,
     init_params,
-    load_checkpoint,
     model_cost,
-    save_checkpoint,
 )
 from .training import (
     LocalOptimizer,

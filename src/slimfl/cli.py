@@ -136,7 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw = sub.add_parser("sweep", help="repeat run/analyze over values of one config key")
     p_sw.add_argument("config")
     p_sw.add_argument("--param", required=True, help="section.key to vary")
-    p_sw.add_argument("--values", required=True, help="comma-separated values")
+    p_sw.add_argument(
+        "--values",
+        required=True,
+        help="comma-separated values; write a list led by a minus sign as --values=-172,-169",
+    )
     p_sw.add_argument("--mode", choices=("run", "analyze"), default="run")
     p_sw.set_defaults(func=cmd_sweep)
 

@@ -18,7 +18,7 @@ import math
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
-from .channel import ChannelConfig, Rayleigh, Rician, Twdp
+from .channel import ChannelConfig, Rayleigh, Rician, Twdp, rate_for_sinr_threshold
 from .federation import FederationConfig, vanilla_threshold
 from .training import TrainConfig
 
@@ -251,7 +251,7 @@ def _build_channel(sec: dict[str, str]) -> ChannelConfig:
     if "rate_sinr_threshold" in given:
         if given["rate_sinr_threshold"] < 0:
             raise ConfigError("channel.rate_sinr_threshold: must be >= 0")
-        values["rate_bps"] = bandwidth * math.log2(1.0 + given["rate_sinr_threshold"])
+        values["rate_bps"] = rate_for_sinr_threshold(given["rate_sinr_threshold"], bandwidth)
 
     fading_name = given.get("fading", "rayleigh").lower()
     if fading_name == "rician":
@@ -311,7 +311,14 @@ def parse_config(text: str) -> ExperimentConfig:
     }
     parts["channel"] = _build_channel(sections.get("channel", {}))
     cfg = _validated("experiment", ExperimentConfig(**given["experiment"], **parts))
-    fed = cfg.federation
+    fed, ds = cfg.federation, cfg.dataset
+    if ds.kind == "synth" and ds.classes * ds.per_class < fed.n_devices:
+        # at the default data size it is the device count that was set too high
+        sized = {"classes", "per_class"} & sections.get("dataset", {}).keys()
+        raise ConfigError(
+            f"{'dataset.per_class' if sized else 'federation.devices'}: {ds.classes} classes x "
+            f"{ds.per_class} per_class synthetic samples, fewer than {fed.n_devices} devices"
+        )
     if fed.scheme in ("vanilla-1.0x", "vanilla-1.5x") and fed.vanilla_rate_mode != "same_rate":
         try:  # the full-width baseline sends twice a superposed message's payload
             vanilla_threshold(cfg.channel, 2.0)

@@ -33,12 +33,12 @@ from .metrics import (
 from .slimnet import (
     ForwardTrace,
     Layout,
-    active_dims,
     backward,
     build_mask,
     forward,
     init_params,
     masks_for,
+    slim_width,
 )
 from .training import cross_entropy_grad
 
@@ -113,12 +113,8 @@ def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None):
     single_width = replace(
         cfg.training, st_weights=(1.0,), width_ratios=(1.0,), algorithm="widthwise"
     )
-    layers = task.layout.layers
-    half_layout = Layout.mlp(
-        layers[0].in_dim,
-        tuple(active_dims(spec, cfg.training.width_ratios[0])[0] for spec in layers[:-1]),
-        layers[-1].out_dim,
-    )
+    dims, ratio = task.layout.dims, cfg.training.width_ratios[0]
+    half_layout = Layout((dims[0], *(slim_width(d, ratio) for d in dims[1:-1]), dims[-1]))
 
     same_rate = cfg.federation.vanilla_rate_mode == "same_rate"
 

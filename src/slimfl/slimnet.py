@@ -2,39 +2,29 @@
 
 A network is a stack of dense layers with ReLU6 (clamp to [0, 6]) between
 them and raw logits at the output.  A narrow configuration keeps the first
-ceil(dim * ratio) rows/columns of every slimmable dimension, so each
-sub-width is nested inside the full-width parameter vector and can be
-selected with a binary mask over the flat storage.
+ceil(width * ratio) units of every hidden layer, while the raw input and
+the logits stay whole, so each sub-width is nested inside the full-width
+parameter vector and can be selected with a binary mask over the flat
+storage.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-
-_KIND_CODES = {"input": 0, "dense": 1, "output": 2}
-_KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     """One dense layer: weight block (out_dim, in_dim) followed by bias (out_dim)."""
 
-    kind: str
     in_dim: int
     out_dim: int
     slim_input: bool
     slim_output: bool
-
-    def __post_init__(self):
-        if self.kind not in _KIND_CODES:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ValueError("layer dimensions must be >= 1")
 
     @property
     def size(self) -> int:
@@ -43,22 +33,25 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class Layout:
-    """Ordered layer specs plus flat-vector offsets."""
+    """A dense stack by its widths ``(in, *hidden, out)``, plus flat-vector offsets.
 
-    layers: tuple[LayerSpec, ...]
+    Every hidden width slims with the ratio; the raw input and the logits
+    stay whole.
+    """
+
+    dims: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("layout needs at least one layer")
-        if self.layers[0].slim_input:
-            raise ValueError("first layer must keep its raw input features whole")
-        if self.layers[-1].slim_output:
-            raise ValueError("last layer must keep its logits whole")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ValueError(
-                    f"adjacent layers disagree: out_dim {prev.out_dim} vs in_dim {nxt.in_dim}"
-                )
+        if len(self.dims) < 2 or min(self.dims) < 1:
+            raise ValueError(f"layout needs at least two widths, each >= 1, got {self.dims}")
+
+    @cached_property
+    def layers(self) -> tuple[LayerSpec, ...]:
+        last = len(self.dims) - 2
+        return tuple(
+            LayerSpec(a, b, slim_input=i > 0, slim_output=i < last)
+            for i, (a, b) in enumerate(zip(self.dims, self.dims[1:]))
+        )
 
     @cached_property
     def offsets(self) -> tuple[tuple[int, int], ...]:
@@ -77,14 +70,7 @@ class Layout:
     @staticmethod
     def mlp(in_dim: int, hidden_dims: tuple[int, ...] | list[int], out_dim: int) -> "Layout":
         """Slimmable MLP: hidden widths shrink with the ratio, input/output stay whole."""
-        hidden_dims = tuple(hidden_dims)
-        if not hidden_dims:
-            return Layout((LayerSpec("output", in_dim, out_dim, False, False),))
-        layers = [LayerSpec("input", in_dim, hidden_dims[0], False, True)]
-        for a, b in zip(hidden_dims, hidden_dims[1:]):
-            layers.append(LayerSpec("dense", a, b, True, True))
-        layers.append(LayerSpec("output", hidden_dims[-1], out_dim, True, False))
-        return Layout(tuple(layers))
+        return Layout((in_dim, *hidden_dims, out_dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,15 +107,16 @@ class WidthMask:
     bits: np.ndarray
 
 
-def _ceil_dim(x: float) -> int:
+def slim_width(width: int, ratio: float) -> int:
+    """Kept units of a slimmable width at the given ratio: ceil(width * ratio)."""
     # small backoff so exact products like 10 * 0.1 do not round up a slot
-    return max(1, math.ceil(x - 1e-9))
+    return max(1, math.ceil(width * ratio - 1e-9))
 
 
 def active_dims(spec: LayerSpec, ratio: float) -> tuple[int, int]:
     """Kept (rows, cols) of a layer's weight block at the given width ratio."""
-    rows = _ceil_dim(spec.out_dim * ratio) if spec.slim_output else spec.out_dim
-    cols = _ceil_dim(spec.in_dim * ratio) if spec.slim_input else spec.in_dim
+    rows = slim_width(spec.out_dim, ratio) if spec.slim_output else spec.out_dim
+    cols = slim_width(spec.in_dim, ratio) if spec.slim_input else spec.in_dim
     return rows, cols
 
 
@@ -171,7 +158,7 @@ def _blocks(flat: np.ndarray, layout: Layout, index: int) -> tuple[np.ndarray, n
 def _check_batch(params: SlimmableParams, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
     lead = params.values.shape[:-1]
-    in_dim = params.layout.layers[0].in_dim
+    in_dim = params.layout.dims[0]
     if batch.shape[:-2] != lead or batch.ndim != len(lead) + 2 or batch.shape[-1] != in_dim:
         devices = f" with a leading axis of {lead[0]} devices" if lead else ""
         raise ValueError(
@@ -311,7 +298,7 @@ def backward(
     batch = _check_batch(params, batch)
     logits_grad = np.asarray(logits_grad, dtype=np.float64)
     layout = params.layout
-    expected = batch.shape[:-1] + (layout.layers[-1].out_dim,)
+    expected = batch.shape[:-1] + (layout.dims[-1],)
     if logits_grad.shape != expected:
         raise ValueError(
             f"logits gradient shape {logits_grad.shape} does not match {expected}"
@@ -363,53 +350,4 @@ def init_params(layout: Layout, rng: np.random.Generator) -> SlimmableParams:
     for spec, (w_off, b_off) in zip(layout.layers, layout.offsets):
         scale = math.sqrt(2.0 / spec.in_dim)
         values[w_off:b_off] = rng.normal(0.0, scale, size=spec.out_dim * spec.in_dim)
-    return SlimmableParams(layout, values)
-
-
-_CHECKPOINT_FLAG_SLIM_INPUT = 1
-_CHECKPOINT_FLAG_SLIM_OUTPUT = 2
-
-
-def save_checkpoint(path, params: SlimmableParams) -> None:
-    """Little-endian file: u32 layer count, per-layer u32 kind/in/out/flags, f64 values."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(params.layout.layers)))
-        for spec in params.layout.layers:
-            flags = 0
-            if spec.slim_input:
-                flags |= _CHECKPOINT_FLAG_SLIM_INPUT
-            if spec.slim_output:
-                flags |= _CHECKPOINT_FLAG_SLIM_OUTPUT
-            fh.write(struct.pack("<IIII", _KIND_CODES[spec.kind], spec.in_dim, spec.out_dim, flags))
-        fh.write(params.values.astype("<f8").tobytes())
-
-
-def load_checkpoint(path) -> SlimmableParams:
-    with open(path, "rb") as fh:
-        raw = fh.read(4)
-        if len(raw) < 4:
-            raise ValueError("checkpoint truncated: missing layer count")
-        (n_layers,) = struct.unpack("<I", raw)
-        layers = []
-        for i in range(n_layers):
-            raw = fh.read(16)
-            if len(raw) < 16:
-                raise ValueError(f"checkpoint truncated: layer {i} header incomplete")
-            kind_code, in_dim, out_dim, flags = struct.unpack("<IIII", raw)
-            if kind_code not in _KIND_NAMES:
-                raise ValueError(f"checkpoint layer {i}: unknown kind code {kind_code}")
-            layers.append(
-                LayerSpec(
-                    kind=_KIND_NAMES[kind_code],
-                    in_dim=in_dim,
-                    out_dim=out_dim,
-                    slim_input=bool(flags & _CHECKPOINT_FLAG_SLIM_INPUT),
-                    slim_output=bool(flags & _CHECKPOINT_FLAG_SLIM_OUTPUT),
-                )
-            )
-        layout = Layout(tuple(layers))
-        data = fh.read(layout.size * 8)
-        if len(data) < layout.size * 8:
-            raise ValueError("checkpoint truncated: parameter vector incomplete")
-        values = np.frombuffer(data, dtype="<f8").astype(np.float64)
     return SlimmableParams(layout, values)

@@ -148,6 +148,11 @@ class TestConfigParsing:
             ("[dataset]\nper_class = 0\n", "dataset.per_class"),
             ("[dataset]\ntest_per_class = 0\n", "dataset.test_per_class"),
             ("[dataset]\nlimit = -1\n", "dataset.limit"),
+            (
+                "[dataset]\nclasses = 2\nper_class = 1\n[federation]\ndevices = 3\n",
+                "dataset.per_class",
+            ),
+            ("[federation]\ndevices = 10001\n", "federation.devices"),
             ("[model]\nhidden = 0\n", "model.hidden"),
             ("[model]\nhidden = 32,-4\n", "model.hidden"),
             ("[model]\nwidth_ratios = 1.0,0.5\n", "model.width_ratios"),

@@ -1,7 +1,10 @@
-"""Mask algebra, forward/backward correctness, cost accounting, checkpoints."""
+"""Layouts, mask algebra, forward/backward correctness and cost accounting,
+with a hypothesis property for mask nesting and zero gradients outside the mask."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slimfl.slimnet import (
     BatchRows,
@@ -14,9 +17,7 @@ from slimfl.slimnet import (
     complement_bits,
     forward,
     init_params,
-    load_checkpoint,
     model_cost,
-    save_checkpoint,
 )
 
 RNG = np.random.default_rng
@@ -42,30 +43,24 @@ class TestLayout:
         assert layout.size == 101_770
         assert int(build_mask(layout, 0.5).bits.sum()) == 50_890
 
-    def test_first_layer_input_stays_whole(self):
-        with pytest.raises(ValueError, match="raw input"):
-            Layout((LayerSpec("input", 4, 4, True, True), LayerSpec("output", 4, 2, True, False)))
+    def test_hidden_widths_slim_while_input_and_logits_stay_whole(self):
+        assert Layout((8, 6, 5, 3)).layers == (
+            LayerSpec(8, 6, slim_input=False, slim_output=True),
+            LayerSpec(6, 5, slim_input=True, slim_output=True),
+            LayerSpec(5, 3, slim_input=True, slim_output=False),
+        )
+        assert Layout((3, 2)).layers == (LayerSpec(3, 2, slim_input=False, slim_output=False),)
 
-    def test_last_layer_output_stays_whole(self):
-        with pytest.raises(ValueError, match="logits"):
-            Layout((LayerSpec("output", 4, 2, False, True),))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="adjacent"):
-            Layout(
-                (
-                    LayerSpec("input", 4, 5, False, True),
-                    LayerSpec("output", 6, 2, True, False),
-                )
-            )
+    @pytest.mark.parametrize("dims", [(), (4,), (4, 0, 2), (0, 3), (4, 3, -1)])
+    def test_needs_two_widths_each_at_least_one(self, dims):
+        with pytest.raises(ValueError, match="at least two widths"):
+            Layout(dims)
 
 
 class TestBuildMask:
     def test_slim_output_layer_keeps_first_rows_and_biases(self):
         # out=4, in=3, slim_output only: ratio 0.5 keeps rows {0,1} and biases {0,1}
-        layout = Layout(
-            (LayerSpec("input", 3, 4, False, True), LayerSpec("output", 4, 2, True, False))
-        )
+        layout = Layout((3, 4, 2))
         mask = build_mask(layout, 0.5)
         w = mask.bits[:12].reshape(4, 3)
         assert w[:2].all() and not w[2:].any()
@@ -98,9 +93,7 @@ class TestBuildMask:
             assert (narrow & wide == narrow).all()
 
     def test_ceil_boundary_not_inflated_by_float_product(self):
-        layout = Layout(
-            (LayerSpec("input", 3, 10, False, True), LayerSpec("output", 10, 2, True, False))
-        )
+        layout = Layout((3, 10, 2))
         mask = build_mask(layout, 0.1)  # 10 * 0.1 must keep exactly 1 row
         assert int(mask.bits[:30].reshape(10, 3)[:, 0].sum()) == 1
 
@@ -137,7 +130,7 @@ class TestForward:
             np.testing.assert_array_equal(forward(params, build_mask(layout, ratio), x), 0.0)
 
     def test_identity_single_layer(self):
-        layout = Layout((LayerSpec("output", 3, 3, False, False),))
+        layout = Layout((3, 3))
         values = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
         params = SlimmableParams(layout, values)
         x = RNG(2).normal(size=(4, 3))
@@ -207,6 +200,29 @@ class TestBackward:
         analytic = backward(params, mask, x, logits - target)
         numeric = finite_difference_gradient(loss_fn, params.values.copy())
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
+
+
+class TestMaskProperty:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        dims=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+        narrow=st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=3, unique=True
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_masks_nest_and_gradients_stay_inside(self, dims, narrow, seed):
+        rng = RNG(seed)
+        layout = Layout(tuple(dims))
+        masks = [build_mask(layout, r) for r in (*sorted(narrow), 1.0)]
+        for smaller, larger in zip(masks, masks[1:]):
+            assert not (smaller.bits & ~larger.bits).any()
+        assert masks[-1].bits.all()
+        params = init_params(layout, rng)
+        x = rng.normal(size=(3, dims[0]))
+        for mask in masks:
+            g = backward(params, mask, x, rng.normal(size=(3, dims[-1])))
+            np.testing.assert_array_equal(g[~mask.bits], 0.0)
 
 
 class TestDeviceStack:
@@ -287,24 +303,3 @@ class TestModelCost:
         c37 = model_cost(layout, mask, bits_per_param=37.66)
         assert c32.bits_per_round == c32.param_count * 32
         assert c37.bits_per_round == round(c37.param_count * 37.66)
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        layout = small_layout()
-        params = init_params(layout, RNG(9))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
-        loaded = load_checkpoint(path)
-        assert loaded.layout == layout
-        np.testing.assert_array_equal(loaded.values, params.values)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        layout = small_layout()
-        params = init_params(layout, RNG(10))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
-        data = path.read_bytes()
-        path.write_bytes(data[:-16])
-        with pytest.raises(ValueError, match="truncated"):
-            load_checkpoint(path)
