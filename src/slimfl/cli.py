@@ -12,6 +12,7 @@ import sys
 
 from .config import _SHORTHANDS, ConfigError, load_config, parse_config, serialize_config
 from .experiment import analyze_experiment, run_all
+from .metrics import write_json
 
 EXIT_BAD_CONFIG = 2
 
@@ -39,13 +40,11 @@ def cmd_run(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _load(args.config)
     report = analyze_experiment(cfg)
-    text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        write_json(args.output, report)
         print(f"analysis {args.output}")
     else:
-        print(text)
+        print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
@@ -105,11 +104,7 @@ def cmd_sweep(args) -> int:
         cfg = dataclasses.replace(cfg, output_dir=subdir)
         if args.mode == "analyze":
             os.makedirs(subdir, exist_ok=True)
-            report = analyze_experiment(cfg)
-            out = os.path.join(subdir, "analysis.json")
-            with open(out, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(os.path.join(subdir, "analysis.json"), analyze_experiment(cfg))
         else:
             run_all(cfg)
         print(f"{args.param} = {value.strip()}: {subdir}")

@@ -110,6 +110,8 @@ class ExperimentConfig:
         """Check the ``[experiment]`` scalars; each section checks its own."""
         if not self.seeds:
             raise ValueError("seeds: need at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError("seeds: a seed is repeated; each seed writes its own CSV")
         if self.rounds < 1:
             raise ValueError("rounds: must be >= 1")
         if self.eval_every < 1:
@@ -162,14 +164,12 @@ _SECTIONS = {"experiment": ExperimentConfig} | {
 
 
 def _key_table() -> dict[tuple[str, str], tuple[str, str, tuple]]:
-    """(INI section, key) -> (section, field, codec) for every key outside [channel]."""
+    """(INI section, key) -> (section, field, codec) of every field with a codec."""
     table = {}
     for section, cls in _SECTIONS.items():
-        if section == "channel":
-            continue
         hints = typing.get_type_hints(cls)
         for f in fields(cls):
-            if not is_dataclass(hints[f.name]):  # ExperimentConfig's sections
+            if hints[f.name] in _CODECS:
                 key = _RENAMED.get((section, f.name), (section, f.name))
                 table[key] = (section, f.name, _CODECS[hints[f.name]])
     return table
@@ -183,10 +183,15 @@ _SHORTHANDS = {
     "noise_power_w": "noise_psd_db_hz",
     "rate_bps": "rate_sinr_threshold",
 }
-_CHANNEL_FIELDS = tuple(f.name for f in fields(ChannelConfig) if f.name != "fading")
+# [channel] fading = name -> (model, {INI key: the model field it sets})
+_FADING = {
+    "rayleigh": (Rayleigh, {}),
+    "rician": (Rician, {"rician_nu": "nu", "rician_sigma": "sigma"}),
+    "twdp": (Twdp, {"twdp_k": "k_factor", "twdp_delta": "delta"}),
+}
+# the [channel] keys outside _KEYS: unit shorthands and the fading model
 _CHANNEL_KEYS = {"fading": str, "normalize_fading": bool} | dict.fromkeys(
-    (*_CHANNEL_FIELDS, *_SHORTHANDS.values(), "rician_nu", "rician_sigma", "twdp_k", "twdp_delta"),
-    float,
+    (*_SHORTHANDS.values(), *(key for _, keys in _FADING.values() for key in keys)), float
 )
 
 
@@ -224,10 +229,12 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _build_channel(sec: dict[str, str]) -> ChannelConfig:
+def _build_channel(values: dict, sec: dict[str, str]) -> ChannelConfig:
+    """The channel from its decoded fields (``values``) and the rest of its section."""
     given = {
         key: _decode(raw, _CODECS[_CHANNEL_KEYS[key]], f"channel.{key}")
         for key, raw in sec.items()
+        if key in _CHANNEL_KEYS
     }
     for name, shorthand in _SHORTHANDS.items():
         if name in sec and shorthand in sec:
@@ -242,7 +249,6 @@ def _build_channel(sec: dict[str, str]) -> ChannelConfig:
             raise ConfigError(f"channel.{key}: {sec[key]} dB is out of range")
         return ratio
 
-    values = {name: given[name] for name in _CHANNEL_FIELDS if name in given}
     bandwidth = values.get("bandwidth_hz", ChannelConfig.bandwidth_hz)
     if "total_power_dbm" in given:
         values["total_power_w"] = from_db("total_power_dbm") / 1000.0
@@ -254,30 +260,19 @@ def _build_channel(sec: dict[str, str]) -> ChannelConfig:
         values["rate_bps"] = rate_for_sinr_threshold(given["rate_sinr_threshold"], bandwidth)
 
     fading_name = given.get("fading", "rayleigh").lower()
-    if fading_name == "rician":
-        fading = Rician(
-            nu=given.get("rician_nu", Rician.nu), sigma=given.get("rician_sigma", Rician.sigma)
-        )
-        if given.get("normalize_fading", False):
-            if fading.mean_power == 0:
-                raise ConfigError("channel.normalize_fading: rician_nu and rician_sigma are 0")
-            fading = fading.normalized()
-    elif fading_name == "twdp":
-        try:
-            fading = Twdp(
-                k_factor=given.get("twdp_k", Twdp.k_factor),
-                delta=given.get("twdp_delta", Twdp.delta),
-            )
-        except ValueError as exc:
-            keys = {
-                ("channel", "k_factor"): ("channel", "twdp_k"),
-                ("channel", "delta"): ("channel", "twdp_delta"),
-            }
-            raise _located(exc, "channel", keys) from exc
-    elif fading_name == "rayleigh":
-        fading = Rayleigh()
-    else:
+    if fading_name not in _FADING:
         raise ConfigError(f"channel.fading: unknown model {fading_name!r}")
+    model, keys = _FADING[fading_name]
+    try:
+        fading = model(**{name: given[key] for key, name in keys.items() if key in given})
+    except ValueError as exc:
+        named = {("channel", name): ("channel", key) for key, name in keys.items()}
+        raise _located(exc, "channel", named) from exc
+    # only a Rician model's mean gain is left unnormalized
+    if given.get("normalize_fading", False) and hasattr(fading, "normalized"):
+        if fading.mean_power == 0:
+            raise ConfigError(f"channel.normalize_fading: {' and '.join(keys)} are 0")
+        fading = fading.normalized()
 
     try:
         return ChannelConfig(**values, fading=fading)
@@ -309,7 +304,7 @@ def parse_config(text: str) -> ExperimentConfig:
         for section, cls in _SECTIONS.items()
         if section not in ("experiment", "channel")
     }
-    parts["channel"] = _build_channel(sections.get("channel", {}))
+    parts["channel"] = _build_channel(given["channel"], sections.get("channel", {}))
     cfg = _validated("experiment", ExperimentConfig(**given["experiment"], **parts))
     fed, ds = cfg.federation, cfg.dataset
     if ds.kind == "synth" and ds.classes * ds.per_class < fed.n_devices:
@@ -345,13 +340,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         part = cfg if section == "experiment" else getattr(cfg, section)
         sections[ini_section][key] = fmt(getattr(part, name))
 
-    chan, fading = cfg.channel, cfg.channel.fading
-    sections["channel"] = {name: repr(getattr(chan, name)) for name in _CHANNEL_FIELDS}
-    sections["channel"]["fading"] = type(fading).__name__.lower()
-    if isinstance(fading, Rician):
-        sections["channel"].update(rician_nu=repr(fading.nu), rician_sigma=repr(fading.sigma))
-    elif isinstance(fading, Twdp):
-        sections["channel"].update(twdp_k=repr(fading.k_factor), twdp_delta=repr(fading.delta))
+    fading = cfg.channel.fading
+    name = type(fading).__name__.lower()
+    sections["channel"]["fading"] = name
+    for key, field_name in _FADING[name][1].items():
+        sections["channel"][key] = repr(getattr(fading, field_name))
 
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(sections)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -22,12 +21,13 @@ from .analysis import (
 from .channel import Rayleigh, decode_probabilities, decode_thresholds
 from .config import ExperimentConfig
 from .datasets import Dataset, class_means, dirichlet_partition, load_idx, synth_dataset
-from .federation import FederatedRun, Width, vanilla_threshold
+from .federation import FederatedRun, Width, report, vanilla_threshold
 from .metrics import (
     CostModel,
     RoundMetrics,
     detect_convergence,
     energy_report,
+    write_json,
     write_metrics_csv,
 )
 from .slimnet import (
@@ -141,23 +141,9 @@ class VanillaPair:
         self.full_run = full_run
 
     def run_round(self) -> RoundMetrics:
-        a = self.half_run.run_round()
-        b = self.full_run.run_round()
-        # A device counts as "both" when its full-width upload decoded and as
-        # "lh_only" when only its half-width upload did.
-        half_ok, full_ok = self.half_run.levels > 0, self.full_run.levels > 0
-        return RoundMetrics(
-            round=a.round,
-            acc_half=a.acc_half,
-            acc_full=b.acc_full,
-            loss=(a.loss + b.loss) / 2.0,
-            decoded_none=int((~half_ok & ~full_ok).sum()),
-            decoded_lh_only=int((half_ok & ~full_ok).sum()),
-            decoded_both=int(full_ok.sum()),
-            decoded_megabits=a.decoded_megabits + b.decoded_megabits,
-            comm_power_mw=a.comm_power_mw + b.comm_power_mw,
-            comp_mflops=a.comp_mflops + b.comp_mflops,
-        )
+        self.half_run.run_round()
+        self.full_run.run_round()
+        return report((self.half_run, self.full_run))
 
     def run(self) -> list[RoundMetrics]:
         return [self.run_round() for _ in range(self.half_run.rounds)]
@@ -190,9 +176,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int) -> tuple[list[RoundMetrics]
 
 
 def run_all(cfg: ExperimentConfig) -> dict:
-    """Run every configured seed, writing per-seed CSVs and a summary JSON."""
+    """Run every configured seed; as each finishes, write its CSV and the summary so far."""
     os.makedirs(cfg.output_dir, exist_ok=True)
-    summaries = []
+    combined = {"scheme": cfg.federation.scheme, "seeds": [], "runs": []}
     for seed in cfg.seeds:
         metrics, summary = run_experiment(cfg, seed)
         csv_path = os.path.join(cfg.output_dir, f"metrics_seed{seed}.csv")
@@ -200,11 +186,9 @@ def run_all(cfg: ExperimentConfig) -> dict:
         with open(csv_path, "rb") as fh:
             summary["metrics_sha256"] = hashlib.sha256(fh.read()).hexdigest()
         summary["metrics_csv"] = csv_path
-        summaries.append(summary)
-    combined = {"scheme": cfg.federation.scheme, "seeds": list(cfg.seeds), "runs": summaries}
-    with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
-        json.dump(combined, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        combined["seeds"].append(seed)
+        combined["runs"].append(summary)
+        write_json(os.path.join(cfg.output_dir, "summary.json"), combined)
     return combined
 
 

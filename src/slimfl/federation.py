@@ -16,6 +16,7 @@ each device alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -184,8 +185,12 @@ class Width:
 
     mask: WidthMask
     column: str  # "half" | "full": the accuracy column this width fills
-    bits: float  # payload delivered when this is the widest decoded message
+    bits: int  # payload delivered when this is the widest decoded message
     mflops: float  # local compute per step
+
+
+# accuracy column -> its index in a round report's decode counts (0 is none)
+COLUMNS = {"half": 1, "full": 2}
 
 
 class FederatedRun:
@@ -230,6 +235,10 @@ class FederatedRun:
         self.chan_cfg = chan_cfg
         self.fed_cfg = fed_cfg
         self.widths = widths
+        # decode level -> the column its widest message fills, and the bits it delivers
+        self.column_at_level = np.array([0, *(COLUMNS[w.column] for w in widths)])
+        self.bits_at_level = np.array([0, *(w.bits for w in widths)])
+        self.mflops = sum(w.mflops for w in widths) * fed_cfg.local_iters
         self.thresholds = np.asarray(thresholds, dtype=np.float64)
         # expected-count weighting divides by K * P(decode) under Rayleigh fading
         self.divisors = fed_cfg.n_devices * np.exp(-self.thresholds) if expected else None
@@ -261,40 +270,44 @@ class FederatedRun:
     def run_round(self) -> RoundMetrics:
         self.round += 1
         self.device_values, losses = self.local.run(self.device_values)
-        mean_loss = float(np.mean(losses))
+        self.loss = float(np.mean(losses))
 
-        levels = self.levels = self.decode_levels()
+        self.levels = self.decode_levels()
         self.global_values = aggregate(
-            self.global_values, self.device_values, levels, self.widths[0].mask.bits,
+            self.global_values, self.device_values, self.levels, self.widths[0].mask.bits,
             self.divisors,
         )
         self.device_values = _broadcast(self.global_values, self.fed_cfg.n_devices)
 
-        acc = {"half": math.nan, "full": math.nan}
+        self.accuracies = [math.nan] * len(self.widths)
         if self.round % self.eval_every == 0:
             params = SlimmableParams(self.layout, self.global_values)
             masks = [w.mask for w in self.widths]
-            accuracies = evaluate(params, masks, self.test.x, self.test.y)
-            acc.update(zip([w.column for w in self.widths], accuracies))
-        # devices whose widest decoded message is each width
-        at_level = np.bincount(levels, minlength=len(self.widths) + 1).tolist()
-        delivered = list(zip(at_level[1:], self.widths))
-        decoded = {"half": 0, "full": 0}
-        for n, width in delivered:
-            decoded[width.column] += n
-        decoded_bits = sum(n * width.bits for n, width in delivered)
-        return RoundMetrics(
-            round=self.round,
-            acc_half=acc["half"],
-            acc_full=acc["full"],
-            loss=mean_loss,
-            decoded_none=at_level[0],
-            decoded_lh_only=decoded["half"],
-            decoded_both=decoded["full"],
-            decoded_megabits=decoded_bits / 1e6,
-            comm_power_mw=self.chan_cfg.total_power_w * 1000.0,
-            comp_mflops=sum(w.mflops for w in self.widths) * self.fed_cfg.local_iters,
-        )
+            self.accuracies = evaluate(params, masks, self.test.x, self.test.y)
+        return report((self,))
 
     def run(self) -> list[RoundMetrics]:
         return [self.run_round() for _ in range(self.rounds)]
+
+
+def report(runs: Sequence[FederatedRun]) -> RoundMetrics:
+    """The round the given runs just took, as one metrics row.
+
+    Each width's accuracy fills its column, and a device counts under the
+    widest column any run decoded for it.  The loss is the runs' mean;
+    decoded bits, power and compute add up run by run.
+    """
+    acc = [math.nan] * 3  # by column: none, half, full
+    for run in runs:
+        for width, accuracy in zip(run.widths, run.accuracies):
+            acc[COLUMNS[width.column]] = accuracy
+    widest = functools.reduce(np.maximum, [run.column_at_level[run.levels] for run in runs])
+    none, half, full = np.bincount(widest, minlength=3).tolist()
+    return RoundMetrics(
+        round=runs[0].round, acc_half=acc[1], acc_full=acc[2],
+        loss=sum(run.loss for run in runs) / len(runs),
+        decoded_none=none, decoded_lh_only=half, decoded_both=full,
+        decoded_megabits=sum(int(run.bits_at_level[run.levels].sum()) / 1e6 for run in runs),
+        comm_power_mw=sum(run.chan_cfg.total_power_w * 1000.0 for run in runs),
+        comp_mflops=sum(run.mflops for run in runs),
+    )

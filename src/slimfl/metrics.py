@@ -3,25 +3,16 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
-from dataclasses import dataclass
+import os
+import typing
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .slimnet import Layout, build_mask, model_cost
-
-CSV_HEADER = [
-    "round",
-    "acc_0.5x",
-    "acc_1.0x",
-    "loss",
-    "decoded_none",
-    "decoded_lh_only",
-    "decoded_both",
-    "decoded_megabits",
-    "comm_power_mW",
-    "comp_MFLOPS",
-]
 
 
 @dataclass(frozen=True)
@@ -36,6 +27,14 @@ class RoundMetrics:
     decoded_megabits: float
     comm_power_mw: float
     comp_mflops: float
+
+
+# RoundMetrics fields whose CSV column is named otherwise
+_COLUMN_NAMES = {
+    "acc_half": "acc_0.5x", "acc_full": "acc_1.0x",
+    "comm_power_mw": "comm_power_mW", "comp_mflops": "comp_MFLOPS",
+}
+CSV_HEADER = [_COLUMN_NAMES.get(f.name, f.name) for f in fields(RoundMetrics)]
 
 
 @dataclass(frozen=True)
@@ -68,34 +67,45 @@ class CostModel:
 
 
 def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return ""
-    return f"{value:.6f}"
+    return "" if math.isnan(value) else f"{value:.6f}"
+
+
+# (field, format) of each CSV column, by the field's declared type
+_FORMATS = [
+    (name, {int: str, float: _fmt}[hint])
+    for name, hint in typing.get_type_hints(RoundMetrics).items()
+]
 
 
 def metrics_rows(metrics: list[RoundMetrics]) -> list[list[str]]:
-    rows = [list(CSV_HEADER)]
-    for m in metrics:
-        rows.append(
-            [
-                str(m.round),
-                _fmt(m.acc_half),
-                _fmt(m.acc_full),
-                _fmt(m.loss),
-                str(m.decoded_none),
-                str(m.decoded_lh_only),
-                str(m.decoded_both),
-                _fmt(m.decoded_megabits),
-                _fmt(m.comm_power_mw),
-                _fmt(m.comp_mflops),
-            ]
-        )
-    return rows
+    rows = [[fmt(getattr(m, name)) for name, fmt in _FORMATS] for m in metrics]
+    return [list(CSV_HEADER), *rows]
+
+
+@contextmanager
+def _replacing(path):
+    """A text file opened beside ``path`` that replaces ``path`` in one step
+    once the block has written it; a failed block leaves ``path`` as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_metrics_csv(path, metrics: list[RoundMetrics]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         csv.writer(fh, lineterminator="\n").writerows(metrics_rows(metrics))
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys, replacing ``path`` in one step."""
+    with _replacing(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def detect_convergence(

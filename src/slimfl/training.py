@@ -57,6 +57,8 @@ class TrainConfig:
             raise ValueError("lr: must be positive")
         if self.lr_mode not in ("constant", "strongly_convex"):
             raise ValueError(f"lr_mode: unknown mode {self.lr_mode!r}")
+        if not 0 < self.strong_convexity <= self.smoothness:
+            raise ValueError("strong_convexity: need 0 < strong_convexity <= smoothness")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer: unknown optimizer {self.optimizer!r}")
         if self.batch_size < 1:

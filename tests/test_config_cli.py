@@ -21,6 +21,7 @@ from slimfl.config import (
     serialize_config,
 )
 from slimfl.experiment import run_experiment
+from slimfl.federation import SCHEMES
 from slimfl.metrics import write_metrics_csv
 from slimfl import rng as rngmod
 
@@ -192,6 +193,15 @@ class TestConfigParsing:
             ("[channel]\nbandwidth_hz = 1e-3\n", "channel.rate_bps"),
             ("[channel]\nnoise_psd_db_hz = -5000\n", "channel.noise_psd_db_hz"),
             ("[analysis]\nsmoothness = 0.5\n", "analysis.strong_convexity"),
+            (
+                "[training]\nlr_mode = strongly_convex\nstrong_convexity = -1\nsmoothness = 1\n",
+                "training.strong_convexity",
+            ),
+            (
+                "[training]\nlr_mode = strongly_convex\nstrong_convexity = 0\nsmoothness = 0\n",
+                "training.strong_convexity",
+            ),
+            ("[experiment]\nseeds = 4,4\n", "experiment.seeds"),
         ],
     )
     def test_diagnostic_starts_with_key(self, text, key):
@@ -215,6 +225,18 @@ def ini_text(sections: dict[str, dict[str, str]]) -> str:
     )
 
 
+@st.composite
+def ratios_and_weights(draw) -> tuple[str, str]:
+    """width_ratios ending at 1.0, and one st_weights entry per ratio, as INI values."""
+    ratios = [*sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=3))), 1.0]
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(ratios), max_size=len(ratios)))
+    return ",".join(map(repr, ratios)), ",".join(repr(w / sum(raw)) for w in raw)
+
+
+def ini_ints(lists: st.SearchStrategy) -> st.SearchStrategy[str]:
+    return lists.map(lambda values: ",".join(map(str, values)))
+
+
 class TestConfigProperties:
     @settings(max_examples=300, deadline=None, database=None)
     @given(
@@ -232,6 +254,34 @@ class TestConfigProperties:
             # a cross-field check names its own key and mentions the other
             message = str(exc)
             assert message.startswith(f"{section}.") and name in message, message
+        else:
+            assert parse_config(serialize_config(cfg)) == cfg
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        seeds=ini_ints(st.lists(st.integers(-3, 2**40), max_size=4)),
+        hidden=ini_ints(st.lists(st.integers(-1, 300), max_size=3)),
+        widths=ratios_and_weights(),
+        output_dir=st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))),
+        scheme=st.sampled_from([*SCHEMES, "vanilla-2x"]),
+        fading=st.sampled_from(["rayleigh", "rician", "twdp", "Rician", "nakagami"]),
+    )
+    def test_multi_key_config_round_trips_or_names_a_key_it_set(
+        self, seeds, hidden, widths, output_dir, scheme, fading
+    ):
+        ratios, weights = widths
+        sections = {
+            "experiment": {"seeds": seeds, "output_dir": output_dir},
+            "model": {"hidden": hidden, "width_ratios": ratios},
+            "training": {"st_weights": weights},
+            "federation": {"scheme": scheme},
+            "channel": {"fading": fading},
+        }
+        try:
+            cfg = parse_config(ini_text(sections))
+        except ConfigError as exc:
+            keys = [f"{section}.{key}: " for section, items in sections.items() for key in items]
+            assert str(exc).startswith(tuple(keys)), str(exc)
         else:
             assert parse_config(serialize_config(cfg)) == cfg
 

@@ -1,15 +1,19 @@
 """End-to-end experiment plumbing: task building, scheme dispatch, summaries."""
 
 import dataclasses
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from slimfl.channel import ChannelConfig
+from slimfl import experiment
 from slimfl.config import parse_config, serialize_config
 from slimfl.datasets import write_idx
-from slimfl.experiment import build_task, make_run, run_experiment, summarize
+from slimfl.experiment import build_task, make_run, run_all, run_experiment, summarize
 from slimfl.metrics import CostModel
 from slimfl.slimnet import build_mask
 
@@ -229,3 +233,27 @@ scheme = slimfl
         )
         run = make_run(cfg, seed=8)
         assert run.thresholds.tolist() == [vanilla_threshold(chan, 1.0)]
+
+
+class TestRunAll:
+    def test_crash_keeps_finished_seeds(self, tmp_path, monkeypatch):
+        cfg = parse_config(
+            f"[experiment]\nseeds = 4,2\nrounds = 2\noutput_dir = {tmp_path}\n"
+            "[dataset]\nclasses = 3\nper_class = 20\ntest_per_class = 5\ndim = 6\n"
+            "[model]\nhidden = 4\n[federation]\ndevices = 2\n"
+        )
+
+        def crash_on_second_seed(cfg, seed):
+            if seed == 2:
+                raise RuntimeError("killed")
+            return run_experiment(cfg, seed)
+
+        monkeypatch.setattr(experiment, "run_experiment", crash_on_second_seed)
+        with pytest.raises(RuntimeError, match="killed"):
+            run_all(cfg)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["seeds"] == [4]
+        assert [run["seed"] for run in summary["runs"]] == [4]
+        csv = (tmp_path / "metrics_seed4.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == summary["runs"][0]["metrics_sha256"]
+        assert sorted(os.listdir(tmp_path)) == ["metrics_seed4.csv", "summary.json"]

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slimfl.channel import (
@@ -14,7 +14,7 @@ from slimfl.channel import (
     decode_thresholds,
     rate_for_sinr_threshold,
 )
-from slimfl.datasets import Dataset, dirichlet_partition
+from slimfl.datasets import Dataset, Shard, dirichlet_partition
 from slimfl.experiment import VanillaPair
 from slimfl.federation import (
     FederatedRun,
@@ -196,22 +196,48 @@ class TestEvaluate:
             evaluate(params, [build_mask(layout, 0.5)], np.zeros((0, 10)), np.zeros(0, dtype=int))
 
 
+LOCAL_TRAIN, _ = make_task(20)
+# skewed shards, several smaller than the batch: padded batches of several lengths
+SKEWED_SHARDS = dirichlet_partition(LOCAL_TRAIN.y, 6, 0.1, rngmod.stream(20, "partition"))
+
+
+def index_shards(index_lists) -> list[Shard]:
+    return [
+        Shard(k, np.array(indices), np.bincount(LOCAL_TRAIN.y[indices], minlength=4))
+        for k, indices in enumerate(index_lists)
+    ]
+
+
 class TestLocalTraining:
+    def test_skewed_example_pads_several_batch_lengths(self):
+        assert len({min(32, len(shard)) for shard in SKEWED_SHARDS}) > 2
+
     @pytest.mark.parametrize("rule", sorted(STEP_FUNCTIONS))
-    def test_matches_each_device_trained_alone(self, rule):
-        # skewed shards, several smaller than the batch: padded batches of several lengths
-        train, _ = make_task(20)
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(
+        shards=st.lists(
+            st.lists(st.integers(0, len(LOCAL_TRAIN) - 1), min_size=1, max_size=40, unique=True),
+            min_size=1,
+            max_size=8,
+        ).map(index_shards),
+        batch_size=st.integers(1, 32),
+        local_iters=st.integers(1, 3),
+        optimizer=st.sampled_from(["adam", "sgd"]),
+    )
+    @example(shards=SKEWED_SHARDS, batch_size=32, local_iters=2, optimizer="adam")
+    def test_matches_each_device_trained_alone(
+        self, rule, shards, batch_size, local_iters, optimizer
+    ):
+        train, n_devices = LOCAL_TRAIN, len(shards)
         layout = Layout.mlp(10, (8,), 4)
-        shards = dirichlet_partition(train.y, 6, 0.1, rngmod.stream(20, "partition"))
-        cfg = TrainConfig(batch_size=32, algorithm=rule)
-        sizes = {min(cfg.batch_size, len(shard)) for shard in shards}
-        assert len(sizes) > 2
+        cfg = TrainConfig(batch_size=batch_size, algorithm=rule, optimizer=optimizer)
         init = init_params(layout, rngmod.stream(20, "init")).values
         engine = LocalTraining(
             layout=layout, train=train, shards=shards, train_cfg=cfg,
-            batch_rngs=[rngmod.stream(20, "batch", k) for k in range(6)], local_iters=2,
+            batch_rngs=[rngmod.stream(20, "batch", k) for k in range(n_devices)],
+            local_iters=local_iters,
         )
-        start = [init] * 6
+        start = [init] * n_devices
         for _ in range(2):  # optimizer state carries over between rounds
             start, losses = engine.run(start)
 
@@ -221,12 +247,12 @@ class TestLocalTraining:
             params = SlimmableParams(layout, init)
             rng, opt = rngmod.stream(20, "batch", k), LocalOptimizer(cfg, layout.size)
             size = min(cfg.batch_size, len(shard))
-            for _ in range(2 * 2):  # two rounds of two local steps
+            for _ in range(2 * local_iters):  # two rounds of local steps
                 idx = rng.choice(shard.indices, size=size, replace=False)
                 result = step(params, train.x[idx], train.y[idx], cfg, opt)
                 params = result.params
-            np.testing.assert_array_equal(start[k], params.values)
-            assert losses[k] == result.loss
+            assert start[k].tobytes() == params.values.tobytes()
+            assert np.float64(losses[k]).tobytes() == np.float64(result.loss).tobytes()
 
 
 class TestSlimFLRound:
