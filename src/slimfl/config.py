@@ -189,9 +189,12 @@ _FADING = {
     "rician": (Rician, {"rician_nu": "nu", "rician_sigma": "sigma"}),
     "twdp": (Twdp, {"twdp_k": "k_factor", "twdp_delta": "delta"}),
 }
+_MODEL_KEYS = [key for _, keys in _FADING.values() for key in keys]
+# the keys that set a fading model's parameters; normalize_fading is Rician's
+_FADING_KEYS = {"normalize_fading", *_MODEL_KEYS}
 # the [channel] keys outside _KEYS: unit shorthands and the fading model
 _CHANNEL_KEYS = {"fading": str, "normalize_fading": bool} | dict.fromkeys(
-    (*_SHORTHANDS.values(), *(key for _, keys in _FADING.values() for key in keys)), float
+    (*_SHORTHANDS.values(), *_MODEL_KEYS), float
 )
 
 
@@ -263,13 +266,18 @@ def _build_channel(values: dict, sec: dict[str, str]) -> ChannelConfig:
     if fading_name not in _FADING:
         raise ConfigError(f"channel.fading: unknown model {fading_name!r}")
     model, keys = _FADING[fading_name]
+    # a fading key the selected model does not read would set nothing
+    read = {*keys, "normalize_fading"} if model is Rician else keys.keys()
+    unread = sorted(given.keys() & _FADING_KEYS - read)
+    if unread:
+        raise ConfigError(f"channel.{unread[0]}: fading = {fading_name} does not read it")
     try:
         fading = model(**{name: given[key] for key, name in keys.items() if key in given})
     except ValueError as exc:
         named = {("channel", name): ("channel", key) for key, name in keys.items()}
         raise _located(exc, "channel", named) from exc
     # only a Rician model's mean gain is left unnormalized
-    if given.get("normalize_fading", False) and hasattr(fading, "normalized"):
+    if given.get("normalize_fading", False):
         if fading.mean_power == 0:
             raise ConfigError(f"channel.normalize_fading: {' and '.join(keys)} are 0")
         fading = fading.normalized()

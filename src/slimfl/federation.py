@@ -154,7 +154,9 @@ class LocalTraining:
         Returns the trained vectors as a (devices, P) stack and each
         device's loss at its last step.
         """
-        params = SlimmableParams(self.layout, np.array(start_values))
+        # trains from the given stack itself (the broadcast global vector
+        # between rounds): the step rules only read it
+        params = SlimmableParams(self.layout, np.asarray(start_values))
         batch_idx = self.batch_idx
         for _ in range(self.local_iters):
             for k, (rng, shard, size) in enumerate(zip(self.batch_rngs, self.shards, self.sizes)):
@@ -254,6 +256,11 @@ class FederatedRun:
             ],
             local_iters=fed_cfg.local_iters,
         )
+        # device k's fading stream in round r is rng.stream(master_seed,
+        # "fading", *stream_tag, k, r)
+        self.fading_streams = rngmod.StreamFamily(
+            master_seed, [("fading", *stream_tag, k) for k in range(fed_cfg.n_devices)]
+        )
         self.global_values = init_values.copy()
         self.device_values = _broadcast(self.global_values, fed_cfg.n_devices)
         self.levels = np.zeros(fed_cfg.n_devices, dtype=np.intp)
@@ -262,8 +269,7 @@ class FederatedRun:
     def decode_levels(self) -> np.ndarray:
         """Each device's decode level this round, from one fading draw."""
         chi = np.empty(self.fed_cfg.n_devices)
-        for k in range(self.fed_cfg.n_devices):
-            rng = rngmod.stream(self.master_seed, "fading", *self.stream_tag, k, self.round)
+        for k, rng in enumerate(self.fading_streams.generators(self.round)):
             chi[k] = sample_fading(self.chan_cfg.fading, rng)
         return decode_levels(chi, self.thresholds)
 

@@ -106,6 +106,11 @@ class WidthMask:
     ratio: float
     bits: np.ndarray
 
+    @cached_property
+    def full(self) -> bool:
+        """Whether the mask keeps every coordinate."""
+        return bool(self.bits.all())
+
 
 def slim_width(width: int, ratio: float) -> int:
     """Kept units of a slimmable width at the given ratio: ceil(width * ratio)."""
@@ -267,10 +272,11 @@ def forward(
     layout = params.layout
     n_layers = len(layout.layers)
     for i in range(n_layers):
-        w, b = _blocks(params.values, layout, i)
-        w_bits, b_bits = _blocks(mask.bits, layout, i)
-        w_m = w * w_bits
-        z = _matmul(rows, h, w_m, transpose=True) + (b * b_bits)[..., None, :]
+        w_m, b_m = _blocks(params.values, layout, i)
+        if not mask.full:  # under the full mask, the product would equal w and b bit for bit
+            w_bits, b_bits = _blocks(mask.bits, layout, i)
+            w_m, b_m = w_m * w_bits, b_m * b_bits
+        z = _matmul(rows, h, w_m, transpose=True) + b_m[..., None, :]
         if trace is not None:
             trace.weights.append(w_m)
             trace.inputs.append(h)

@@ -162,10 +162,11 @@ class LocalOptimizer:
         self.t = 0
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
+        self.denom = np.empty(shape)  # Adam's work array, kept across steps
 
     def apply(self, values: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """The stepped vector under SGD or bias-corrected Adam.  Adam's moments
-        update in place and the step is built in two work arrays, one of them
+        update in place and the step is built in ``denom`` and a fresh array,
         the result; each element sees the textbook expressions' operations."""
         self.t += 1
         lr = self.cfg.learning_rate(self.t)
@@ -181,7 +182,7 @@ class LocalOptimizer:
         self.v += step  # v = beta2 * v + (1 - beta2) * g * g
         np.divide(self.m, 1.0 - BETA1**self.t, out=step)
         step *= lr  # lr * m_hat
-        denom = np.divide(self.v, 1.0 - BETA2**self.t)
+        denom = np.divide(self.v, 1.0 - BETA2**self.t, out=self.denom)
         np.sqrt(denom, out=denom)
         denom += EPS  # sqrt(v_hat) + eps
         step /= denom

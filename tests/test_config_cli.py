@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slimfl.channel import Rician, Twdp
+from slimfl.channel import Rayleigh, Rician, Twdp, sample_fading
 from slimfl.cli import main
 from slimfl.config import (
     _CHANNEL_KEYS,
@@ -72,6 +72,57 @@ class TestRngStreams:
         for i in range(3):
             for j in range(i):
                 assert not np.allclose(draws[i], draws[j])
+
+
+def fading_draws(model, generators) -> bytes:
+    return np.array([sample_fading(model, rng) for rng in generators]).tobytes()
+
+
+FADING_MODELS = [Rayleigh(), Rician(), Twdp()]
+
+
+class TestStreamFamily:
+    """``StreamFamily`` yields ``rngmod.stream``'s generators, by bytes."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        master=st.one_of(st.sampled_from([0, 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        tag=st.sampled_from([(), ("v-half",), ("v-full",)]),
+        devices=st.integers(1, 64),
+        rounds=st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
+        model=st.sampled_from(FADING_MODELS),
+    )
+    def test_matches_stream(self, master, tag, devices, rounds, model):
+        family = rngmod.StreamFamily(master, [("fading", *tag, k) for k in range(devices)])
+        for r in rounds:
+            expected = (rngmod.stream(master, "fading", *tag, k, r) for k in range(devices))
+            assert fading_draws(model, family.generators(r)) == fading_draws(model, expected)
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            [1, 2**32, 5],  # zero high half, then a zero low half
+            [0, 0, 0, 0],
+            [5, 6, 7, 8],
+            [2**64 - 1, 3, 2**32, 7, 2**40 + 9, 11],
+        ],
+    )
+    def test_vectorised_mixing_matches_seed_sequence(self, words):
+        row = rngmod.uint32_words(words)
+        pool, _ = rngmod.mix_entropy(np.array([row, row], dtype=np.uint32))
+        expected = np.random.SeedSequence(words).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(rngmod.generate_state(pool), [expected, expected])
+
+    def test_prefix_of_another_word_count_takes_stream(self, monkeypatch):
+        # a label word below 2**32 is one uint32 word: device 2's prefix is shorter
+        words = {2: 5}
+        label_word = rngmod._label_word
+        monkeypatch.setattr(rngmod, "_label_word", lambda label: words.get(label) or label_word(label))
+        family = rngmod.StreamFamily(7, [("fading", k) for k in range(5)])
+        assert family.mixed == [0, 1, 3, 4]
+        for model in FADING_MODELS:
+            expected = [rngmod.stream(7, "fading", k, 3) for k in range(5)]
+            assert fading_draws(model, family.generators(3)) == fading_draws(model, expected)
 
 
 class TestConfigParsing:
@@ -202,6 +253,15 @@ class TestConfigParsing:
                 "training.strong_convexity",
             ),
             ("[experiment]\nseeds = 4,4\n", "experiment.seeds"),
+            # a fading key the selected model does not read
+            ("[channel]\nfading = rayleigh\ntwdp_k = -5\n", "channel.twdp_k"),
+            ("[channel]\nfading = rayleigh\nrician_nu = 0.3\n", "channel.rician_nu"),
+            ("[channel]\nfading = rayleigh\nnormalize_fading = true\n", "channel.normalize_fading"),
+            ("[channel]\nrician_sigma = 0.3\n", "channel.rician_sigma"),
+            ("[channel]\nfading = twdp\nnormalize_fading = true\n", "channel.normalize_fading"),
+            ("[channel]\nfading = twdp\nnormalize_fading = false\n", "channel.normalize_fading"),
+            ("[channel]\nfading = twdp\nrician_nu = 0.3\n", "channel.rician_nu"),
+            ("[channel]\nfading = rician\ntwdp_delta = 0.3\n", "channel.twdp_delta"),
         ],
     )
     def test_diagnostic_starts_with_key(self, text, key):

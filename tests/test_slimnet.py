@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from slimfl.slimnet import (
     BatchRows,
+    _blocks,
+    _matmul,
     ForwardTrace,
     LayerSpec,
     Layout,
@@ -135,6 +137,26 @@ class TestForward:
         params = SlimmableParams(layout, values)
         x = RNG(2).normal(size=(4, 3))
         np.testing.assert_allclose(forward(params, build_mask(layout, 1.0), x), x)
+
+    @pytest.mark.parametrize("counts", [None, [5], [5, 5, 5], [5, 2, 1]])
+    def test_full_mask_equals_explicit_multiply(self, counts):
+        # forward skips w * bits under the all-ones mask; the product is w bit for bit
+        layout = Layout.mlp(8, (6, 5), 3)
+        rng = RNG(9)
+        values = rng.normal(size=(len(counts), layout.size) if counts else layout.size)
+        values[..., ::7] = -0.0
+        params = SlimmableParams(layout, values)
+        mask = build_mask(layout, 1.0)
+        assert mask.full and not build_mask(layout, 0.5).full
+        x = rng.normal(size=(*values.shape[:-1], 5, 8))
+        rows = BatchRows(counts) if counts and min(counts) < max(counts) else None
+        h = x
+        for i in range(len(layout.layers)):
+            w, b = _blocks(values, layout, i)
+            w_bits, b_bits = _blocks(mask.bits, layout, i)
+            z = _matmul(rows, h, w * w_bits, transpose=True) + (b * b_bits)[..., None, :]
+            h = np.clip(z, 0.0, 6.0) if i < len(layout.layers) - 1 else z
+        assert forward(params, mask, x, rows=rows).tobytes() == h.tobytes()
 
     def test_masked_forward_equals_extracted_subnet(self):
         rng = RNG(3)

@@ -459,6 +459,38 @@ class TestStackedSteps:
         ]
         assert_stack_equals_devices_alone(cfg, singles, batches, counts)
 
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("rule", sorted(STEP_FUNCTIONS))
+    def test_read_only_broadcast_stack_equals_copied_stack(self, rule, optimizer):
+        # LocalTraining steps from the broadcast global vector without a copy
+        cfg = TrainConfig(
+            st_weights=(0.2, 0.3, 0.5), width_ratios=(0.25, 0.5, 1.0),
+            optimizer=optimizer, lr=0.05, algorithm=rule,
+        )
+        counts = [6, 2, 1, 6, 4]
+        net = make_net(80, in_dim=64, hidden=(32,), out=10)
+        vector = net.values
+        broadcast = np.broadcast_to(vector, (len(counts), len(vector)))
+        assert not broadcast.flags.writeable
+        results = []
+        for start in (broadcast, broadcast.copy()):
+            params = net.with_values(start)
+            opt = LocalOptimizer(cfg, start.shape)
+            steps = []
+            for t in range(3):
+                batch = [make_batch(100 * t + k, in_dim=64, classes=10) for k in range(len(counts))]
+                result = STEP_FUNCTIONS[rule](
+                    params, np.stack([x for x, _ in batch]), np.stack([y for _, y in batch]),
+                    cfg, opt, rows=BatchRows(counts),
+                )
+                steps.append(
+                    [a.tobytes() for a in (result.params.values, result.gradient, result.loss)]
+                )
+                params = result.params
+            results.append(steps)
+        assert results[0] == results[1]
+        assert broadcast[0].tobytes() == vector.tobytes()
+
     def test_stacked_losses_match_per_device_losses(self):
         rng = RNG(70)
         logits = rng.normal(size=(3, 5, 4))
