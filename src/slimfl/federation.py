@@ -245,8 +245,6 @@ class FederatedRun:
         # expected-count weighting divides by K * P(decode) under Rayleigh fading
         self.divisors = fed_cfg.n_devices * np.exp(-self.thresholds) if expected else None
         self.rounds = rounds
-        self.master_seed = master_seed
-        self.stream_tag = stream_tag
         self.eval_every = eval_every
         self.local = LocalTraining(
             layout=layout, train=train, shards=shards, train_cfg=train_cfg,
