@@ -27,7 +27,7 @@ from . import rng as rngmod
 from .channel import ChannelConfig, Rayleigh, decode_levels, sample_fading, successive_thresholds
 from .datasets import Dataset, Shard
 from .metrics import RoundMetrics
-from .slimnet import BatchRows, Layout, SlimmableParams, WidthMask, forward
+from .slimnet import BatchRows, ForwardTrace, Layout, SlimmableParams, WidthMask, forward
 from .training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
 
 SCHEMES = ("slimfl", "vanilla-0.5x", "vanilla-1.0x", "vanilla-1.5x")
@@ -82,10 +82,13 @@ def aggregate(
     delivered keeps its previous global value.  ``divisors`` replaces the
     realized counts of the two averages (expected-count weighting).
     """
-    decoded = device_values[levels >= 1]
+    # the stack itself when every device is in: a row copy would be summed
+    # and column-masked exactly as the stack is
+    lowest = levels.min()
+    decoded = device_values if lowest >= 1 else device_values[levels >= 1]
     if not len(decoded):
         return global_values.copy()
-    full = device_values[levels >= 2]
+    full = device_values if lowest >= 2 else device_values[levels >= 2]
     div_first, div_rest = (len(decoded), len(full)) if divisors is None else divisors
     if first_bits.all():
         # one segment over every coordinate (a one-message uplink): the plain
@@ -101,10 +104,17 @@ def aggregate(
 
 
 def evaluate(params: SlimmableParams, masks, x: np.ndarray, y: np.ndarray) -> list[float]:
-    """Top-1 accuracy of each width configuration, one per mask."""
+    """Top-1 accuracy of each width configuration, one per mask.
+
+    ``masks`` must be nested and ascending: the widest, last, runs first and
+    its layer 0 is every other width's (``forward``'s ``first``).
+    """
     if len(y) == 0:
         raise ValueError("test set must be nonempty")
-    return [float((forward(params, mask, x).argmax(axis=1) == y).mean()) for mask in masks]
+    trace = ForwardTrace()
+    widest = forward(params, masks[-1], x, trace=trace)
+    logits = [forward(params, mask, x, first=trace.preacts[0]) for mask in masks[:-1]]
+    return [float((z.argmax(axis=1) == y).mean()) for z in (*logits, widest)]
 
 
 def _broadcast(values: np.ndarray, n_devices: int) -> np.ndarray:

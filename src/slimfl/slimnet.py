@@ -246,7 +246,8 @@ def _batch_sum(rows: BatchRows | None, g: np.ndarray, h: np.ndarray) -> np.ndarr
 @dataclass(eq=False)
 class ForwardTrace:
     """What a forward pass keeps so that its backward need not run it again:
-    each layer's masked weights, its input and its pre-activation."""
+    each layer's masked weights (None for layer 0, whose input gradient
+    backward never forms), its input and its pre-activation."""
 
     weights: list = field(default_factory=list)
     inputs: list = field(default_factory=list)
@@ -259,6 +260,7 @@ def forward(
     batch: np.ndarray,
     trace: ForwardTrace | None = None,
     rows: BatchRows | None = None,
+    first: np.ndarray | None = None,
 ) -> np.ndarray:
     """Logits of the masked network; equals the physically extracted sub-network.
 
@@ -267,16 +269,30 @@ def forward(
     computed exactly as it would be alone, over its first ``rows`` rows
     when the stack is padded.  A given ``trace`` is filled for a later
     ``backward`` on the same arguments.
+
+    The input is never slimmed, so a width's layer-0 pre-activation is the
+    full width's with the dropped units zeroed: the full product's kept
+    columns are the masked product's bit for bit.  ``first`` is the layer-0
+    pre-activation (``trace.preacts[0]``) of a width containing this one,
+    for the same batch and ``rows``; given, layer 0's product is not redone.
     """
     h = _check_batch(params, batch)
     layout = params.layout
     n_layers = len(layout.layers)
     for i in range(n_layers):
         w_m, b_m = _blocks(params.values, layout, i)
-        if not mask.full:  # under the full mask, the product would equal w and b bit for bit
-            w_bits, b_bits = _blocks(mask.bits, layout, i)
-            w_m, b_m = w_m * w_bits, b_m * b_bits
-        z = _matmul(rows, h, w_m, transpose=True) + b_m[..., None, :]
+        if i == 0:
+            if first is None:
+                first = _matmul(rows, h, w_m, transpose=True) + b_m[..., None, :]
+            elif first.shape != h.shape[:-1] + (layout.dims[1],):
+                raise ValueError(f"first layer shape {first.shape} does not match batch {h.shape}")
+            z = first if mask.full else first * _blocks(mask.bits, layout, 0)[1]
+            w_m = None  # backward forms no input gradient for layer 0
+        else:
+            if not mask.full:  # under the full mask, the product would equal w and b bit for bit
+                w_bits, b_bits = _blocks(mask.bits, layout, i)
+                w_m, b_m = w_m * w_bits, b_m * b_bits
+            z = _matmul(rows, h, w_m, transpose=True) + b_m[..., None, :]
         if trace is not None:
             trace.weights.append(w_m)
             trace.inputs.append(h)
@@ -316,10 +332,14 @@ def backward(
     grad = np.empty(params.values.shape)
     g = logits_grad
     for i in reversed(range(len(layout.layers))):
-        w_bits, b_bits = _blocks(mask.bits, layout, i)
         grad_w, grad_b = _blocks(grad, layout, i)
-        np.multiply(_batch_sum(rows, g, trace.inputs[i]), w_bits, out=grad_w)
-        np.multiply(g.sum(axis=-2), b_bits, out=grad_b)
+        if mask.full:  # the product with all-ones bits would be the sums bit for bit
+            grad_w[...] = _batch_sum(rows, g, trace.inputs[i])
+            grad_b[...] = g.sum(axis=-2)
+        else:
+            w_bits, b_bits = _blocks(mask.bits, layout, i)
+            np.multiply(_batch_sum(rows, g, trace.inputs[i]), w_bits, out=grad_w)
+            np.multiply(g.sum(axis=-2), b_bits, out=grad_b)
         if i > 0:
             z = trace.preacts[i - 1]
             g = _matmul(rows, g, trace.weights[i]) * ((z > 0.0) & (z < 6.0))

@@ -72,6 +72,14 @@ class TrainConfig:
         return self.lr
 
 
+def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What softmax and log_softmax share: ``shifted = logits - max``,
+    ``e = exp(shifted)`` and e's sum over the classes, kept as an axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=-1, keepdims=True)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -149,6 +157,27 @@ def ipkd_grad(
     return _per_example_grad(softmax(student_logits) - softmax(teacher_logits), rows)
 
 
+def _ce_loss_grad(parts, labels: np.ndarray, rows: BatchRows | None):
+    """``(cross_entropy, cross_entropy_grad)`` of checked labels, bit for bit,
+    from the logits' ``_softmax_parts``."""
+    shifted, e, total = parts
+    true_class = labels[..., None]
+    log_p = np.take_along_axis(shifted, true_class, axis=-1) - np.log(total)
+    g = e / total
+    np.put_along_axis(g, true_class, np.take_along_axis(g, true_class, axis=-1) - 1.0, axis=-1)
+    return -_batch_mean(log_p[..., 0], rows), _per_example_grad(g, rows)
+
+
+def _kd_loss_grad(parts, soft_targets: np.ndarray, rows: BatchRows | None):
+    """``(ipkd_loss, ipkd_grad)``, bit for bit, from the student logits'
+    ``_softmax_parts`` and the teacher's softmax."""
+    shifted, e, total = parts
+    log_p = shifted - np.log(total)
+    g = e / total
+    g -= soft_targets
+    return -_batch_mean((soft_targets * log_p).sum(axis=-1), rows), _per_example_grad(g, rows)
+
+
 # Adam's moment decay rates and denominator guard
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -208,31 +237,36 @@ def _step(params, batch_x, batch_y, opt, rows, full, others, distill) -> StepRes
     ``full`` is the full width's ``(mask, weight)``; it trains on the labels
     and its detached logits are the teacher.  ``others`` are the other
     widths' pairs in summation order, distilled from the teacher if
-    ``distill``, else trained on the labels.  Each width's forward trace is
-    reused by its backward."""
+    ``distill``, else trained on the labels.  Each width takes one softmax
+    of its logits for its loss and logit gradient, the teacher's softmax is
+    every distilled width's soft target, every other width shares the full
+    width's layer 0, and each width's forward trace is reused by its
+    backward."""
     mask, weight = full
     trace = ForwardTrace()
     teacher = forward(params, mask, batch_x, trace=trace, rows=rows)
-    full_loss = cross_entropy(teacher, batch_y, rows)
-    grad = backward(
-        params, mask, batch_x, cross_entropy_grad(teacher, batch_y, rows), trace=trace, rows=rows
-    )
+    first = trace.preacts[0]
+    labels = _check_labels(teacher, batch_y)
+    parts = _softmax_parts(teacher)
+    full_loss, logit_grad = _ce_loss_grad(parts, labels, rows)
+    grad = backward(params, mask, batch_x, logit_grad, trace=trace, rows=rows)
     grad *= weight
+    soft_targets = parts[1] / parts[2] if distill else None  # the teacher's softmax
 
-    loss_fn, grad_fn, target = (
-        (ipkd_loss, ipkd_grad, teacher) if distill else (cross_entropy, cross_entropy_grad, batch_y)
-    )
     other_losses = []
     for mask, w in others:
         trace = ForwardTrace()
-        logits = forward(params, mask, batch_x, trace=trace, rows=rows)
-        other_losses.append(loss_fn(logits, target, rows))
-        part = backward(
-            params, mask, batch_x, grad_fn(logits, target, rows), trace=trace, rows=rows
+        logits = forward(params, mask, batch_x, trace=trace, rows=rows, first=first)
+        parts = _softmax_parts(logits)
+        width_loss, logit_grad = (
+            _kd_loss_grad(parts, soft_targets, rows) if distill
+            else _ce_loss_grad(parts, labels, rows)
         )
+        other_losses.append(width_loss)
+        part = backward(params, mask, batch_x, logit_grad, trace=trace, rows=rows)
         part *= w
         grad += part
-    del trace  # the last width's activations, before the optimizer allocates
+    del trace, first  # activations, before the optimizer allocates
 
     loss = weight * full_loss + sum(w * k for (_, w), k in zip(others, other_losses))
     new_params = params.with_values(opt.apply(params.values, grad))

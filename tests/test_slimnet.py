@@ -3,7 +3,7 @@ with a hypothesis property for mask nesting and zero gradients outside the mask.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slimfl.slimnet import (
@@ -14,6 +14,7 @@ from slimfl.slimnet import (
     LayerSpec,
     Layout,
     SlimmableParams,
+    WidthMask,
     backward,
     build_mask,
     complement_bits,
@@ -157,6 +158,17 @@ class TestForward:
             z = _matmul(rows, h, w * w_bits, transpose=True) + (b * b_bits)[..., None, :]
             h = np.clip(z, 0.0, 6.0) if i < len(layout.layers) - 1 else z
         assert forward(params, mask, x, rows=rows).tobytes() == h.tobytes()
+        # backward skips its products with the bits too: force the masked path
+        masked_path = WidthMask(1.0, mask.bits)
+        masked_path.__dict__["full"] = False
+        logits_grad = rng.normal(size=h.shape)
+        logits_grad[..., ::3] = -0.0
+        for k, n in enumerate(counts or []):
+            logits_grad[k, n:] = 0.0
+        assert (
+            backward(params, mask, x, logits_grad, rows=rows).tobytes()
+            == backward(params, masked_path, x, logits_grad, rows=rows).tobytes()
+        )
 
     def test_masked_forward_equals_extracted_subnet(self):
         rng = RNG(3)
@@ -245,6 +257,60 @@ class TestMaskProperty:
         for mask in masks:
             g = backward(params, mask, x, rng.normal(size=(3, dims[-1])))
             np.testing.assert_array_equal(g[~mask.bits], 0.0)
+
+
+class TestSharedFirstLayer:
+    """A width's forward from a containing width's layer 0 (``first``) is its
+    own forward, bit for bit, and so is what its backward reads."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        dims=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+        ratios=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3, unique=True),
+        counts=st.one_of(st.none(), st.lists(st.integers(1, 6), min_size=1, max_size=4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dims=[5, 1, 4, 3], ratios=[0.5], counts=[1, 6, 3], seed=1)  # a one-unit layer
+    @example(dims=[6, 3], ratios=[0.5], counts=[2, 5], seed=2)  # no hidden layer
+    def test_shared_first_layer_equals_own(self, dims, ratios, counts, seed):
+        rng = RNG(seed)
+        layout = Layout(tuple(dims))
+        lead = (len(counts),) if counts else ()
+        values = rng.normal(size=lead + (layout.size,))
+        params = SlimmableParams(layout, values)
+        width = max(counts) if counts else 5
+        rows = BatchRows(counts) if counts and min(counts) < width else None
+        x = rng.normal(size=lead + (width, dims[0]))
+        logits_grad = rng.normal(size=lead + (width, dims[-1]))
+        for k, n in enumerate(counts or []):
+            logits_grad[k, n:] = 0.0
+
+        def traced(mask, first=None):
+            trace = ForwardTrace()
+            logits = forward(params, mask, x, trace=trace, rows=rows, first=first)
+            grad = backward(params, mask, x, logits_grad, trace=trace, rows=rows)
+            arrays = [logits, grad, *trace.inputs, *trace.preacts, *trace.weights[1:]]
+            return trace, [a.tobytes() for a in arrays]
+
+        # from the full width's layer 0, and from the next wider width's
+        containing, _ = traced(build_mask(layout, 1.0))
+        for ratio in sorted(ratios, reverse=True):
+            mask = build_mask(layout, ratio)
+            own, own_bytes = traced(mask)
+            assert own.weights[0] is None
+            assert traced(mask, first=containing.preacts[0])[1] == own_bytes
+            # the full product's kept units are the masked product's
+            w, b = _blocks(values, layout, 0)
+            w_bits, b_bits = _blocks(mask.bits, layout, 0)
+            masked = _matmul(rows, x, w * w_bits, transpose=True) + (b * b_bits)[..., None, :]
+            np.testing.assert_array_equal(own.preacts[0], masked)
+            containing = own
+
+    def test_first_layer_shape_checked(self):
+        layout = small_layout()
+        params = init_params(layout, RNG(4))
+        with pytest.raises(ValueError, match="first layer shape"):
+            forward(params, build_mask(layout, 0.5), np.zeros((2, 8)), first=np.zeros((3, 6)))
 
 
 class TestDeviceStack:

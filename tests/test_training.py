@@ -16,6 +16,9 @@ from slimfl.slimnet import (
     init_params,
 )
 from slimfl.training import (
+    _ce_loss_grad,
+    _kd_loss_grad,
+    _softmax_parts,
     LocalOptimizer,
     TrainConfig,
     cross_entropy,
@@ -131,6 +134,45 @@ class TestDistillationLoss:
 
 def optimizer(kind, lr, size):
     return LocalOptimizer(TrainConfig(optimizer=kind, lr=lr), size)
+
+
+class TestFusedLosses:
+    """The step's fused (loss, logit gradient) pairs are the four definitions, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.one_of(st.none(), st.lists(st.integers(1, 8), min_size=1, max_size=5)),
+        batch=st.integers(1, 8),
+        classes=st.integers(1, 12),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fused_pairs_equal_the_definitions(self, counts, batch, classes, scale, seed):
+        # one device's (batch, classes) logits, or a stack padded to its longest batch
+        rng = RNG(seed)
+        shape = (len(counts), max(counts), classes) if counts else (batch, classes)
+        rows = BatchRows(counts) if counts and min(counts) < max(counts) else None
+        student, teacher = scale * rng.normal(size=shape), scale * rng.normal(size=shape)
+        labels = rng.integers(0, classes, size=shape[:-1])
+
+        def same(got, want):
+            return all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want))
+
+        # as in a step: the teacher's parts give its cross-entropy and then
+        # the soft target, and one student's parts give both of its pairs
+        teacher_parts = _softmax_parts(teacher)
+        assert same(_ce_loss_grad(teacher_parts, labels, rows), (
+            cross_entropy(teacher, labels, rows), cross_entropy_grad(teacher, labels, rows)
+        ))
+        soft_targets = teacher_parts[1] / teacher_parts[2]
+        assert soft_targets.tobytes() == softmax(teacher).tobytes()
+        parts = _softmax_parts(student)
+        assert same(_kd_loss_grad(parts, soft_targets, rows), (
+            ipkd_loss(student, teacher, rows), ipkd_grad(student, teacher, rows)
+        ))
+        assert same(_ce_loss_grad(parts, labels, rows), (
+            cross_entropy(student, labels, rows), cross_entropy_grad(student, labels, rows)
+        ))
 
 
 class TestOptimizers:
