@@ -200,7 +200,7 @@ class TestEvaluate:
         params = init_params(layout, RNG(7))
         _, test = make_task(5)
         masks = [build_mask(layout, r) for r in ratios]
-        alone = [float((forward(params, m, test.x).argmax(axis=1) == test.y).mean()) for m in masks]
+        alone = [float((forward(params, m, test.x).argmax(1) == test.y).mean()) for m in masks]
         assert len(set(alone)) == len(alone)  # a mask mixed up with another would show
         assert evaluate(params, masks, test.x, test.y) == alone
 

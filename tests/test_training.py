@@ -156,7 +156,10 @@ class TestFusedLosses:
         labels = rng.integers(0, classes, size=shape[:-1])
 
         def same(got, want):
-            return all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(got, want))
+            def as_bytes(pair):
+                return [np.asarray(a).tobytes() for a in pair]
+
+            return as_bytes(got) == as_bytes(want)
 
         # as in a step: the teacher's parts give its cross-entropy and then
         # the soft target, and one student's parts give both of its pairs
