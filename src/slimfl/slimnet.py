@@ -286,7 +286,8 @@ def forward(
                 first = _matmul(rows, h, w_m, transpose=True) + b_m[..., None, :]
             elif first.shape != h.shape[:-1] + (layout.dims[1],):
                 raise ValueError(f"first layer shape {first.shape} does not match batch {h.shape}")
-            z = first if mask.full else first * _blocks(mask.bits, layout, 0)[1]
+            # a select, not a product: a dropped unit is +0.0 even where first overflowed
+            z = first if mask.full else np.where(_blocks(mask.bits, layout, 0)[1], first, 0.0)
             w_m = None  # backward forms no input gradient for layer 0
         else:
             if not mask.full:  # under the full mask, the product would equal w and b bit for bit
@@ -332,14 +333,10 @@ def backward(
     grad = np.empty(params.values.shape)
     g = logits_grad
     for i in reversed(range(len(layout.layers))):
+        w_bits, b_bits = _blocks(mask.bits, layout, i)
         grad_w, grad_b = _blocks(grad, layout, i)
-        if mask.full:  # the product with all-ones bits would be the sums bit for bit
-            grad_w[...] = _batch_sum(rows, g, trace.inputs[i])
-            grad_b[...] = g.sum(axis=-2)
-        else:
-            w_bits, b_bits = _blocks(mask.bits, layout, i)
-            np.multiply(_batch_sum(rows, g, trace.inputs[i]), w_bits, out=grad_w)
-            np.multiply(g.sum(axis=-2), b_bits, out=grad_b)
+        np.multiply(_batch_sum(rows, g, trace.inputs[i]), w_bits, out=grad_w)
+        np.multiply(g.sum(axis=-2), b_bits, out=grad_b)
         if i > 0:
             z = trace.preacts[i - 1]
             g = _matmul(rows, g, trace.weights[i]) * ((z > 0.0) & (z < 6.0))

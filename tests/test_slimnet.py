@@ -14,7 +14,6 @@ from slimfl.slimnet import (
     LayerSpec,
     Layout,
     SlimmableParams,
-    WidthMask,
     backward,
     build_mask,
     complement_bits,
@@ -158,17 +157,6 @@ class TestForward:
             z = _matmul(rows, h, w * w_bits, transpose=True) + (b * b_bits)[..., None, :]
             h = np.clip(z, 0.0, 6.0) if i < len(layout.layers) - 1 else z
         assert forward(params, mask, x, rows=rows).tobytes() == h.tobytes()
-        # backward skips its products with the bits too: force the masked path
-        masked_path = WidthMask(1.0, mask.bits)
-        masked_path.__dict__["full"] = False
-        logits_grad = rng.normal(size=h.shape)
-        logits_grad[..., ::3] = -0.0
-        for k, n in enumerate(counts or []):
-            logits_grad[k, n:] = 0.0
-        assert (
-            backward(params, mask, x, logits_grad, rows=rows).tobytes()
-            == backward(params, masked_path, x, logits_grad, rows=rows).tobytes()
-        )
 
     def test_masked_forward_equals_extracted_subnet(self):
         rng = RNG(3)
@@ -260,19 +248,42 @@ class TestMaskProperty:
 
 
 class TestSharedFirstLayer:
-    """A width's forward from a containing width's layer 0 (``first``) is its
-    own forward, bit for bit, and so is what its backward reads."""
+    """A width's forward, whether from a containing width's layer 0
+    (``first``) or its own, is the masked-weight forward bit for bit: its
+    logits, what its backward reads and the gradient."""
 
+    @staticmethod
+    def masked_weight_forward(values, layout, mask, x, rows):
+        """Every layer's product with the masked weights, layer 0's included."""
+        trace, h = ForwardTrace(), x
+        for i in range(len(layout.layers)):
+            w, b = _blocks(values, layout, i)
+            w_bits, b_bits = _blocks(mask.bits, layout, i)
+            w_m = w * w_bits
+            z = _matmul(rows, h, w_m, transpose=True) + (b * b_bits)[..., None, :]
+            trace.weights.append(w_m)
+            trace.inputs.append(h)
+            trace.preacts.append(z)
+            h = np.clip(z, 0.0, 6.0) if i < len(layout.layers) - 1 else z
+        return h, trace
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=300, deadline=None, database=None)
     @given(
         dims=st.lists(st.integers(1, 12), min_size=2, max_size=5),
         ratios=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3, unique=True),
         counts=st.one_of(st.none(), st.lists(st.integers(1, 6), min_size=1, max_size=4)),
+        overflow=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(dims=[5, 1, 4, 3], ratios=[0.5], counts=[1, 6, 3], seed=1)  # a one-unit layer
-    @example(dims=[6, 3], ratios=[0.5], counts=[2, 5], seed=2)  # no hidden layer
-    def test_shared_first_layer_equals_own(self, dims, ratios, counts, seed):
+    # a one-unit hidden layer; no hidden layer; a dropped unit's product overflowing
+    @example(dims=[5, 1, 4, 3], ratios=[0.5], counts=[1, 6, 3], overflow=False, seed=1)
+    @example(dims=[6, 3], ratios=[0.5], counts=[2, 5], overflow=False, seed=2)
+    @example(dims=[4, 6, 3], ratios=[0.5], counts=None, overflow=True, seed=3)
+    @example(dims=[4, 6, 5, 3], ratios=[0.5, 0.25], counts=[3, 1], overflow=True, seed=4)
+    def test_shared_first_layer_equals_masked_weights(
+        self, dims, ratios, counts, overflow, seed
+    ):
         rng = RNG(seed)
         layout = Layout(tuple(dims))
         lead = (len(counts),) if counts else ()
@@ -281,29 +292,30 @@ class TestSharedFirstLayer:
         width = max(counts) if counts else 5
         rows = BatchRows(counts) if counts and min(counts) < width else None
         x = rng.normal(size=lead + (width, dims[0]))
+        if overflow:  # the last layer-0 unit, dropped by every ratio < 1, overflows to inf
+            _blocks(values, layout, 0)[0][..., -1, 0] = np.finfo(np.float64).max
+            x[..., 0] = 2.0
         logits_grad = rng.normal(size=lead + (width, dims[-1]))
         for k, n in enumerate(counts or []):
             logits_grad[k, n:] = 0.0
 
-        def traced(mask, first=None):
-            trace = ForwardTrace()
-            logits = forward(params, mask, x, trace=trace, rows=rows, first=first)
+        def as_bytes(logits, trace):
             grad = backward(params, mask, x, logits_grad, trace=trace, rows=rows)
             arrays = [logits, grad, *trace.inputs, *trace.preacts, *trace.weights[1:]]
-            return trace, [a.tobytes() for a in arrays]
+            return [a.tobytes() for a in arrays]
 
         # from the full width's layer 0, and from the next wider width's
-        containing, _ = traced(build_mask(layout, 1.0))
+        containing = ForwardTrace()
+        forward(params, build_mask(layout, 1.0), x, trace=containing, rows=rows)
         for ratio in sorted(ratios, reverse=True):
             mask = build_mask(layout, ratio)
-            own, own_bytes = traced(mask)
+            expected = as_bytes(*self.masked_weight_forward(values, layout, mask, x, rows))
+            own = ForwardTrace()
+            assert as_bytes(forward(params, mask, x, trace=own, rows=rows), own) == expected
             assert own.weights[0] is None
-            assert traced(mask, first=containing.preacts[0])[1] == own_bytes
-            # the full product's kept units are the masked product's
-            w, b = _blocks(values, layout, 0)
-            w_bits, b_bits = _blocks(mask.bits, layout, 0)
-            masked = _matmul(rows, x, w * w_bits, transpose=True) + (b * b_bits)[..., None, :]
-            np.testing.assert_array_equal(own.preacts[0], masked)
+            shared = ForwardTrace()
+            logits = forward(params, mask, x, trace=shared, rows=rows, first=containing.preacts[0])
+            assert as_bytes(logits, shared) == expected
             containing = own
 
     def test_first_layer_shape_checked(self):
