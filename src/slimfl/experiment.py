@@ -145,8 +145,15 @@ class VanillaPair:
         self.full_run.run_round()
         return report((self.half_run, self.full_run))
 
+    def close(self) -> None:
+        self.half_run.close()
+        self.full_run.close()
+
     def run(self) -> list[RoundMetrics]:
-        return [self.run_round() for _ in range(self.half_run.rounds)]
+        try:
+            return [self.run_round() for _ in range(self.half_run.rounds)]
+        finally:
+            self.close()
 
 
 def summarize(cfg: ExperimentConfig, seed: int, metrics: list[RoundMetrics]) -> dict:

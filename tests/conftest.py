@@ -1,0 +1,17 @@
+"""Suite-wide checks."""
+
+import os
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process unreaped (a local-training
+    worker its run did not close)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process{f' ({pid} exited unreaped)' if pid else ''}")

@@ -1,7 +1,11 @@
 """Aggregation cases, decode-level plumbing, vanilla baselines, evaluation."""
 
+import contextlib
 import dataclasses
+import hashlib
 import math
+import os
+import signal
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +20,7 @@ from slimfl.channel import (
     decode_thresholds,
     rate_for_sinr_threshold,
 )
-from slimfl import experiment
+from slimfl import experiment, federation
 from slimfl.config import load_config
 from slimfl.datasets import Dataset, Shard, dirichlet_partition
 from slimfl.experiment import VanillaPair
@@ -29,7 +33,7 @@ from slimfl.federation import (
     evaluate,
     vanilla_threshold,
 )
-from slimfl.metrics import CostModel
+from slimfl.metrics import CostModel, write_metrics_csv
 from slimfl.slimnet import Layout, SlimmableParams, build_mask, forward, init_params
 from slimfl.training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
 from slimfl import rng as rngmod
@@ -54,6 +58,36 @@ def make_task(seed=0, n=200, dim=10, classes=4):
 
 def single_width(cfg: TrainConfig) -> TrainConfig:
     return dataclasses.replace(cfg, st_weights=(1.0,), width_ratios=(1.0,), algorithm="widthwise")
+
+
+@contextlib.contextmanager
+def split_stacks(min_devices=2, cpus=2):
+    """Stacks of at least ``2 * min_devices`` devices split, into up to ``cpus`` parts."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(federation, "MIN_DEVICES_PER_PART", min_devices)
+        mp.setattr(federation, "available_cpus", lambda: cpus)
+        yield
+
+
+@contextlib.contextmanager
+def deadline(seconds=30):
+    """Raise TimeoutError in the block after ``seconds``: a worker that never
+    sees its pipe close makes closing its run wait forever."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def make_run(scheme="slimfl", seed=0, rounds=3, n_devices=4, chan=None, parallel=False):
@@ -270,6 +304,74 @@ class TestLocalTraining:
             assert np.float64(losses[k]).tobytes() == np.float64(result.loss).tobytes()
 
 
+    @pytest.mark.parametrize("rule", sorted(STEP_FUNCTIONS))
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(
+        shards=st.lists(
+            st.lists(st.integers(0, len(LOCAL_TRAIN) - 1), min_size=1, max_size=40, unique=True),
+            min_size=4,
+            max_size=8,
+        ).map(index_shards),
+        batch_size=st.integers(1, 32),
+        local_iters=st.integers(1, 3),
+        optimizer=st.sampled_from(["adam", "sgd"]),
+        min_devices=st.integers(1, 2),
+        cpus=st.integers(2, 3),
+    )
+    # parts [32, 32, 1] and [7, 32, 29]: both pad, in the process and in the worker
+    @example(
+        shards=SKEWED_SHARDS, batch_size=32, local_iters=2, optimizer="adam", min_devices=2,
+        cpus=2,
+    )
+    def test_split_stack_matches_one_process(
+        self, rule, shards, batch_size, local_iters, optimizer, min_devices, cpus
+    ):
+        layout = Layout.mlp(10, (8,), 4)
+        cfg = TrainConfig(batch_size=batch_size, algorithm=rule, optimizer=optimizer)
+        init = init_params(layout, rngmod.stream(20, "init")).values
+
+        def two_rounds():
+            engine = LocalTraining(
+                layout=layout, train=LOCAL_TRAIN, shards=shards, train_cfg=cfg,
+                batch_rngs=[rngmod.stream(20, "batch", k) for k in range(len(shards))],
+                local_iters=local_iters,
+            )
+            try:
+                # a broadcast start vector, then a stack of distinct rows
+                values, _ = engine.run(np.broadcast_to(init, (len(shards), layout.size)))
+                values, losses = engine.run(values)
+                return engine.parts, values.tobytes(), np.asarray(losses).tobytes()
+            finally:
+                engine.close()
+
+        parts, *serial = two_rounds()
+        assert parts == 1
+        with split_stacks(min_devices, cpus):
+            parts, *split = two_rounds()
+        assert parts == min(cpus, len(shards) // min_devices) > 1
+        assert split == serial
+
+    def test_worker_failure_names_round_and_devices(self):
+        layout = Layout.mlp(10, (8,), 4)
+        cfg = TrainConfig(batch_size=8)
+        # device 3's shard indexes past the training set: only the worker fails
+        shards = index_shards([[0, 1], [2, 3], [4, 5], [6]])
+        shards[3] = Shard(3, np.array([len(LOCAL_TRAIN)]), shards[3].class_histogram)
+        init = init_params(layout, rngmod.stream(20, "init")).values
+        with split_stacks():
+            engine = LocalTraining(
+                layout=layout, train=LOCAL_TRAIN, shards=shards, train_cfg=cfg,
+                batch_rngs=[rngmod.stream(20, "batch", k) for k in range(4)],
+                local_iters=1,
+            )
+            try:
+                with pytest.raises(RuntimeError, match=r"round 1: .* devices 2-3 failed") as info:
+                    engine.run(np.broadcast_to(init, (4, layout.size)))
+            finally:
+                engine.close()
+        assert isinstance(info.value.__cause__, IndexError)
+        assert_no_child_process()
+
     def test_fanout_step_holds_no_extra_stack(self):
         # K=100 devices, batch 8: the benchmark's fanout configuration
         cfg = load_config(REFERENCE)
@@ -279,23 +381,109 @@ class TestLocalTraining:
             training=dataclasses.replace(cfg.training, batch_size=8),
         )
         run = experiment.make_run(cfg, 1)
-        for _ in range(3):  # warm: the Adam moments and caches exist
-            run.run_round()
-        stack_bytes = run.device_values.size * 8
-        tracemalloc.start()
         try:
-            run.local.run(run.device_values)
-            peak = tracemalloc.get_traced_memory()[1]
+            for _ in range(3):  # warm: the Adam moments and caches exist
+                run.run_round()
+            # the stack is split (one part per CPU): this process trains the
+            # first part, and only its allocations are traced
+            head = 100 // run.local.parts
+            stack_bytes = head * run.layout.size * 8
+            tracemalloc.start()
+            try:
+                run.local.run(run.device_values)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         finally:
-            tracemalloc.stop()
-        # measured 3.90; the step held 5.54 while it copied the start stack,
-        # and 4.54 while each sub-width masked a copy of layer 0's weights
-        assert peak <= 3.95 * stack_bytes, (
-            f"LocalTraining.run peaked at {peak / stack_bytes:.2f} (devices, P) stacks above "
-            "its start, over the 3.95 pinned: one more (devices, P) array held across the "
-            "step lets glibc trim the freed step temporaries back to the OS and fault them "
-            "in again next step (about 2,550 minor page faults per K=100 round)"
+            run.close()
+        # numpy's two ufunc buffers (np.getbufsize() float64s each) are
+        # allocated whatever the device count
+        buffers = 2 * 8 * np.getbufsize()
+        # measured 3.83 stacks plus the buffers; the step held 5.54 (a 100-device
+        # stack, buffers included) while it copied the start stack, and 4.54
+        # while each sub-width masked a copy of layer 0's weights
+        assert peak - buffers <= 3.95 * stack_bytes, (
+            f"LocalTraining.run peaked at {(peak - buffers) / stack_bytes:.2f} (devices, P) "
+            f"stacks of its first {head} devices above its start and numpy's buffers, over "
+            "the 3.95 pinned: one more such array held across the step lets glibc trim the "
+            "freed step temporaries back to the OS and fault them in again next step "
+            "(about 2,550 minor page faults per K=100 round)"
         )
+
+    @pytest.mark.parametrize("scheme", ["slimfl", "vanilla-1.5x"])
+    def test_split_run_writes_the_same_csv(self, scheme, tmp_path):
+        cfg = load_config(REFERENCE)
+        cfg = dataclasses.replace(
+            cfg, rounds=4, channel=config_for_decode_probs(0.7, 0.5),
+            federation=dataclasses.replace(
+                cfg.federation, n_devices=6, local_iters=2, scheme=scheme
+            ),
+            training=dataclasses.replace(cfg.training, batch_size=16),
+        )
+        built = []
+
+        def digest(tag):
+            metrics, _ = experiment.run_experiment(cfg, 3)
+            write_metrics_csv(tmp_path / tag, metrics)
+            return hashlib.sha256((tmp_path / tag).read_bytes()).hexdigest()
+
+        serial = digest("serial.csv")
+        with split_stacks(), pytest.MonkeyPatch.context() as mp:
+            make = experiment.make_run
+            mp.setattr(experiment, "make_run", lambda *a: built.append(make(*a)) or built[-1])
+            split = digest("split.csv")
+        runs = (built[0].half_run, built[0].full_run) if scheme == "vanilla-1.5x" else built
+        assert [run.local.parts for run in runs] == [2] * len(runs)
+        assert split == serial
+
+
+class TestWorkers:
+    """A split run's workers end with it, however it ends."""
+
+    def test_run_reaps_its_workers(self):
+        with split_stacks():
+            run = make_run(seed=21, rounds=2)
+            run.run()
+        assert run.local.parts == 2
+        assert_no_child_process()
+
+    def test_failed_run_reaps_its_workers(self):
+        with split_stacks():
+            run = make_run(seed=22, rounds=2)
+            run.test = Dataset(np.zeros((0, 10)), np.zeros(0, dtype=np.int64), 4)
+            with pytest.raises(ValueError, match="nonempty"):  # evaluate, after training
+                run.run()
+        assert run.local.parts == 2
+        assert_no_child_process()
+
+    def test_pair_run_reaps_both_runs_workers(self):
+        with split_stacks(min_devices=1), deadline():
+            pair = TestCombinedVanillaRun().build(seed=23)
+            pair.run()
+        assert [pair.half_run.local.parts, pair.full_run.local.parts] == [2, 2]
+        assert_no_child_process()
+
+    def test_closing_the_first_of_two_live_runs_returns(self):
+        # the second run's worker inherits the first's pipe end; unless it
+        # closes it, the first worker never sees its pipe close
+        with split_stacks():
+            first, second = make_run(seed=24), make_run(seed=25)
+            try:
+                with deadline():
+                    first.run_round()
+                    second.run_round()
+                    first.close()
+            finally:
+                second.close()
+        assert_no_child_process()
+
+    def test_closed_split_run_cannot_train(self):
+        with split_stacks():
+            run = make_run(seed=26)
+            run.run_round()
+            run.close()
+            with pytest.raises(RuntimeError, match="closed"):
+                run.run_round()
 
 
 class TestSlimFLRound:
