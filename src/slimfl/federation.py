@@ -166,7 +166,7 @@ class LocalTraining:
     stack (``device_parts``).  The first ``run`` then forks one worker per
     part after the first (``_DevicePool``), which owns that part's shards,
     batch streams and optimizer rows for the rest of the run; ``close``
-    stops the workers, and the engine cannot train after it.
+    stops the workers, and a split engine cannot train after it.
     """
 
     def __init__(
