@@ -9,11 +9,15 @@ decoded one after the other; a fixed-width FedAvg baseline's is one
 message carrying its whole model.  Both run the same loop; only the widths
 and decode thresholds differ.
 
-Local training is device-batched (``LocalTraining``): all devices step
-together as one (devices, P) stack, with results bitwise equal to training
-each device alone.  On Linux a stack of at least ``MIN_DEVICES_PER_PART``
-devices per part is split into contiguous parts, one per CPU: the process
-trains the first, and one forked worker process trains each other part.
+Local training is device-batched (``LocalTraining``): every device starts
+from the one global vector, and all devices step together as one (devices,
+P) stack, with results bitwise equal to training each device alone.  On
+Linux a stack of at least ``MIN_DEVICES_PER_PART`` devices per part is
+split into contiguous parts, one per CPU: the process trains the first, and
+one forked worker process trains each other part.
+
+A round whose device loss or aggregated global vector is not finite raises
+``ValueError`` naming the round and the devices (and width) at fault.
 """
 
 from __future__ import annotations
@@ -126,12 +130,6 @@ def evaluate(params: SlimmableParams, masks, x: np.ndarray, y: np.ndarray) -> li
     return [float((z.argmax(axis=1) == y).mean()) for z in (*logits, widest)]
 
 
-def _broadcast(values: np.ndarray, n_devices: int) -> np.ndarray:
-    """Every device's start vector for the next round: read-only views of
-    one vector, so no per-device copies."""
-    return np.broadcast_to(values, (n_devices, len(values)))
-
-
 # Devices per part below which a stack trains in one process: handing a
 # part to a worker costs more than the part's steps save.  Two parts of a
 # fanout-style stack (batch 8) trained at x0.76 the one-process speed at 20
@@ -155,7 +153,8 @@ def device_parts(n_devices: int) -> int:
 class LocalTraining:
     """Local steps of every device, one stacked step rule call per step.
 
-    All devices train as one (devices, P) stack with one stacked optimizer.
+    All devices start from the global vector and train as one (devices, P)
+    stack with one stacked optimizer.
     A device whose shard is smaller than the batch size draws its whole
     shard, min(batch_size, len(shard)) samples, and its batch is padded to
     the longest (``BatchRows``).  Each device draws its batches from its own
@@ -196,13 +195,18 @@ class LocalTraining:
         self.parts = 1  # fixed by the first run
         self._pool: _DevicePool | None = None
 
-    def run(self, start_values: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """Train every device from its start vector for ``local_iters`` steps.
+    def run(self, global_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Train every device from the (P,) global vector for ``local_iters`` steps.
 
         Returns the trained vectors as a (devices, P) stack and each
         device's loss at its last step.  A split stack's trained vectors
         are a shared buffer that the next call overwrites.
         """
+        if np.shape(global_values) != (self.layout.size,):
+            raise ValueError(
+                f"local training starts from one ({self.layout.size},) global vector, "
+                f"not an array of shape {np.shape(global_values)}"
+            )
         self.rounds += 1
         if self.rounds == 1:
             self.parts = device_parts(len(self.shards))
@@ -210,8 +214,8 @@ class LocalTraining:
                 self._pool = _DevicePool(self, self.parts)
                 self._close = weakref.finalize(self, self._pool.close)
         if self._pool is not None:
-            return self._pool.run(np.asarray(start_values), self.rounds)
-        return self._train(start_values)
+            return self._pool.run(global_values, self.rounds)
+        return self._train(global_values)
 
     def close(self) -> None:
         """Stop and reap the workers, if the stack was split."""
@@ -226,11 +230,11 @@ class LocalTraining:
             local_iters=self.local_iters,
         )
 
-    def _train(self, start_values: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def _train(self, global_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``run`` in this process, over every device of this engine."""
-        # trains from the given stack itself (the broadcast global vector
-        # between rounds): the step rules only read it
-        params = SlimmableParams(self.layout, np.asarray(start_values))
+        # each device starts from a read-only view of the one vector: no copies
+        start = np.broadcast_to(global_values, (len(self.shards), self.layout.size))
+        params = SlimmableParams(self.layout, start)
         batch_idx = self.batch_idx
         for _ in range(self.local_iters):
             for k, (rng, shard, size) in enumerate(zip(self.batch_rngs, self.shards, self.sizes)):
@@ -258,16 +262,16 @@ _PROCESS_ENDS: set = set()
 class _DevicePool:
     """The workers of a split stack, one per part after the first.
 
-    Each round the process writes the start vectors into ``start`` and
+    Each round the process writes the global vector into ``start`` and
     sends every worker a go over its pipe; each worker trains its part from
-    there and writes its rows of ``out`` and ``losses``, while the process
+    it and writes its rows of ``out`` and ``losses``, while the process
     trains the first part, then answers done or its pickled exception.
     """
 
     def __init__(self, engine: LocalTraining, parts: int):
         n = len(engine.shards)
         self.bounds = [i * n // parts for i in range(parts + 1)]
-        self.start = _shared((n, engine.layout.size))
+        self.start = _shared((engine.layout.size,))
         self.out = _shared((n, engine.layout.size))
         self.losses = _shared((n,))
         self.head = engine.part(0, self.bounds[1])
@@ -305,14 +309,11 @@ class _DevicePool:
         """The worker's loop: train the part on each go, until the pipe closes."""
         while True:
             try:
-                broadcast = end.recv_bytes() == b"b"
+                end.recv_bytes()
             except EOFError:
                 return
             try:
-                start = self.start[lo:hi]
-                if broadcast:
-                    start = _broadcast(self.start[0], hi - lo)
-                self.out[lo:hi], self.losses[lo:hi] = engine._train(start)
+                self.out[lo:hi], self.losses[lo:hi] = engine._train(self.start)
                 reply = None
             except Exception as exc:
                 import traceback  # a worker's only use: 0.25 MB in every process otherwise
@@ -324,23 +325,18 @@ class _DevicePool:
                 message = pickle.dumps((RuntimeError(repr(reply[0])), reply[1]))
             end.send_bytes(message)
 
-    def run(self, start: np.ndarray, round_: int) -> tuple[np.ndarray, np.ndarray]:
+    def run(self, global_values: np.ndarray, round_: int) -> tuple[np.ndarray, np.ndarray]:
         if not self.workers:
             raise RuntimeError(
                 "local training is closed: its workers held the optimizer and batch "
                 "streams of every device after the first part"
             )
-        # a broadcast stack (stride 0) is one vector
-        broadcast = start.strides[0] == 0
-        if broadcast:
-            self.start[0] = start[0]
-        else:
-            self.start[self.bounds[1]:] = start[self.bounds[1]:]
+        self.start[:] = global_values
         for _, end, _, _ in self.workers:
-            end.send_bytes(b"b" if broadcast else b"s")
+            end.send_bytes(b"go")
         head = self.bounds[1]
         try:
-            self.out[:head], self.losses[:head] = self.head._train(start[:head])
+            self.out[:head], self.losses[:head] = self.head._train(global_values)
         finally:
             # every reply is read, so the pipes stay in step after an error
             failures = [(worker, self._reply(worker)) for worker in self.workers]
@@ -465,7 +461,6 @@ class FederatedRun:
             master_seed, [("fading", *stream_tag, k) for k in range(fed_cfg.n_devices)]
         )
         self.global_values = init_values.copy()
-        self.device_values = _broadcast(self.global_values, fed_cfg.n_devices)
         self.levels = np.zeros(fed_cfg.n_devices, dtype=np.intp)
         self.round = 0
 
@@ -478,15 +473,20 @@ class FederatedRun:
 
     def run_round(self) -> RoundMetrics:
         self.round += 1
-        self.device_values, losses = self.local.run(self.device_values)
+        trained, losses = self.local.run(self.global_values)
+        if not np.isfinite(losses).all():
+            raise ValueError(
+                f"round {self.round}: the local loss of device(s) "
+                f"{_ids(~np.isfinite(losses))} is not finite"
+            )
         self.loss = float(np.mean(losses))
 
         self.levels = self.decode_levels()
         self.global_values = aggregate(
-            self.global_values, self.device_values, self.levels, self.widths[0].mask.bits,
-            self.divisors,
+            self.global_values, trained, self.levels, self.widths[0].mask.bits, self.divisors,
         )
-        self.device_values = _broadcast(self.global_values, self.fed_cfg.n_devices)
+        if not np.isfinite(self.global_values).all():
+            self._raise_non_finite(trained)
 
         self.accuracies = [math.nan] * len(self.widths)
         if self.round % self.eval_every == 0:
@@ -494,6 +494,27 @@ class FederatedRun:
             masks = [w.mask for w in self.widths]
             self.accuracies = evaluate(params, masks, self.test.x, self.test.y)
         return report((self,))
+
+    def _raise_non_finite(self, trained: np.ndarray) -> None:
+        """Name the first width segment of the global vector that is not
+        finite, and the devices that delivered non-finite values there (or
+        every device that delivered it, when their finite average overflowed)."""
+        first = self.widths[0].mask.bits
+        for level, (width, segment) in enumerate(zip(self.widths, (first, ~first)), 1):
+            bad = np.count_nonzero(~np.isfinite(self.global_values[segment]))
+            if not bad:
+                continue
+            delivered = self.levels >= level
+            culprits = delivered & ~np.isfinite(trained[:, segment]).all(axis=1)
+            cause = (
+                f"device(s) {_ids(culprits)} delivered non-finite values there"
+                if culprits.any()
+                else f"the finite values of device(s) {_ids(delivered)} overflowed their average"
+            )
+            raise ValueError(
+                f"round {self.round}: {bad} coordinates of the global model's "
+                f"{width.column}-width segment are not finite; {cause}"
+            )
 
     def close(self) -> None:
         """Stop and reap the local-training workers, if any started."""
@@ -504,6 +525,11 @@ class FederatedRun:
             return [self.run_round() for _ in range(self.rounds)]
         finally:
             self.close()
+
+
+def _ids(flags: np.ndarray) -> str:
+    """The indices where ``flags`` is set, as a comma-separated list."""
+    return ", ".join(map(str, np.flatnonzero(flags)))
 
 
 def report(runs: Sequence[FederatedRun]) -> RoundMetrics:

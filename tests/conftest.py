@@ -1,8 +1,25 @@
-"""Suite-wide checks."""
+"""Suite-wide checks, and helpers for tests of the split local-training engine."""
 
+import contextlib
 import os
 
 import pytest
+
+from slimfl import federation
+
+
+@contextlib.contextmanager
+def split_stacks(min_devices=2, cpus=2):
+    """Stacks of at least ``2 * min_devices`` devices split, into up to ``cpus`` parts."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(federation, "MIN_DEVICES_PER_PART", min_devices)
+        mp.setattr(federation, "available_cpus", lambda: cpus)
+        yield
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(autouse=True)

@@ -11,6 +11,7 @@ redistributable inside this build environment; the data pipeline loads
 them via the IDX config path when present.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -18,8 +19,10 @@ import time
 
 import numpy as np
 import pytest
+from conftest import split_stacks
 from scipy import stats
 
+from slimfl import experiment
 from slimfl import rng as rngmod
 from slimfl.analysis import (
     MaskedQuadraticSim,
@@ -453,7 +456,8 @@ def test_criterion_9_dirichlet_entropy_contrast():
 
 
 def test_criterion_10_determinism(tmp_path):
-    """Same master seed gives byte-identical CSVs, serial or device-parallel."""
+    """Same master seed gives byte-identical CSVs, serial or device-parallel
+    (the device stack split over two processes)."""
     text = BASE_TREND_CONFIG.format(
         scheme="slimfl", weights="0.5,0.5", hidden=8, lr=0.01, iters=2, spread=0.4
     ).replace("rounds = 300", "rounds = 10").replace("per_class = 1000", "per_class = 60")
@@ -462,11 +466,16 @@ def test_criterion_10_determinism(tmp_path):
         cfg, federation=dataclasses.replace(cfg.federation, parallel_devices=True)
     )
 
-    digests = []
+    digests, runs = [], []
+    make_run = experiment.make_run
     for tag, config in (("s1", cfg), ("s2", cfg), ("p1", par_cfg), ("p2", par_cfg)):
-        metrics, _ = run_experiment(config, 11)
+        engine = split_stacks() if config is par_cfg else contextlib.nullcontext()
+        with engine, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "make_run", lambda *a: runs.append(make_run(*a)) or runs[-1])
+            metrics, _ = run_experiment(config, 11)
         path = tmp_path / f"{tag}.csv"
         write_metrics_csv(path, metrics)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert [run.local.parts for run in runs] == [1, 1, 2, 2]
     assert len(set(digests)) == 1  # reruns AND parallel schedules agree
-    report(10, f"4 runs (2 serial, 2 parallel) share sha256 {digests[0][:12]}...")
+    report(10, f"4 runs (2 serial, 2 split over 2 processes) share sha256 {digests[0][:12]}...")

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,6 +454,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "channel.rate_bps: " in err and "bandwidth_hz" in err
         assert not (tmp_path / "out").exists()
+
+    def test_diverging_run_exits_1_naming_round_width_and_devices(self, tmp_path, capsys):
+        text = (Path(__file__).resolve().parents[1] / "configs" / "reference.ini").read_text()
+        for key, value in (
+            ("seeds", "1"), ("rounds", "5"), ("lr", "1e308"), ("output_dir", tmp_path / "out")
+        ):
+            text, n = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+            assert n == 1
+        assert "optimizer = adam" in text
+        config_path = tmp_path / "diverging.ini"
+        config_path.write_text(text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", str(config_path)]) == 1
+        assert re.fullmatch(
+            r"error: round 1: \d+ coordinates of the global model's half-width segment are not "
+            r"finite; the finite values of device\(s\) \d+(, \d+)* overflowed their average\n",
+            capsys.readouterr().err,
+        )
+        assert not (tmp_path / "out" / "metrics_seed1.csv").exists()
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["run", "/nonexistent/exp.ini"]) == 2

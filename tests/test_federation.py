@@ -4,13 +4,14 @@ import contextlib
 import dataclasses
 import hashlib
 import math
-import os
+import re
 import signal
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_process, split_stacks
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from slimfl.channel import (
     decode_thresholds,
     rate_for_sinr_threshold,
 )
-from slimfl import experiment, federation
+from slimfl import experiment
 from slimfl.config import load_config
 from slimfl.datasets import Dataset, Shard, dirichlet_partition
 from slimfl.experiment import VanillaPair
@@ -61,15 +62,6 @@ def single_width(cfg: TrainConfig) -> TrainConfig:
 
 
 @contextlib.contextmanager
-def split_stacks(min_devices=2, cpus=2):
-    """Stacks of at least ``2 * min_devices`` devices split, into up to ``cpus`` parts."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(federation, "MIN_DEVICES_PER_PART", min_devices)
-        mp.setattr(federation, "available_cpus", lambda: cpus)
-        yield
-
-
-@contextlib.contextmanager
 def deadline(seconds=30):
     """Raise TimeoutError in the block after ``seconds``: a worker that never
     sees its pipe close makes closing its run wait forever."""
@@ -83,11 +75,6 @@ def deadline(seconds=30):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def make_run(scheme="slimfl", seed=0, rounds=3, n_devices=4, chan=None, parallel=False):
@@ -280,27 +267,28 @@ class TestLocalTraining:
         train, n_devices = LOCAL_TRAIN, len(shards)
         layout = Layout.mlp(10, (8,), 4)
         cfg = TrainConfig(batch_size=batch_size, algorithm=rule, optimizer=optimizer)
-        init = init_params(layout, rngmod.stream(20, "init")).values
+        # two rounds, each from its own global vector
+        starts = [init_params(layout, rngmod.stream(20, "init", r)).values for r in range(2)]
         engine = LocalTraining(
             layout=layout, train=train, shards=shards, train_cfg=cfg,
             batch_rngs=[rngmod.stream(20, "batch", k) for k in range(n_devices)],
             local_iters=local_iters,
         )
-        start = [init] * n_devices
-        for _ in range(2):  # optimizer state carries over between rounds
-            start, losses = engine.run(start)
+        for start in starts:  # optimizer state carries over between rounds
+            values, losses = engine.run(start)
 
         # reference: the per-device loop, one device at a time
         step = STEP_FUNCTIONS[rule]
         for k, shard in enumerate(shards):
-            params = SlimmableParams(layout, init)
             rng, opt = rngmod.stream(20, "batch", k), LocalOptimizer(cfg, layout.size)
             size = min(cfg.batch_size, len(shard))
-            for _ in range(2 * local_iters):  # two rounds of local steps
-                idx = rng.choice(shard.indices, size=size, replace=False)
-                result = step(params, train.x[idx], train.y[idx], cfg, opt)
-                params = result.params
-            assert start[k].tobytes() == params.values.tobytes()
+            for start in starts:
+                params = SlimmableParams(layout, start)
+                for _ in range(local_iters):
+                    idx = rng.choice(shard.indices, size=size, replace=False)
+                    result = step(params, train.x[idx], train.y[idx], cfg, opt)
+                    params = result.params
+            assert values[k].tobytes() == params.values.tobytes()
             assert np.float64(losses[k]).tobytes() == np.float64(result.loss).tobytes()
 
 
@@ -328,7 +316,7 @@ class TestLocalTraining:
     ):
         layout = Layout.mlp(10, (8,), 4)
         cfg = TrainConfig(batch_size=batch_size, algorithm=rule, optimizer=optimizer)
-        init = init_params(layout, rngmod.stream(20, "init")).values
+        starts = [init_params(layout, rngmod.stream(20, "init", r)).values for r in range(2)]
 
         def two_rounds():
             engine = LocalTraining(
@@ -337,17 +325,18 @@ class TestLocalTraining:
                 local_iters=local_iters,
             )
             try:
-                # a broadcast start vector, then a stack of distinct rows
-                values, _ = engine.run(np.broadcast_to(init, (len(shards), layout.size)))
-                values, losses = engine.run(values)
-                return engine.parts, values.tobytes(), np.asarray(losses).tobytes()
+                trained = []  # bytes now: a split stack's output is overwritten next round
+                for start in starts:
+                    values, losses = engine.run(start)
+                    trained += [values.tobytes(), losses.tobytes()]
+                return engine.parts, trained
             finally:
                 engine.close()
 
-        parts, *serial = two_rounds()
+        parts, serial = two_rounds()
         assert parts == 1
         with split_stacks(min_devices, cpus):
-            parts, *split = two_rounds()
+            parts, split = two_rounds()
         assert parts == min(cpus, len(shards) // min_devices) > 1
         assert split == serial
 
@@ -366,11 +355,34 @@ class TestLocalTraining:
             )
             try:
                 with pytest.raises(RuntimeError, match=r"round 1: .* devices 2-3 failed") as info:
-                    engine.run(np.broadcast_to(init, (4, layout.size)))
+                    engine.run(init)
             finally:
                 engine.close()
         assert isinstance(info.value.__cause__, IndexError)
         assert_no_child_process()
+
+    def test_start_must_be_one_global_vector(self):
+        layout = Layout.mlp(10, (8,), 4)
+        init = init_params(layout, rngmod.stream(20, "init")).values
+        parts = []
+        for engines in (contextlib.nullcontext(), split_stacks()):
+            with engines:
+                engine = LocalTraining(
+                    layout=layout, train=LOCAL_TRAIN,
+                    shards=index_shards([[0, 1], [2, 3], [4, 5], [6, 7]]),
+                    train_cfg=TrainConfig(batch_size=2),
+                    batch_rngs=[rngmod.stream(20, "batch", k) for k in range(4)],
+                    local_iters=1,
+                )
+                try:
+                    engine.run(init)  # a split engine starts its worker here
+                    for start in (np.broadcast_to(init, (4, layout.size)), init[:-1], init[None]):
+                        with pytest.raises(ValueError, match=rf"one \({layout.size},\) global"):
+                            engine.run(start)
+                    parts.append(engine.parts)
+                finally:
+                    engine.close()
+        assert parts == [1, 2]
 
     def test_fanout_step_holds_no_extra_stack(self):
         # K=100 devices, batch 8: the benchmark's fanout configuration
@@ -390,7 +402,7 @@ class TestLocalTraining:
             stack_bytes = head * run.layout.size * 8
             tracemalloc.start()
             try:
-                run.local.run(run.device_values)
+                run.local.run(run.global_values)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -495,10 +507,8 @@ class TestSlimFLRound:
 
         # reconstruct: fresh identical run, local updates only, then plain mean
         run_b = make_run(seed=7)
-        locals_b, _ = run_b.local.run(run_b.device_values)
+        locals_b, _ = run_b.local.run(run_b.global_values)
         np.testing.assert_array_equal(run_a.global_values, np.mean(np.stack(locals_b), axis=0))
-        for k in range(4):
-            np.testing.assert_array_equal(run_a.device_values[k], run_a.global_values)
 
     def test_dead_channel_keeps_global(self):
         dead = ChannelConfig(
@@ -512,7 +522,7 @@ class TestSlimFLRound:
 
     def test_scripted_mixed_outcomes(self):
         run = make_run(seed=9, n_devices=3)
-        locals_, _ = run.local.run(run.device_values)
+        locals_, _ = run.local.run(run.global_values)
         run_b = make_run(seed=9, n_devices=3)
         run_b.decode_levels = lambda: np.array([2, 1, 0])  # device 2 silent
         metrics = run_b.run_round()
@@ -532,11 +542,87 @@ class TestSlimFLRound:
 
     def test_parallel_devices_match_sequential(self):
         seq = make_run(seed=11, rounds=3)
-        par = make_run(seed=11, rounds=3, parallel=True)
         m_seq = seq.run()
-        m_par = par.run()
+        with split_stacks():  # the "parallel" side trains in a worker process too
+            par = make_run(seed=11, rounds=3, parallel=True)
+            m_par = par.run()
+        assert (seq.local.parts, par.local.parts) == (1, 2)
         np.testing.assert_array_equal(seq.global_values, par.global_values)
         assert m_seq == m_par
+
+
+class TestNonFiniteRound:
+    """A round whose loss or global vector is not finite stops the run,
+    naming the round, the width and the devices."""
+
+    @staticmethod
+    def message(poison, scheme="slimfl", levels=None):
+        """The error of a 3-round run whose trained stack and losses
+        ``poison(run, trained, losses)`` edits each round."""
+        run = make_run(scheme, seed=27)
+        train = run.local.run
+
+        def run_local(values):
+            trained, losses = (array.copy() for array in train(values))
+            poison(run, trained, losses)
+            return trained, losses
+
+        run.local.run = run_local
+        if levels is not None:
+            run.decode_levels = lambda: np.array(levels)
+        with pytest.raises(ValueError) as info:
+            run.run()
+        return str(info.value)
+
+    def test_loss_names_round_and_devices(self):
+        def poison(run, trained, losses):
+            if run.round == 2:
+                losses[[1, 3]] = [np.nan, np.inf]
+
+        assert self.message(poison) == "round 2: the local loss of device(s) 1, 3 is not finite"
+
+    def test_global_names_width_and_the_devices_that_delivered_it(self):
+        def poison(run, trained, losses):
+            half = run.widths[0].mask.bits
+            trained[0, np.flatnonzero(half)[:3]] = np.inf  # level 2: delivered
+            trained[2, ~half] = np.nan  # level 1: its full-width segment is not
+            trained[3] = np.nan  # level 0: nothing delivered
+
+        assert self.message(poison, levels=[2, 2, 1, 0]) == (
+            "round 1: 3 coordinates of the global model's half-width segment are not "
+            "finite; device(s) 0 delivered non-finite values there"
+        )
+
+    def test_full_width_segment_is_checked(self):
+        def poison(run, trained, losses):
+            if run.round == 3:
+                trained[1, ~run.widths[0].mask.bits] = np.nan
+
+        assert re.fullmatch(
+            r"round 3: \d+ coordinates of the global model's full-width segment are not "
+            r"finite; device\(s\) 1 delivered non-finite values there",
+            self.message(poison),
+        )
+
+    def test_baseline_names_its_one_width(self):
+        def poison(run, trained, losses):
+            trained[2, 5] = -np.inf
+
+        assert self.message(poison, scheme="vanilla-1.0x") == (
+            "round 1: 1 coordinates of the global model's full-width segment are not "
+            "finite; device(s) 2 delivered non-finite values there"
+        )
+
+    def test_overflowing_average_names_every_device_that_delivered(self):
+        def poison(run, trained, losses):
+            trained[:2, run.widths[0].mask.bits] = 1e308
+
+        with np.errstate(over="ignore"):
+            message = self.message(poison, levels=[2, 1, 1, 0])
+        assert message.endswith(
+            "half-width segment are not finite; the finite values of device(s) 0, 1, 2 "
+            "overflowed their average"
+        )
 
 
 class TestVanillaRun:
@@ -547,7 +633,7 @@ class TestVanillaRun:
             run_a = make_run("vanilla-1.0x", seed=12, n_devices=n_devices)
             run_a.run_round()
             run_b = make_run("vanilla-1.0x", seed=12, n_devices=n_devices)
-            locals_b, _ = run_b.local.run(run_b.device_values)
+            locals_b, _ = run_b.local.run(run_b.global_values)
             np.testing.assert_array_equal(
                 run_a.global_values, np.mean(np.stack(locals_b), axis=0)
             )
