@@ -10,21 +10,23 @@ import json
 import os
 import sys
 
-from .config import _SHORTHANDS, ConfigError, load_config, parse_config, serialize_config
+from .config import _SHORTHANDS, ConfigError, parse_config, serialize_config
 from .experiment import analyze_experiment, run_all
 from .metrics import write_json
 
 EXIT_BAD_CONFIG = 2
 
 
-def _load(path: str):
+def _read(path: str) -> str:
+    """The config file's text; a ConfigError when there is no such file."""
     if not os.path.exists(path):
         raise ConfigError(f"config file: {path} does not exist")
-    return load_config(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args.config)
+    cfg = parse_config(_read(args.config))
     combined = run_all(cfg)
     for run in combined["runs"]:
         conv = run["convergence_round"]
@@ -38,7 +40,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _load(args.config)
+    cfg = parse_config(_read(args.config))
     report = analyze_experiment(cfg)
     if args.output:
         write_json(args.output, report)
@@ -90,8 +92,7 @@ def cmd_widths(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        base_text = fh.read()
+    base_text = _read(args.config)
     values = [v for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep values: need at least one value")

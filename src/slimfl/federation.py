@@ -14,7 +14,9 @@ from the one global vector, and all devices step together as one (devices,
 P) stack, with results bitwise equal to training each device alone.  On
 Linux a stack of at least ``MIN_DEVICES_PER_PART`` devices per part is
 split into contiguous parts, one per CPU: the process trains the first, and
-one forked worker process trains each other part.
+one forked worker process trains each other part.  A run whose stack trains
+in one process, on a Linux host with a CPU to spare, draws its batches and
+fading gains one round ahead in a forked sampler process (``_Sampler``).
 
 A round whose device loss or aggregated global vector is not finite raises
 ``ValueError`` naming the round and the devices (and width) at fault.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import mmap
 import os
@@ -150,6 +153,14 @@ def device_parts(n_devices: int) -> int:
     return max(1, min(available_cpus(), n_devices // MIN_DEVICES_PER_PART))
 
 
+def spare_cpus() -> int:
+    """CPUs left over by this process's threads and its live helper
+    processes, on Linux only: a BLAS thread pool leaves none on its own."""
+    if not sys.platform.startswith("linux"):
+        return 0
+    return available_cpus() - len(os.listdir("/proc/self/task")) - len(_PROCESS_ENDS)
+
+
 class LocalTraining:
     """Local steps of every device, one stacked step rule call per step.
 
@@ -166,6 +177,10 @@ class LocalTraining:
     part after the first (``_DevicePool``), which owns that part's shards,
     batch streams and optimizer rows for the rest of the run; ``close``
     stops the workers, and a split engine cannot train after it.
+
+    A run's sampler (``_Sampler``) takes over the batch streams instead: it
+    makes this engine's ``draw`` calls in its own process, and ``run``
+    trains on the steps' batch rows it sets in ``drawn``.
     """
 
     def __init__(
@@ -194,6 +209,10 @@ class LocalTraining:
         self.rounds = 0  # run calls so far
         self.parts = 1  # fixed by the first run
         self._pool: _DevicePool | None = None
+        # this round's (x, y) batch rows of every step, when a sampler drew
+        # them; its pid once it owns the batch streams
+        self.drawn: _Slot | None = None
+        self.sampler_pid: int | None = None
 
     def run(self, global_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Train every device from the (P,) global vector for ``local_iters`` steps.
@@ -215,7 +234,7 @@ class LocalTraining:
                 self._close = weakref.finalize(self, self._pool.close)
         if self._pool is not None:
             return self._pool.run(global_values, self.rounds)
-        return self._train(global_values)
+        return self._train(global_values, self.drawn)
 
     def close(self) -> None:
         """Stop and reap the workers, if the stack was split."""
@@ -230,33 +249,114 @@ class LocalTraining:
             local_iters=self.local_iters,
         )
 
-    def _train(self, global_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``run`` in this process, over every device of this engine."""
+    def draw(self) -> tuple[np.ndarray, np.ndarray]:
+        """The next local step's (devices, batch, ...) x and y rows, each
+        device's drawn from its own stream."""
+        if self.sampler_pid is not None:
+            raise RuntimeError(
+                f"local training's batch streams are drawn ahead in sampler process "
+                f"{self.sampler_pid}; this process's copies are stale"
+            )
+        batch_idx = self.batch_idx
+        for k, (rng, shard, size) in enumerate(zip(self.batch_rngs, self.shards, self.sizes)):
+            batch_idx[k, :size] = rng.choice(shard.indices, size=size, replace=False)
+        return self.train.x[batch_idx], self.train.y[batch_idx]
+
+    def _train(
+        self, global_values: np.ndarray, drawn: _Slot | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``run`` in this process, over every device of this engine, on the
+        batches ``drawn`` ahead or, without them, drawn step by step."""
         # each device starts from a read-only view of the one vector: no copies
         start = np.broadcast_to(global_values, (len(self.shards), self.layout.size))
         params = SlimmableParams(self.layout, start)
-        batch_idx = self.batch_idx
-        for _ in range(self.local_iters):
-            for k, (rng, shard, size) in enumerate(zip(self.batch_rngs, self.shards, self.sizes)):
-                batch_idx[k, :size] = rng.choice(shard.indices, size=size, replace=False)
-            result = self.step_fn(
-                params, self.train.x[batch_idx], self.train.y[batch_idx],
-                self.train_cfg, self.opt, rows=self.rows,
-            )
-            params = result.params
+        if drawn is None:
+            steps = (self.draw() for _ in range(self.local_iters))
+        else:
+            steps = zip(drawn.x, drawn.y)
+        # a diverging step's overflow is reported by the run's finite checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, y in steps:
+                result = self.step_fn(params, x, y, self.train_cfg, self.opt, rows=self.rows)
+                params = result.params
         return params.values, result.loss
 
 
-def _shared(shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 array in anonymous shared memory: a process forked after
-    this call writes into the same pages."""
-    count = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, max(1, 8 * count)), np.float64, count).reshape(shape)
+def _shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An array in anonymous shared memory: a process forked after this call
+    writes into the same pages."""
+    count, itemsize = math.prod(shape), np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, max(1, itemsize * count)), dtype, count).reshape(shape)
 
 
-# the process-side pipe end of every live worker, closed in each new worker:
-# a worker holding another's end would keep it from seeing its pipe close
+# the process-side pipe end of every live helper process (a split stack's
+# worker or a run's sampler), closed in each new helper: a helper holding
+# another's end would keep it from seeing its pipe close
 _PROCESS_ENDS: set = set()
+
+
+def _fork(serve) -> tuple[int, object]:
+    """Fork a helper process that runs ``serve(end)`` on its end of a new
+    pipe, then exits; returns the helper's pid and the process's end."""
+    # imported here: 1.5 MB and 15 ms in every process otherwise
+    from multiprocessing.connection import Pipe
+
+    end, helper_end = Pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the process decides
+            end.close()
+            for other in _PROCESS_ENDS:
+                other.close()
+            serve(helper_end)
+            status = 0
+        finally:
+            os._exit(status)
+    helper_end.close()
+    _PROCESS_ENDS.add(end)
+    return pid, end
+
+
+def _answer(end, work) -> bool:
+    """A helper's reply to one request: run ``work()``, then send None or its
+    pickled exception with the traceback.  False if it failed or the
+    process has closed its end."""
+    try:
+        work()
+        reply = None
+    except Exception as exc:
+        import traceback  # a helper's only use: 0.25 MB in every process otherwise
+
+        reply = (exc, traceback.format_exc())
+    try:
+        message = pickle.dumps(reply)
+    except Exception:
+        message = pickle.dumps((RuntimeError(repr(reply[0])), reply[1]))
+    try:
+        end.send_bytes(message)
+    except BrokenPipeError:
+        return False
+    return reply is None
+
+
+def _reply(pid: int, end):
+    """A helper's next reply: None, or its exception and traceback."""
+    try:
+        return pickle.loads(end.recv_bytes())
+    except EOFError:
+        return RuntimeError(f"process {pid} exited"), ""
+
+
+def _reap(helpers) -> None:
+    """Close each (pid, end) helper's pipe, so it leaves its loop, and wait for it."""
+    for _, end in helpers:
+        _PROCESS_ENDS.discard(end)
+        end.close()
+    for pid, _ in helpers:
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
 
 
 class _DevicePool:
@@ -279,51 +379,24 @@ class _DevicePool:
         self.workers = []  # (pid, pipe end, lo, hi)
         try:
             for lo, hi in zip(self.bounds[1:-1], self.bounds[2:]):
-                self.workers.append(self._fork(engine.part(lo, hi), lo, hi))
+                serve = functools.partial(self._serve, engine.part(lo, hi), lo, hi)
+                self.workers.append((*_fork(serve), lo, hi))
         except BaseException:
             self.close()
             raise
 
-    def _fork(self, engine: LocalTraining, lo: int, hi: int):
-        # imported here: 1.5 MB and 15 ms in every process otherwise
-        from multiprocessing.connection import Pipe
-
-        end, worker_end = Pipe()
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the process decides
-                end.close()
-                for other in _PROCESS_ENDS:
-                    other.close()
-                self._serve(engine, worker_end, lo, hi)
-                status = 0
-            finally:
-                os._exit(status)
-        worker_end.close()
-        _PROCESS_ENDS.add(end)
-        return pid, end, lo, hi
-
-    def _serve(self, engine: LocalTraining, end, lo: int, hi: int) -> None:
+    def _serve(self, engine: LocalTraining, lo: int, hi: int, end) -> None:
         """The worker's loop: train the part on each go, until the pipe closes."""
+
+        def train():
+            self.out[lo:hi], self.losses[lo:hi] = engine._train(self.start)
+
         while True:
             try:
                 end.recv_bytes()
             except EOFError:
                 return
-            try:
-                self.out[lo:hi], self.losses[lo:hi] = engine._train(self.start)
-                reply = None
-            except Exception as exc:
-                import traceback  # a worker's only use: 0.25 MB in every process otherwise
-
-                reply = (exc, traceback.format_exc())
-            try:
-                message = pickle.dumps(reply)
-            except Exception:
-                message = pickle.dumps((RuntimeError(repr(reply[0])), reply[1]))
-            end.send_bytes(message)
+            _answer(end, train)
 
     def run(self, global_values: np.ndarray, round_: int) -> tuple[np.ndarray, np.ndarray]:
         if not self.workers:
@@ -339,8 +412,8 @@ class _DevicePool:
             self.out[:head], self.losses[:head] = self.head._train(global_values)
         finally:
             # every reply is read, so the pipes stay in step after an error
-            failures = [(worker, self._reply(worker)) for worker in self.workers]
-        for (pid, _, lo, hi), failure in failures:
+            failures = [_reply(pid, end) for pid, end, _, _ in self.workers]
+        for (pid, _, lo, hi), failure in zip(self.workers, failures):
             if failure is not None:
                 exc, trace = failure
                 raise RuntimeError(
@@ -349,25 +422,98 @@ class _DevicePool:
                 ) from exc
         return self.out, self.losses.copy()
 
-    @staticmethod
-    def _reply(worker):
-        pid, end, _, _ = worker
-        try:
-            return pickle.loads(end.recv_bytes())
-        except EOFError:
-            return RuntimeError(f"worker process {pid} exited"), ""
-
     def close(self) -> None:
         """Close every pipe, so each worker leaves its loop, and reap them."""
         workers, self.workers = self.workers, []
-        if os.getpid() != self.pid:  # a worker's copy of another pool
-            return
-        for _, end, _, _ in workers:
-            _PROCESS_ENDS.discard(end)
-            end.close()
-        for pid, _, _, _ in workers:
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
+        if os.getpid() == self.pid:  # not a worker's copy of another pool
+            _reap([(pid, end) for pid, end, _, _ in workers])
+
+
+@dataclass(frozen=True, eq=False)
+class _Slot:
+    """One round's draws: every local step's (devices, batch, ...) x and y
+    rows, and each device's fading gain."""
+
+    x: np.ndarray
+    y: np.ndarray
+    chi: np.ndarray
+
+
+class _Sampler:
+    """A run's batches and fading gains, drawn one round ahead in a forked
+    process that owns the batch streams.
+
+    The sampler fills two slots of anonymous shared memory in turn, round
+    after round, and answers each over its pipe: None, or its pickled
+    exception.  The process trains and decodes from a round's slot, then
+    frees it with one message, and the sampler fills it two rounds on.  It
+    runs ``LocalTraining.draw`` and ``FederatedRun.draw_fading``, the draws
+    of a run without a sampler, so every stream gives the same values.
+    """
+
+    def __init__(self, run: FederatedRun):
+        local, x, y = run.local, run.local.train.x, run.local.train.y
+        rows = (local.local_iters, *local.batch_idx.shape)
+        self.slots = [
+            _Slot(
+                x=_shared((*rows, *x.shape[1:]), x.dtype), y=_shared(rows, y.dtype),
+                chi=_shared((len(local.shards),)),
+            )
+            for _ in range(2)
+        ]
+        self.process = os.getpid()
+        self.pid, self.end = _fork(functools.partial(self._serve, run))
+        local.sampler_pid = self.pid
+
+    def _serve(self, run: FederatedRun, end) -> None:
+        """The sampler's loop: fill each round's slot once it is free, until
+        a draw fails or the pipe closes."""
+        # on wake-up, wait for a CPU rather than preempt the training process
+        with contextlib.suppress(OSError):
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        for round_ in itertools.count(1):
+            if round_ > len(self.slots):
+                try:
+                    end.recv_bytes()
+                except EOFError:
+                    return
+            slot = self.slots[(round_ - 1) % len(self.slots)]
+            if not _answer(end, lambda: self._fill(run, slot, round_)):
+                return
+
+    @staticmethod
+    def _fill(run: FederatedRun, slot: _Slot, round_: int) -> None:
+        for step in range(run.local.local_iters):
+            slot.x[step], slot.y[step] = run.local.draw()
+        slot.chi[:] = run.draw_fading(round_)
+
+    def take(self, round_: int) -> _Slot:
+        """Round ``round_``'s slot, once the sampler has filled it."""
+        if self.end is None:
+            raise RuntimeError(
+                f"the run is closed: its sampler process {self.pid} drew its batch "
+                "streams ahead"
+            )
+        failure = _reply(self.pid, self.end)
+        if failure is not None:
+            exc, trace = failure
+            raise RuntimeError(
+                f"round {round_}: drawing the batches and fading gains failed in sampler "
+                f"process {self.pid}:\n{trace}"
+            ) from exc
+        return self.slots[(round_ - 1) % len(self.slots)]
+
+    def free(self) -> None:
+        """Hand the slot taken last back to the sampler."""
+        # a sampler that failed further ahead has exited; its reply is read next round
+        with contextlib.suppress(BrokenPipeError):
+            self.end.send_bytes(b"free")
+
+    def close(self) -> None:
+        """Close the pipe, so the sampler leaves its loop, and reap it."""
+        end, self.end = self.end, None
+        if end is not None and os.getpid() == self.process:  # not a helper's copy
+            _reap([(self.pid, end)])
 
 
 def vanilla_threshold(chan_cfg: ChannelConfig, payload_ratio: float) -> float:
@@ -406,6 +552,10 @@ class FederatedRun:
     layout.  A device's decode level is how many of its messages decoded.
     Aggregation averages the first width's coordinates over every device at
     level >= 1 and the rest over devices at level 2.
+
+    At its first round, a run whose stack trains in one process starts a
+    sampler (``_Sampler``) if ``spare_cpus()`` leaves it a CPU; ``close``
+    stops it, and a sampled run cannot draw after it.
     """
 
     def __init__(
@@ -463,28 +613,49 @@ class FederatedRun:
         self.global_values = init_values.copy()
         self.levels = np.zeros(fed_cfg.n_devices, dtype=np.intp)
         self.round = 0
+        self.sampler: _Sampler | None = None
+
+    def draw_fading(self, round_: int) -> np.ndarray:
+        """Each device's fading gain in round ``round_``, from its stream."""
+        chi = np.empty(self.fed_cfg.n_devices)
+        for k, rng in enumerate(self.fading_streams.generators(round_)):
+            chi[k] = sample_fading(self.chan_cfg.fading, rng)
+        return chi
 
     def decode_levels(self) -> np.ndarray:
-        """Each device's decode level this round, from one fading draw."""
-        chi = np.empty(self.fed_cfg.n_devices)
-        for k, rng in enumerate(self.fading_streams.generators(self.round)):
-            chi[k] = sample_fading(self.chan_cfg.fading, rng)
+        """Each device's decode level this round, from one fading draw (the
+        sampler's, when it drew this round's)."""
+        slot = self.local.drawn
+        chi = self.draw_fading(self.round) if slot is None else slot.chi
         return decode_levels(chi, self.thresholds)
 
     def run_round(self) -> RoundMetrics:
         self.round += 1
-        trained, losses = self.local.run(self.global_values)
-        if not np.isfinite(losses).all():
-            raise ValueError(
-                f"round {self.round}: the local loss of device(s) "
-                f"{_ids(~np.isfinite(losses))} is not finite"
-            )
-        self.loss = float(np.mean(losses))
+        if self.round == 1 and device_parts(len(self.local.shards)) == 1 and spare_cpus() > 0:
+            self.sampler = _Sampler(self)
+            self._close = weakref.finalize(self, self.sampler.close)
+        if self.sampler is not None:
+            self.local.drawn = self.sampler.take(self.round)
+        try:
+            trained, losses = self.local.run(self.global_values)
+            if not np.isfinite(losses).all():
+                raise ValueError(
+                    f"round {self.round}: the local loss of device(s) "
+                    f"{_ids(~np.isfinite(losses))} is not finite"
+                )
+            self.levels = self.decode_levels()
+        finally:
+            if self.local.drawn is not None:
+                self.local.drawn = None
+                self.sampler.free()
 
-        self.levels = self.decode_levels()
-        self.global_values = aggregate(
-            self.global_values, trained, self.levels, self.widths[0].mask.bits, self.divisors,
-        )
+        # a diverging round's overflow is reported by the finite check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.loss = float(np.mean(losses))
+            self.global_values = aggregate(
+                self.global_values, trained, self.levels, self.widths[0].mask.bits,
+                self.divisors,
+            )
         if not np.isfinite(self.global_values).all():
             self._raise_non_finite(trained)
 
@@ -517,8 +688,10 @@ class FederatedRun:
             )
 
     def close(self) -> None:
-        """Stop and reap the local-training workers, if any started."""
+        """Stop and reap the local-training workers or the sampler, if any started."""
         self.local.close()
+        if self.sampler is not None:
+            self._close()
 
     def run(self) -> list[RoundMetrics]:
         try:

@@ -1,4 +1,5 @@
-"""Suite-wide checks, and helpers for tests of the split local-training engine."""
+"""Suite-wide checks, and helpers for tests of the split local-training
+engine and of the sampler."""
 
 import contextlib
 import os
@@ -14,6 +15,16 @@ def split_stacks(min_devices=2, cpus=2):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(federation, "MIN_DEVICES_PER_PART", min_devices)
         mp.setattr(federation, "available_cpus", lambda: cpus)
+        yield
+
+
+@contextlib.contextmanager
+def sampled_rounds(on=True):
+    """Runs whose first round starts a sampler (``on``) or never does,
+    whatever the rule finds.  Under pytest it finds no spare CPU on 2 CPUs:
+    the ``faulthandler_timeout`` watchdog is a second thread."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(federation, "spare_cpus", lambda: int(on))
         yield
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -455,28 +456,50 @@ class TestCli:
         assert "channel.rate_bps: " in err and "bandwidth_hz" in err
         assert not (tmp_path / "out").exists()
 
-    def test_diverging_run_exits_1_naming_round_width_and_devices(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "optimizer, lr, error",
+        [
+            (
+                "adam", "1e308",
+                r"error: round 1: \d+ coordinates of the global model's half-width segment are "
+                r"not finite; the finite values of device\(s\) \d+(, \d+)* overflowed their "
+                r"average\n",
+            ),
+            (
+                "sgd", "1e306",
+                r"error: round 3: the local loss of device\(s\) 1, 2, 3, 4, 5, 6, 7, 8 is not "
+                r"finite\n",
+            ),
+        ],
+    )
+    def test_diverging_run_exits_1_naming_round_width_and_devices(
+        self, optimizer, lr, error, tmp_path, capsys
+    ):
         text = (Path(__file__).resolve().parents[1] / "configs" / "reference.ini").read_text()
         for key, value in (
-            ("seeds", "1"), ("rounds", "5"), ("lr", "1e308"), ("output_dir", tmp_path / "out")
+            ("seeds", "1"), ("rounds", "5"), ("optimizer", optimizer), ("lr", lr),
+            ("output_dir", tmp_path / "out"),
         ):
             text, n = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
             assert n == 1
-        assert "optimizer = adam" in text
         config_path = tmp_path / "diverging.ini"
         config_path.write_text(text)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["run", str(config_path)]) == 1
-        assert re.fullmatch(
-            r"error: round 1: \d+ coordinates of the global model's half-width segment are not "
-            r"finite; the finite values of device\(s\) \d+(, \d+)* overflowed their average\n",
-            capsys.readouterr().err,
-        )
+        assert [str(w.message) for w in caught] == []  # the error alone says what went wrong
+        assert re.fullmatch(error, capsys.readouterr().err)
         assert not (tmp_path / "out" / "metrics_seed1.csv").exists()
 
-    def test_missing_file_exits_2(self, capsys):
-        assert main(["run", "/nonexistent/exp.ini"]) == 2
-        assert "does not exist" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command", [["run"], ["analyze"], ["sweep", "--param", "training.lr", "--values", "0.1"]],
+        ids=["run", "analyze", "sweep"],
+    )
+    def test_missing_file_exits_2(self, command, capsys):
+        assert main([command[0], "/nonexistent/exp.ini", *command[1:]]) == 2
+        assert "config error: config file: /nonexistent/exp.ini does not exist" in (
+            capsys.readouterr().err
+        )
 
     def test_analyze_emits_json(self, tmp_path, capsys):
         config_path = tmp_path / "exp.ini"

@@ -1,22 +1,30 @@
-"""Aggregation cases, decode-level plumbing, vanilla baselines, evaluation."""
+"""Aggregation cases, decode-level plumbing, vanilla baselines, evaluation,
+and the split engine's workers and the sampler process."""
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import math
+import os
 import re
 import signal
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_no_child_process, split_stacks
+from conftest import assert_no_child_process, sampled_rounds, split_stacks
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from slimfl import federation
 from slimfl.channel import (
     ChannelConfig,
+    Rayleigh,
+    Rician,
+    Twdp,
     config_for_decode_probs,
     decode_thresholds,
     rate_for_sinr_threshold,
@@ -34,7 +42,7 @@ from slimfl.federation import (
     evaluate,
     vanilla_threshold,
 )
-from slimfl.metrics import CostModel, write_metrics_csv
+from slimfl.metrics import CostModel, metrics_rows, write_metrics_csv
 from slimfl.slimnet import Layout, SlimmableParams, build_mask, forward, init_params
 from slimfl.training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
 from slimfl import rng as rngmod
@@ -77,13 +85,21 @@ def deadline(seconds=30):
         signal.signal(signal.SIGALRM, previous)
 
 
-def make_run(scheme="slimfl", seed=0, rounds=3, n_devices=4, chan=None, parallel=False):
+def make_run(
+    scheme="slimfl", seed=0, rounds=3, n_devices=4, chan=None, parallel=False, shards=None,
+    train_cfg=None, local_iters=1,
+):
+    """A small run; ``shards`` (indices into the training set) replaces the
+    partition of ``n_devices``."""
     train, test = make_task(seed)
     layout = Layout.mlp(10, (8,), 4)
-    shards = dirichlet_partition(train.y, n_devices, 1.0, rngmod.stream(seed, "partition"))
+    if shards is None:
+        shards = dirichlet_partition(train.y, n_devices, 1.0, rngmod.stream(seed, "partition"))
     init = init_params(layout, rngmod.stream(seed, "init"))
-    train_cfg = TrainConfig(batch_size=16)
-    fed_cfg = FederationConfig(n_devices=n_devices, scheme=scheme, parallel_devices=parallel)
+    train_cfg = train_cfg or TrainConfig(batch_size=16)
+    fed_cfg = FederationConfig(
+        n_devices=len(shards), local_iters=local_iters, scheme=scheme, parallel_devices=parallel
+    )
     chan = chan or perfect_channel()
     cost = CostModel.reference()
     full = Width(build_mask(layout, 1.0), "full", cost.full_bits, cost.full_mflops)
@@ -498,6 +514,142 @@ class TestWorkers:
                 run.run_round()
 
 
+class TestSampler:
+    """A run whose stack trains in one process draws its batches and fading
+    gains one round ahead in a sampler process, every output byte unchanged,
+    and the sampler ends with the run, however it ends."""
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        shards=st.lists(
+            st.lists(st.integers(0, len(LOCAL_TRAIN) - 1), min_size=1, max_size=40, unique=True),
+            min_size=1,
+            max_size=23,
+        ).map(index_shards),
+        batch_size=st.integers(1, 32),
+        local_iters=st.integers(1, 3),
+        rule=st.sampled_from(sorted(STEP_FUNCTIONS)),
+        optimizer=st.sampled_from(["adam", "sgd"]),
+        fading=st.sampled_from([Rayleigh(), Rician(), Twdp()]),
+        seed=st.integers(0, 2**34),
+    )
+    @example(
+        shards=SKEWED_SHARDS, batch_size=32, local_iters=2, rule="superposed",
+        optimizer="adam", fading=Rayleigh(), seed=20,
+    )
+    def test_sampled_run_writes_the_inline_runs_bytes(
+        self, shards, batch_size, local_iters, rule, optimizer, fading, seed
+    ):
+        cfg = TrainConfig(batch_size=batch_size, algorithm=rule, optimizer=optimizer)
+        chan = config_for_decode_probs(0.7, 0.5, fading=fading)
+
+        def rows(sampled):
+            with sampled_rounds(sampled):
+                run = make_run(
+                    seed=seed, shards=shards, train_cfg=cfg, local_iters=local_iters, chan=chan
+                )
+                metrics = run.run()
+            assert (run.sampler is not None) == sampled
+            return metrics_rows(metrics), run.global_values.tobytes()
+
+        assert rows(True) == rows(False)
+
+    def test_start_rule_leaves_a_cpu_to_each_thread_and_helper(self):
+        if not sys.platform.startswith("linux"):
+            pytest.skip("the sampler runs on Linux only")
+        threads = len(os.listdir("/proc/self/task"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(federation, "available_cpus", lambda: threads + 1)
+            first, second = make_run(seed=40), make_run(seed=41)
+            try:
+                first.run_round()
+                second.run_round()  # the first run's sampler took the spare CPU
+            finally:
+                first.close()
+                second.close()
+        assert (first.sampler is not None, second.sampler is None) == (True, True)
+        with split_stacks(), sampled_rounds():  # a split stack already uses every CPU
+            run = make_run(seed=42, rounds=1)
+            run.run()
+        assert (run.local.parts, run.sampler) == (2, None)
+
+    def test_run_reaps_its_sampler(self):
+        with sampled_rounds():
+            run = make_run(seed=43, rounds=2)
+            run.run()
+        assert run.sampler is not None
+        assert_no_child_process()
+
+    def test_failed_run_reaps_its_sampler(self):
+        with sampled_rounds():
+            run = make_run(seed=44, rounds=2)
+            run.test = Dataset(np.zeros((0, 10)), np.zeros(0, dtype=np.int64), 4)
+            with pytest.raises(ValueError, match="nonempty"):  # evaluate, after training
+                run.run()
+        assert run.sampler is not None
+        assert_no_child_process()
+
+    def test_pair_run_reaps_both_samplers(self):
+        with sampled_rounds(), deadline():
+            pair = TestCombinedVanillaRun().build(seed=45)
+            pair.run()
+        assert None not in (pair.half_run.sampler, pair.full_run.sampler)
+        assert_no_child_process()
+
+    def test_collected_run_reaps_its_sampler(self):
+        with sampled_rounds():
+            run = make_run(seed=46)
+            run.run_round()
+        assert run.sampler is not None
+        del run
+        gc.collect()
+        assert_no_child_process()
+
+    def test_failed_draw_names_round_and_sampler(self):
+        draws = []
+
+        def sample_fading(model, rng):
+            draws.append(model)  # counted in the sampler's copy
+            if len(draws) > 4:  # every one of round 2's 4 devices
+                raise ArithmeticError("no fading gain")
+            return 1.0
+
+        with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(federation, "sample_fading", sample_fading)
+            run = make_run(seed=47)
+            with pytest.raises(RuntimeError, match=r"^round 2: .* sampler process (\d+)") as info:
+                run.run()
+        assert info.match(rf"sampler process {run.sampler.pid}:")
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        assert run.round == 2 and draws == []  # round 1 ran, and the process drew nothing
+        assert_no_child_process()
+
+    def test_closing_the_first_of_two_live_runs_returns(self):
+        # the second run's sampler inherits the first's pipe end; unless it
+        # closes it, the first sampler never sees its pipe close
+        with sampled_rounds():
+            first, second = make_run(seed=48), make_run(seed=49)
+            try:
+                with deadline():
+                    first.run_round()
+                    second.run_round()
+                    first.close()
+            finally:
+                second.close()
+        assert None not in (first.sampler, second.sampler)
+        assert_no_child_process()
+
+    def test_closed_sampled_run_cannot_draw(self):
+        with sampled_rounds():
+            run = make_run(seed=50)
+            run.run_round()
+            run.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            run.run_round()
+        with pytest.raises(RuntimeError, match="stale"):
+            run.local.run(run.global_values)
+
+
 class TestSlimFLRound:
     def test_perfect_channel_aggregates_all_devices_both_segments(self):
         run_a = make_run(seed=7)
@@ -541,14 +693,20 @@ class TestSlimFLRound:
         assert metrics.comp_mflops == pytest.approx(0.79 + 2.76)
 
     def test_parallel_devices_match_sequential(self):
-        seq = make_run(seed=11, rounds=3)
-        m_seq = seq.run()
+        with sampled_rounds(False):  # draws inline, on any host
+            seq = make_run(seed=11, rounds=3)
+            m_seq = seq.run()
         with split_stacks():  # the "parallel" side trains in a worker process too
             par = make_run(seed=11, rounds=3, parallel=True)
             m_par = par.run()
-        assert (seq.local.parts, par.local.parts) == (1, 2)
-        np.testing.assert_array_equal(seq.global_values, par.global_values)
-        assert m_seq == m_par
+        with sampled_rounds():  # and a side whose draws come from a sampler process
+            sam = make_run(seed=11, rounds=3)
+            m_sam = sam.run()
+        assert (seq.local.parts, par.local.parts, sam.local.parts) == (1, 2, 1)
+        assert [run.sampler is not None for run in (seq, par, sam)] == [False, False, True]
+        for run in (par, sam):
+            np.testing.assert_array_equal(seq.global_values, run.global_values)
+        assert m_seq == m_par == m_sam
 
 
 class TestNonFiniteRound:

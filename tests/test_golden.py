@@ -6,14 +6,17 @@ metrics CSV, and the raw bytes of every final global parameter vector.
 The CSV rounds to six decimals; the parameter bytes catch a change in the
 last bit of any local step.  A change to the arithmetic of training,
 aggregation or evaluation shows here as a digest mismatch; re-pin only for
-a deliberate, documented output change.
+a deliberate, documented output change.  Every case runs once more with its
+batches and fading gains drawn ahead in a sampler process, to the same pins.
 """
 
 import dataclasses
 import hashlib
 
 import pytest
+from conftest import sampled_rounds
 
+from slimfl import federation
 from slimfl.channel import config_for_decode_probs
 from slimfl.config import parse_config
 from slimfl.experiment import VanillaPair, build_task, make_run
@@ -153,3 +156,14 @@ def test_small_shards_case_mixes_batch_sizes():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_pins(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sampled_run_matches_pins(name, tmp_path):
+    """Batches and fading gains drawn ahead in a sampler process give the same bytes."""
+    started = []
+    sampler = federation._Sampler
+    with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(federation, "_Sampler", lambda run: started.append(sampler(run)) or started[-1])
+        assert digests(name, tmp_path) == GOLDEN[name]
+    assert len(started) == (2 if name == "vanilla-1.5x" else 1)
