@@ -1,0 +1,163 @@
+"""Where a run's work runs: one CPU plan per run, and the forked helper
+processes that carry it out.
+
+``plan`` decides, once per run, how many contiguous parts its device stack
+trains in and whether a sampler draws its inputs one round ahead.  A
+``Helper`` is one forked process (a split stack's worker, or a run's
+sampler) that runs one job per request and answers None or the job's
+exception; a helper that dies raises in the process, naming the round, the
+job, the helper's role and pid, and how it ended.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import math
+import mmap
+import os
+import signal
+import sys
+import weakref
+
+import numpy as np
+
+# Devices per part below which a stack trains in one process: handing a
+# part to a worker costs more than the part's steps save.  Two parts of a
+# fanout-style stack (batch 8) trained at x0.76 the one-process speed at 20
+# devices and x1.20 at 22, x1.3-1.7 from 24 to 100 (2 CPUs).
+MIN_DEVICES_PER_PART = 12
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def plan(n_devices: int) -> tuple[int, bool]:
+    """How a run of ``n_devices`` devices uses the CPUs: the number of
+    contiguous parts its stack trains in, one per CPU with at least
+    ``MIN_DEVICES_PER_PART`` devices each, and whether a sampler draws its
+    inputs ahead.  A one-part run samples when the CPUs outnumber this
+    process's threads and its live helpers: a BLAS thread pool leaves no
+    CPU on its own.  Linux only: elsewhere one part, no sampler."""
+    if not sys.platform.startswith("linux"):
+        return 1, False
+    cpus = available_cpus()
+    parts = max(1, min(cpus, n_devices // MIN_DEVICES_PER_PART))
+    return parts, parts == 1 and cpus > len(os.listdir("/proc/self/task")) + len(_PROCESS_ENDS)
+
+
+def shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An array in anonymous shared memory: a process forked after this call
+    writes into the same pages."""
+    count, itemsize = math.prod(shape), np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, max(1, itemsize * count)), dtype, count).reshape(shape)
+
+
+# the process-side pipe end of every live helper, closed in each new helper:
+# a helper holding another's end would keep it from seeing its pipe close
+_PROCESS_ENDS: set = set()
+
+
+class Helper:
+    """A forked process that runs ``job(round_)`` for each round the process
+    asks of it, in order, and answers each with None or the job's exception,
+    until its pipe closes.
+
+    ``role`` ("worker", "sampler") and ``task`` (what the job does) name it
+    in errors.  ``close`` closes the pipe, so the helper leaves its loop,
+    and reaps it; it also runs when the helper is collected.
+    """
+
+    def __init__(self, role: str, task: str, job):
+        # imported here: 1.5 MB and 15 ms in every process otherwise
+        from multiprocessing.connection import Pipe
+
+        self.role, self.task = role, task
+        self.end, helper_end = Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the process decides
+                self.end.close()
+                for other in _PROCESS_ENDS:
+                    other.close()
+                self._serve(helper_end, job)
+                status = 0
+            finally:
+                os._exit(status)
+        helper_end.close()
+        _PROCESS_ENDS.add(self.end)
+        self.close = weakref.finalize(self, self._stop, self.pid, self.end, os.getpid())
+
+    def ask(self, round_: int) -> None:
+        """Send the helper round ``round_``'s request."""
+        try:
+            self.end.send(round_)
+        except OSError:
+            raise self._lost(round_) from None
+
+    def answer(self, round_: int) -> RuntimeError | None:
+        """The helper's answer to its oldest request: None, or the error to
+        raise for round ``round_``."""
+        try:
+            reply = self.end.recv()
+        except (EOFError, OSError):
+            return self._lost(round_)
+        if reply is None:
+            return None
+        exc, trace = reply
+        error = self._error(round_, f"\n{trace}")
+        error.__cause__ = exc
+        return error
+
+    def _lost(self, round_: int) -> RuntimeError:
+        """The error of a helper whose pipe is closed or broken: it was
+        closed with its run, or it died and is reaped here."""
+        if not self.close.alive:
+            return self._error(round_, " the run is closed")
+        code = os.waitstatus_to_exitcode(self.close())
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return self._error(round_, f" it {how}")
+
+    def _error(self, round_: int, detail: str) -> RuntimeError:
+        return RuntimeError(
+            f"round {round_}: {self.task} failed in {self.role} process {self.pid}:{detail}"
+        )
+
+    @staticmethod
+    def _serve(end, job) -> None:
+        """A helper's loop: run the job of each request and answer it, until
+        the process closes its end."""
+        while True:
+            try:
+                round_ = end.recv()
+            except (EOFError, OSError):
+                return
+            try:
+                job(round_)
+                reply = None
+            except Exception as exc:
+                import traceback  # a helper's only use: 0.25 MB in every process otherwise
+
+                reply = (exc, traceback.format_exc())
+            try:
+                end.send(reply)
+            except OSError:
+                return
+            except Exception:  # an exception that does not pickle
+                end.send((RuntimeError(repr(reply[0])), reply[1]))
+
+    @staticmethod
+    def _stop(pid: int, end, owner: int) -> int:
+        """Close the process's end of a helper's pipe and wait for the
+        helper; its wait status.  Only in the process that forked it
+        (``owner``)."""
+        if os.getpid() != owner:  # a helper's copy of another helper
+            return 0
+        _PROCESS_ENDS.discard(end)
+        end.close()
+        with contextlib.suppress(ChildProcessError):
+            return os.waitpid(pid, 0)[1]
+        return 0

@@ -11,12 +11,13 @@ and decode thresholds differ.
 
 Local training is device-batched (``LocalTraining``): every device starts
 from the one global vector, and all devices step together as one (devices,
-P) stack, with results bitwise equal to training each device alone.  On
-Linux a stack of at least ``MIN_DEVICES_PER_PART`` devices per part is
-split into contiguous parts, one per CPU: the process trains the first, and
-one forked worker process trains each other part.  A run whose stack trains
-in one process, on a Linux host with a CPU to spare, draws its batches and
-fading gains one round ahead in a forked sampler process (``_Sampler``).
+P) stack, with results bitwise equal to training each device alone.  At a
+run's first round ``engine.plan`` picks its engine: a large stack is split
+into contiguous parts, the process training the first and one forked
+worker (``_DevicePool``) each other part; a stack that trains in one
+process, with a CPU to spare, has its batches and fading gains drawn one
+round ahead in a forked sampler (``_Sampler``).  Both helpers are
+``engine.Helper`` processes; every output byte is the same on each engine.
 
 A round whose device loss or aggregated global vector is not finite raises
 ``ValueError`` naming the round and the devices (and width) at fault.
@@ -26,22 +27,18 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
-import mmap
 import os
-import pickle
-import signal
-import sys
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from . import rng as rngmod
 from .channel import ChannelConfig, Rayleigh, decode_levels, sample_fading, successive_thresholds
 from .datasets import Dataset, Shard
+from .engine import Helper, shared
 from .metrics import RoundMetrics
 from .slimnet import BatchRows, ForwardTrace, Layout, SlimmableParams, WidthMask, forward
 from .training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
@@ -133,34 +130,6 @@ def evaluate(params: SlimmableParams, masks, x: np.ndarray, y: np.ndarray) -> li
     return [float((z.argmax(axis=1) == y).mean()) for z in (*logits, widest)]
 
 
-# Devices per part below which a stack trains in one process: handing a
-# part to a worker costs more than the part's steps save.  Two parts of a
-# fanout-style stack (batch 8) trained at x0.76 the one-process speed at 20
-# devices and x1.20 at 22, x1.3-1.7 from 24 to 100 (2 CPUs).
-MIN_DEVICES_PER_PART = 12
-
-
-def available_cpus() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
-def device_parts(n_devices: int) -> int:
-    """How many contiguous parts a stack of ``n_devices`` trains in: one per
-    CPU, with at least ``MIN_DEVICES_PER_PART`` devices each, on Linux only."""
-    if not sys.platform.startswith("linux"):
-        return 1
-    return max(1, min(available_cpus(), n_devices // MIN_DEVICES_PER_PART))
-
-
-def spare_cpus() -> int:
-    """CPUs left over by this process's threads and its live helper
-    processes, on Linux only: a BLAS thread pool leaves none on its own."""
-    if not sys.platform.startswith("linux"):
-        return 0
-    return available_cpus() - len(os.listdir("/proc/self/task")) - len(_PROCESS_ENDS)
-
-
 class LocalTraining:
     """Local steps of every device, one stacked step rule call per step.
 
@@ -173,10 +142,10 @@ class LocalTraining:
     so every device's result is the one it gets trained alone.
 
     For the same reason a stack can train as contiguous parts, each its own
-    stack (``device_parts``).  The first ``run`` then forks one worker per
-    part after the first (``_DevicePool``), which owns that part's shards,
-    batch streams and optimizer rows for the rest of the run; ``close``
-    stops the workers, and a split engine cannot train after it.
+    stack.  ``split`` forks one worker per part after the first
+    (``_DevicePool``), which owns that part's shards, batch streams and
+    optimizer rows for the rest of the run; ``close`` stops the workers,
+    and a split engine cannot train after it.
 
     A run's sampler (``_Sampler``) takes over the batch streams instead: it
     makes this engine's ``draw`` calls in its own process, and ``run``
@@ -207,7 +176,7 @@ class LocalTraining:
         self.batch_idx = np.zeros((len(shards), width), dtype=np.intp)
         self.opt = LocalOptimizer(train_cfg, (len(shards), layout.size))
         self.rounds = 0  # run calls so far
-        self.parts = 1  # fixed by the first run
+        self.parts = 1  # set by split
         self._pool: _DevicePool | None = None
         # this round's (x, y) batch rows of every step, when a sampler drew
         # them; its pid once it owns the batch streams
@@ -227,19 +196,21 @@ class LocalTraining:
                 f"not an array of shape {np.shape(global_values)}"
             )
         self.rounds += 1
-        if self.rounds == 1:
-            self.parts = device_parts(len(self.shards))
-            if self.parts > 1:
-                self._pool = _DevicePool(self, self.parts)
-                self._close = weakref.finalize(self, self._pool.close)
         if self._pool is not None:
             return self._pool.run(global_values, self.rounds)
         return self._train(global_values, self.drawn)
 
+    def split(self, parts: int) -> None:
+        """Train as ``parts`` contiguous parts from now on: fork one worker
+        per part after the first."""
+        self.parts = parts
+        if parts > 1:
+            self._pool = _DevicePool(self, parts)
+
     def close(self) -> None:
         """Stop and reap the workers, if the stack was split."""
-        if self._pool is not None:
-            self._close()
+        for worker in self._pool.workers if self._pool else ():
+            worker.close()
 
     def part(self, lo: int, hi: int) -> "LocalTraining":
         """The engine of devices ``lo:hi`` alone, sharing their batch streams."""
@@ -282,151 +253,46 @@ class LocalTraining:
         return params.values, result.loss
 
 
-def _shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """An array in anonymous shared memory: a process forked after this call
-    writes into the same pages."""
-    count, itemsize = math.prod(shape), np.dtype(dtype).itemsize
-    return np.frombuffer(mmap.mmap(-1, max(1, itemsize * count)), dtype, count).reshape(shape)
-
-
-# the process-side pipe end of every live helper process (a split stack's
-# worker or a run's sampler), closed in each new helper: a helper holding
-# another's end would keep it from seeing its pipe close
-_PROCESS_ENDS: set = set()
-
-
-def _fork(serve) -> tuple[int, object]:
-    """Fork a helper process that runs ``serve(end)`` on its end of a new
-    pipe, then exits; returns the helper's pid and the process's end."""
-    # imported here: 1.5 MB and 15 ms in every process otherwise
-    from multiprocessing.connection import Pipe
-
-    end, helper_end = Pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the process decides
-            end.close()
-            for other in _PROCESS_ENDS:
-                other.close()
-            serve(helper_end)
-            status = 0
-        finally:
-            os._exit(status)
-    helper_end.close()
-    _PROCESS_ENDS.add(end)
-    return pid, end
-
-
-def _answer(end, work) -> bool:
-    """A helper's reply to one request: run ``work()``, then send None or its
-    pickled exception with the traceback.  False if it failed or the
-    process has closed its end."""
-    try:
-        work()
-        reply = None
-    except Exception as exc:
-        import traceback  # a helper's only use: 0.25 MB in every process otherwise
-
-        reply = (exc, traceback.format_exc())
-    try:
-        message = pickle.dumps(reply)
-    except Exception:
-        message = pickle.dumps((RuntimeError(repr(reply[0])), reply[1]))
-    try:
-        end.send_bytes(message)
-    except BrokenPipeError:
-        return False
-    return reply is None
-
-
-def _reply(pid: int, end):
-    """A helper's next reply: None, or its exception and traceback."""
-    try:
-        return pickle.loads(end.recv_bytes())
-    except EOFError:
-        return RuntimeError(f"process {pid} exited"), ""
-
-
-def _reap(helpers) -> None:
-    """Close each (pid, end) helper's pipe, so it leaves its loop, and wait for it."""
-    for _, end in helpers:
-        _PROCESS_ENDS.discard(end)
-        end.close()
-    for pid, _ in helpers:
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(pid, 0)
-
-
 class _DevicePool:
     """The workers of a split stack, one per part after the first.
 
-    Each round the process writes the global vector into ``start`` and
-    sends every worker a go over its pipe; each worker trains its part from
-    it and writes its rows of ``out`` and ``losses``, while the process
-    trains the first part, then answers done or its pickled exception.
+    Each round the process writes the global vector into ``start`` and asks
+    every worker for the round; each worker trains its part from it and
+    writes its rows of ``out`` and ``losses``, while the process trains the
+    first part.
     """
 
-    def __init__(self, engine: LocalTraining, parts: int):
-        n = len(engine.shards)
+    def __init__(self, local: LocalTraining, parts: int):
+        n = len(local.shards)
         self.bounds = [i * n // parts for i in range(parts + 1)]
-        self.start = _shared((engine.layout.size,))
-        self.out = _shared((n, engine.layout.size))
-        self.losses = _shared((n,))
-        self.head = engine.part(0, self.bounds[1])
-        self.pid = os.getpid()
-        self.workers = []  # (pid, pipe end, lo, hi)
-        try:
-            for lo, hi in zip(self.bounds[1:-1], self.bounds[2:]):
-                serve = functools.partial(self._serve, engine.part(lo, hi), lo, hi)
-                self.workers.append((*_fork(serve), lo, hi))
-        except BaseException:
-            self.close()
-            raise
+        self.start = shared((local.layout.size,))
+        self.out = shared((n, local.layout.size))
+        self.losses = shared((n,))
+        self.head = local.part(0, self.bounds[1])
+        self.workers = [
+            Helper(
+                "worker", f"local training of devices {lo}-{hi - 1}",
+                functools.partial(self._train, local.part(lo, hi), lo, hi),
+            )
+            for lo, hi in zip(self.bounds[1:-1], self.bounds[2:])
+        ]
 
-    def _serve(self, engine: LocalTraining, lo: int, hi: int, end) -> None:
-        """The worker's loop: train the part on each go, until the pipe closes."""
-
-        def train():
-            self.out[lo:hi], self.losses[lo:hi] = engine._train(self.start)
-
-        while True:
-            try:
-                end.recv_bytes()
-            except EOFError:
-                return
-            _answer(end, train)
+    def _train(self, part: LocalTraining, lo: int, hi: int, round_: int) -> None:
+        self.out[lo:hi], self.losses[lo:hi] = part._train(self.start)
 
     def run(self, global_values: np.ndarray, round_: int) -> tuple[np.ndarray, np.ndarray]:
-        if not self.workers:
-            raise RuntimeError(
-                "local training is closed: its workers held the optimizer and batch "
-                "streams of every device after the first part"
-            )
         self.start[:] = global_values
-        for _, end, _, _ in self.workers:
-            end.send_bytes(b"go")
+        for worker in self.workers:
+            worker.ask(round_)
         head = self.bounds[1]
         try:
             self.out[:head], self.losses[:head] = self.head._train(global_values)
         finally:
-            # every reply is read, so the pipes stay in step after an error
-            failures = [_reply(pid, end) for pid, end, _, _ in self.workers]
-        for (pid, _, lo, hi), failure in zip(self.workers, failures):
-            if failure is not None:
-                exc, trace = failure
-                raise RuntimeError(
-                    f"round {round_}: local training of devices {lo}-{hi - 1} failed in "
-                    f"worker process {pid}:\n{trace}"
-                ) from exc
+            # every answer is read, so the pipes stay in step after an error
+            errors = [worker.answer(round_) for worker in self.workers]
+        for error in filter(None, errors):
+            raise error
         return self.out, self.losses.copy()
-
-    def close(self) -> None:
-        """Close every pipe, so each worker leaves its loop, and reap them."""
-        workers, self.workers = self.workers, []
-        if os.getpid() == self.pid:  # not a worker's copy of another pool
-            _reap([(pid, end) for pid, end, _, _ in workers])
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,16 +305,17 @@ class _Slot:
     chi: np.ndarray
 
 
-class _Sampler:
-    """A run's batches and fading gains, drawn one round ahead in a forked
-    process that owns the batch streams.
+class _Sampler(Helper):
+    """A run's batches and fading gains, drawn ahead in a forked process that
+    owns the batch streams.
 
-    The sampler fills two slots of anonymous shared memory in turn, round
-    after round, and answers each over its pipe: None, or its pickled
-    exception.  The process trains and decodes from a round's slot, then
-    frees it with one message, and the sampler fills it two rounds on.  It
-    runs ``LocalTraining.draw`` and ``FederatedRun.draw_fading``, the draws
-    of a run without a sampler, so every stream gives the same values.
+    The sampler fills two slots of anonymous shared memory in turn, one per
+    round asked of it.  The process asks for rounds 1 and 2 at the start,
+    trains and decodes from a round's slot, then frees it by asking for the
+    round two on, up to the run's last; a round past that is asked for when
+    it is taken.  The sampler runs ``LocalTraining.draw`` and
+    ``FederatedRun.draw_fading``, the draws of a run without a sampler, so
+    every stream gives the same values.
     """
 
     def __init__(self, run: FederatedRun):
@@ -456,64 +323,41 @@ class _Sampler:
         rows = (local.local_iters, *local.batch_idx.shape)
         self.slots = [
             _Slot(
-                x=_shared((*rows, *x.shape[1:]), x.dtype), y=_shared(rows, y.dtype),
-                chi=_shared((len(local.shards),)),
+                x=shared((*rows, *x.shape[1:]), x.dtype), y=shared(rows, y.dtype),
+                chi=shared((len(local.shards),)),
             )
             for _ in range(2)
         ]
-        self.process = os.getpid()
-        self.pid, self.end = _fork(functools.partial(self._serve, run))
+        super().__init__(
+            "sampler", "drawing the batches and fading gains", functools.partial(self._fill, run)
+        )
         local.sampler_pid = self.pid
+        self.rounds = run.rounds
+        for round_ in range(1, min(2, self.rounds) + 1):
+            self.ask(round_)
 
-    def _serve(self, run: FederatedRun, end) -> None:
-        """The sampler's loop: fill each round's slot once it is free, until
-        a draw fails or the pipe closes."""
-        # on wake-up, wait for a CPU rather than preempt the training process
-        with contextlib.suppress(OSError):
-            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
-        for round_ in itertools.count(1):
-            if round_ > len(self.slots):
-                try:
-                    end.recv_bytes()
-                except EOFError:
-                    return
-            slot = self.slots[(round_ - 1) % len(self.slots)]
-            if not _answer(end, lambda: self._fill(run, slot, round_)):
-                return
-
-    @staticmethod
-    def _fill(run: FederatedRun, slot: _Slot, round_: int) -> None:
+    def _fill(self, run: FederatedRun, round_: int) -> None:
+        if round_ == 1:  # on wake-up, wait for a CPU rather than preempt the training process
+            with contextlib.suppress(OSError):
+                os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        slot = self.slots[(round_ - 1) % len(self.slots)]
         for step in range(run.local.local_iters):
             slot.x[step], slot.y[step] = run.local.draw()
         slot.chi[:] = run.draw_fading(round_)
 
     def take(self, round_: int) -> _Slot:
         """Round ``round_``'s slot, once the sampler has filled it."""
-        if self.end is None:
-            raise RuntimeError(
-                f"the run is closed: its sampler process {self.pid} drew its batch "
-                "streams ahead"
-            )
-        failure = _reply(self.pid, self.end)
-        if failure is not None:
-            exc, trace = failure
-            raise RuntimeError(
-                f"round {round_}: drawing the batches and fading gains failed in sampler "
-                f"process {self.pid}:\n{trace}"
-            ) from exc
+        if round_ > self.rounds:
+            self.ask(round_)
+        error = self.answer(round_)
+        if error is not None:
+            raise error
         return self.slots[(round_ - 1) % len(self.slots)]
 
-    def free(self) -> None:
-        """Hand the slot taken last back to the sampler."""
-        # a sampler that failed further ahead has exited; its reply is read next round
-        with contextlib.suppress(BrokenPipeError):
-            self.end.send_bytes(b"free")
-
-    def close(self) -> None:
-        """Close the pipe, so the sampler leaves its loop, and reap it."""
-        end, self.end = self.end, None
-        if end is not None and os.getpid() == self.process:  # not a helper's copy
-            _reap([(self.pid, end)])
+    def free(self, round_: int) -> None:
+        """Hand round ``round_``'s slot back, for the round two on."""
+        if round_ + 2 <= self.rounds:
+            self.ask(round_ + 2)
 
 
 def vanilla_threshold(chan_cfg: ChannelConfig, payload_ratio: float) -> float:
@@ -553,9 +397,9 @@ class FederatedRun:
     Aggregation averages the first width's coordinates over every device at
     level >= 1 and the rest over devices at level 2.
 
-    At its first round, a run whose stack trains in one process starts a
-    sampler (``_Sampler``) if ``spare_cpus()`` leaves it a CPU; ``close``
-    stops it, and a sampled run cannot draw after it.
+    At its first round a run takes its ``engine.plan``: it splits its stack
+    into the planned parts, and starts a sampler (``_Sampler``) if planned;
+    ``close`` stops them, and a sampled run cannot draw after it.
     """
 
     def __init__(
@@ -631,9 +475,11 @@ class FederatedRun:
 
     def run_round(self) -> RoundMetrics:
         self.round += 1
-        if self.round == 1 and device_parts(len(self.local.shards)) == 1 and spare_cpus() > 0:
-            self.sampler = _Sampler(self)
-            self._close = weakref.finalize(self, self.sampler.close)
+        if self.round == 1:
+            parts, sampled = engine.plan(len(self.local.shards))
+            self.local.split(parts)
+            if sampled:
+                self.sampler = _Sampler(self)
         if self.sampler is not None:
             self.local.drawn = self.sampler.take(self.round)
         try:
@@ -647,7 +493,7 @@ class FederatedRun:
         finally:
             if self.local.drawn is not None:
                 self.local.drawn = None
-                self.sampler.free()
+                self.sampler.free(self.round)
 
         # a diverging round's overflow is reported by the finite check below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -691,7 +537,7 @@ class FederatedRun:
         """Stop and reap the local-training workers or the sampler, if any started."""
         self.local.close()
         if self.sampler is not None:
-            self._close()
+            self.sampler.close()
 
     def run(self) -> list[RoundMetrics]:
         try:

@@ -6,25 +6,26 @@ import os
 
 import pytest
 
-from slimfl import federation
+from slimfl import engine
 
 
 @contextlib.contextmanager
 def split_stacks(min_devices=2, cpus=2):
-    """Stacks of at least ``2 * min_devices`` devices split, into up to ``cpus`` parts."""
+    """Runs whose ``engine.plan`` splits a stack of at least ``2 *
+    min_devices`` devices, into up to ``cpus`` parts, and never samples."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(federation, "MIN_DEVICES_PER_PART", min_devices)
-        mp.setattr(federation, "available_cpus", lambda: cpus)
+        mp.setattr(engine, "plan", lambda n: (max(1, min(cpus, n // min_devices)), False))
         yield
 
 
 @contextlib.contextmanager
 def sampled_rounds(on=True):
-    """Runs whose first round starts a sampler (``on``) or never does,
-    whatever the rule finds.  Under pytest it finds no spare CPU on 2 CPUs:
-    the ``faulthandler_timeout`` watchdog is a second thread."""
+    """Runs whose ``engine.plan`` trains the stack in one process and starts
+    a sampler (``on``) or never does, whatever the rule finds.  Under pytest
+    the rule finds no spare CPU on 2 CPUs: the ``faulthandler_timeout``
+    watchdog is a second thread."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(federation, "spare_cpus", lambda: int(on))
+        mp.setattr(engine, "plan", lambda n: (1, on))
         yield
 
 

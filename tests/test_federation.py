@@ -3,6 +3,7 @@ and the split engine's workers and the sampler process."""
 
 import contextlib
 import dataclasses
+import functools
 import gc
 import hashlib
 import math
@@ -19,6 +20,7 @@ from conftest import assert_no_child_process, sampled_rounds, split_stacks
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import slimfl.engine
 from slimfl import federation
 from slimfl.channel import (
     ChannelConfig,
@@ -319,28 +321,25 @@ class TestLocalTraining:
         batch_size=st.integers(1, 32),
         local_iters=st.integers(1, 3),
         optimizer=st.sampled_from(["adam", "sgd"]),
-        min_devices=st.integers(1, 2),
-        cpus=st.integers(2, 3),
+        parts=st.integers(2, 3),
     )
     # parts [32, 32, 1] and [7, 32, 29]: both pad, in the process and in the worker
-    @example(
-        shards=SKEWED_SHARDS, batch_size=32, local_iters=2, optimizer="adam", min_devices=2,
-        cpus=2,
-    )
+    @example(shards=SKEWED_SHARDS, batch_size=32, local_iters=2, optimizer="adam", parts=2)
     def test_split_stack_matches_one_process(
-        self, rule, shards, batch_size, local_iters, optimizer, min_devices, cpus
+        self, rule, shards, batch_size, local_iters, optimizer, parts
     ):
         layout = Layout.mlp(10, (8,), 4)
         cfg = TrainConfig(batch_size=batch_size, algorithm=rule, optimizer=optimizer)
         starts = [init_params(layout, rngmod.stream(20, "init", r)).values for r in range(2)]
 
-        def two_rounds():
+        def two_rounds(parts):
             engine = LocalTraining(
                 layout=layout, train=LOCAL_TRAIN, shards=shards, train_cfg=cfg,
                 batch_rngs=[rngmod.stream(20, "batch", k) for k in range(len(shards))],
                 local_iters=local_iters,
             )
             try:
+                engine.split(parts)
                 trained = []  # bytes now: a split stack's output is overwritten next round
                 for start in starts:
                     values, losses = engine.run(start)
@@ -349,12 +348,8 @@ class TestLocalTraining:
             finally:
                 engine.close()
 
-        parts, serial = two_rounds()
-        assert parts == 1
-        with split_stacks(min_devices, cpus):
-            parts, split = two_rounds()
-        assert parts == min(cpus, len(shards) // min_devices) > 1
-        assert split == serial
+        _, serial = two_rounds(1)
+        assert two_rounds(parts) == (parts, serial)
 
     def test_worker_failure_names_round_and_devices(self):
         layout = Layout.mlp(10, (8,), 4)
@@ -363,42 +358,40 @@ class TestLocalTraining:
         shards = index_shards([[0, 1], [2, 3], [4, 5], [6]])
         shards[3] = Shard(3, np.array([len(LOCAL_TRAIN)]), shards[3].class_histogram)
         init = init_params(layout, rngmod.stream(20, "init")).values
-        with split_stacks():
-            engine = LocalTraining(
-                layout=layout, train=LOCAL_TRAIN, shards=shards, train_cfg=cfg,
-                batch_rngs=[rngmod.stream(20, "batch", k) for k in range(4)],
-                local_iters=1,
-            )
-            try:
-                with pytest.raises(RuntimeError, match=r"round 1: .* devices 2-3 failed") as info:
-                    engine.run(init)
-            finally:
-                engine.close()
+        engine = LocalTraining(
+            layout=layout, train=LOCAL_TRAIN, shards=shards, train_cfg=cfg,
+            batch_rngs=[rngmod.stream(20, "batch", k) for k in range(4)],
+            local_iters=1,
+        )
+        try:
+            engine.split(2)
+            with pytest.raises(RuntimeError, match=r"round 1: .* devices 2-3 failed") as info:
+                engine.run(init)
+        finally:
+            engine.close()
         assert isinstance(info.value.__cause__, IndexError)
         assert_no_child_process()
 
     def test_start_must_be_one_global_vector(self):
         layout = Layout.mlp(10, (8,), 4)
         init = init_params(layout, rngmod.stream(20, "init")).values
-        parts = []
-        for engines in (contextlib.nullcontext(), split_stacks()):
-            with engines:
-                engine = LocalTraining(
-                    layout=layout, train=LOCAL_TRAIN,
-                    shards=index_shards([[0, 1], [2, 3], [4, 5], [6, 7]]),
-                    train_cfg=TrainConfig(batch_size=2),
-                    batch_rngs=[rngmod.stream(20, "batch", k) for k in range(4)],
-                    local_iters=1,
-                )
-                try:
-                    engine.run(init)  # a split engine starts its worker here
-                    for start in (np.broadcast_to(init, (4, layout.size)), init[:-1], init[None]):
-                        with pytest.raises(ValueError, match=rf"one \({layout.size},\) global"):
-                            engine.run(start)
-                    parts.append(engine.parts)
-                finally:
-                    engine.close()
-        assert parts == [1, 2]
+        for parts in (1, 2):
+            engine = LocalTraining(
+                layout=layout, train=LOCAL_TRAIN,
+                shards=index_shards([[0, 1], [2, 3], [4, 5], [6, 7]]),
+                train_cfg=TrainConfig(batch_size=2),
+                batch_rngs=[rngmod.stream(20, "batch", k) for k in range(4)],
+                local_iters=1,
+            )
+            try:
+                engine.split(parts)  # a split engine starts its worker here
+                engine.run(init)
+                for start in (np.broadcast_to(init, (4, layout.size)), init[:-1], init[None]):
+                    with pytest.raises(ValueError, match=rf"one \({layout.size},\) global"):
+                        engine.run(start)
+                assert engine.parts == parts
+            finally:
+                engine.close()
 
     def test_fanout_step_holds_no_extra_stack(self):
         # K=100 devices, batch 8: the benchmark's fanout configuration
@@ -465,36 +458,64 @@ class TestLocalTraining:
         assert split == serial
 
 
-class TestWorkers:
-    """A split run's workers end with it, however it ends."""
+# a helper kind: the plan that makes a run start it, the run's helpers of
+# that kind, and the error of training after the run is closed
+HELPERS = {
+    "worker": (
+        functools.partial(split_stacks, min_devices=1),
+        lambda run: run.local._pool.workers if run.local.parts == 2 else [],
+        "closed",
+    ),
+    "sampler": (sampled_rounds, lambda run: [run.sampler] if run.sampler else [], "stale"),
+}
 
-    def test_run_reaps_its_workers(self):
-        with split_stacks():
+
+@pytest.mark.parametrize("kind", sorted(HELPERS))
+class TestHelpers:
+    """A run's helper processes, a split stack's workers or its sampler, end
+    with it, however it ends."""
+
+    def test_run_reaps_its_helpers(self, kind):
+        plan, helpers, _ = HELPERS[kind]
+        with plan():
             run = make_run(seed=21, rounds=2)
             run.run()
-        assert run.local.parts == 2
+        assert helpers(run)
         assert_no_child_process()
 
-    def test_failed_run_reaps_its_workers(self):
-        with split_stacks():
+    def test_failed_run_reaps_its_helpers(self, kind):
+        plan, helpers, _ = HELPERS[kind]
+        with plan():
             run = make_run(seed=22, rounds=2)
             run.test = Dataset(np.zeros((0, 10)), np.zeros(0, dtype=np.int64), 4)
             with pytest.raises(ValueError, match="nonempty"):  # evaluate, after training
                 run.run()
-        assert run.local.parts == 2
+        assert helpers(run)
         assert_no_child_process()
 
-    def test_pair_run_reaps_both_runs_workers(self):
-        with split_stacks(min_devices=1), deadline():
+    def test_pair_run_reaps_both_runs_helpers(self, kind):
+        plan, helpers, _ = HELPERS[kind]
+        with plan(), deadline():
             pair = TestCombinedVanillaRun().build(seed=23)
             pair.run()
-        assert [pair.half_run.local.parts, pair.full_run.local.parts] == [2, 2]
+        assert helpers(pair.half_run) and helpers(pair.full_run)
         assert_no_child_process()
 
-    def test_closing_the_first_of_two_live_runs_returns(self):
-        # the second run's worker inherits the first's pipe end; unless it
-        # closes it, the first worker never sees its pipe close
-        with split_stacks():
+    def test_collected_run_reaps_its_helpers(self, kind):
+        plan, helpers, _ = HELPERS[kind]
+        with plan():
+            run = make_run(seed=46)
+            run.run_round()
+        assert helpers(run)
+        del run
+        gc.collect()
+        assert_no_child_process()
+
+    def test_closing_the_first_of_two_live_runs_returns(self, kind):
+        # the second run's helper inherits the first's pipe end; unless it
+        # closes it, the first helper never sees its pipe close
+        plan, helpers, _ = HELPERS[kind]
+        with plan():
             first, second = make_run(seed=24), make_run(seed=25)
             try:
                 with deadline():
@@ -503,15 +524,40 @@ class TestWorkers:
                     first.close()
             finally:
                 second.close()
+        assert helpers(first) and helpers(second)
         assert_no_child_process()
 
-    def test_closed_split_run_cannot_train(self):
-        with split_stacks():
+    def test_closed_run_cannot_train(self, kind):
+        plan, helpers, stale = HELPERS[kind]
+        with plan():
             run = make_run(seed=26)
             run.run_round()
             run.close()
-            with pytest.raises(RuntimeError, match="closed"):
+        head = run.local._pool.head if run.local._pool else run.local
+        steps = head.opt.t
+        with pytest.raises(RuntimeError, match=r"^round 2: .* the run is closed"):
+            run.run_round()
+        assert head.opt.t == steps  # refused before the process trained a step
+        with pytest.raises(RuntimeError, match=stale):
+            run.local.run(run.global_values)
+
+    def test_killed_helper_fails_the_run_loudly(self, kind):
+        plan, helpers, _ = HELPERS[kind]
+        with plan():
+            run = make_run(seed=51, rounds=5)
+            try:
                 run.run_round()
+                helper = helpers(run)[0]
+                os.kill(helper.pid, signal.SIGKILL)
+                with deadline(), pytest.raises(RuntimeError) as info:
+                    for _ in range(4):
+                        run.run_round()
+            finally:
+                run.close()
+        assert info.match(
+            rf"^round \d+: \w.* failed in {kind} process {helper.pid}: it was killed by signal 9$"
+        )
+        assert_no_child_process()
 
 
 class TestSampler:
@@ -559,7 +605,7 @@ class TestSampler:
             pytest.skip("the sampler runs on Linux only")
         threads = len(os.listdir("/proc/self/task"))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(federation, "available_cpus", lambda: threads + 1)
+            mp.setattr(slimfl.engine, "available_cpus", lambda: threads + 1)
             first, second = make_run(seed=40), make_run(seed=41)
             try:
                 first.run_round()
@@ -568,42 +614,34 @@ class TestSampler:
                 first.close()
                 second.close()
         assert (first.sampler is not None, second.sampler is None) == (True, True)
-        with split_stacks(), sampled_rounds():  # a split stack already uses every CPU
-            run = make_run(seed=42, rounds=1)
+
+    def test_sampler_draws_no_round_past_the_run(self, tmp_path):
+        log = tmp_path / "draws"
+        draw = federation.sample_fading
+
+        def sample_fading(model, rng):
+            with log.open("a") as f:  # the sampler's memory is its own
+                f.write("draw\n")
+            return draw(model, rng)
+
+        with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(federation, "sample_fading", sample_fading)
+            run = make_run(seed=52, rounds=5)
             run.run()
-        assert (run.local.parts, run.sampler) == (2, None)
+        assert log.read_text().count("draw") == 5 * 4  # rounds x devices
 
-    def test_run_reaps_its_sampler(self):
-        with sampled_rounds():
-            run = make_run(seed=43, rounds=2)
-            run.run()
-        assert run.sampler is not None
-        assert_no_child_process()
+    def test_round_past_the_run_matches_inline(self):
+        def rows(sampled):
+            with sampled_rounds(sampled), deadline():
+                run = make_run(seed=53, rounds=2)
+                try:
+                    metrics = [run.run_round() for _ in range(run.rounds + 1)]
+                finally:
+                    run.close()
+            assert (run.sampler is not None) == sampled
+            return metrics_rows(metrics), run.global_values.tobytes()
 
-    def test_failed_run_reaps_its_sampler(self):
-        with sampled_rounds():
-            run = make_run(seed=44, rounds=2)
-            run.test = Dataset(np.zeros((0, 10)), np.zeros(0, dtype=np.int64), 4)
-            with pytest.raises(ValueError, match="nonempty"):  # evaluate, after training
-                run.run()
-        assert run.sampler is not None
-        assert_no_child_process()
-
-    def test_pair_run_reaps_both_samplers(self):
-        with sampled_rounds(), deadline():
-            pair = TestCombinedVanillaRun().build(seed=45)
-            pair.run()
-        assert None not in (pair.half_run.sampler, pair.full_run.sampler)
-        assert_no_child_process()
-
-    def test_collected_run_reaps_its_sampler(self):
-        with sampled_rounds():
-            run = make_run(seed=46)
-            run.run_round()
-        assert run.sampler is not None
-        del run
-        gc.collect()
-        assert_no_child_process()
+        assert rows(True) == rows(False)
 
     def test_failed_draw_names_round_and_sampler(self):
         draws = []
@@ -623,31 +661,6 @@ class TestSampler:
         assert isinstance(info.value.__cause__, ArithmeticError)
         assert run.round == 2 and draws == []  # round 1 ran, and the process drew nothing
         assert_no_child_process()
-
-    def test_closing_the_first_of_two_live_runs_returns(self):
-        # the second run's sampler inherits the first's pipe end; unless it
-        # closes it, the first sampler never sees its pipe close
-        with sampled_rounds():
-            first, second = make_run(seed=48), make_run(seed=49)
-            try:
-                with deadline():
-                    first.run_round()
-                    second.run_round()
-                    first.close()
-            finally:
-                second.close()
-        assert None not in (first.sampler, second.sampler)
-        assert_no_child_process()
-
-    def test_closed_sampled_run_cannot_draw(self):
-        with sampled_rounds():
-            run = make_run(seed=50)
-            run.run_round()
-            run.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            run.run_round()
-        with pytest.raises(RuntimeError, match="stale"):
-            run.local.run(run.global_values)
 
 
 class TestSlimFLRound:

@@ -6,17 +6,18 @@ metrics CSV, and the raw bytes of every final global parameter vector.
 The CSV rounds to six decimals; the parameter bytes catch a change in the
 last bit of any local step.  A change to the arithmetic of training,
 aggregation or evaluation shows here as a digest mismatch; re-pin only for
-a deliberate, documented output change.  Every case runs once more with its
-batches and fading gains drawn ahead in a sampler process, to the same pins.
+a deliberate, documented output change.  Every case runs again on each
+other engine, to the same pins: with its batches and fading gains drawn
+ahead in a sampler process, and with its device stack split over two
+processes.
 """
 
 import dataclasses
 import hashlib
 
 import pytest
-from conftest import sampled_rounds
+from conftest import sampled_rounds, split_stacks
 
-from slimfl import federation
 from slimfl.channel import config_for_decode_probs
 from slimfl.config import parse_config
 from slimfl.experiment import VanillaPair, build_task, make_run
@@ -131,19 +132,20 @@ def case_config(name):
     return dataclasses.replace(parse_config(text), channel=config_for_decode_probs(0.7, 0.5))
 
 
-def final_globals(run):
-    if isinstance(run, VanillaPair):
-        return [run.half_run.global_values, run.full_run.global_values]
-    return [run.global_values]
+def runs(run):
+    return [run.half_run, run.full_run] if isinstance(run, VanillaPair) else [run]
 
 
-def digests(name, tmp_path):
+def digests(name, tmp_path, built=None):
+    """The case's two digests; its run is appended to ``built``, if given."""
     run = make_run(case_config(name), SEED)
+    if built is not None:
+        built.append(run)
     path = tmp_path / f"{name}.csv"
     write_metrics_csv(path, run.run())
     params = hashlib.sha256()
-    for values in final_globals(run):
-        params.update(values.tobytes())
+    for one in runs(run):
+        params.update(one.global_values.tobytes())
     return hashlib.sha256(path.read_bytes()).hexdigest(), params.hexdigest()
 
 
@@ -158,12 +160,20 @@ def test_outputs_match_pins(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
 
 
+# an engine: the plan that makes a run use it, and whether a run did
+ENGINES = {
+    "sampled": (sampled_rounds, lambda run: run.sampler is not None),
+    "split": (split_stacks, lambda run: run.local.parts == 2),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_sampled_run_matches_pins(name, tmp_path):
-    """Batches and fading gains drawn ahead in a sampler process give the same bytes."""
-    started = []
-    sampler = federation._Sampler
-    with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(federation, "_Sampler", lambda run: started.append(sampler(run)) or started[-1])
-        assert digests(name, tmp_path) == GOLDEN[name]
-    assert len(started) == (2 if name == "vanilla-1.5x" else 1)
+def test_every_engine_matches_pins(name, engine, tmp_path):
+    """Batches drawn ahead in a sampler process, or a stack split over two
+    processes, give the same bytes."""
+    plan, used = ENGINES[engine]
+    built = []
+    with plan():
+        assert digests(name, tmp_path, built) == GOLDEN[name]
+    assert all(map(used, runs(built[0])))
