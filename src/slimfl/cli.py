@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
-import io
 import json
 import os
 import sys
 
-from .config import _SHORTHANDS, ConfigError, parse_config, serialize_config
+from .config import ConfigError, override, parse_config
 from .experiment import analyze_experiment, run_all
 from .metrics import write_json
 
@@ -50,31 +48,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _override(cfg_text: str, dotted: str, value: str) -> str:
-    """Re-serialize the config with one section.key replaced.
-
-    A ``[channel]`` field and its unit shorthand set one value, so an
-    override of either replaces both.
-    """
-    if "." not in dotted:
-        raise ConfigError(f"sweep parameter {dotted!r}: use section.key form")
-    section, key = dotted.split(".", 1)
-    base = parse_config(cfg_text)  # validate the base before editing
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(serialize_config(base))
-    if not parser.has_section(section):
-        parser.add_section(section)
-    if section == "channel":
-        for pair in _SHORTHANDS.items():
-            if key in pair:
-                for option in pair:
-                    parser.remove_option(section, option)
-    parser.set(section, key, value)
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
-
-
 def cmd_widths(args) -> int:
     """Width-selection table: widest configuration meeting an IPS target."""
     from .analysis import SIX_WIDTH_COST_TABLE, ips_width_selection
@@ -97,7 +70,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep values: need at least one value")
     for value in values:
-        text = _override(base_text, args.param, value.strip())
+        text = override(base_text, args.param, value.strip())
         cfg = parse_config(text)
         subdir = os.path.join(
             cfg.output_dir, f"sweep_{args.param.replace('.', '_')}", value.strip()

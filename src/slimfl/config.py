@@ -198,6 +198,12 @@ _CHANNEL_KEYS = {"fading": str, "normalize_fading": bool} | dict.fromkeys(
 )
 
 
+def _fading_reads(name: str) -> set[str]:
+    """The fading keys that ``fading = name`` reads."""
+    model, keys = _FADING[name]
+    return {*keys, "normalize_fading"} if model is Rician else set(keys)
+
+
 def _decode(raw: str, codec: tuple, where: str):
     kind, parse, _ = codec
     try:
@@ -267,8 +273,7 @@ def _build_channel(values: dict, sec: dict[str, str]) -> ChannelConfig:
         raise ConfigError(f"channel.fading: unknown model {fading_name!r}")
     model, keys = _FADING[fading_name]
     # a fading key the selected model does not read would set nothing
-    read = {*keys, "normalize_fading"} if model is Rician else keys.keys()
-    unread = sorted(given.keys() & _FADING_KEYS - read)
+    unread = sorted(given.keys() & _FADING_KEYS - _fading_reads(fading_name))
     if unread:
         raise ConfigError(f"channel.{unread[0]}: fading = {fading_name} does not read it")
     try:
@@ -340,6 +345,36 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
+
+
+def override(text: str, dotted: str, value: str) -> str:
+    """The config text with ``section.key = value`` set, after checking that
+    the text parses.
+
+    The edit is the one a user would make to the file: a ``[channel]``
+    field and its unit shorthand set one value, so setting either drops the
+    other, and a new ``fading`` model drops the fading keys it does not read.
+    Every other key keeps the text it has, so a value derived from another
+    (a noise power from ``noise_psd_db_hz`` and ``bandwidth_hz``) follows it.
+    """
+    if "." not in dotted:
+        raise ConfigError(f"sweep parameter {dotted!r}: use section.key form")
+    section, key = dotted.split(".", 1)
+    parse_config(text)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    if section == "channel":
+        dropped = {option for pair in _SHORTHANDS.items() if key in pair for option in pair}
+        if key == "fading" and value.lower() in _FADING:
+            dropped |= _FADING_KEYS - _fading_reads(value.lower())
+        for option in dropped:
+            parser.remove_option(section, option)
+    parser.set(section, key, value)
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -9,14 +9,16 @@ decoded one after the other; a fixed-width FedAvg baseline's is one
 message carrying its whole model.  Both run the same loop; only the widths
 and decode thresholds differ.
 
-Local training is device-batched (``LocalTraining``): every device starts
-from the one global vector, and all devices step together as one (devices,
-P) stack, with results bitwise equal to training each device alone.  At a
-run's first round ``engine.plan`` picks its engine: a large stack is split
-into contiguous parts, the process training the first and one forked
-worker (``_DevicePool``) each other part; a stack that trains in one
-process, with a CPU to spare, has its batches and fading gains drawn one
-round ahead in a forked sampler (``_Sampler``).  Both helpers are
+Each device's round is ``LocalTraining``'s: it draws the device's batches,
+runs its local steps and draws its fading gain.  Every device starts from
+the one global vector, and all devices step together as one (devices, P)
+stack, with results bitwise equal to training each device alone.  At a
+run's first round ``engine.plan`` picks its engine, and
+``LocalTraining.start`` sets it up: a large stack is split into contiguous
+parts, the process running the first part's round and one forked worker
+(``_DevicePool``) each other part's; a stack that trains in one process,
+with a CPU to spare, has its batches and fading gains drawn one round
+ahead in a forked sampler (``_Sampler``).  Both helpers are
 ``engine.Helper`` processes; every output byte is the same on each engine.
 
 A round whose device loss or aggregated global vector is not finite raises
@@ -36,7 +38,8 @@ import numpy as np
 
 from . import engine
 from . import rng as rngmod
-from .channel import ChannelConfig, Rayleigh, decode_levels, sample_fading, successive_thresholds
+from .channel import ChannelConfig, FadingModel, decode_levels, decode_probabilities
+from .channel import sample_fading, successive_thresholds
 from .datasets import Dataset, Shard
 from .engine import Helper, shared
 from .metrics import RoundMetrics
@@ -44,6 +47,10 @@ from .slimnet import BatchRows, ForwardTrace, Layout, SlimmableParams, WidthMask
 from .training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
 
 SCHEMES = ("slimfl", "vanilla-0.5x", "vanilla-1.0x", "vanilla-1.5x")
+
+# a local round's result: the trained (devices, P) stack, each device's loss
+# at its last step, and each device's fading gain
+LocalRound = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -131,25 +138,25 @@ def evaluate(params: SlimmableParams, masks, x: np.ndarray, y: np.ndarray) -> li
 
 
 class LocalTraining:
-    """Local steps of every device, one stacked step rule call per step.
+    """Each device's round: its local steps, one stacked step rule call per
+    step, and its fading draw.
 
     All devices start from the global vector and train as one (devices, P)
     stack with one stacked optimizer.
     A device whose shard is smaller than the batch size draws its whole
     shard, min(batch_size, len(shard)) samples, and its batch is padded to
-    the longest (``BatchRows``).  Each device draws its batches from its own
-    stream, and the step rules compute each row exactly as for one device,
-    so every device's result is the one it gets trained alone.
+    the longest (``BatchRows``).  Each device draws its batches and its
+    fading gains from its own streams, and the step rules compute each row
+    exactly as for one device, so every device's result is the one it gets
+    trained alone.
 
-    For the same reason a stack can train as contiguous parts, each its own
-    stack.  ``split`` forks one worker per part after the first
-    (``_DevicePool``), which owns that part's shards, batch streams and
-    optimizer rows for the rest of the run; ``close`` stops the workers,
-    and a split engine cannot train after it.
-
-    A run's sampler (``_Sampler``) takes over the batch streams instead: it
-    makes this engine's ``draw`` calls in its own process, and ``run``
-    trains on the steps' batch rows it sets in ``drawn``.
+    For the same reason a stack can run its round as contiguous parts, each
+    its own stack.  ``start`` takes the run's engine plan: it forks one
+    worker per part after the first (``_DevicePool``), which owns that
+    part's shards, streams and optimizer rows for the rest of the run, or a
+    sampler (``_Sampler``) that makes this engine's ``draw`` and
+    ``draw_fading`` calls one round ahead in its own process.  ``close``
+    stops them, and the engine cannot run a round after it.
     """
 
     def __init__(
@@ -160,6 +167,8 @@ class LocalTraining:
         shards: list[Shard],
         train_cfg: TrainConfig,
         batch_rngs: list[np.random.Generator],
+        fading: FadingModel,
+        fading_streams: rngmod.StreamFamily,
         local_iters: int,
     ):
         self.layout = layout
@@ -167,6 +176,8 @@ class LocalTraining:
         self.shards = shards
         self.train_cfg = train_cfg
         self.batch_rngs = batch_rngs
+        self.fading = fading
+        self.fading_streams = fading_streams
         self.local_iters = local_iters
         self.step_fn = STEP_FUNCTIONS[train_cfg.algorithm]
         self.sizes = [min(train_cfg.batch_size, len(shard)) for shard in shards]
@@ -175,69 +186,85 @@ class LocalTraining:
         # padding rows hold training sample 0; the step rules ignore them
         self.batch_idx = np.zeros((len(shards), width), dtype=np.intp)
         self.opt = LocalOptimizer(train_cfg, (len(shards), layout.size))
-        self.rounds = 0  # run calls so far
-        self.parts = 1  # set by split
+        self.parts = 1  # set by start
         self._pool: _DevicePool | None = None
-        # this round's (x, y) batch rows of every step, when a sampler drew
-        # them; its pid once it owns the batch streams
-        self.drawn: _Slot | None = None
-        self.sampler_pid: int | None = None
+        self.sampler: _Sampler | None = None
 
-    def run(self, global_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Train every device from the (P,) global vector for ``local_iters`` steps.
+    def run(self, global_values: np.ndarray, round_: int) -> LocalRound:
+        """Round ``round_`` of every device: ``local_iters`` steps from the
+        (P,) global vector, and its fading gain.
 
-        Returns the trained vectors as a (devices, P) stack and each
-        device's loss at its last step.  A split stack's trained vectors
-        are a shared buffer that the next call overwrites.
+        Returns the trained vectors as a (devices, P) stack, each device's
+        loss at its last step and its fading gain.  A split stack's trained
+        vectors are a shared buffer that the next call overwrites.
         """
         if np.shape(global_values) != (self.layout.size,):
             raise ValueError(
                 f"local training starts from one ({self.layout.size},) global vector, "
                 f"not an array of shape {np.shape(global_values)}"
             )
-        self.rounds += 1
         if self._pool is not None:
-            return self._pool.run(global_values, self.rounds)
-        return self._train(global_values, self.drawn)
+            return self._pool.run(global_values, round_)
+        if self.sampler is None:
+            return self._round(global_values, round_)
+        slot = self.sampler.take(round_)
+        try:
+            # the gains are copied out: the sampler refills the slot two rounds on
+            return (*self._train(global_values, slot), slot.chi.copy())
+        finally:
+            self.sampler.free(round_)
 
-    def split(self, parts: int) -> None:
-        """Train as ``parts`` contiguous parts from now on: fork one worker
-        per part after the first."""
+    def start(self, parts: int, sampled: bool, rounds: int) -> None:
+        """Take the engine plan of a run of ``rounds`` rounds: run as
+        ``parts`` contiguous parts, forking one worker per part after the
+        first, or draw ahead in a sampler (``sampled``)."""
         self.parts = parts
         if parts > 1:
             self._pool = _DevicePool(self, parts)
+        elif sampled:
+            self.sampler = _Sampler(self, rounds)
 
     def close(self) -> None:
-        """Stop and reap the workers, if the stack was split."""
-        for worker in self._pool.workers if self._pool else ():
-            worker.close()
+        """Stop and reap the workers or the sampler, whichever started."""
+        helpers = self._pool.workers if self._pool else [self.sampler]
+        for helper in filter(None, helpers):
+            helper.close()
 
     def part(self, lo: int, hi: int) -> "LocalTraining":
-        """The engine of devices ``lo:hi`` alone, sharing their batch streams."""
+        """The engine of devices ``lo:hi`` alone, with their streams."""
+        streams = self.fading_streams
         return LocalTraining(
             layout=self.layout, train=self.train, shards=self.shards[lo:hi],
-            train_cfg=self.train_cfg, batch_rngs=self.batch_rngs[lo:hi],
+            train_cfg=self.train_cfg, batch_rngs=self.batch_rngs[lo:hi], fading=self.fading,
+            fading_streams=rngmod.StreamFamily(streams.master_seed, streams.prefixes[lo:hi]),
             local_iters=self.local_iters,
         )
 
     def draw(self) -> tuple[np.ndarray, np.ndarray]:
         """The next local step's (devices, batch, ...) x and y rows, each
         device's drawn from its own stream."""
-        if self.sampler_pid is not None:
-            raise RuntimeError(
-                f"local training's batch streams are drawn ahead in sampler process "
-                f"{self.sampler_pid}; this process's copies are stale"
-            )
         batch_idx = self.batch_idx
         for k, (rng, shard, size) in enumerate(zip(self.batch_rngs, self.shards, self.sizes)):
             batch_idx[k, :size] = rng.choice(shard.indices, size=size, replace=False)
         return self.train.x[batch_idx], self.train.y[batch_idx]
 
+    def draw_fading(self, round_: int) -> np.ndarray:
+        """Each device's fading gain in round ``round_``, from its stream."""
+        chi = np.empty(len(self.shards))
+        for k, rng in enumerate(self.fading_streams.generators(round_)):
+            chi[k] = sample_fading(self.fading, rng)
+        return chi
+
+    def _round(self, global_values: np.ndarray, round_: int) -> LocalRound:
+        """``run`` in this process, over every device of this engine, drawing
+        step by step."""
+        return (*self._train(global_values), self.draw_fading(round_))
+
     def _train(
         self, global_values: np.ndarray, drawn: _Slot | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``run`` in this process, over every device of this engine, on the
-        batches ``drawn`` ahead or, without them, drawn step by step."""
+        """The local steps of every device of this engine, on the batches
+        ``drawn`` ahead or, without them, drawn step by step."""
         # each device starts from a read-only view of the one vector: no copies
         start = np.broadcast_to(global_values, (len(self.shards), self.layout.size))
         params = SlimmableParams(self.layout, start)
@@ -257,9 +284,9 @@ class _DevicePool:
     """The workers of a split stack, one per part after the first.
 
     Each round the process writes the global vector into ``start`` and asks
-    every worker for the round; each worker trains its part from it and
-    writes its rows of ``out`` and ``losses``, while the process trains the
-    first part.
+    every worker for the round; each worker runs its part's round from it
+    and writes its rows of ``out``, ``losses`` and ``chi``, while the
+    process runs the first part's.
     """
 
     def __init__(self, local: LocalTraining, parts: int):
@@ -268,31 +295,31 @@ class _DevicePool:
         self.start = shared((local.layout.size,))
         self.out = shared((n, local.layout.size))
         self.losses = shared((n,))
+        self.chi = shared((n,))
         self.head = local.part(0, self.bounds[1])
         self.workers = [
             Helper(
                 "worker", f"local training of devices {lo}-{hi - 1}",
-                functools.partial(self._train, local.part(lo, hi), lo, hi),
+                functools.partial(self._run, local.part(lo, hi), lo, hi),
             )
             for lo, hi in zip(self.bounds[1:-1], self.bounds[2:])
         ]
 
-    def _train(self, part: LocalTraining, lo: int, hi: int, round_: int) -> None:
-        self.out[lo:hi], self.losses[lo:hi] = part._train(self.start)
+    def _run(self, part: LocalTraining, lo: int, hi: int, round_: int) -> None:
+        self.out[lo:hi], self.losses[lo:hi], self.chi[lo:hi] = part._round(self.start, round_)
 
-    def run(self, global_values: np.ndarray, round_: int) -> tuple[np.ndarray, np.ndarray]:
+    def run(self, global_values: np.ndarray, round_: int) -> LocalRound:
         self.start[:] = global_values
         for worker in self.workers:
             worker.ask(round_)
-        head = self.bounds[1]
         try:
-            self.out[:head], self.losses[:head] = self.head._train(global_values)
+            self._run(self.head, 0, self.bounds[1], round_)
         finally:
             # every answer is read, so the pipes stay in step after an error
             errors = [worker.answer(round_) for worker in self.workers]
         for error in filter(None, errors):
             raise error
-        return self.out, self.losses.copy()
+        return self.out, self.losses.copy(), self.chi.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,15 +338,15 @@ class _Sampler(Helper):
 
     The sampler fills two slots of anonymous shared memory in turn, one per
     round asked of it.  The process asks for rounds 1 and 2 at the start,
-    trains and decodes from a round's slot, then frees it by asking for the
-    round two on, up to the run's last; a round past that is asked for when
-    it is taken.  The sampler runs ``LocalTraining.draw`` and
-    ``FederatedRun.draw_fading``, the draws of a run without a sampler, so
-    every stream gives the same values.
+    trains from a round's slot, copies its fading gains, then frees it by
+    asking for the round two on, up to the run's last; a round past that is
+    asked for when it is taken.  The sampler runs ``LocalTraining.draw`` and
+    ``draw_fading``, the draws of a run without a sampler, so every stream
+    gives the same values.
     """
 
-    def __init__(self, run: FederatedRun):
-        local, x, y = run.local, run.local.train.x, run.local.train.y
+    def __init__(self, local: LocalTraining, rounds: int):
+        x, y = local.train.x, local.train.y
         rows = (local.local_iters, *local.batch_idx.shape)
         self.slots = [
             _Slot(
@@ -329,21 +356,20 @@ class _Sampler(Helper):
             for _ in range(2)
         ]
         super().__init__(
-            "sampler", "drawing the batches and fading gains", functools.partial(self._fill, run)
+            "sampler", "drawing the batches and fading gains", functools.partial(self._fill, local)
         )
-        local.sampler_pid = self.pid
-        self.rounds = run.rounds
+        self.rounds = rounds
         for round_ in range(1, min(2, self.rounds) + 1):
             self.ask(round_)
 
-    def _fill(self, run: FederatedRun, round_: int) -> None:
+    def _fill(self, local: LocalTraining, round_: int) -> None:
         if round_ == 1:  # on wake-up, wait for a CPU rather than preempt the training process
             with contextlib.suppress(OSError):
                 os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
         slot = self.slots[(round_ - 1) % len(self.slots)]
-        for step in range(run.local.local_iters):
-            slot.x[step], slot.y[step] = run.local.draw()
-        slot.chi[:] = run.draw_fading(round_)
+        for step in range(local.local_iters):
+            slot.x[step], slot.y[step] = local.draw()
+        slot.chi[:] = local.draw_fading(round_)
 
     def take(self, round_: int) -> _Slot:
         """Round ``round_``'s slot, once the sampler has filled it."""
@@ -397,9 +423,9 @@ class FederatedRun:
     Aggregation averages the first width's coordinates over every device at
     level >= 1 and the rest over devices at level 2.
 
-    At its first round a run takes its ``engine.plan``: it splits its stack
-    into the planned parts, and starts a sampler (``_Sampler``) if planned;
-    ``close`` stops them, and a sampled run cannot draw after it.
+    Each device's round, its local steps and its fading draw, is
+    ``LocalTraining``'s; at its first round a run hands it its
+    ``engine.plan``, and ``close`` stops the helpers it started.
     """
 
     def __init__(
@@ -424,9 +450,6 @@ class FederatedRun:
         fed_cfg.validate()
         if len(thresholds) != len(widths):
             raise ValueError("need one decode threshold per width")
-        expected = fed_cfg.aggregation_weighting == "expected"
-        if expected and not isinstance(chan_cfg.fading, Rayleigh):
-            raise ValueError("expected-count weighting needs closed-form (Rayleigh) probabilities")
         self.layout = layout
         self.test = test
         self.chan_cfg = chan_cfg
@@ -437,8 +460,9 @@ class FederatedRun:
         self.bits_at_level = np.array([0, *(w.bits for w in widths)])
         self.mflops = sum(w.mflops for w in widths) * fed_cfg.local_iters
         self.thresholds = np.asarray(thresholds, dtype=np.float64)
-        # expected-count weighting divides by K * P(decode) under Rayleigh fading
-        self.divisors = fed_cfg.n_devices * np.exp(-self.thresholds) if expected else None
+        # expected-count weighting divides by K * P(decode)
+        expected = fed_cfg.aggregation_weighting == "expected"
+        self.divisors = fed_cfg.n_devices * decode_probabilities(chan_cfg) if expected else None
         self.rounds = rounds
         self.eval_every = eval_every
         self.local = LocalTraining(
@@ -447,53 +471,33 @@ class FederatedRun:
                 rngmod.stream(master_seed, "batch", *stream_tag, k)
                 for k in range(fed_cfg.n_devices)
             ],
+            fading=chan_cfg.fading,
+            # device k's fading stream in round r is rng.stream(master_seed,
+            # "fading", *stream_tag, k, r)
+            fading_streams=rngmod.StreamFamily(
+                master_seed, [("fading", *stream_tag, k) for k in range(fed_cfg.n_devices)]
+            ),
             local_iters=fed_cfg.local_iters,
-        )
-        # device k's fading stream in round r is rng.stream(master_seed,
-        # "fading", *stream_tag, k, r)
-        self.fading_streams = rngmod.StreamFamily(
-            master_seed, [("fading", *stream_tag, k) for k in range(fed_cfg.n_devices)]
         )
         self.global_values = init_values.copy()
         self.levels = np.zeros(fed_cfg.n_devices, dtype=np.intp)
         self.round = 0
-        self.sampler: _Sampler | None = None
 
-    def draw_fading(self, round_: int) -> np.ndarray:
-        """Each device's fading gain in round ``round_``, from its stream."""
-        chi = np.empty(self.fed_cfg.n_devices)
-        for k, rng in enumerate(self.fading_streams.generators(round_)):
-            chi[k] = sample_fading(self.chan_cfg.fading, rng)
-        return chi
-
-    def decode_levels(self) -> np.ndarray:
-        """Each device's decode level this round, from one fading draw (the
-        sampler's, when it drew this round's)."""
-        slot = self.local.drawn
-        chi = self.draw_fading(self.round) if slot is None else slot.chi
+    def decode_levels(self, chi: np.ndarray) -> np.ndarray:
+        """Each device's decode level this round, from its fading gain."""
         return decode_levels(chi, self.thresholds)
 
     def run_round(self) -> RoundMetrics:
         self.round += 1
         if self.round == 1:
-            parts, sampled = engine.plan(len(self.local.shards))
-            self.local.split(parts)
-            if sampled:
-                self.sampler = _Sampler(self)
-        if self.sampler is not None:
-            self.local.drawn = self.sampler.take(self.round)
-        try:
-            trained, losses = self.local.run(self.global_values)
-            if not np.isfinite(losses).all():
-                raise ValueError(
-                    f"round {self.round}: the local loss of device(s) "
-                    f"{_ids(~np.isfinite(losses))} is not finite"
-                )
-            self.levels = self.decode_levels()
-        finally:
-            if self.local.drawn is not None:
-                self.local.drawn = None
-                self.sampler.free(self.round)
+            self.local.start(*engine.plan(len(self.local.shards)), self.rounds)
+        trained, losses, chi = self.local.run(self.global_values, self.round)
+        if not np.isfinite(losses).all():
+            raise ValueError(
+                f"round {self.round}: the local loss of device(s) "
+                f"{_ids(~np.isfinite(losses))} is not finite"
+            )
+        self.levels = self.decode_levels(chi)
 
         # a diverging round's overflow is reported by the finite check below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -536,8 +540,6 @@ class FederatedRun:
     def close(self) -> None:
         """Stop and reap the local-training workers or the sampler, if any started."""
         self.local.close()
-        if self.sampler is not None:
-            self.sampler.close()
 
     def run(self) -> list[RoundMetrics]:
         try:

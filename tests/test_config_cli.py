@@ -538,8 +538,7 @@ class TestCli:
         assert obj_at["0.662"] <= obj_at["0.6"] + 1e-9
         assert obj_at["0.662"] <= obj_at["0.8"] + 1e-9
 
-    # a shorthand and its field set one value; the re-serialized base holds
-    # the field, so the override must replace it
+    # a shorthand and its field set one value, so setting either drops the other
     @pytest.mark.parametrize(
         "param, values",
         [
@@ -557,6 +556,38 @@ class TestCli:
         sweep_dir = tmp_path / "out" / f"sweep_{param.replace('.', '_')}"
         reports = [(sweep_dir / v / "analysis.json").read_text() for v in values]
         assert reports[0] != reports[1]
+
+    def sweep_and_analyze(self, tmp_path, channel, param, values):
+        """The analysis.json of each swept value, and ``slimfl analyze`` of
+        the base config, which holds ``channel`` as its [channel] section."""
+        text = SMALL_RUN.format(out=str(tmp_path / "out")) + f"\n[channel]\n{channel}"
+        (tmp_path / "exp.ini").write_text(text)
+        args = ["sweep", str(tmp_path / "exp.ini"), "--param", param, "--values", values]
+        assert main([*args, "--mode", "analyze"]) == 0
+        assert main(["analyze", str(tmp_path / "exp.ini"), "--output", str(tmp_path / "base")]) == 0
+        sweep_dir = tmp_path / "out" / f"sweep_{param.replace('.', '_')}"
+        swept = {v: (sweep_dir / v / "analysis.json").read_bytes() for v in values.split(",")}
+        return swept, (tmp_path / "base").read_bytes()
+
+    def test_sweep_over_bandwidth_matches_the_edited_file(self, tmp_path):
+        # the noise power and the rate are set through shorthands that read the
+        # bandwidth, so they follow it as they do when the file is edited
+        channel = "bandwidth_hz = 75e6\nnoise_psd_db_hz = -169\nrate_sinr_threshold = 0.667\n"
+        swept, _ = self.sweep_and_analyze(tmp_path, channel, "channel.bandwidth_hz", "150e6")
+        edited = tmp_path / "edited.ini"
+        edited.write_text((tmp_path / "exp.ini").read_text().replace("75e6", "150e6"))
+        assert main(["analyze", str(edited), "--output", str(tmp_path / "edited")]) == 0
+        assert swept["150e6"] == (tmp_path / "edited").read_bytes()
+
+    def test_sweep_over_fading_drops_the_keys_a_model_does_not_read(self, tmp_path):
+        channel = "fading = rician\nrician_nu = 1.0\nrician_sigma = 0.7\nnormalize_fading = true\n"
+        swept, base = self.sweep_and_analyze(
+            tmp_path, channel, "channel.fading", "rayleigh,rician,twdp"
+        )
+        assert swept["rician"] == base
+        # closed-form decode probabilities exist for Rayleigh fading only
+        probs = {v: json.loads(report)["decode_probs"] for v, report in swept.items()}
+        assert probs["rician"] is probs["twdp"] is None and len(probs["rayleigh"]) == 2
 
     def test_widths_table(self, capsys):
         assert main(["widths", "--peaks", "23,382,5", "--target", "100"]) == 0

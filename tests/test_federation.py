@@ -12,6 +12,7 @@ import re
 import signal
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from slimfl.channel import (
     config_for_decode_probs,
     decode_thresholds,
     rate_for_sinr_threshold,
+    sample_fading,
 )
 from slimfl import experiment
 from slimfl.config import load_config
@@ -262,6 +264,18 @@ def index_shards(index_lists) -> list[Shard]:
     ]
 
 
+def local_training(shards, cfg, local_iters=1) -> LocalTraining:
+    """Local training of ``shards`` of the training set, with each device's
+    batch and Rayleigh fading streams keyed by master seed 20."""
+    return LocalTraining(
+        layout=Layout.mlp(10, (8,), 4), train=LOCAL_TRAIN, shards=shards, train_cfg=cfg,
+        batch_rngs=[rngmod.stream(20, "batch", k) for k in range(len(shards))],
+        fading=Rayleigh(),
+        fading_streams=rngmod.StreamFamily(20, [("fading", k) for k in range(len(shards))]),
+        local_iters=local_iters,
+    )
+
+
 class TestLocalTraining:
     def test_skewed_example_pads_several_batch_lengths(self):
         assert len({min(32, len(shard)) for shard in SKEWED_SHARDS}) > 2
@@ -282,18 +296,16 @@ class TestLocalTraining:
     def test_matches_each_device_trained_alone(
         self, rule, shards, batch_size, local_iters, optimizer
     ):
-        train, n_devices = LOCAL_TRAIN, len(shards)
+        train = LOCAL_TRAIN
         layout = Layout.mlp(10, (8,), 4)
         cfg = TrainConfig(batch_size=batch_size, algorithm=rule, optimizer=optimizer)
         # two rounds, each from its own global vector
         starts = [init_params(layout, rngmod.stream(20, "init", r)).values for r in range(2)]
-        engine = LocalTraining(
-            layout=layout, train=train, shards=shards, train_cfg=cfg,
-            batch_rngs=[rngmod.stream(20, "batch", k) for k in range(n_devices)],
-            local_iters=local_iters,
-        )
-        for start in starts:  # optimizer state carries over between rounds
-            values, losses = engine.run(start)
+        engine = local_training(shards, cfg, local_iters)
+        gains = []
+        for r, start in enumerate(starts, 1):  # optimizer state carries over between rounds
+            values, losses, chi = engine.run(start, r)
+            gains.append(chi)
 
         # reference: the per-device loop, one device at a time
         step = STEP_FUNCTIONS[rule]
@@ -308,6 +320,8 @@ class TestLocalTraining:
                     params = result.params
             assert values[k].tobytes() == params.values.tobytes()
             assert np.float64(losses[k]).tobytes() == np.float64(result.loss).tobytes()
+            for r, chi in enumerate(gains, 1):  # each round's gain from its own stream
+                assert chi[k] == sample_fading(Rayleigh(), rngmod.stream(20, "fading", k, r))
 
 
     @pytest.mark.parametrize("rule", sorted(STEP_FUNCTIONS))
@@ -333,17 +347,12 @@ class TestLocalTraining:
         starts = [init_params(layout, rngmod.stream(20, "init", r)).values for r in range(2)]
 
         def two_rounds(parts):
-            engine = LocalTraining(
-                layout=layout, train=LOCAL_TRAIN, shards=shards, train_cfg=cfg,
-                batch_rngs=[rngmod.stream(20, "batch", k) for k in range(len(shards))],
-                local_iters=local_iters,
-            )
+            engine = local_training(shards, cfg, local_iters)
             try:
-                engine.split(parts)
+                engine.start(parts, False, len(starts))
                 trained = []  # bytes now: a split stack's output is overwritten next round
-                for start in starts:
-                    values, losses = engine.run(start)
-                    trained += [values.tobytes(), losses.tobytes()]
+                for r, start in enumerate(starts, 1):
+                    trained += [array.tobytes() for array in engine.run(start, r)]
                 return engine.parts, trained
             finally:
                 engine.close()
@@ -358,15 +367,11 @@ class TestLocalTraining:
         shards = index_shards([[0, 1], [2, 3], [4, 5], [6]])
         shards[3] = Shard(3, np.array([len(LOCAL_TRAIN)]), shards[3].class_histogram)
         init = init_params(layout, rngmod.stream(20, "init")).values
-        engine = LocalTraining(
-            layout=layout, train=LOCAL_TRAIN, shards=shards, train_cfg=cfg,
-            batch_rngs=[rngmod.stream(20, "batch", k) for k in range(4)],
-            local_iters=1,
-        )
+        engine = local_training(shards, cfg)
         try:
-            engine.split(2)
+            engine.start(2, False, 1)
             with pytest.raises(RuntimeError, match=r"round 1: .* devices 2-3 failed") as info:
-                engine.run(init)
+                engine.run(init, 1)
         finally:
             engine.close()
         assert isinstance(info.value.__cause__, IndexError)
@@ -376,19 +381,15 @@ class TestLocalTraining:
         layout = Layout.mlp(10, (8,), 4)
         init = init_params(layout, rngmod.stream(20, "init")).values
         for parts in (1, 2):
-            engine = LocalTraining(
-                layout=layout, train=LOCAL_TRAIN,
-                shards=index_shards([[0, 1], [2, 3], [4, 5], [6, 7]]),
-                train_cfg=TrainConfig(batch_size=2),
-                batch_rngs=[rngmod.stream(20, "batch", k) for k in range(4)],
-                local_iters=1,
+            engine = local_training(
+                index_shards([[0, 1], [2, 3], [4, 5], [6, 7]]), TrainConfig(batch_size=2)
             )
             try:
-                engine.split(parts)  # a split engine starts its worker here
-                engine.run(init)
+                engine.start(parts, False, 1)  # a split engine starts its worker here
+                engine.run(init, 1)
                 for start in (np.broadcast_to(init, (4, layout.size)), init[:-1], init[None]):
                     with pytest.raises(ValueError, match=rf"one \({layout.size},\) global"):
-                        engine.run(start)
+                        engine.run(start, 2)
                 assert engine.parts == parts
             finally:
                 engine.close()
@@ -411,7 +412,7 @@ class TestLocalTraining:
             stack_bytes = head * run.layout.size * 8
             tracemalloc.start()
             try:
-                run.local.run(run.global_values)
+                run.local.run(run.global_values, 4)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -457,16 +458,34 @@ class TestLocalTraining:
         assert [run.local.parts for run in runs] == [2] * len(runs)
         assert split == serial
 
+    def test_split_run_draws_each_parts_gains_where_it_trains(self, tmp_path):
+        log = tmp_path / "draws"
+        draw = federation.sample_fading
 
-# a helper kind: the plan that makes a run start it, the run's helpers of
-# that kind, and the error of training after the run is closed
+        def sample_fading(model, rng):
+            with log.open("a") as f:  # a worker's memory is its own
+                f.write(f"{os.getpid()}\n")
+            return draw(model, rng)
+
+        with split_stacks(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(federation, "sample_fading", sample_fading)
+            run = make_run(seed=54, rounds=3, n_devices=5)
+            run.run()
+        [worker] = run.local._pool.workers
+        # devices 0-1 in this process and 2-4 in the worker, each round
+        assert Counter(log.read_text().split()) == {
+            str(os.getpid()): 3 * 2, str(worker.pid): 3 * 3
+        }
+
+
+# a helper kind: the plan that makes a run start it, and the run's helpers
+# of that kind
 HELPERS = {
     "worker": (
         functools.partial(split_stacks, min_devices=1),
         lambda run: run.local._pool.workers if run.local.parts == 2 else [],
-        "closed",
     ),
-    "sampler": (sampled_rounds, lambda run: [run.sampler] if run.sampler else [], "stale"),
+    "sampler": (sampled_rounds, lambda run: [run.local.sampler] if run.local.sampler else []),
 }
 
 
@@ -476,7 +495,7 @@ class TestHelpers:
     with it, however it ends."""
 
     def test_run_reaps_its_helpers(self, kind):
-        plan, helpers, _ = HELPERS[kind]
+        plan, helpers = HELPERS[kind]
         with plan():
             run = make_run(seed=21, rounds=2)
             run.run()
@@ -484,7 +503,7 @@ class TestHelpers:
         assert_no_child_process()
 
     def test_failed_run_reaps_its_helpers(self, kind):
-        plan, helpers, _ = HELPERS[kind]
+        plan, helpers = HELPERS[kind]
         with plan():
             run = make_run(seed=22, rounds=2)
             run.test = Dataset(np.zeros((0, 10)), np.zeros(0, dtype=np.int64), 4)
@@ -494,7 +513,7 @@ class TestHelpers:
         assert_no_child_process()
 
     def test_pair_run_reaps_both_runs_helpers(self, kind):
-        plan, helpers, _ = HELPERS[kind]
+        plan, helpers = HELPERS[kind]
         with plan(), deadline():
             pair = TestCombinedVanillaRun().build(seed=23)
             pair.run()
@@ -502,7 +521,7 @@ class TestHelpers:
         assert_no_child_process()
 
     def test_collected_run_reaps_its_helpers(self, kind):
-        plan, helpers, _ = HELPERS[kind]
+        plan, helpers = HELPERS[kind]
         with plan():
             run = make_run(seed=46)
             run.run_round()
@@ -514,7 +533,7 @@ class TestHelpers:
     def test_closing_the_first_of_two_live_runs_returns(self, kind):
         # the second run's helper inherits the first's pipe end; unless it
         # closes it, the first helper never sees its pipe close
-        plan, helpers, _ = HELPERS[kind]
+        plan, helpers = HELPERS[kind]
         with plan():
             first, second = make_run(seed=24), make_run(seed=25)
             try:
@@ -528,21 +547,20 @@ class TestHelpers:
         assert_no_child_process()
 
     def test_closed_run_cannot_train(self, kind):
-        plan, helpers, stale = HELPERS[kind]
+        plan, helpers = HELPERS[kind]
         with plan():
             run = make_run(seed=26)
             run.run_round()
             run.close()
         head = run.local._pool.head if run.local._pool else run.local
         steps = head.opt.t
-        with pytest.raises(RuntimeError, match=r"^round 2: .* the run is closed"):
-            run.run_round()
+        for train in (run.run_round, lambda: run.local.run(run.global_values, 2)):
+            with pytest.raises(RuntimeError, match=r"^round 2: .* the run is closed"):
+                train()
         assert head.opt.t == steps  # refused before the process trained a step
-        with pytest.raises(RuntimeError, match=stale):
-            run.local.run(run.global_values)
 
     def test_killed_helper_fails_the_run_loudly(self, kind):
-        plan, helpers, _ = HELPERS[kind]
+        plan, helpers = HELPERS[kind]
         with plan():
             run = make_run(seed=51, rounds=5)
             try:
@@ -595,7 +613,7 @@ class TestSampler:
                     seed=seed, shards=shards, train_cfg=cfg, local_iters=local_iters, chan=chan
                 )
                 metrics = run.run()
-            assert (run.sampler is not None) == sampled
+            assert (run.local.sampler is not None) == sampled
             return metrics_rows(metrics), run.global_values.tobytes()
 
         assert rows(True) == rows(False)
@@ -613,7 +631,7 @@ class TestSampler:
             finally:
                 first.close()
                 second.close()
-        assert (first.sampler is not None, second.sampler is None) == (True, True)
+        assert (first.local.sampler is not None, second.local.sampler is None) == (True, True)
 
     def test_sampler_draws_no_round_past_the_run(self, tmp_path):
         log = tmp_path / "draws"
@@ -638,7 +656,7 @@ class TestSampler:
                     metrics = [run.run_round() for _ in range(run.rounds + 1)]
                 finally:
                     run.close()
-            assert (run.sampler is not None) == sampled
+            assert (run.local.sampler is not None) == sampled
             return metrics_rows(metrics), run.global_values.tobytes()
 
         assert rows(True) == rows(False)
@@ -657,7 +675,7 @@ class TestSampler:
             run = make_run(seed=47)
             with pytest.raises(RuntimeError, match=r"^round 2: .* sampler process (\d+)") as info:
                 run.run()
-        assert info.match(rf"sampler process {run.sampler.pid}:")
+        assert info.match(rf"sampler process {run.local.sampler.pid}:")
         assert isinstance(info.value.__cause__, ArithmeticError)
         assert run.round == 2 and draws == []  # round 1 ran, and the process drew nothing
         assert_no_child_process()
@@ -672,7 +690,7 @@ class TestSlimFLRound:
 
         # reconstruct: fresh identical run, local updates only, then plain mean
         run_b = make_run(seed=7)
-        locals_b, _ = run_b.local.run(run_b.global_values)
+        locals_b, _, _ = run_b.local.run(run_b.global_values, 1)
         np.testing.assert_array_equal(run_a.global_values, np.mean(np.stack(locals_b), axis=0))
 
     def test_dead_channel_keeps_global(self):
@@ -687,9 +705,9 @@ class TestSlimFLRound:
 
     def test_scripted_mixed_outcomes(self):
         run = make_run(seed=9, n_devices=3)
-        locals_, _ = run.local.run(run.global_values)
+        locals_, _, _ = run.local.run(run.global_values, 1)
         run_b = make_run(seed=9, n_devices=3)
-        run_b.decode_levels = lambda: np.array([2, 1, 0])  # device 2 silent
+        run_b.decode_levels = lambda chi: np.array([2, 1, 0])  # device 2 silent
         metrics = run_b.run_round()
         assert (metrics.decoded_both, metrics.decoded_lh_only, metrics.decoded_none) == (1, 1, 1)
         lh = run_b.widths[0].mask.bits
@@ -716,7 +734,7 @@ class TestSlimFLRound:
             sam = make_run(seed=11, rounds=3)
             m_sam = sam.run()
         assert (seq.local.parts, par.local.parts, sam.local.parts) == (1, 2, 1)
-        assert [run.sampler is not None for run in (seq, par, sam)] == [False, False, True]
+        assert [run.local.sampler is not None for run in (seq, par, sam)] == [False, False, True]
         for run in (par, sam):
             np.testing.assert_array_equal(seq.global_values, run.global_values)
         assert m_seq == m_par == m_sam
@@ -733,14 +751,14 @@ class TestNonFiniteRound:
         run = make_run(scheme, seed=27)
         train = run.local.run
 
-        def run_local(values):
-            trained, losses = (array.copy() for array in train(values))
+        def run_local(values, round_):
+            trained, losses, chi = (array.copy() for array in train(values, round_))
             poison(run, trained, losses)
-            return trained, losses
+            return trained, losses, chi
 
         run.local.run = run_local
         if levels is not None:
-            run.decode_levels = lambda: np.array(levels)
+            run.decode_levels = lambda chi: np.array(levels)
         with pytest.raises(ValueError) as info:
             run.run()
         return str(info.value)
@@ -804,7 +822,7 @@ class TestVanillaRun:
             run_a = make_run("vanilla-1.0x", seed=12, n_devices=n_devices)
             run_a.run_round()
             run_b = make_run("vanilla-1.0x", seed=12, n_devices=n_devices)
-            locals_b, _ = run_b.local.run(run_b.global_values)
+            locals_b, _, _ = run_b.local.run(run_b.global_values, 1)
             np.testing.assert_array_equal(
                 run_a.global_values, np.mean(np.stack(locals_b), axis=0)
             )
@@ -876,8 +894,8 @@ class TestCombinedVanillaRun:
 
     def test_scripted_half_only_device_counts_as_lh_only(self):
         run = self.build(seed=18)
-        run.half_run.decode_levels = lambda: np.array([1, 1, 0])
-        run.full_run.decode_levels = lambda: np.array([1, 0, 0])
+        run.half_run.decode_levels = lambda chi: np.array([1, 1, 0])
+        run.full_run.decode_levels = lambda chi: np.array([1, 0, 0])
         m = run.run_round()
         assert (m.decoded_both, m.decoded_lh_only, m.decoded_none) == (1, 1, 1)
         assert m.decoded_megabits == pytest.approx((2 * 86_344 + 172_688) / 1e6)

@@ -162,7 +162,7 @@ def test_outputs_match_pins(name, tmp_path):
 
 # an engine: the plan that makes a run use it, and whether a run did
 ENGINES = {
-    "sampled": (sampled_rounds, lambda run: run.sampler is not None),
+    "sampled": (sampled_rounds, lambda run: run.local.sampler is not None),
     "split": (split_stacks, lambda run: run.local.parts == 2),
 }
 
