@@ -2,11 +2,13 @@
 processes that carry it out.
 
 ``plan`` decides, once per run, how many contiguous parts its device stack
-trains in and whether a sampler draws its inputs one round ahead.  A
+trains in and whether it has a CPU to spare: a one-part run's sampler draws
+its inputs one round ahead there, and the evaluator of a run driven through
+``FederatedRun.run`` evaluates its global model one round behind.  A
 ``Helper`` is one forked process (a split stack's worker, or a run's
-sampler) that runs one job per request and answers None or the job's
-exception; a helper that dies raises in the process, naming the round, the
-job, the helper's role and pid, and how it ended.
+sampler or evaluator) that runs one job per request and answers None or the
+job's exception; a helper that dies raises in the process, naming the
+round, the job, the helper's role and pid, and how it ended.
 """
 
 from __future__ import annotations
@@ -36,10 +38,12 @@ def available_cpus() -> int:
 def plan(n_devices: int) -> tuple[int, bool]:
     """How a run of ``n_devices`` devices uses the CPUs: the number of
     contiguous parts its stack trains in, one per CPU with at least
-    ``MIN_DEVICES_PER_PART`` devices each, and whether a sampler draws its
-    inputs ahead.  A one-part run samples when the CPUs outnumber this
-    process's threads and its live helpers: a BLAS thread pool leaves no
-    CPU on its own.  Linux only: elsewhere one part, no sampler."""
+    ``MIN_DEVICES_PER_PART`` devices each, and whether it has a CPU to spare
+    for a sampler that draws its inputs ahead (and an evaluator, when
+    ``FederatedRun.run`` drives it).  A one-part run has one when the CPUs
+    outnumber this process's threads and its live helpers: a BLAS thread
+    pool leaves no CPU on its own.  Linux only: elsewhere one part, no
+    spare CPU."""
     if not sys.platform.startswith("linux"):
         return 1, False
     cpus = available_cpus()
@@ -64,12 +68,14 @@ class Helper:
     asks of it, in order, and answers each with None or the job's exception,
     until its pipe closes.
 
-    ``role`` ("worker", "sampler") and ``task`` (what the job does) name it
-    in errors.  ``close`` closes the pipe, so the helper leaves its loop,
-    and reaps it; it also runs when the helper is collected.
+    ``role`` ("worker", "sampler", "evaluator") and ``task`` (what the job
+    does) name it in errors.  A ``background`` helper runs under
+    ``SCHED_BATCH``: its wake-up waits for a CPU rather than preempt the
+    process.  ``close`` closes the pipe, so the helper leaves its loop, and
+    reaps it; it also runs when the helper is collected.
     """
 
-    def __init__(self, role: str, task: str, job):
+    def __init__(self, role: str, task: str, job, background: bool = False):
         # imported here: 1.5 MB and 15 ms in every process otherwise
         from multiprocessing.connection import Pipe
 
@@ -80,6 +86,9 @@ class Helper:
             status = 1
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # the process decides
+                if background:
+                    with contextlib.suppress(OSError):
+                        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
                 self.end.close()
                 for other in _PROCESS_ENDS:
                     other.close()

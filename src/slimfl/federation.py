@@ -18,8 +18,11 @@ run's first round ``engine.plan`` picks its engine, and
 parts, the process running the first part's round and one forked worker
 (``_DevicePool``) each other part's; a stack that trains in one process,
 with a CPU to spare, has its batches and fading gains drawn one round
-ahead in a forked sampler (``_Sampler``).  Both helpers are
-``engine.Helper`` processes; every output byte is the same on each engine.
+ahead in a forked sampler (``_Sampler``).  On that same spare CPU a run
+driven through ``FederatedRun.run`` forks an evaluator (``_Evaluator``) that
+evaluates each evaluated round's global model one round behind, while the
+process trains the next round.  All three helpers are ``engine.Helper``
+processes; every output byte is the same on each engine.
 
 A round whose device loss or aggregated global vector is not finite raises
 ``ValueError`` naming the round and the devices (and width) at fault.
@@ -27,10 +30,10 @@ A round whose device loss or aggregated global vector is not finite raises
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 import functools
 import math
-import os
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -356,16 +359,14 @@ class _Sampler(Helper):
             for _ in range(2)
         ]
         super().__init__(
-            "sampler", "drawing the batches and fading gains", functools.partial(self._fill, local)
+            "sampler", "drawing the batches and fading gains",
+            functools.partial(self._fill, local), background=True,
         )
         self.rounds = rounds
         for round_ in range(1, min(2, self.rounds) + 1):
             self.ask(round_)
 
     def _fill(self, local: LocalTraining, round_: int) -> None:
-        if round_ == 1:  # on wake-up, wait for a CPU rather than preempt the training process
-            with contextlib.suppress(OSError):
-                os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
         slot = self.slots[(round_ - 1) % len(self.slots)]
         for step in range(local.local_iters):
             slot.x[step], slot.y[step] = local.draw()
@@ -384,6 +385,62 @@ class _Sampler(Helper):
         """Hand round ``round_``'s slot back, for the round two on."""
         if round_ + 2 <= self.rounds:
             self.ask(round_ + 2)
+
+
+class _Evaluator(Helper):
+    """A run's test accuracies, evaluated one round behind in a forked
+    process that holds the run's fork-time test set.
+
+    Evaluated rounds (every ``eval_every``-th) take two slots of anonymous
+    shared memory in turn.  The process writes a round's global vector into
+    its slot and asks for the round; the evaluator runs ``evaluate``, the
+    call of a run that evaluates inline, and writes each width's accuracy
+    into the slot's row of ``accuracies`` while the process trains on.  The
+    process collects a round's accuracies into ``done`` before it reuses the
+    round's slot, and the rest in ``finish``.
+    """
+
+    def __init__(self, run: FederatedRun):
+        self.every = run.eval_every
+        self.vectors = shared((2, run.layout.size))
+        self.accuracies = shared((2, len(run.widths)))
+        self.pending: deque[int] = deque()  # rounds asked for and not yet collected
+        self.done: dict[int, list[float]] = {}
+        super().__init__(
+            "evaluator", "evaluating the global model",
+            functools.partial(self._evaluate, run.layout, run.masks, run.test), background=True,
+        )
+
+    def _slot(self, round_: int) -> int:
+        return round_ // self.every % 2
+
+    def _evaluate(self, layout: Layout, masks, test: Dataset, round_: int) -> None:
+        slot = self._slot(round_)
+        params = SlimmableParams(layout, self.vectors[slot])
+        self.accuracies[slot] = evaluate(params, masks, test.x, test.y)
+
+    def submit(self, round_: int, global_values: np.ndarray) -> None:
+        """Ask for round ``round_``'s accuracies of the global vector, first
+        collecting those of the round whose slot it takes."""
+        if len(self.pending) == 2:
+            self.collect()
+        self.vectors[self._slot(round_)] = global_values
+        self.ask(round_)
+        self.pending.append(round_)
+
+    def collect(self) -> None:
+        """Wait for the oldest asked round's accuracies and keep them."""
+        round_ = self.pending.popleft()
+        error = self.answer(round_)
+        if error is not None:
+            raise error
+        self.done[round_] = self.accuracies[self._slot(round_)].tolist()
+
+    def finish(self) -> dict[int, list[float]]:
+        """Every asked round's accuracies, by round."""
+        while self.pending:
+            self.collect()
+        return self.done
 
 
 def vanilla_threshold(chan_cfg: ChannelConfig, payload_ratio: float) -> float:
@@ -425,8 +482,14 @@ class FederatedRun:
 
     Each device's round, its local steps and its fading draw, is
     ``LocalTraining``'s; at its first round a run hands it its
-    ``engine.plan``, and ``close`` stops the helpers it started.
+    ``engine.plan``, and ``close`` stops the helpers it started.  When the
+    plan leaves a CPU to spare and the run ``evaluate_ahead``, its
+    evaluations go to an ``_Evaluator`` on that CPU as well.
     """
+
+    # set by run(): evaluated rounds may go to an evaluator, and a row that
+    # run_round returns holds NaN accuracies until run() fills them in
+    evaluate_ahead = False
 
     def __init__(
         self,
@@ -455,6 +518,7 @@ class FederatedRun:
         self.chan_cfg = chan_cfg
         self.fed_cfg = fed_cfg
         self.widths = widths
+        self.masks = [w.mask for w in widths]
         # decode level -> the column its widest message fills, and the bits it delivers
         self.column_at_level = np.array([0, *(COLUMNS[w.column] for w in widths)])
         self.bits_at_level = np.array([0, *(w.bits for w in widths)])
@@ -482,6 +546,7 @@ class FederatedRun:
         self.global_values = init_values.copy()
         self.levels = np.zeros(fed_cfg.n_devices, dtype=np.intp)
         self.round = 0
+        self.evaluator: _Evaluator | None = None
 
     def decode_levels(self, chi: np.ndarray) -> np.ndarray:
         """Each device's decode level this round, from its fading gain."""
@@ -490,7 +555,10 @@ class FederatedRun:
     def run_round(self) -> RoundMetrics:
         self.round += 1
         if self.round == 1:
-            self.local.start(*engine.plan(len(self.local.shards)), self.rounds)
+            parts, spare = engine.plan(len(self.local.shards))
+            self.local.start(parts, spare, self.rounds)
+            if spare and self.evaluate_ahead and self.eval_every <= self.rounds:
+                self.evaluator = _Evaluator(self)
         trained, losses, chi = self.local.run(self.global_values, self.round)
         if not np.isfinite(losses).all():
             raise ValueError(
@@ -511,9 +579,11 @@ class FederatedRun:
 
         self.accuracies = [math.nan] * len(self.widths)
         if self.round % self.eval_every == 0:
-            params = SlimmableParams(self.layout, self.global_values)
-            masks = [w.mask for w in self.widths]
-            self.accuracies = evaluate(params, masks, self.test.x, self.test.y)
+            if self.evaluator is not None:
+                self.evaluator.submit(self.round, self.global_values)
+            else:
+                params = SlimmableParams(self.layout, self.global_values)
+                self.accuracies = evaluate(params, self.masks, self.test.x, self.test.y)
         return report((self,))
 
     def _raise_non_finite(self, trained: np.ndarray) -> None:
@@ -538,12 +608,25 @@ class FederatedRun:
             )
 
     def close(self) -> None:
-        """Stop and reap the local-training workers or the sampler, if any started."""
+        """Stop and reap the local-training workers, or the sampler and the
+        evaluator, whichever started."""
         self.local.close()
+        if self.evaluator is not None:
+            self.evaluator.close()
 
     def run(self) -> list[RoundMetrics]:
+        """Every round's metrics row, each evaluated round's accuracies in it."""
+        self.evaluate_ahead = True
         try:
-            return [self.run_round() for _ in range(self.rounds)]
+            rows = [self.run_round() for _ in range(self.rounds)]
+            if self.evaluator is None:
+                return rows
+            done = self.evaluator.finish()
+            return [
+                dataclasses.replace(row, **_accuracy_columns(zip(self.widths, done[row.round])))
+                if row.round in done else row
+                for row in rows
+            ]
         finally:
             self.close()
 
@@ -560,17 +643,23 @@ def report(runs: Sequence[FederatedRun]) -> RoundMetrics:
     widest column any run decoded for it.  The loss is the runs' mean;
     decoded bits, power and compute add up run by run.
     """
-    acc = [math.nan] * 3  # by column: none, half, full
-    for run in runs:
-        for width, accuracy in zip(run.widths, run.accuracies):
-            acc[COLUMNS[width.column]] = accuracy
     widest = functools.reduce(np.maximum, [run.column_at_level[run.levels] for run in runs])
     none, half, full = np.bincount(widest, minlength=3).tolist()
     return RoundMetrics(
-        round=runs[0].round, acc_half=acc[1], acc_full=acc[2],
+        round=runs[0].round,
+        **_accuracy_columns(pair for run in runs for pair in zip(run.widths, run.accuracies)),
         loss=sum(run.loss for run in runs) / len(runs),
         decoded_none=none, decoded_lh_only=half, decoded_both=full,
         decoded_megabits=sum(int(run.bits_at_level[run.levels].sum()) / 1e6 for run in runs),
         comm_power_mw=sum(run.chan_cfg.total_power_w * 1000.0 for run in runs),
         comp_mflops=sum(run.mflops for run in runs),
     )
+
+
+def _accuracy_columns(accuracies) -> dict[str, float]:
+    """The accuracy fields of a metrics row from (width, accuracy) pairs:
+    each width's accuracy in its column, NaN in a column no width fills."""
+    acc = [math.nan] * 3  # by column: none, half, full
+    for width, accuracy in accuracies:
+        acc[COLUMNS[width.column]] = accuracy
+    return {"acc_half": acc[1], "acc_full": acc[2]}

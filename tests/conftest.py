@@ -1,12 +1,12 @@
 """Suite-wide checks, and helpers for tests of the split local-training
-engine and of the sampler."""
+engine and of the spare-CPU helpers, the sampler and the evaluator."""
 
 import contextlib
 import os
 
 import pytest
 
-from slimfl import engine
+from slimfl import engine, federation
 
 
 @contextlib.contextmanager
@@ -20,12 +20,24 @@ def split_stacks(min_devices=2, cpus=2):
 
 @contextlib.contextmanager
 def sampled_rounds(on=True):
-    """Runs whose ``engine.plan`` trains the stack in one process and starts
-    a sampler (``on``) or never does, whatever the rule finds.  Under pytest
-    the rule finds no spare CPU on 2 CPUs: the ``faulthandler_timeout``
-    watchdog is a second thread."""
+    """Runs whose ``engine.plan`` trains the stack in one process and finds
+    a CPU to spare (``on``) or never does, whatever the rule finds.  On a
+    spare CPU every run starts a sampler, and a run driven through
+    ``FederatedRun.run`` an evaluator too.  Under pytest the rule finds no
+    spare CPU on 2 CPUs: the ``faulthandler_timeout`` watchdog is a second
+    thread."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "plan", lambda n: (1, on))
+        yield
+
+
+@contextlib.contextmanager
+def evaluated_ahead():
+    """``sampled_rounds()``, with an evaluator however a run is driven: a
+    run driven through ``run_round`` alone, or in a ``vanilla-1.5x`` pair,
+    starts one too (and its rows keep NaN accuracies)."""
+    with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(federation.FederatedRun, "evaluate_ahead", True)
         yield
 
 

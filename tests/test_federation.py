@@ -1,5 +1,5 @@
 """Aggregation cases, decode-level plumbing, vanilla baselines, evaluation,
-and the split engine's workers and the sampler process."""
+and the split engine's workers and the sampler and evaluator processes."""
 
 import contextlib
 import dataclasses
@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_no_child_process, sampled_rounds, split_stacks
-from hypothesis import example, given, settings
+from conftest import assert_no_child_process, evaluated_ahead, sampled_rounds, split_stacks
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import slimfl.engine
@@ -91,7 +91,7 @@ def deadline(seconds=30):
 
 def make_run(
     scheme="slimfl", seed=0, rounds=3, n_devices=4, chan=None, parallel=False, shards=None,
-    train_cfg=None, local_iters=1,
+    train_cfg=None, local_iters=1, eval_every=1,
 ):
     """A small run; ``shards`` (indices into the training set) replaces the
     partition of ``n_devices``."""
@@ -109,7 +109,7 @@ def make_run(
     full = Width(build_mask(layout, 1.0), "full", cost.full_bits, cost.full_mflops)
     common = dict(
         layout=layout, init_values=init.values, train=train, shards=shards, test=test,
-        chan_cfg=chan, fed_cfg=fed_cfg, rounds=rounds, master_seed=seed,
+        chan_cfg=chan, fed_cfg=fed_cfg, rounds=rounds, master_seed=seed, eval_every=eval_every,
     )
     if scheme == "slimfl":
         half = Width(build_mask(layout, 0.5), "half", cost.half_bits, cost.half_mflops)
@@ -486,13 +486,14 @@ HELPERS = {
         lambda run: run.local._pool.workers if run.local.parts == 2 else [],
     ),
     "sampler": (sampled_rounds, lambda run: [run.local.sampler] if run.local.sampler else []),
+    "evaluator": (evaluated_ahead, lambda run: [run.evaluator] if run.evaluator else []),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(HELPERS))
 class TestHelpers:
-    """A run's helper processes, a split stack's workers or its sampler, end
-    with it, however it ends."""
+    """A run's helper processes, a split stack's workers or its sampler and
+    evaluator, end with it, however it ends."""
 
     def test_run_reaps_its_helpers(self, kind):
         plan, helpers = HELPERS[kind]
@@ -507,8 +508,12 @@ class TestHelpers:
         with plan():
             run = make_run(seed=22, rounds=2)
             run.test = Dataset(np.zeros((0, 10)), np.zeros(0, dtype=np.int64), 4)
-            with pytest.raises(ValueError, match="nonempty"):  # evaluate, after training
+            # evaluate, after training: in the evaluator, on a spare CPU
+            error = ValueError if kind == "worker" else RuntimeError
+            with pytest.raises(error) as info:
                 run.run()
+        cause = info.value if kind == "worker" else info.value.__cause__
+        assert isinstance(cause, ValueError) and str(cause) == "test set must be nonempty"
         assert helpers(run)
         assert_no_child_process()
 
@@ -580,8 +585,9 @@ class TestHelpers:
 
 class TestSampler:
     """A run whose stack trains in one process draws its batches and fading
-    gains one round ahead in a sampler process, every output byte unchanged,
-    and the sampler ends with the run, however it ends."""
+    gains one round ahead in a sampler process, and a run driven through
+    ``run()`` evaluates one round behind in an evaluator process, every
+    output byte unchanged; both end with the run, however it ends."""
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(
@@ -596,24 +602,35 @@ class TestSampler:
         optimizer=st.sampled_from(["adam", "sgd"]),
         fading=st.sampled_from([Rayleigh(), Rician(), Twdp()]),
         seed=st.integers(0, 2**34),
+        scheme=st.sampled_from(["slimfl", "vanilla-1.0x"]),
+        eval_every=st.sampled_from([1, 2, 3]),
+        rounds=st.integers(2, 8),
     )
     @example(
         shards=SKEWED_SHARDS, batch_size=32, local_iters=2, rule="superposed",
-        optimizer="adam", fading=Rayleigh(), seed=20,
+        optimizer="adam", fading=Rayleigh(), seed=20, scheme="slimfl", eval_every=2, rounds=5,
     )
     def test_sampled_run_writes_the_inline_runs_bytes(
-        self, shards, batch_size, local_iters, rule, optimizer, fading, seed
+        self, shards, batch_size, local_iters, rule, optimizer, fading, seed, scheme,
+        eval_every, rounds,
     ):
+        # a round is evaluated, and unless every round is, the last round is not
+        assume(rounds > eval_every and (eval_every == 1 or rounds % eval_every))
         cfg = TrainConfig(batch_size=batch_size, algorithm=rule, optimizer=optimizer)
         chan = config_for_decode_probs(0.7, 0.5, fading=fading)
 
         def rows(sampled):
             with sampled_rounds(sampled):
                 run = make_run(
-                    seed=seed, shards=shards, train_cfg=cfg, local_iters=local_iters, chan=chan
+                    scheme, seed=seed, shards=shards, train_cfg=cfg, local_iters=local_iters,
+                    chan=chan, rounds=rounds, eval_every=eval_every,
                 )
                 metrics = run.run()
             assert (run.local.sampler is not None) == sampled
+            if sampled:  # every evaluated round's accuracies came from the evaluator
+                assert list(run.evaluator.done) == list(range(eval_every, rounds + 1, eval_every))
+            else:
+                assert run.evaluator is None
             return metrics_rows(metrics), run.global_values.tobytes()
 
         assert rows(True) == rows(False)
@@ -678,6 +695,83 @@ class TestSampler:
         assert info.match(rf"sampler process {run.local.sampler.pid}:")
         assert isinstance(info.value.__cause__, ArithmeticError)
         assert run.round == 2 and draws == []  # round 1 ran, and the process drew nothing
+        assert_no_child_process()
+
+    def test_rounds_driven_alone_evaluate_inline(self):
+        def rounds(sampled):
+            with sampled_rounds(sampled):
+                run = make_run(seed=55, rounds=3)
+                try:
+                    metrics = [run.run_round() for _ in range(run.rounds)]
+                finally:
+                    run.close()
+            assert (run.local.sampler is not None, run.evaluator) == (sampled, None)
+            return metrics_rows(metrics)
+
+        sampled = rounds(True)
+        assert sampled == rounds(False)
+        assert all(row[1] and row[2] for row in sampled[1:])  # each round's accuracies at once
+
+    def test_failed_evaluation_names_round_and_evaluator(self):
+        calls = []
+
+        def evaluate(*args):
+            calls.append(args)  # counted in the evaluator's copy
+            if len(calls) == 2:
+                raise ArithmeticError("no accuracy")
+            return federation_evaluate(*args)
+
+        federation_evaluate = federation.evaluate
+        with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(federation, "evaluate", evaluate)
+            run = make_run(seed=56, rounds=4)
+            with pytest.raises(
+                RuntimeError, match=r"^round 2: evaluating .* evaluator process (\d+):"
+            ) as info:
+                run.run()
+        assert info.match(rf"evaluator process {run.evaluator.pid}:")
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        # collected when round 4 took its slot; the process evaluated nothing
+        assert run.round == 4 and list(run.evaluator.done) == [1] and calls == []
+        assert_no_child_process()
+
+    def test_killed_evaluator_fails_the_run_loudly(self):
+        with sampled_rounds():
+            run = make_run(seed=57, rounds=5)
+            run_round = run.run_round
+
+            def kill_after_round_1():  # on the instance, as a round timer wraps it
+                metrics = run_round()
+                if run.round == 1:
+                    os.kill(run.evaluator.pid, signal.SIGKILL)
+                return metrics
+
+            run.run_round = kill_after_round_1
+            with deadline(), pytest.raises(RuntimeError) as info:
+                run.run()
+        assert info.match(
+            rf"^round \d+: evaluating .* failed in evaluator process {run.evaluator.pid}: "
+            "it was killed by signal 9$"
+        )
+        assert_no_child_process()
+
+    def test_diverging_run_with_an_evaluator_names_its_round(self):
+        with sampled_rounds():
+            run = make_run(seed=58, rounds=4)
+            train = run.local.run
+
+            def run_local(values, round_):
+                trained, losses, chi = (array.copy() for array in train(values, round_))
+                if round_ == 4:
+                    losses[2] = np.nan
+                return trained, losses, chi
+
+            run.local.run = run_local
+            with pytest.raises(ValueError) as info:
+                run.run()
+        assert str(info.value) == "round 4: the local loss of device(s) 2 is not finite"
+        # round 3 took round 1's slot
+        assert run.evaluator is not None and list(run.evaluator.done) == [1]
         assert_no_child_process()
 
 

@@ -8,7 +8,8 @@ last bit of any local step.  A change to the arithmetic of training,
 aggregation or evaluation shows here as a digest mismatch; re-pin only for
 a deliberate, documented output change.  Every case runs again on each
 other engine, to the same pins: with its batches and fading gains drawn
-ahead in a sampler process, and with its device stack split over two
+ahead in a sampler process and its global model evaluated one round behind
+in an evaluator process, and with its device stack split over two
 processes.
 """
 
@@ -160,20 +161,34 @@ def test_outputs_match_pins(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
 
 
-# an engine: the plan that makes a run use it, and whether a run did
+def evaluated_off_path(run):
+    """Whether every round that ``run`` evaluated was evaluated in its
+    evaluator process."""
+    evaluated = range(run.eval_every, run.rounds + 1, run.eval_every)
+    return run.evaluator is not None and list(run.evaluator.done) == list(evaluated)
+
+
+# an engine: the plan that makes a run use it, and whether a run did (given
+# the run and whether it is one of a vanilla-1.5x pair, driven through
+# run_round and so evaluated inline)
 ENGINES = {
-    "sampled": (sampled_rounds, lambda run: run.local.sampler is not None),
-    "split": (split_stacks, lambda run: run.local.parts == 2),
+    "sampled": (
+        sampled_rounds,
+        lambda run, paired: run.local.sampler is not None and (paired or evaluated_off_path(run)),
+    ),
+    "split": (split_stacks, lambda run, paired: run.local.parts == 2),
 }
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_every_engine_matches_pins(name, engine, tmp_path):
-    """Batches drawn ahead in a sampler process, or a stack split over two
-    processes, give the same bytes."""
+    """Batches drawn ahead in a sampler process with the global model
+    evaluated one round behind in an evaluator process, or a stack split
+    over two processes, give the same bytes."""
     plan, used = ENGINES[engine]
     built = []
     with plan():
         assert digests(name, tmp_path, built) == GOLDEN[name]
-    assert all(map(used, runs(built[0])))
+    paired = isinstance(built[0], VanillaPair)
+    assert all(used(run, paired) for run in runs(built[0]))
