@@ -8,18 +8,23 @@ its inputs one round ahead there, and the evaluator of a run driven through
 ``Helper`` is one forked process (a split stack's worker, or a run's
 sampler or evaluator) that runs one job per request and answers None or the
 job's exception; a helper that dies raises in the process, naming the
-round, the job, the helper's role and pid, and how it ended.
+round, the job, the helper's role and pid, and how it ended.  A ``Ring`` is
+a spare-CPU helper (the sampler, the evaluator) whose rounds take two slots
+of shared arrays in turn.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import mmap
 import os
 import signal
 import sys
 import weakref
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -170,3 +175,48 @@ class Helper:
         with contextlib.suppress(ChildProcessError):
             return os.waitpid(pid, 0)[1]
         return 0
+
+
+class Ring(Helper):
+    """A background helper whose rounds take two slots of shared arrays in
+    turn: the k-th round asked of it uses ``slots[k % 2]``.
+
+    Each slot holds one ``shared`` array per ``name=(shape, dtype)``.
+    ``ask`` writes a round's inputs into its slot before the request goes
+    out, and the helper runs ``job(slot, round_)``, which writes the round's
+    outputs there.  ``take`` waits for the oldest round asked.  A round's
+    slot is the caller's again once taken, and a third round is asked only
+    after a take: at most two are pending.
+    """
+
+    def __init__(self, role: str, task: str, job, **arrays):
+        self.slots = [
+            SimpleNamespace(**{name: shared(*spec) for name, spec in arrays.items()})
+            for _ in range(2)
+        ]
+        self.pending: deque = deque()  # (round, slot) asked and not yet taken
+        # the next round's slot; the helper turns its fork-time copy in step
+        self._turn = itertools.cycle(self.slots)
+        super().__init__(
+            role, task, lambda round_: job(next(self._turn), round_), background=True
+        )
+
+    def ask(self, round_: int, **inputs) -> None:
+        """Write round ``round_``'s inputs into the next slot and ask the
+        helper for the round."""
+        slot = next(self._turn)
+        for name, value in inputs.items():
+            getattr(slot, name)[...] = value
+        super().ask(round_)
+        self.pending.append((round_, slot))
+
+    def take(self) -> tuple[int, SimpleNamespace]:
+        """The oldest round asked and its slot, once the helper has run it.
+        A round that fails raises and stays pending: once the ring is
+        closed, every later ``take`` names that round."""
+        round_, slot = self.pending[0]
+        error = self.answer(round_)
+        if error is not None:
+            raise error
+        self.pending.popleft()
+        return round_, slot

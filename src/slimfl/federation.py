@@ -18,11 +18,12 @@ run's first round ``engine.plan`` picks its engine, and
 parts, the process running the first part's round and one forked worker
 (``_DevicePool``) each other part's; a stack that trains in one process,
 with a CPU to spare, has its batches and fading gains drawn one round
-ahead in a forked sampler (``_Sampler``).  On that same spare CPU a run
-driven through ``FederatedRun.run`` forks an evaluator (``_Evaluator``) that
-evaluates each evaluated round's global model one round behind, while the
-process trains the next round.  All three helpers are ``engine.Helper``
-processes; every output byte is the same on each engine.
+ahead in a forked sampler.  On that same spare CPU a run driven through
+``FederatedRun.run`` forks an evaluator that evaluates each evaluated
+round's global model one round behind, while the process trains the next
+round.  The sampler and the evaluator are each an ``engine.Ring``, the
+workers plain ``engine.Helper`` processes; every output byte is the same
+on each engine.
 
 A round whose device loss or aggregated global vector is not finite raises
 ``ValueError`` naming the round and the devices (and width) at fault.
@@ -33,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -44,7 +44,7 @@ from . import rng as rngmod
 from .channel import ChannelConfig, FadingModel, decode_levels, decode_probabilities
 from .channel import sample_fading, successive_thresholds
 from .datasets import Dataset, Shard
-from .engine import Helper, shared
+from .engine import Helper, Ring, shared
 from .metrics import RoundMetrics
 from .slimnet import BatchRows, ForwardTrace, Layout, SlimmableParams, WidthMask, forward
 from .training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
@@ -157,9 +157,12 @@ class LocalTraining:
     its own stack.  ``start`` takes the run's engine plan: it forks one
     worker per part after the first (``_DevicePool``), which owns that
     part's shards, streams and optimizer rows for the rest of the run, or a
-    sampler (``_Sampler``) that makes this engine's ``draw`` and
-    ``draw_fading`` calls one round ahead in its own process.  ``close``
-    stops them, and the engine cannot run a round after it.
+    sampler, an ``engine.Ring`` that owns the batch streams and makes this
+    engine's ``draw`` and ``draw_fading`` calls in its own process.  The
+    sampler is asked for rounds 1 and 2 at the start, and for round r + 2
+    once round r has trained, up to the run's last round; a round past
+    that is asked for when it is taken.  ``close`` stops the helpers, and
+    the engine cannot run a round after it.
     """
 
     def __init__(
@@ -189,9 +192,9 @@ class LocalTraining:
         # padding rows hold training sample 0; the step rules ignore them
         self.batch_idx = np.zeros((len(shards), width), dtype=np.intp)
         self.opt = LocalOptimizer(train_cfg, (len(shards), layout.size))
-        self.parts = 1  # set by start
+        self.parts, self.rounds = 1, 0  # set by start
         self._pool: _DevicePool | None = None
-        self.sampler: _Sampler | None = None
+        self.sampler: Ring | None = None
 
     def run(self, global_values: np.ndarray, round_: int) -> LocalRound:
         """Round ``round_`` of every device: ``local_iters`` steps from the
@@ -210,22 +213,32 @@ class LocalTraining:
             return self._pool.run(global_values, round_)
         if self.sampler is None:
             return self._round(global_values, round_)
-        slot = self.sampler.take(round_)
-        try:
-            # the gains are copied out: the sampler refills the slot two rounds on
-            return (*self._train(global_values, slot), slot.chi.copy())
-        finally:
-            self.sampler.free(round_)
+        if round_ > self.rounds:
+            self.sampler.ask(round_)
+        _, slot = self.sampler.take()
+        # the gains are copied out: the sampler refills the slot two rounds on
+        local = (*self._train(global_values, slot), slot.chi.copy())
+        if round_ + 2 <= self.rounds:
+            self.sampler.ask(round_ + 2)
+        return local
 
     def start(self, parts: int, sampled: bool, rounds: int) -> None:
         """Take the engine plan of a run of ``rounds`` rounds: run as
         ``parts`` contiguous parts, forking one worker per part after the
         first, or draw ahead in a sampler (``sampled``)."""
-        self.parts = parts
+        self.parts, self.rounds = parts, rounds
         if parts > 1:
             self._pool = _DevicePool(self, parts)
         elif sampled:
-            self.sampler = _Sampler(self, rounds)
+            x, y = self.train.x, self.train.y
+            steps = (self.local_iters, *self.batch_idx.shape)
+            self.sampler = Ring(
+                "sampler", "drawing the batches and fading gains", self._fill,
+                x=((*steps, *x.shape[1:]), x.dtype), y=(steps, y.dtype),
+                chi=((len(self.shards),), np.float64),
+            )
+            for round_ in range(1, min(2, rounds) + 1):
+                self.sampler.ask(round_)
 
     def close(self) -> None:
         """Stop and reap the workers or the sampler, whichever started."""
@@ -258,14 +271,19 @@ class LocalTraining:
             chi[k] = sample_fading(self.fading, rng)
         return chi
 
+    def _fill(self, slot, round_: int) -> None:
+        """The sampler's job: round ``round_``'s batches and fading gains,
+        into its slot."""
+        for step in range(self.local_iters):
+            slot.x[step], slot.y[step] = self.draw()
+        slot.chi[:] = self.draw_fading(round_)
+
     def _round(self, global_values: np.ndarray, round_: int) -> LocalRound:
         """``run`` in this process, over every device of this engine, drawing
         step by step."""
         return (*self._train(global_values), self.draw_fading(round_))
 
-    def _train(
-        self, global_values: np.ndarray, drawn: _Slot | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _train(self, global_values: np.ndarray, drawn=None) -> tuple[np.ndarray, np.ndarray]:
         """The local steps of every device of this engine, on the batches
         ``drawn`` ahead or, without them, drawn step by step."""
         # each device starts from a read-only view of the one vector: no copies
@@ -325,122 +343,9 @@ class _DevicePool:
         return self.out, self.losses.copy(), self.chi.copy()
 
 
-@dataclass(frozen=True, eq=False)
-class _Slot:
-    """One round's draws: every local step's (devices, batch, ...) x and y
-    rows, and each device's fading gain."""
-
-    x: np.ndarray
-    y: np.ndarray
-    chi: np.ndarray
-
-
-class _Sampler(Helper):
-    """A run's batches and fading gains, drawn ahead in a forked process that
-    owns the batch streams.
-
-    The sampler fills two slots of anonymous shared memory in turn, one per
-    round asked of it.  The process asks for rounds 1 and 2 at the start,
-    trains from a round's slot, copies its fading gains, then frees it by
-    asking for the round two on, up to the run's last; a round past that is
-    asked for when it is taken.  The sampler runs ``LocalTraining.draw`` and
-    ``draw_fading``, the draws of a run without a sampler, so every stream
-    gives the same values.
-    """
-
-    def __init__(self, local: LocalTraining, rounds: int):
-        x, y = local.train.x, local.train.y
-        rows = (local.local_iters, *local.batch_idx.shape)
-        self.slots = [
-            _Slot(
-                x=shared((*rows, *x.shape[1:]), x.dtype), y=shared(rows, y.dtype),
-                chi=shared((len(local.shards),)),
-            )
-            for _ in range(2)
-        ]
-        super().__init__(
-            "sampler", "drawing the batches and fading gains",
-            functools.partial(self._fill, local), background=True,
-        )
-        self.rounds = rounds
-        for round_ in range(1, min(2, self.rounds) + 1):
-            self.ask(round_)
-
-    def _fill(self, local: LocalTraining, round_: int) -> None:
-        slot = self.slots[(round_ - 1) % len(self.slots)]
-        for step in range(local.local_iters):
-            slot.x[step], slot.y[step] = local.draw()
-        slot.chi[:] = local.draw_fading(round_)
-
-    def take(self, round_: int) -> _Slot:
-        """Round ``round_``'s slot, once the sampler has filled it."""
-        if round_ > self.rounds:
-            self.ask(round_)
-        error = self.answer(round_)
-        if error is not None:
-            raise error
-        return self.slots[(round_ - 1) % len(self.slots)]
-
-    def free(self, round_: int) -> None:
-        """Hand round ``round_``'s slot back, for the round two on."""
-        if round_ + 2 <= self.rounds:
-            self.ask(round_ + 2)
-
-
-class _Evaluator(Helper):
-    """A run's test accuracies, evaluated one round behind in a forked
-    process that holds the run's fork-time test set.
-
-    Evaluated rounds (every ``eval_every``-th) take two slots of anonymous
-    shared memory in turn.  The process writes a round's global vector into
-    its slot and asks for the round; the evaluator runs ``evaluate``, the
-    call of a run that evaluates inline, and writes each width's accuracy
-    into the slot's row of ``accuracies`` while the process trains on.  The
-    process collects a round's accuracies into ``done`` before it reuses the
-    round's slot, and the rest in ``finish``.
-    """
-
-    def __init__(self, run: FederatedRun):
-        self.every = run.eval_every
-        self.vectors = shared((2, run.layout.size))
-        self.accuracies = shared((2, len(run.widths)))
-        self.pending: deque[int] = deque()  # rounds asked for and not yet collected
-        self.done: dict[int, list[float]] = {}
-        super().__init__(
-            "evaluator", "evaluating the global model",
-            functools.partial(self._evaluate, run.layout, run.masks, run.test), background=True,
-        )
-
-    def _slot(self, round_: int) -> int:
-        return round_ // self.every % 2
-
-    def _evaluate(self, layout: Layout, masks, test: Dataset, round_: int) -> None:
-        slot = self._slot(round_)
-        params = SlimmableParams(layout, self.vectors[slot])
-        self.accuracies[slot] = evaluate(params, masks, test.x, test.y)
-
-    def submit(self, round_: int, global_values: np.ndarray) -> None:
-        """Ask for round ``round_``'s accuracies of the global vector, first
-        collecting those of the round whose slot it takes."""
-        if len(self.pending) == 2:
-            self.collect()
-        self.vectors[self._slot(round_)] = global_values
-        self.ask(round_)
-        self.pending.append(round_)
-
-    def collect(self) -> None:
-        """Wait for the oldest asked round's accuracies and keep them."""
-        round_ = self.pending.popleft()
-        error = self.answer(round_)
-        if error is not None:
-            raise error
-        self.done[round_] = self.accuracies[self._slot(round_)].tolist()
-
-    def finish(self) -> dict[int, list[float]]:
-        """Every asked round's accuracies, by round."""
-        while self.pending:
-            self.collect()
-        return self.done
+def _evaluate(layout: Layout, masks, test: Dataset, slot, round_: int) -> None:
+    """The evaluator's job: the accuracies of the global vector in its slot."""
+    slot.accuracies[:] = evaluate(SlimmableParams(layout, slot.vector), masks, test.x, test.y)
 
 
 def vanilla_threshold(chan_cfg: ChannelConfig, payload_ratio: float) -> float:
@@ -484,7 +389,11 @@ class FederatedRun:
     ``LocalTraining``'s; at its first round a run hands it its
     ``engine.plan``, and ``close`` stops the helpers it started.  When the
     plan leaves a CPU to spare and the run ``evaluate_ahead``, its
-    evaluations go to an ``_Evaluator`` on that CPU as well.
+    evaluations go to an evaluator on that CPU as well: an ``engine.Ring``
+    that the run asks for each evaluated round's accuracies of its global
+    vector, taking the oldest round first when two are pending.  ``run``
+    takes the rest and fills each round's accuracies (``evaluated``) into
+    its row.
     """
 
     # set by run(): evaluated rounds may go to an evaluator, and a row that
@@ -546,7 +455,8 @@ class FederatedRun:
         self.global_values = init_values.copy()
         self.levels = np.zeros(fed_cfg.n_devices, dtype=np.intp)
         self.round = 0
-        self.evaluator: _Evaluator | None = None
+        self.evaluator: Ring | None = None
+        self.evaluated: dict[int, list[float]] = {}  # by round, from the evaluator
 
     def decode_levels(self, chi: np.ndarray) -> np.ndarray:
         """Each device's decode level this round, from its fading gain."""
@@ -558,7 +468,12 @@ class FederatedRun:
             parts, spare = engine.plan(len(self.local.shards))
             self.local.start(parts, spare, self.rounds)
             if spare and self.evaluate_ahead and self.eval_every <= self.rounds:
-                self.evaluator = _Evaluator(self)
+                self.evaluator = Ring(
+                    "evaluator", "evaluating the global model",
+                    functools.partial(_evaluate, self.layout, self.masks, self.test),
+                    vector=((self.layout.size,), np.float64),
+                    accuracies=((len(self.widths),), np.float64),
+                )
         trained, losses, chi = self.local.run(self.global_values, self.round)
         if not np.isfinite(losses).all():
             raise ValueError(
@@ -580,11 +495,19 @@ class FederatedRun:
         self.accuracies = [math.nan] * len(self.widths)
         if self.round % self.eval_every == 0:
             if self.evaluator is not None:
-                self.evaluator.submit(self.round, self.global_values)
+                if len(self.evaluator.pending) == 2:
+                    self._take_evaluated()
+                self.evaluator.ask(self.round, vector=self.global_values)
             else:
                 params = SlimmableParams(self.layout, self.global_values)
                 self.accuracies = evaluate(params, self.masks, self.test.x, self.test.y)
         return report((self,))
+
+    def _take_evaluated(self) -> None:
+        """Wait for the oldest round asked of the evaluator and keep its
+        accuracies."""
+        round_, slot = self.evaluator.take()
+        self.evaluated[round_] = slot.accuracies.tolist()
 
     def _raise_non_finite(self, trained: np.ndarray) -> None:
         """Name the first width segment of the global vector that is not
@@ -619,9 +542,9 @@ class FederatedRun:
         self.evaluate_ahead = True
         try:
             rows = [self.run_round() for _ in range(self.rounds)]
-            if self.evaluator is None:
-                return rows
-            done = self.evaluator.finish()
+            while self.evaluator is not None and self.evaluator.pending:
+                self._take_evaluated()
+            done = self.evaluated
             return [
                 dataclasses.replace(row, **_accuracy_columns(zip(self.widths, done[row.round])))
                 if row.round in done else row

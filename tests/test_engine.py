@@ -1,16 +1,21 @@
 """The CPU plan: how many parts a run's stack trains in, and whether a
 spare CPU hosts a sampler that draws its inputs ahead and an evaluator that
-evaluates its global model behind."""
+evaluates its global model behind; and the two-slot ``Ring`` that both
+spare-CPU helpers are."""
 
 import ast
 import dataclasses
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from conftest import sampled_rounds
+from conftest import assert_no_child_process, sampled_rounds
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slimfl import engine, experiment
 from slimfl.config import load_config
@@ -103,3 +108,107 @@ def test_fresh_process_run_samples_and_evaluates_on_the_spare_cpu():
         ).run()
     assert (sampler, evaluator) == (True, True)
     assert rows == metrics_rows(inline)
+
+
+def doubler(fail_round=None) -> engine.Ring:
+    """A toy ring whose job doubles its slot's input, and raises in round
+    ``fail_round``."""
+
+    def double(slot, round_):
+        if round_ == fail_round:
+            raise ArithmeticError(f"no double for round {round_}")
+        slot.out[:] = 2 * slot.inp
+
+    return engine.Ring(
+        "doubler", "doubling the input", double, inp=((3,), np.float64), out=((3,), np.float64)
+    )
+
+
+def inputs(round_: int) -> np.ndarray:
+    return np.array([round_, round_ + 0.5, -round_])
+
+
+@pytest.mark.skipif(not LINUX, reason="a ring's helper runs on Linux only")
+class TestRing:
+    """A ``Ring`` answers its rounds in the order asked, from slots that
+    alternate by ask order, and fails naming the round."""
+
+    def test_rounds_answer_in_order_from_alternating_slots(self):
+        ring = doubler()
+        try:
+            ring.ask(1, inp=inputs(1))
+            ring.ask(2, inp=inputs(2))
+            taken = [ring.take()]
+            ring.ask(3, inp=inputs(3))  # into round 1's slot, now taken
+            taken += [ring.take(), ring.take()]
+        finally:
+            ring.close()
+        assert [round_ for round_, _ in taken] == [1, 2, 3]
+        assert [slot for _, slot in taken] == [ring.slots[0], ring.slots[1], ring.slots[0]]
+        # round 3's output is the last in slot 0; round 2's is still in slot 1
+        np.testing.assert_array_equal(ring.slots[0].out, 2 * inputs(3))
+        np.testing.assert_array_equal(ring.slots[1].out, 2 * inputs(2))
+        assert not ring.pending
+        assert_no_child_process()
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(steps=st.lists(st.booleans(), max_size=12))
+    def test_any_interleaving_of_at_most_two_pending(self, steps):
+        """Each step asks (True) or takes (False) when the ring allows it,
+        and does the other when not; the rest is taken at the end."""
+        ring = doubler()
+        asked, taken = [], []
+        try:
+            for ask in steps + [False] * 2:
+                if (ask and len(ring.pending) < 2) or not ring.pending:
+                    round_ = len(asked) + 1
+                    ring.ask(round_, inp=inputs(round_))
+                    asked.append(round_)
+                else:
+                    round_, slot = ring.take()
+                    # asked round k (from 1) took slot (k - 1) % 2; its output is its input's
+                    assert slot is ring.slots[(round_ - 1) % 2]
+                    np.testing.assert_array_equal(slot.out, 2 * inputs(round_))
+                    taken.append(round_)
+            while ring.pending:
+                taken.append(ring.take()[0])
+        finally:
+            ring.close()
+        assert taken == asked
+        assert_no_child_process()
+
+    def test_failed_round_names_itself_until_closed(self):
+        ring = doubler(fail_round=2)
+        try:
+            ring.ask(1, inp=inputs(1))
+            ring.ask(2, inp=inputs(2))
+            assert ring.take()[0] == 1
+            with pytest.raises(
+                RuntimeError,
+                match=rf"^round 2: doubling the input failed in doubler process {ring.pid}:",
+            ) as info:
+                ring.take()
+        finally:
+            ring.close()
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        assert str(info.value.__cause__) == "no double for round 2"
+        with pytest.raises(RuntimeError, match=r"^round 2: .* the run is closed$"):
+            ring.take()  # the failed round stays pending
+        assert_no_child_process()
+
+    def test_killed_ring_names_the_signal(self):
+        ring = doubler()
+        try:
+            ring.ask(1, inp=inputs(1))
+            ring.take()
+            os.kill(ring.pid, signal.SIGKILL)
+            with pytest.raises(RuntimeError) as info:
+                ring.ask(2, inp=inputs(2))  # a send may still reach the pipe
+                ring.take()
+        finally:
+            ring.close()
+        assert info.match(
+            rf"^round 2: doubling the input failed in doubler process {ring.pid}: "
+            "it was killed by signal 9$"
+        )
+        assert_no_child_process()

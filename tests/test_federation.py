@@ -628,7 +628,7 @@ class TestSampler:
                 metrics = run.run()
             assert (run.local.sampler is not None) == sampled
             if sampled:  # every evaluated round's accuracies came from the evaluator
-                assert list(run.evaluator.done) == list(range(eval_every, rounds + 1, eval_every))
+                assert list(run.evaluated) == list(range(eval_every, rounds + 1, eval_every))
             else:
                 assert run.evaluator is None
             return metrics_rows(metrics), run.global_values.tobytes()
@@ -638,9 +638,11 @@ class TestSampler:
     def test_start_rule_leaves_a_cpu_to_each_thread_and_helper(self):
         if not sys.platform.startswith("linux"):
             pytest.skip("the sampler runs on Linux only")
-        threads = len(os.listdir("/proc/self/task"))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(slimfl.engine, "available_cpus", lambda: threads + 1)
+            # one CPU beyond the threads at each plan: a thread can end in between
+            mp.setattr(
+                slimfl.engine, "available_cpus", lambda: len(os.listdir("/proc/self/task")) + 1
+            )
             first, second = make_run(seed=40), make_run(seed=41)
             try:
                 first.run_round()
@@ -732,7 +734,7 @@ class TestSampler:
         assert info.match(rf"evaluator process {run.evaluator.pid}:")
         assert isinstance(info.value.__cause__, ArithmeticError)
         # collected when round 4 took its slot; the process evaluated nothing
-        assert run.round == 4 and list(run.evaluator.done) == [1] and calls == []
+        assert run.round == 4 and list(run.evaluated) == [1] and calls == []
         assert_no_child_process()
 
     def test_killed_evaluator_fails_the_run_loudly(self):
@@ -771,7 +773,7 @@ class TestSampler:
                 run.run()
         assert str(info.value) == "round 4: the local loss of device(s) 2 is not finite"
         # round 3 took round 1's slot
-        assert run.evaluator is not None and list(run.evaluator.done) == [1]
+        assert run.evaluator is not None and list(run.evaluated) == [1]
         assert_no_child_process()
 
 

@@ -165,7 +165,7 @@ def evaluated_off_path(run):
     """Whether every round that ``run`` evaluated was evaluated in its
     evaluator process."""
     evaluated = range(run.eval_every, run.rounds + 1, run.eval_every)
-    return run.evaluator is not None and list(run.evaluator.done) == list(evaluated)
+    return run.evaluator is not None and list(run.evaluated) == list(evaluated)
 
 
 # an engine: the plan that makes a run use it, and whether a run did (given
