@@ -9,6 +9,7 @@ import os
 import sys
 
 from .config import ConfigError, override, parse_config
+from .engine import HelperError
 from .experiment import analyze_experiment, run_all
 from .metrics import write_json
 
@@ -129,7 +130,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, HelperError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

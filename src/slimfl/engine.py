@@ -7,10 +7,10 @@ its inputs one round ahead there, and the evaluator of a run driven through
 ``FederatedRun.run`` evaluates its global model one round behind.  A
 ``Helper`` is one forked process (a split stack's worker, or a run's
 sampler or evaluator) that runs one job per request and answers None or the
-job's exception; a helper that dies raises in the process, naming the
-round, the job, the helper's role and pid, and how it ended.  A ``Ring`` is
-a spare-CPU helper (the sampler, the evaluator) whose rounds take two slots
-of shared arrays in turn.
+job's exception; a helper that fails or dies raises ``HelperError`` in the
+process, naming the round, the job, the helper's role and pid, and how it
+ended.  A ``Ring`` is a spare-CPU helper (the sampler, the evaluator) whose
+rounds take two slots of shared arrays in turn, each slot a ``record``.
 """
 
 from __future__ import annotations
@@ -63,9 +63,19 @@ def shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(1, itemsize * count)), dtype, count).reshape(shape)
 
 
+def record(make, **arrays) -> SimpleNamespace:
+    """One array per ``name=(shape, dtype)``, each ``make(shape, dtype)``:
+    ``np.empty`` for this process alone, ``shared`` for its helpers too."""
+    return SimpleNamespace(**{name: make(*spec) for name, spec in arrays.items()})
+
+
 # the process-side pipe end of every live helper, closed in each new helper:
 # a helper holding another's end would keep it from seeing its pipe close
 _PROCESS_ENDS: set = set()
+
+
+class HelperError(RuntimeError):
+    """A helper's job failed, or the helper died or was closed with its run."""
 
 
 class Helper:
@@ -112,7 +122,7 @@ class Helper:
         except OSError:
             raise self._lost(round_) from None
 
-    def answer(self, round_: int) -> RuntimeError | None:
+    def answer(self, round_: int) -> HelperError | None:
         """The helper's answer to its oldest request: None, or the error to
         raise for round ``round_``."""
         try:
@@ -126,7 +136,7 @@ class Helper:
         error.__cause__ = exc
         return error
 
-    def _lost(self, round_: int) -> RuntimeError:
+    def _lost(self, round_: int) -> HelperError:
         """The error of a helper whose pipe is closed or broken: it was
         closed with its run, or it died and is reaped here."""
         if not self.close.alive:
@@ -135,8 +145,8 @@ class Helper:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
         return self._error(round_, f" it {how}")
 
-    def _error(self, round_: int, detail: str) -> RuntimeError:
-        return RuntimeError(
+    def _error(self, round_: int, detail: str) -> HelperError:
+        return HelperError(
             f"round {round_}: {self.task} failed in {self.role} process {self.pid}:{detail}"
         )
 
@@ -181,7 +191,8 @@ class Ring(Helper):
     """A background helper whose rounds take two slots of shared arrays in
     turn: the k-th round asked of it uses ``slots[k % 2]``.
 
-    Each slot holds one ``shared`` array per ``name=(shape, dtype)``.
+    Each slot is a ``record`` of ``shared`` arrays, one per
+    ``name=(shape, dtype)``.
     ``ask`` writes a round's inputs into its slot before the request goes
     out, and the helper runs ``job(slot, round_)``, which writes the round's
     outputs there.  ``take`` waits for the oldest round asked.  A round's
@@ -190,10 +201,7 @@ class Ring(Helper):
     """
 
     def __init__(self, role: str, task: str, job, **arrays):
-        self.slots = [
-            SimpleNamespace(**{name: shared(*spec) for name, spec in arrays.items()})
-            for _ in range(2)
-        ]
+        self.slots = [record(shared, **arrays) for _ in range(2)]
         self.pending: deque = deque()  # (round, slot) asked and not yet taken
         # the next round's slot; the helper turns its fork-time copy in step
         self._turn = itertools.cycle(self.slots)

@@ -9,21 +9,21 @@ decoded one after the other; a fixed-width FedAvg baseline's is one
 message carrying its whole model.  Both run the same loop; only the widths
 and decode thresholds differ.
 
-Each device's round is ``LocalTraining``'s: it draws the device's batches,
-runs its local steps and draws its fading gain.  Every device starts from
-the one global vector, and all devices step together as one (devices, P)
-stack, with results bitwise equal to training each device alone.  At a
-run's first round ``engine.plan`` picks its engine, and
-``LocalTraining.start`` sets it up: a large stack is split into contiguous
-parts, the process running the first part's round and one forked worker
-(``_DevicePool``) each other part's; a stack that trains in one process,
-with a CPU to spare, has its batches and fading gains drawn one round
-ahead in a forked sampler.  On that same spare CPU a run driven through
-``FederatedRun.run`` forks an evaluator that evaluates each evaluated
-round's global model one round behind, while the process trains the next
-round.  The sampler and the evaluator are each an ``engine.Ring``, the
-workers plain ``engine.Helper`` processes; every output byte is the same
-on each engine.
+Each device's round is ``LocalTraining``'s: one draw of the round's inputs
+(``_fill``: the device's batches and its fading gain), then its local
+steps.  Every device starts from the one global vector, and all devices
+step together as one (devices, P) stack, with results bitwise equal to
+training each device alone.  At a run's first round ``engine.plan`` picks
+its engine, and ``LocalTraining.start`` sets it up: a large stack is split
+into contiguous parts, the process running the first part's round and one
+forked worker (``_DevicePool``) each other part's, each part drawing its
+own devices' inputs; a stack that trains in one process, with a CPU to
+spare, has its inputs drawn one round ahead in a forked sampler.  On that
+same spare CPU a run driven through ``FederatedRun.run`` forks an
+evaluator that evaluates each evaluated round's global model one round
+behind, while the process trains the next round.  The sampler and the
+evaluator are each an ``engine.Ring``, the workers plain ``engine.Helper``
+processes; every output byte is the same on each engine.
 
 A round whose device loss or aggregated global vector is not finite raises
 ``ValueError`` naming the round and the devices (and width) at fault.
@@ -141,8 +141,9 @@ def evaluate(params: SlimmableParams, masks, x: np.ndarray, y: np.ndarray) -> li
 
 
 class LocalTraining:
-    """Each device's round: its local steps, one stacked step rule call per
-    step, and its fading draw.
+    """Each device's round: its batches and fading gain, drawn into a
+    record of the round's inputs, then its local steps, one stacked step
+    rule call per step.
 
     All devices start from the global vector and train as one (devices, P)
     stack with one stacked optimizer.
@@ -154,15 +155,18 @@ class LocalTraining:
     trained alone.
 
     For the same reason a stack can run its round as contiguous parts, each
-    its own stack.  ``start`` takes the run's engine plan: it forks one
-    worker per part after the first (``_DevicePool``), which owns that
-    part's shards, streams and optimizer rows for the rest of the run, or a
-    sampler, an ``engine.Ring`` that owns the batch streams and makes this
-    engine's ``draw`` and ``draw_fading`` calls in its own process.  The
-    sampler is asked for rounds 1 and 2 at the start, and for round r + 2
-    once round r has trained, up to the run's last round; a round past
-    that is asked for when it is taken.  ``close`` stops the helpers, and
-    the engine cannot run a round after it.
+    its own stack.  ``_fill`` is the one draw of a round on every engine,
+    into a record of the arrays declared once in ``inputs``: inline, and in
+    each part, ``run`` fills a new record each round and trains from it.
+    ``start`` takes the run's engine plan: it forks one worker per part
+    after the first (``_DevicePool``), a ``LocalTraining`` of that part
+    that owns its shards, streams and optimizer rows for the rest of the
+    run, or a sampler, an ``engine.Ring`` whose slots are records of
+    ``inputs`` and whose job is ``_fill``, in its own process.  The sampler
+    is asked for rounds 1 and 2 at the start, and for round r + 2 once
+    round r has trained, up to the run's last round; a round past that is
+    asked for when it is taken.  ``close`` stops the helpers, and the
+    engine cannot run a round after it.
     """
 
     def __init__(
@@ -191,6 +195,13 @@ class LocalTraining:
         self.rows = BatchRows(self.sizes) if min(self.sizes) < width else None
         # padding rows hold training sample 0; the step rules ignore them
         self.batch_idx = np.zeros((len(shards), width), dtype=np.intp)
+        # a round's inputs, name=(shape, dtype): each local step's x and y
+        # rows, and each device's fading gain
+        steps = (local_iters, len(shards), width)
+        self.inputs = dict(
+            x=((*steps, *train.x.shape[1:]), train.x.dtype), y=(steps, train.y.dtype),
+            chi=((len(shards),), np.float64),
+        )
         self.opt = LocalOptimizer(train_cfg, (len(shards), layout.size))
         self.parts, self.rounds = 1, 0  # set by start
         self._pool: _DevicePool | None = None
@@ -212,7 +223,9 @@ class LocalTraining:
         if self._pool is not None:
             return self._pool.run(global_values, round_)
         if self.sampler is None:
-            return self._round(global_values, round_)
+            drawn = engine.record(np.empty, **self.inputs)
+            self._fill(drawn, round_)
+            return (*self._train(global_values, drawn), drawn.chi)
         if round_ > self.rounds:
             self.sampler.ask(round_)
         _, slot = self.sampler.take()
@@ -230,12 +243,8 @@ class LocalTraining:
         if parts > 1:
             self._pool = _DevicePool(self, parts)
         elif sampled:
-            x, y = self.train.x, self.train.y
-            steps = (self.local_iters, *self.batch_idx.shape)
             self.sampler = Ring(
-                "sampler", "drawing the batches and fading gains", self._fill,
-                x=((*steps, *x.shape[1:]), x.dtype), y=(steps, y.dtype),
-                chi=((len(self.shards),), np.float64),
+                "sampler", "drawing the batches and fading gains", self._fill, **self.inputs
             )
             for round_ in range(1, min(2, rounds) + 1):
                 self.sampler.ask(round_)
@@ -256,46 +265,29 @@ class LocalTraining:
             local_iters=self.local_iters,
         )
 
-    def draw(self) -> tuple[np.ndarray, np.ndarray]:
-        """The next local step's (devices, batch, ...) x and y rows, each
-        device's drawn from its own stream."""
+    def _fill(self, drawn, round_: int) -> None:
+        """Round ``round_``'s inputs, into the record ``drawn`` (this
+        process's, or a sampler slot): each local step's (devices, batch,
+        ...) x and y rows, each device's batch drawn from its own stream,
+        then each device's fading gain, from its stream for the round."""
         batch_idx = self.batch_idx
-        for k, (rng, shard, size) in enumerate(zip(self.batch_rngs, self.shards, self.sizes)):
-            batch_idx[k, :size] = rng.choice(shard.indices, size=size, replace=False)
-        return self.train.x[batch_idx], self.train.y[batch_idx]
-
-    def draw_fading(self, round_: int) -> np.ndarray:
-        """Each device's fading gain in round ``round_``, from its stream."""
-        chi = np.empty(len(self.shards))
-        for k, rng in enumerate(self.fading_streams.generators(round_)):
-            chi[k] = sample_fading(self.fading, rng)
-        return chi
-
-    def _fill(self, slot, round_: int) -> None:
-        """The sampler's job: round ``round_``'s batches and fading gains,
-        into its slot."""
         for step in range(self.local_iters):
-            slot.x[step], slot.y[step] = self.draw()
-        slot.chi[:] = self.draw_fading(round_)
+            for k, (rng, shard, size) in enumerate(zip(self.batch_rngs, self.shards, self.sizes)):
+                batch_idx[k, :size] = rng.choice(shard.indices, size=size, replace=False)
+            # a plain gather: a shard index past the training set raises here
+            drawn.x[step], drawn.y[step] = self.train.x[batch_idx], self.train.y[batch_idx]
+        for k, rng in enumerate(self.fading_streams.generators(round_)):
+            drawn.chi[k] = sample_fading(self.fading, rng)
 
-    def _round(self, global_values: np.ndarray, round_: int) -> LocalRound:
-        """``run`` in this process, over every device of this engine, drawing
-        step by step."""
-        return (*self._train(global_values), self.draw_fading(round_))
-
-    def _train(self, global_values: np.ndarray, drawn=None) -> tuple[np.ndarray, np.ndarray]:
-        """The local steps of every device of this engine, on the batches
-        ``drawn`` ahead or, without them, drawn step by step."""
+    def _train(self, global_values: np.ndarray, drawn) -> tuple[np.ndarray, np.ndarray]:
+        """The local steps of every device of this engine, on the batches of
+        the filled record ``drawn``."""
         # each device starts from a read-only view of the one vector: no copies
         start = np.broadcast_to(global_values, (len(self.shards), self.layout.size))
         params = SlimmableParams(self.layout, start)
-        if drawn is None:
-            steps = (self.draw() for _ in range(self.local_iters))
-        else:
-            steps = zip(drawn.x, drawn.y)
         # a diverging step's overflow is reported by the run's finite checks
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, y in steps:
+            for x, y in zip(drawn.x, drawn.y):
                 result = self.step_fn(params, x, y, self.train_cfg, self.opt, rows=self.rows)
                 params = result.params
         return params.values, result.loss
@@ -327,7 +319,7 @@ class _DevicePool:
         ]
 
     def _run(self, part: LocalTraining, lo: int, hi: int, round_: int) -> None:
-        self.out[lo:hi], self.losses[lo:hi], self.chi[lo:hi] = part._round(self.start, round_)
+        self.out[lo:hi], self.losses[lo:hi], self.chi[lo:hi] = part.run(self.start, round_)
 
     def run(self, global_values: np.ndarray, round_: int) -> LocalRound:
         self.start[:] = global_values
@@ -422,6 +414,8 @@ class FederatedRun:
         fed_cfg.validate()
         if len(thresholds) != len(widths):
             raise ValueError("need one decode threshold per width")
+        if eval_every <= rounds and not len(test):  # found before any round trains
+            raise ValueError("test set must be nonempty")
         self.layout = layout
         self.test = test
         self.chan_cfg = chan_cfg

@@ -1,5 +1,6 @@
 """Config parsing/serialization, CLI behavior, run determinism."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_process, sampled_rounds, split_stacks
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from slimfl import federation
 from slimfl.channel import Rayleigh, Rician, Twdp, sample_fading
 from slimfl.cli import main
 from slimfl.config import (
@@ -490,6 +493,27 @@ class TestCli:
         assert [str(w.message) for w in caught] == []  # the error alone says what went wrong
         assert re.fullmatch(error, capsys.readouterr().err)
         assert not (tmp_path / "out" / "metrics_seed1.csv").exists()
+
+    @pytest.mark.parametrize(
+        "plan", [contextlib.nullcontext, sampled_rounds, split_stacks],
+        ids=["inline", "sampled", "split"],
+    )
+    def test_failed_draw_exits_1_on_every_engine(self, plan, tmp_path, capsys, monkeypatch):
+        # inline and in the split head the draw's error itself; in the
+        # sampler the helper's, naming the round and the process
+        def no_gain(model, rng):
+            raise ValueError("no fading gain")
+
+        monkeypatch.setattr(federation, "sample_fading", no_gain)
+        config_path = tmp_path / "exp.ini"
+        # 4 devices: two parts on the split engine
+        text = SMALL_RUN.format(out=str(tmp_path / "out")).replace("devices = 3", "devices = 4")
+        config_path.write_text(text)
+        with plan():
+            assert main(["run", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "metrics_seed3.csv").exists()
+        assert_no_child_process()
 
     @pytest.mark.parametrize(
         "command", [["run"], ["analyze"], ["sweep", "--param", "training.lr", "--values", "0.1"]],

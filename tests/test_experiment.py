@@ -8,8 +8,10 @@ import os
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_process, sampled_rounds
 
 from slimfl.channel import ChannelConfig
+from slimfl.cli import main
 from slimfl import experiment
 from slimfl.config import parse_config, serialize_config
 from slimfl.datasets import write_idx
@@ -80,6 +82,24 @@ class TestIdxExperiment:
         assert summary["rounds"] == 2
         assert summary["convergence_round"] is None
         assert all(0.0 <= m.acc_full <= 1.0 for m in metrics)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["inline", "sampled"])
+    def test_empty_test_set_rejected_before_any_round(self, tmp_path, capsys, sampled):
+        paths = write_fixture(tmp_path, n_test=0)
+        text = IDX_RUN.format(out=str(tmp_path / "out"), **{k: str(v) for k, v in paths.items()})
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(text)
+        with sampled_rounds(sampled):
+            with pytest.raises(ValueError, match="^test set must be nonempty$"):
+                make_run(parse_config(text), 1)
+            assert_no_child_process()
+            assert main(["run", str(config_path)]) == 1
+        assert capsys.readouterr().err == "error: test set must be nonempty\n"
+        assert not (tmp_path / "out" / "metrics_seed1.csv").exists()
+        # a run that evaluates no round needs no test set
+        unevaluated = parse_config(text.replace("rounds = 2", "rounds = 2\neval_every = 3"))
+        metrics, _ = run_experiment(unevaluated, 1)
+        assert len(metrics) == 2 and all(math.isnan(m.acc_full) for m in metrics)
 
 
 class TestSchemeDispatch:

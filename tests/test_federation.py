@@ -377,6 +377,25 @@ class TestLocalTraining:
         assert isinstance(info.value.__cause__, IndexError)
         assert_no_child_process()
 
+    @pytest.mark.parametrize("sampled", [False, True], ids=["inline", "sampled"])
+    def test_bad_shard_index_raises_in_one_part(self, sampled):
+        # the one-part cases of the worker's: the batch gather checks its indices
+        layout = Layout.mlp(10, (8,), 4)
+        shards = index_shards([[0, 1], [2, 3]])
+        shards[1] = Shard(1, np.array([len(LOCAL_TRAIN)]), shards[1].class_histogram)
+        init = init_params(layout, rngmod.stream(20, "init")).values
+        engine = local_training(shards, TrainConfig(batch_size=8))
+        try:
+            engine.start(1, sampled, 1)
+            with pytest.raises((IndexError, slimfl.engine.HelperError)) as info:
+                engine.run(init, 1)
+        finally:
+            engine.close()
+        if sampled:
+            assert info.match(rf"^round 1: .* sampler process {engine.sampler.pid}:")
+        assert isinstance(info.value.__cause__ if sampled else info.value, IndexError)
+        assert_no_child_process()
+
     def test_start_must_be_one_global_vector(self):
         layout = Layout.mlp(10, (8,), 4)
         init = init_params(layout, rngmod.stream(20, "init")).values
