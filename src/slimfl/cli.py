@@ -78,7 +78,6 @@ def cmd_sweep(args) -> int:
         )
         cfg = dataclasses.replace(cfg, output_dir=subdir)
         if args.mode == "analyze":
-            os.makedirs(subdir, exist_ok=True)
             write_json(os.path.join(subdir, "analysis.json"), analyze_experiment(cfg))
         else:
             run_all(cfg)

@@ -21,7 +21,7 @@ from .analysis import (
 from .channel import Rayleigh, decode_probabilities, decode_thresholds
 from .config import ExperimentConfig
 from .datasets import Dataset, class_means, dirichlet_partition, load_idx, synth_dataset
-from .federation import FederatedRun, Width, report, vanilla_threshold
+from .federation import FederatedRun, Federation, Width, vanilla_threshold
 from .metrics import (
     CostModel,
     RoundMetrics,
@@ -86,11 +86,11 @@ def _cost_model(cfg: ExperimentConfig, layout: Layout) -> CostModel:
     )
 
 
-def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None):
-    """Build the run object for cfg's scheme at the given master seed."""
+def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None) -> Federation:
+    """Build the round loop of cfg's scheme at the given master seed."""
     task = task or build_task(cfg, seed)
     cost = _cost_model(cfg, task.layout)
-    chan = cfg.channel
+    chan, scheme = cfg.channel, cfg.federation.scheme
 
     def run(layout, widths, thresholds, train_cfg, tag=()):
         init = init_params(layout, rngmod.stream(seed, "init", *tag))
@@ -103,12 +103,12 @@ def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None):
 
     half = ("half", cost.half_bits, cost.half_mflops)
     full = ("full", cost.full_bits, cost.full_mflops)
-    if cfg.federation.scheme == "slimfl":
+    if scheme == "slimfl":
         widths = (
             Width(build_mask(task.layout, cfg.training.width_ratios[0]), *half),
             Width(build_mask(task.layout, 1.0), *full),
         )
-        return run(task.layout, widths, decode_thresholds(chan), cfg.training)
+        return Federation((run(task.layout, widths, decode_thresholds(chan), cfg.training),))
 
     single_width = replace(
         cfg.training, st_weights=(1.0,), width_ratios=(1.0,), algorithm="widthwise"
@@ -123,37 +123,13 @@ def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None):
         width = Width(build_mask(layout, 1.0), *costs)
         return run(layout, (width,), np.array([threshold]), single_width, (tag,))
 
-    if cfg.federation.scheme == "vanilla-0.5x":
-        return vanilla(half_layout, half, 1.0, "v-half")
-    if cfg.federation.scheme == "vanilla-1.0x":
-        return vanilla(task.layout, full, 2.0, "v-full")
-    return VanillaPair(
-        vanilla(half_layout, half, 1.0, "v-half"), vanilla(task.layout, full, 2.0, "v-full")
-    )
-
-
-class VanillaPair:
-    """vanilla-1.5x: the half- and full-width baselines side by side, each
-    with the full power budget, reported as one scheme."""
-
-    def __init__(self, half_run: FederatedRun, full_run: FederatedRun):
-        self.half_run = half_run
-        self.full_run = full_run
-
-    def run_round(self) -> RoundMetrics:
-        self.half_run.run_round()
-        self.full_run.run_round()
-        return report((self.half_run, self.full_run))
-
-    def close(self) -> None:
-        self.half_run.close()
-        self.full_run.close()
-
-    def run(self) -> list[RoundMetrics]:
-        try:
-            return [self.run_round() for _ in range(self.half_run.rounds)]
-        finally:
-            self.close()
+    baselines = {
+        "vanilla-0.5x": (half_layout, half, 1.0, "v-half"),
+        "vanilla-1.0x": (task.layout, full, 2.0, "v-full"),
+    }
+    # vanilla-1.5x: both side by side, each with the full power budget
+    picked = baselines.values() if scheme == "vanilla-1.5x" else [baselines[scheme]]
+    return Federation([vanilla(*args) for args in picked])
 
 
 def summarize(cfg: ExperimentConfig, seed: int, metrics: list[RoundMetrics]) -> dict:
@@ -177,14 +153,12 @@ def summarize(cfg: ExperimentConfig, seed: int, metrics: list[RoundMetrics]) -> 
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int) -> tuple[list[RoundMetrics], dict]:
-    run = make_run(cfg, seed)
-    metrics = run.run()
+    metrics = make_run(cfg, seed).run()
     return metrics, summarize(cfg, seed, metrics)
 
 
 def run_all(cfg: ExperimentConfig) -> dict:
     """Run every configured seed; as each finishes, write its CSV and the summary so far."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
     combined = {"scheme": cfg.federation.scheme, "seeds": [], "runs": []}
     for seed in cfg.seeds:
         metrics, summary = run_experiment(cfg, seed)

@@ -19,11 +19,16 @@ into contiguous parts, the process running the first part's round and one
 forked worker (``_DevicePool``) each other part's, each part drawing its
 own devices' inputs; a stack that trains in one process, with a CPU to
 spare, has its inputs drawn one round ahead in a forked sampler.  On that
-same spare CPU a run driven through ``FederatedRun.run`` forks an
-evaluator that evaluates each evaluated round's global model one round
-behind, while the process trains the next round.  The sampler and the
-evaluator are each an ``engine.Ring``, the workers plain ``engine.Helper``
-processes; every output byte is the same on each engine.
+same spare CPU a run driven through ``Federation.run`` forks an evaluator
+that evaluates each evaluated round's global model one round behind, while
+the process trains the next round.  The sampler and the evaluator are each
+an ``engine.Ring``, the workers plain ``engine.Helper`` processes; every
+output byte is the same on each engine.
+
+A scheme's round loop is one ``Federation``, over its one run or, for
+``vanilla-1.5x``, the half- and full-width baselines side by side: it runs
+each run's round, reports them as one metrics row, and closes them when the
+loop ends.
 
 A round whose device loss or aggregated global vector is not finite raises
 ``ValueError`` naming the round and the devices (and width) at fault.
@@ -380,17 +385,12 @@ class FederatedRun:
     Each device's round, its local steps and its fading draw, is
     ``LocalTraining``'s; at its first round a run hands it its
     ``engine.plan``, and ``close`` stops the helpers it started.  When the
-    plan leaves a CPU to spare and the run ``evaluate_ahead``, its
-    evaluations go to an evaluator on that CPU as well: an ``engine.Ring``
-    that the run asks for each evaluated round's accuracies of its global
-    vector, taking the oldest round first when two are pending.  ``run``
-    takes the rest and fills each round's accuracies (``evaluated``) into
-    its row.
+    plan leaves a CPU to spare and the first round is asked to evaluate
+    ahead, its evaluations go to an evaluator on that CPU as well: an
+    ``engine.Ring`` that the run asks for each evaluated round's accuracies
+    of its global vector, keeping them in ``evaluated`` as it takes them,
+    the oldest round first when two are pending.
     """
-
-    # set by run(): evaluated rounds may go to an evaluator, and a row that
-    # run_round returns holds NaN accuracies until run() fills them in
-    evaluate_ahead = False
 
     def __init__(
         self,
@@ -456,12 +456,15 @@ class FederatedRun:
         """Each device's decode level this round, from its fading gain."""
         return decode_levels(chi, self.thresholds)
 
-    def run_round(self) -> RoundMetrics:
+    def run_round(self, ahead: bool) -> None:
+        """The next round: its ``loss``, decode ``levels``, global vector and
+        ``accuracies``.  An evaluated round's accuracies stay NaN when it
+        goes to the evaluator, which the first round starts if ``ahead``."""
         self.round += 1
         if self.round == 1:
             parts, spare = engine.plan(len(self.local.shards))
             self.local.start(parts, spare, self.rounds)
-            if spare and self.evaluate_ahead and self.eval_every <= self.rounds:
+            if spare and ahead and self.eval_every <= self.rounds:
                 self.evaluator = Ring(
                     "evaluator", "evaluating the global model",
                     functools.partial(_evaluate, self.layout, self.masks, self.test),
@@ -489,19 +492,18 @@ class FederatedRun:
         self.accuracies = [math.nan] * len(self.widths)
         if self.round % self.eval_every == 0:
             if self.evaluator is not None:
-                if len(self.evaluator.pending) == 2:
-                    self._take_evaluated()
+                self.take_evaluated(1)
                 self.evaluator.ask(self.round, vector=self.global_values)
             else:
                 params = SlimmableParams(self.layout, self.global_values)
                 self.accuracies = evaluate(params, self.masks, self.test.x, self.test.y)
-        return report((self,))
 
-    def _take_evaluated(self) -> None:
-        """Wait for the oldest round asked of the evaluator and keep its
-        accuracies."""
-        round_, slot = self.evaluator.take()
-        self.evaluated[round_] = slot.accuracies.tolist()
+    def take_evaluated(self, keep: int) -> None:
+        """Wait for the evaluator's oldest rounds until ``keep`` stay
+        pending, and keep their accuracies."""
+        while self.evaluator is not None and len(self.evaluator.pending) > keep:
+            round_, slot = self.evaluator.take()
+            self.evaluated[round_] = slot.accuracies.tolist()
 
     def _raise_non_finite(self, trained: np.ndarray) -> None:
         """Name the first width segment of the global vector that is not
@@ -531,17 +533,63 @@ class FederatedRun:
         if self.evaluator is not None:
             self.evaluator.close()
 
+
+class Federation:
+    """One scheme's round loop over its runs: one ``FederatedRun``, or the
+    ``vanilla-1.5x`` pair of baselines, reported as one metrics row a round.
+
+    ``run_round`` runs each run's round, evaluating inline, and reports
+    them as one row: each width's accuracy fills its column, and a device
+    counts under the widest column any run decoded for it; the loss is the
+    runs' mean, and decoded bits, power and compute add up run by run.
+    ``run`` asks every round to evaluate ahead (``ahead``): a run whose
+    plan spares a CPU evaluates in its evaluator, and each round's
+    accuracies from there fill their columns of its row.  In a pair, the
+    run that ``engine.plan`` gives a spare CPU evaluates ahead and the other
+    inline.  ``run`` calls ``self.run_round``, so a wrapper set on the
+    instance (a round timer) sees every round.
+    """
+
+    def __init__(self, runs: Sequence[FederatedRun]):
+        self.runs = tuple(runs)
+        self.ahead = False  # set by run(): its rows hold NaN until filled
+
+    def run_round(self) -> RoundMetrics:
+        runs = self.runs
+        for run in runs:
+            run.run_round(self.ahead)
+        widest = functools.reduce(np.maximum, [run.column_at_level[run.levels] for run in runs])
+        none, half, full = np.bincount(widest, minlength=3).tolist()
+        return RoundMetrics(
+            round=runs[0].round,
+            **{
+                "acc_half": math.nan, "acc_full": math.nan,  # a column no width fills
+                **_accuracy_columns(runs, lambda run: run.accuracies),
+            },
+            loss=sum(run.loss for run in runs) / len(runs),
+            decoded_none=none, decoded_lh_only=half, decoded_both=full,
+            decoded_megabits=sum(int(run.bits_at_level[run.levels].sum()) / 1e6 for run in runs),
+            comm_power_mw=sum(run.chan_cfg.total_power_w * 1000.0 for run in runs),
+            comp_mflops=sum(run.mflops for run in runs),
+        )
+
+    def close(self) -> None:
+        """Stop and reap every run's helpers."""
+        for run in self.runs:
+            run.close()
+
     def run(self) -> list[RoundMetrics]:
         """Every round's metrics row, each evaluated round's accuracies in it."""
-        self.evaluate_ahead = True
+        self.ahead = True
         try:
-            rows = [self.run_round() for _ in range(self.rounds)]
-            while self.evaluator is not None and self.evaluator.pending:
-                self._take_evaluated()
-            done = self.evaluated
+            rows = [self.run_round() for _ in range(self.runs[0].rounds)]
+            for run in self.runs:
+                run.take_evaluated(0)
+            # only the evaluators' columns: a run that evaluated inline keeps its own
             return [
-                dataclasses.replace(row, **_accuracy_columns(zip(self.widths, done[row.round])))
-                if row.round in done else row
+                dataclasses.replace(row, **_accuracy_columns(
+                    self.runs, lambda run: run.evaluated.get(row.round, ())
+                ))
                 for row in rows
             ]
         finally:
@@ -553,30 +601,10 @@ def _ids(flags: np.ndarray) -> str:
     return ", ".join(map(str, np.flatnonzero(flags)))
 
 
-def report(runs: Sequence[FederatedRun]) -> RoundMetrics:
-    """The round the given runs just took, as one metrics row.
-
-    Each width's accuracy fills its column, and a device counts under the
-    widest column any run decoded for it.  The loss is the runs' mean;
-    decoded bits, power and compute add up run by run.
-    """
-    widest = functools.reduce(np.maximum, [run.column_at_level[run.levels] for run in runs])
-    none, half, full = np.bincount(widest, minlength=3).tolist()
-    return RoundMetrics(
-        round=runs[0].round,
-        **_accuracy_columns(pair for run in runs for pair in zip(run.widths, run.accuracies)),
-        loss=sum(run.loss for run in runs) / len(runs),
-        decoded_none=none, decoded_lh_only=half, decoded_both=full,
-        decoded_megabits=sum(int(run.bits_at_level[run.levels].sum()) / 1e6 for run in runs),
-        comm_power_mw=sum(run.chan_cfg.total_power_w * 1000.0 for run in runs),
-        comp_mflops=sum(run.mflops for run in runs),
-    )
-
-
-def _accuracy_columns(accuracies) -> dict[str, float]:
-    """The accuracy fields of a metrics row from (width, accuracy) pairs:
-    each width's accuracy in its column, NaN in a column no width fills."""
-    acc = [math.nan] * 3  # by column: none, half, full
-    for width, accuracy in accuracies:
-        acc[COLUMNS[width.column]] = accuracy
-    return {"acc_half": acc[1], "acc_full": acc[2]}
+def _accuracy_columns(runs: Sequence[FederatedRun], accuracies) -> dict[str, float]:
+    """The accuracy fields of a metrics row that the runs fill: each
+    width's accuracy, one of ``accuracies(run)``, in its column."""
+    return {
+        f"acc_{width.column}": accuracy
+        for run in runs for width, accuracy in zip(run.widths, accuracies(run))
+    }

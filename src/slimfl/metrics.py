@@ -85,8 +85,10 @@ def metrics_rows(metrics: list[RoundMetrics]) -> list[list[str]]:
 @contextmanager
 def _replacing(path):
     """A text file opened beside ``path`` that replaces ``path`` in one step
-    once the block has written it; a failed block leaves ``path`` as it was."""
+    once the block has written it, in a directory made now if missing; a
+    failed block leaves ``path`` as it was."""
     tmp = f"{path}.tmp"
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     try:
         with open(tmp, "w", newline="") as fh:
             yield fh

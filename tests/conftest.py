@@ -23,7 +23,7 @@ def sampled_rounds(on=True):
     """Runs whose ``engine.plan`` trains the stack in one process and finds
     a CPU to spare (``on``) or never does, whatever the rule finds.  On a
     spare CPU every run starts a sampler, and a run driven through
-    ``FederatedRun.run`` an evaluator too.  Under pytest the rule finds no
+    ``Federation.run`` an evaluator too.  Under pytest the rule finds no
     spare CPU on 2 CPUs: the ``faulthandler_timeout`` watchdog is a second
     thread."""
     with pytest.MonkeyPatch.context() as mp:
@@ -34,10 +34,11 @@ def sampled_rounds(on=True):
 @contextlib.contextmanager
 def evaluated_ahead():
     """``sampled_rounds()``, with an evaluator however a run is driven: a
-    run driven through ``run_round`` alone, or in a ``vanilla-1.5x`` pair,
+    run whose rounds are driven through ``Federation.run_round`` alone
     starts one too (and its rows keep NaN accuracies)."""
+    run_round = federation.FederatedRun.run_round
     with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(federation.FederatedRun, "evaluate_ahead", True)
+        mp.setattr(federation.FederatedRun, "run_round", lambda run, ahead: run_round(run, True))
         yield
 
 

@@ -466,16 +466,16 @@ def test_criterion_10_determinism(tmp_path):
         cfg, federation=dataclasses.replace(cfg.federation, parallel_devices=True)
     )
 
-    digests, runs = [], []
+    digests, feds = [], []
     make_run = experiment.make_run
     for tag, config in (("s1", cfg), ("s2", cfg), ("p1", par_cfg), ("p2", par_cfg)):
         engine = split_stacks() if config is par_cfg else contextlib.nullcontext()
         with engine, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiment, "make_run", lambda *a: runs.append(make_run(*a)) or runs[-1])
+            mp.setattr(experiment, "make_run", lambda *a: feds.append(make_run(*a)) or feds[-1])
             metrics, _ = run_experiment(config, 11)
         path = tmp_path / f"{tag}.csv"
         write_metrics_csv(path, metrics)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-    assert [run.local.parts for run in runs] == [1, 1, 2, 2]
+    assert [run.local.parts for fed in feds for run in fed.runs] == [1, 1, 2, 2]
     assert len(set(digests)) == 1  # reruns AND parallel schedules agree
     report(10, f"4 runs (2 serial, 2 split over 2 processes) share sha256 {digests[0][:12]}...")

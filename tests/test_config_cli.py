@@ -525,6 +525,38 @@ class TestCli:
             capsys.readouterr().err
         )
 
+    def missing_idx(self, tmp_path):
+        """A config whose IDX files do not exist, writing under ``out``."""
+        paths = {key: tmp_path / "missing" / key for key in ("ti", "tl", "si", "sl")}
+        text = SMALL_RUN.format(out=str(tmp_path / "out")).replace(
+            "kind = synth",
+            "kind = idx\ntrain_images = {ti}\ntrain_labels = {tl}\n"
+            "test_images = {si}\ntest_labels = {sl}".format(**paths),
+        )
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(text)
+        return config_path
+
+    def test_run_that_fails_at_set_up_leaves_no_output_directory(self, tmp_path, capsys):
+        assert main(["run", str(self.missing_idx(tmp_path))]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_sweep_analyze_leaves_no_directory(self, tmp_path, capsys):
+        args = ["sweep", str(self.missing_idx(tmp_path)), "--param", "federation.devices"]
+        assert main([*args, "--values", "2", "--mode", "analyze"]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_analyze_writes_into_a_new_directory(self, tmp_path, capsys):
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(SMALL_RUN.format(out=str(tmp_path / "out")))
+        out_path = tmp_path / "nodir" / "a.json"
+        assert main(["analyze", str(config_path), "--output", str(out_path)]) == 0
+        assert main(["analyze", str(config_path)]) == 0
+        assert capsys.readouterr().out == f"analysis {out_path}\n{out_path.read_text()}"
+        assert os.listdir(out_path.parent) == ["a.json"]
+
     def test_analyze_emits_json(self, tmp_path, capsys):
         config_path = tmp_path / "exp.ini"
         config_path.write_text(SMALL_RUN.format(out=str(tmp_path / "out")))

@@ -82,17 +82,31 @@ def fresh_process(code: str):
     return ast.literal_eval(out.stdout.strip())
 
 
-# the reference run, three rounds of it
+def tiny_config(scheme: str):
+    """Three rounds of the reference run, of ``scheme``."""
+    cfg = load_config(REFERENCE)
+    federation = dataclasses.replace(cfg.federation, scheme=scheme)
+    return dataclasses.replace(cfg, rounds=3, federation=federation)
+
+
+# tiny_config(scheme)'s run driven through run(): whether each of its runs
+# sampled and evaluated ahead, and its rows
 TINY_RUN = f"""
 import dataclasses
 from slimfl import experiment
 from slimfl.config import load_config
 from slimfl.metrics import metrics_rows
-cfg = dataclasses.replace(load_config({str(REFERENCE)!r}), rounds=3)
-run = experiment.make_run(cfg, 4)
-rows = metrics_rows(run.run())
-print((run.local.sampler is not None, run.evaluator is not None, rows))
+cfg = load_config({str(REFERENCE)!r})
+federation = dataclasses.replace(cfg.federation, scheme={{scheme!r}})
+fed = experiment.make_run(dataclasses.replace(cfg, rounds=3, federation=federation), 4)
+rows = metrics_rows(fed.run())
+print(([(run.local.sampler is not None, run.evaluator is not None) for run in fed.runs], rows))
 """
+
+
+def inline_rows(scheme: str):
+    with sampled_rounds(False):
+        return metrics_rows(experiment.make_run(tiny_config(scheme), 4).run())
 
 
 @pytest.mark.skipif(not LINUX, reason="the sampler and evaluator run on Linux only")
@@ -101,13 +115,36 @@ def test_fresh_process_run_samples_and_evaluates_on_the_spare_cpu():
     spare-CPU helpers, and writes the inline run's rows."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: no CPU to spare for a sampler or an evaluator")
-    sampler, evaluator, rows = fresh_process(TINY_RUN)
-    with sampled_rounds(False):
-        inline = experiment.make_run(
-            dataclasses.replace(load_config(REFERENCE), rounds=3), 4
-        ).run()
-    assert (sampler, evaluator) == (True, True)
-    assert rows == metrics_rows(inline)
+    helpers, rows = fresh_process(TINY_RUN.format(scheme="slimfl"))
+    assert helpers == [(True, True)]
+    assert rows == inline_rows("slimfl")
+
+
+@pytest.mark.skipif(not LINUX, reason="the sampler and evaluator run on Linux only")
+def test_fresh_process_pair_evaluates_ahead_in_its_first_run():
+    """A ``vanilla-1.5x`` pair under the unpatched rule: the first run's
+    plan finds the spare CPU and its helpers take it, so the second run
+    trains and evaluates inline; the rows are the inline pair's."""
+    if len(os.sched_getaffinity(0)) != 2:
+        pytest.skip("the first run's helpers leave no CPU to spare on 2 CPUs only")
+    helpers, rows = fresh_process(TINY_RUN.format(scheme="vanilla-1.5x"))
+    assert helpers == [(True, True), (False, False)]
+    assert rows == inline_rows("vanilla-1.5x")
+
+
+@pytest.mark.skipif(not LINUX, reason="the sampler and evaluator run on Linux only")
+def test_pair_fills_only_its_evaluated_column(monkeypatch):
+    """A pair whose first run alone gets a spare CPU: its evaluator's
+    accuracies fill the half-width column, and the full-width column keeps
+    the second run's inline accuracies."""
+    spare = iter([True])
+    monkeypatch.setattr(engine, "plan", lambda n: (1, next(spare, False)))
+    fed = experiment.make_run(tiny_config("vanilla-1.5x"), 4)
+    rows = metrics_rows(fed.run())
+    half, full = fed.runs
+    assert (half.evaluator is not None, full.local.sampler, full.evaluator) == (True, None, None)
+    assert list(half.evaluated) == [1, 2, 3] and full.evaluated == {}
+    assert rows == inline_rows("vanilla-1.5x")
 
 
 def doubler(fail_round=None) -> engine.Ring:

@@ -134,17 +134,19 @@ scheme = {scheme}
 
     def test_vanilla_half_uses_narrow_layout_and_half_payload(self):
         cfg = self.small_cfg("vanilla-0.5x")
-        run = make_run(cfg, seed=2)
+        fed = make_run(cfg, seed=2)
+        [run] = fed.runs
         assert run.layout.layers[0].out_dim == 4  # ceil(8 * 0.5)
-        m = run.run_round()
+        m = fed.run_round()
         assert math.isnan(m.acc_full) and not math.isnan(m.acc_half)
         assert m.decoded_megabits == 3 * 86_344 / 1e6
 
     def test_vanilla_full_uses_full_layout(self):
         cfg = self.small_cfg("vanilla-1.0x")
-        run = make_run(cfg, seed=3)
+        fed = make_run(cfg, seed=3)
+        [run] = fed.runs
         assert run.layout.layers[0].out_dim == 8
-        m = run.run_round()
+        m = fed.run_round()
         assert m.decoded_megabits == 3 * 172_688 / 1e6
 
     def test_combined_scheme_reports_both_columns(self):
@@ -171,15 +173,15 @@ scheme = {scheme}
             costs=dataclasses.replace(base.costs, use_reference=False),
         )
         assert parse_config(serialize_config(cfg)) == cfg
-        run = make_run(cfg, seed=2)
+        [run] = make_run(cfg, seed=2).runs
         np.testing.assert_array_equal(run.widths[0].mask.bits, build_mask(run.layout, 0.25).bits)
         assert run.widths[0].bits == CostModel.from_layout(run.layout, 0.25).half_bits
-        half = make_run(
+        [half] = make_run(
             dataclasses.replace(
                 cfg, federation=dataclasses.replace(cfg.federation, scheme="vanilla-0.5x")
             ),
             seed=2,
-        )
+        ).runs
         assert half.layout.layers[0].out_dim == 2  # ceil(8 * 0.25)
 
     def test_summary_totals_accumulate(self):
@@ -193,9 +195,9 @@ scheme = {scheme}
         cfg = dataclasses.replace(
             cfg, costs=dataclasses.replace(cfg.costs, use_reference=False, bits_per_param=32.0)
         )
-        run = make_run(cfg, seed=6)
-        m = run.run_round()
-        full_params = run.layout.size
+        fed = make_run(cfg, seed=6)
+        m = fed.run_round()
+        full_params = fed.runs[0].layout.size
         assert m.decoded_megabits == 3 * full_params * 32 / 1e6
 
     def test_eval_every_skips_between_evaluations(self):
@@ -251,7 +253,7 @@ scheme = slimfl
             channel=chan,
             federation=dataclasses.replace(cfg.federation, vanilla_rate_mode="same_rate"),
         )
-        run = make_run(cfg, seed=8)
+        [run] = make_run(cfg, seed=8).runs
         assert run.thresholds.tolist() == [vanilla_threshold(chan, 1.0)]
 
 

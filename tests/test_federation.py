@@ -36,9 +36,9 @@ from slimfl.channel import (
 from slimfl import experiment
 from slimfl.config import load_config
 from slimfl.datasets import Dataset, Shard, dirichlet_partition
-from slimfl.experiment import VanillaPair
 from slimfl.federation import (
     FederatedRun,
+    Federation,
     FederationConfig,
     LocalTraining,
     Width,
@@ -93,8 +93,8 @@ def make_run(
     scheme="slimfl", seed=0, rounds=3, n_devices=4, chan=None, parallel=False, shards=None,
     train_cfg=None, local_iters=1, eval_every=1,
 ):
-    """A small run; ``shards`` (indices into the training set) replaces the
-    partition of ``n_devices``."""
+    """A small run's round loop; ``shards`` (indices into the training set)
+    replaces the partition of ``n_devices``."""
     train, test = make_task(seed)
     layout = Layout.mlp(10, (8,), 4)
     if shards is None:
@@ -113,14 +113,17 @@ def make_run(
     )
     if scheme == "slimfl":
         half = Width(build_mask(layout, 0.5), "half", cost.half_bits, cost.half_mflops)
-        return FederatedRun(
+        run = FederatedRun(
             train_cfg=train_cfg, widths=(half, full), thresholds=decode_thresholds(chan),
             **common,
         )
-    return FederatedRun(
-        train_cfg=single_width(train_cfg), widths=(full,),
-        thresholds=np.array([vanilla_threshold(chan, 2.0)]), stream_tag=("v-full",), **common,
-    )
+    else:
+        run = FederatedRun(
+            train_cfg=single_width(train_cfg), widths=(full,),
+            thresholds=np.array([vanilla_threshold(chan, 2.0)]), stream_tag=("v-full",),
+            **common,
+        )
+    return Federation((run,))
 
 
 class TestAggregate:
@@ -421,10 +424,11 @@ class TestLocalTraining:
             federation=dataclasses.replace(cfg.federation, n_devices=100),
             training=dataclasses.replace(cfg.training, batch_size=8),
         )
-        run = experiment.make_run(cfg, 1)
+        fed = experiment.make_run(cfg, 1)
+        [run] = fed.runs
         try:
             for _ in range(3):  # warm: the Adam moments and caches exist
-                run.run_round()
+                fed.run_round()
             # the stack is split (one part per CPU): this process trains the
             # first part, and only its allocations are traced
             head = 100 // run.local.parts
@@ -436,7 +440,7 @@ class TestLocalTraining:
             finally:
                 tracemalloc.stop()
         finally:
-            run.close()
+            fed.close()
         # numpy's two ufunc buffers (np.getbufsize() float64s each) are
         # allocated whatever the device count
         buffers = 2 * 8 * np.getbufsize()
@@ -473,8 +477,9 @@ class TestLocalTraining:
             make = experiment.make_run
             mp.setattr(experiment, "make_run", lambda *a: built.append(make(*a)) or built[-1])
             split = digest("split.csv")
-        runs = (built[0].half_run, built[0].full_run) if scheme == "vanilla-1.5x" else built
-        assert [run.local.parts for run in runs] == [2] * len(runs)
+        [fed] = built
+        assert len(fed.runs) == (2 if scheme == "vanilla-1.5x" else 1)
+        assert [run.local.parts for run in fed.runs] == [2] * len(fed.runs)
         assert split == serial
 
     def test_split_run_draws_each_parts_gains_where_it_trains(self, tmp_path):
@@ -488,9 +493,9 @@ class TestLocalTraining:
 
         with split_stacks(), pytest.MonkeyPatch.context() as mp:
             mp.setattr(federation, "sample_fading", sample_fading)
-            run = make_run(seed=54, rounds=3, n_devices=5)
-            run.run()
-        [worker] = run.local._pool.workers
+            fed = make_run(seed=54, rounds=3, n_devices=5)
+            fed.run()
+        [worker] = fed.runs[0].local._pool.workers
         # devices 0-1 in this process and 2-4 in the worker, each round
         assert Counter(log.read_text().split()) == {
             str(os.getpid()): 3 * 2, str(worker.pid): 3 * 3
@@ -517,20 +522,21 @@ class TestHelpers:
     def test_run_reaps_its_helpers(self, kind):
         plan, helpers = HELPERS[kind]
         with plan():
-            run = make_run(seed=21, rounds=2)
-            run.run()
-        assert helpers(run)
+            fed = make_run(seed=21, rounds=2)
+            fed.run()
+        assert helpers(fed.runs[0])
         assert_no_child_process()
 
     def test_failed_run_reaps_its_helpers(self, kind):
         plan, helpers = HELPERS[kind]
         with plan():
-            run = make_run(seed=22, rounds=2)
+            fed = make_run(seed=22, rounds=2)
+            [run] = fed.runs
             run.test = Dataset(np.zeros((0, 10)), np.zeros(0, dtype=np.int64), 4)
             # evaluate, after training: in the evaluator, on a spare CPU
             error = ValueError if kind == "worker" else RuntimeError
             with pytest.raises(error) as info:
-                run.run()
+                fed.run()
         cause = info.value if kind == "worker" else info.value.__cause__
         assert isinstance(cause, ValueError) and str(cause) == "test set must be nonempty"
         assert helpers(run)
@@ -541,16 +547,17 @@ class TestHelpers:
         with plan(), deadline():
             pair = TestCombinedVanillaRun().build(seed=23)
             pair.run()
-        assert helpers(pair.half_run) and helpers(pair.full_run)
+        half_run, full_run = pair.runs
+        assert helpers(half_run) and helpers(full_run)
         assert_no_child_process()
 
     def test_collected_run_reaps_its_helpers(self, kind):
         plan, helpers = HELPERS[kind]
         with plan():
-            run = make_run(seed=46)
-            run.run_round()
-        assert helpers(run)
-        del run
+            fed = make_run(seed=46)
+            fed.run_round()
+        assert helpers(fed.runs[0])
+        del fed
         gc.collect()
         assert_no_child_process()
 
@@ -567,18 +574,19 @@ class TestHelpers:
                     first.close()
             finally:
                 second.close()
-        assert helpers(first) and helpers(second)
+        assert helpers(first.runs[0]) and helpers(second.runs[0])
         assert_no_child_process()
 
     def test_closed_run_cannot_train(self, kind):
         plan, helpers = HELPERS[kind]
         with plan():
-            run = make_run(seed=26)
-            run.run_round()
-            run.close()
+            fed = make_run(seed=26)
+            fed.run_round()
+            fed.close()
+        [run] = fed.runs
         head = run.local._pool.head if run.local._pool else run.local
         steps = head.opt.t
-        for train in (run.run_round, lambda: run.local.run(run.global_values, 2)):
+        for train in (fed.run_round, lambda: run.local.run(run.global_values, 2)):
             with pytest.raises(RuntimeError, match=r"^round 2: .* the run is closed"):
                 train()
         assert head.opt.t == steps  # refused before the process trained a step
@@ -586,16 +594,16 @@ class TestHelpers:
     def test_killed_helper_fails_the_run_loudly(self, kind):
         plan, helpers = HELPERS[kind]
         with plan():
-            run = make_run(seed=51, rounds=5)
+            fed = make_run(seed=51, rounds=5)
             try:
-                run.run_round()
-                helper = helpers(run)[0]
+                fed.run_round()
+                helper = helpers(fed.runs[0])[0]
                 os.kill(helper.pid, signal.SIGKILL)
                 with deadline(), pytest.raises(RuntimeError) as info:
                     for _ in range(4):
-                        run.run_round()
+                        fed.run_round()
             finally:
-                run.close()
+                fed.close()
         assert info.match(
             rf"^round \d+: \w.* failed in {kind} process {helper.pid}: it was killed by signal 9$"
         )
@@ -640,11 +648,12 @@ class TestSampler:
 
         def rows(sampled):
             with sampled_rounds(sampled):
-                run = make_run(
+                fed = make_run(
                     scheme, seed=seed, shards=shards, train_cfg=cfg, local_iters=local_iters,
                     chan=chan, rounds=rounds, eval_every=eval_every,
                 )
-                metrics = run.run()
+                metrics = fed.run()
+            [run] = fed.runs
             assert (run.local.sampler is not None) == sampled
             if sampled:  # every evaluated round's accuracies came from the evaluator
                 assert list(run.evaluated) == list(range(eval_every, rounds + 1, eval_every))
@@ -669,7 +678,8 @@ class TestSampler:
             finally:
                 first.close()
                 second.close()
-        assert (first.local.sampler is not None, second.local.sampler is None) == (True, True)
+        first, second = first.runs[0].local, second.runs[0].local
+        assert (first.sampler is not None, second.sampler is None) == (True, True)
 
     def test_sampler_draws_no_round_past_the_run(self, tmp_path):
         log = tmp_path / "draws"
@@ -682,18 +692,18 @@ class TestSampler:
 
         with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
             mp.setattr(federation, "sample_fading", sample_fading)
-            run = make_run(seed=52, rounds=5)
-            run.run()
+            make_run(seed=52, rounds=5).run()
         assert log.read_text().count("draw") == 5 * 4  # rounds x devices
 
     def test_round_past_the_run_matches_inline(self):
         def rows(sampled):
             with sampled_rounds(sampled), deadline():
-                run = make_run(seed=53, rounds=2)
+                fed = make_run(seed=53, rounds=2)
+                [run] = fed.runs
                 try:
-                    metrics = [run.run_round() for _ in range(run.rounds + 1)]
+                    metrics = [fed.run_round() for _ in range(run.rounds + 1)]
                 finally:
-                    run.close()
+                    fed.close()
             assert (run.local.sampler is not None) == sampled
             return metrics_rows(metrics), run.global_values.tobytes()
 
@@ -710,9 +720,10 @@ class TestSampler:
 
         with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
             mp.setattr(federation, "sample_fading", sample_fading)
-            run = make_run(seed=47)
+            fed = make_run(seed=47)
+            [run] = fed.runs
             with pytest.raises(RuntimeError, match=r"^round 2: .* sampler process (\d+)") as info:
-                run.run()
+                fed.run()
         assert info.match(rf"sampler process {run.local.sampler.pid}:")
         assert isinstance(info.value.__cause__, ArithmeticError)
         assert run.round == 2 and draws == []  # round 1 ran, and the process drew nothing
@@ -721,11 +732,12 @@ class TestSampler:
     def test_rounds_driven_alone_evaluate_inline(self):
         def rounds(sampled):
             with sampled_rounds(sampled):
-                run = make_run(seed=55, rounds=3)
+                fed = make_run(seed=55, rounds=3)
+                [run] = fed.runs
                 try:
-                    metrics = [run.run_round() for _ in range(run.rounds)]
+                    metrics = [fed.run_round() for _ in range(run.rounds)]
                 finally:
-                    run.close()
+                    fed.close()
             assert (run.local.sampler is not None, run.evaluator) == (sampled, None)
             return metrics_rows(metrics)
 
@@ -745,11 +757,12 @@ class TestSampler:
         federation_evaluate = federation.evaluate
         with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
             mp.setattr(federation, "evaluate", evaluate)
-            run = make_run(seed=56, rounds=4)
+            fed = make_run(seed=56, rounds=4)
+            [run] = fed.runs
             with pytest.raises(
                 RuntimeError, match=r"^round 2: evaluating .* evaluator process (\d+):"
             ) as info:
-                run.run()
+                fed.run()
         assert info.match(rf"evaluator process {run.evaluator.pid}:")
         assert isinstance(info.value.__cause__, ArithmeticError)
         # collected when round 4 took its slot; the process evaluated nothing
@@ -758,8 +771,9 @@ class TestSampler:
 
     def test_killed_evaluator_fails_the_run_loudly(self):
         with sampled_rounds():
-            run = make_run(seed=57, rounds=5)
-            run_round = run.run_round
+            fed = make_run(seed=57, rounds=5)
+            [run] = fed.runs
+            run_round = fed.run_round
 
             def kill_after_round_1():  # on the instance, as a round timer wraps it
                 metrics = run_round()
@@ -767,9 +781,9 @@ class TestSampler:
                     os.kill(run.evaluator.pid, signal.SIGKILL)
                 return metrics
 
-            run.run_round = kill_after_round_1
+            fed.run_round = kill_after_round_1
             with deadline(), pytest.raises(RuntimeError) as info:
-                run.run()
+                fed.run()
         assert info.match(
             rf"^round \d+: evaluating .* failed in evaluator process {run.evaluator.pid}: "
             "it was killed by signal 9$"
@@ -778,7 +792,8 @@ class TestSampler:
 
     def test_diverging_run_with_an_evaluator_names_its_round(self):
         with sampled_rounds():
-            run = make_run(seed=58, rounds=4)
+            fed = make_run(seed=58, rounds=4)
+            [run] = fed.runs
             train = run.local.run
 
             def run_local(values, round_):
@@ -789,7 +804,7 @@ class TestSampler:
 
             run.local.run = run_local
             with pytest.raises(ValueError) as info:
-                run.run()
+                fed.run()
         assert str(info.value) == "round 4: the local loss of device(s) 2 is not finite"
         # round 3 took round 1's slot
         assert run.evaluator is not None and list(run.evaluated) == [1]
@@ -798,13 +813,13 @@ class TestSampler:
 
 class TestSlimFLRound:
     def test_perfect_channel_aggregates_all_devices_both_segments(self):
-        run_a = make_run(seed=7)
-        metrics = run_a.run_round()
+        fed_a = make_run(seed=7)
+        metrics = fed_a.run_round()
         assert metrics.decoded_both == 4
         assert metrics.decoded_none == metrics.decoded_lh_only == 0
 
         # reconstruct: fresh identical run, local updates only, then plain mean
-        run_b = make_run(seed=7)
+        [run_a], [run_b] = fed_a.runs, make_run(seed=7).runs
         locals_b, _, _ = run_b.local.run(run_b.global_values, 1)
         np.testing.assert_array_equal(run_a.global_values, np.mean(np.stack(locals_b), axis=0))
 
@@ -812,18 +827,20 @@ class TestSlimFLRound:
         dead = ChannelConfig(
             rate_bps=rate_for_sinr_threshold(3.0, 75e6), power_split=0.6
         )  # both thresholds infinite
-        run = make_run(seed=8, chan=dead)
+        fed = make_run(seed=8, chan=dead)
+        [run] = fed.runs
         before = run.global_values.copy()
-        metrics = run.run_round()
+        metrics = fed.run_round()
         assert metrics.decoded_none == 4
         np.testing.assert_array_equal(run.global_values, before)
 
     def test_scripted_mixed_outcomes(self):
-        run = make_run(seed=9, n_devices=3)
+        [run] = make_run(seed=9, n_devices=3).runs
         locals_, _, _ = run.local.run(run.global_values, 1)
-        run_b = make_run(seed=9, n_devices=3)
+        fed_b = make_run(seed=9, n_devices=3)
+        [run_b] = fed_b.runs
         run_b.decode_levels = lambda chi: np.array([2, 1, 0])  # device 2 silent
-        metrics = run_b.run_round()
+        metrics = fed_b.run_round()
         assert (metrics.decoded_both, metrics.decoded_lh_only, metrics.decoded_none) == (1, 1, 1)
         lh = run_b.widths[0].mask.bits
         np.testing.assert_allclose(
@@ -848,6 +865,7 @@ class TestSlimFLRound:
         with sampled_rounds():  # and a side whose draws come from a sampler process
             sam = make_run(seed=11, rounds=3)
             m_sam = sam.run()
+        [seq], [par], [sam] = seq.runs, par.runs, sam.runs
         assert (seq.local.parts, par.local.parts, sam.local.parts) == (1, 2, 1)
         assert [run.local.sampler is not None for run in (seq, par, sam)] == [False, False, True]
         for run in (par, sam):
@@ -863,7 +881,8 @@ class TestNonFiniteRound:
     def message(poison, scheme="slimfl", levels=None):
         """The error of a 3-round run whose trained stack and losses
         ``poison(run, trained, losses)`` edits each round."""
-        run = make_run(scheme, seed=27)
+        fed = make_run(scheme, seed=27)
+        [run] = fed.runs
         train = run.local.run
 
         def run_local(values, round_):
@@ -875,7 +894,7 @@ class TestNonFiniteRound:
         if levels is not None:
             run.decode_levels = lambda chi: np.array(levels)
         with pytest.raises(ValueError) as info:
-            run.run()
+            fed.run()
         return str(info.value)
 
     def test_loss_names_round_and_devices(self):
@@ -934,9 +953,10 @@ class TestVanillaRun:
         # 10 devices: numpy sums 8 or more rows of a masked copy pairwise,
         # which would differ from the mean in the last bits
         for n_devices in (4, 10):
-            run_a = make_run("vanilla-1.0x", seed=12, n_devices=n_devices)
-            run_a.run_round()
-            run_b = make_run("vanilla-1.0x", seed=12, n_devices=n_devices)
+            fed_a = make_run("vanilla-1.0x", seed=12, n_devices=n_devices)
+            fed_a.run_round()
+            fed_b = make_run("vanilla-1.0x", seed=12, n_devices=n_devices)
+            [run_a], [run_b] = fed_a.runs, fed_b.runs
             locals_b, _, _ = run_b.local.run(run_b.global_values, 1)
             np.testing.assert_array_equal(
                 run_a.global_values, np.mean(np.stack(locals_b), axis=0)
@@ -963,7 +983,7 @@ class TestVanillaRun:
 
 
 class TestCombinedVanillaRun:
-    """vanilla-1.5x: the half- and full-width baselines paired by the experiment layer."""
+    """vanilla-1.5x: the half- and full-width baselines, one ``Federation``."""
 
     def build(self, seed=15, rounds=2):
         train, test = make_task(seed)
@@ -985,10 +1005,10 @@ class TestCombinedVanillaRun:
                 rounds=rounds, master_seed=seed, stream_tag=(tag,),
             )
 
-        return VanillaPair(
+        return Federation((
             sub(layout_half, "half", "v-half", cost.half_bits, cost.half_mflops, 1.0),
             sub(layout_full, "full", "v-full", cost.full_bits, cost.full_mflops, 2.0),
-        )
+        ))
 
     def test_doubles_power_and_sums_compute(self):
         run = self.build()
@@ -1009,8 +1029,9 @@ class TestCombinedVanillaRun:
 
     def test_scripted_half_only_device_counts_as_lh_only(self):
         run = self.build(seed=18)
-        run.half_run.decode_levels = lambda chi: np.array([1, 1, 0])
-        run.full_run.decode_levels = lambda chi: np.array([1, 0, 0])
+        half_run, full_run = run.runs
+        half_run.decode_levels = lambda chi: np.array([1, 1, 0])
+        full_run.decode_levels = lambda chi: np.array([1, 0, 0])
         m = run.run_round()
         assert (m.decoded_both, m.decoded_lh_only, m.decoded_none) == (1, 1, 1)
         assert m.decoded_megabits == pytest.approx((2 * 86_344 + 172_688) / 1e6)

@@ -21,7 +21,7 @@ from conftest import sampled_rounds, split_stacks
 
 from slimfl.channel import config_for_decode_probs
 from slimfl.config import parse_config
-from slimfl.experiment import VanillaPair, build_task, make_run
+from slimfl.experiment import build_task, make_run
 from slimfl.metrics import write_metrics_csv
 
 SEED = 5
@@ -133,20 +133,17 @@ def case_config(name):
     return dataclasses.replace(parse_config(text), channel=config_for_decode_probs(0.7, 0.5))
 
 
-def runs(run):
-    return [run.half_run, run.full_run] if isinstance(run, VanillaPair) else [run]
-
-
 def digests(name, tmp_path, built=None):
-    """The case's two digests; its run is appended to ``built``, if given."""
-    run = make_run(case_config(name), SEED)
+    """The case's two digests; its round loop is appended to ``built``, if
+    given."""
+    fed = make_run(case_config(name), SEED)
     if built is not None:
-        built.append(run)
+        built.append(fed)
     path = tmp_path / f"{name}.csv"
-    write_metrics_csv(path, run.run())
+    write_metrics_csv(path, fed.run())
     params = hashlib.sha256()
-    for one in runs(run):
-        params.update(one.global_values.tobytes())
+    for run in fed.runs:
+        params.update(run.global_values.tobytes())
     return hashlib.sha256(path.read_bytes()).hexdigest(), params.hexdigest()
 
 
@@ -168,15 +165,12 @@ def evaluated_off_path(run):
     return run.evaluator is not None and list(run.evaluated) == list(evaluated)
 
 
-# an engine: the plan that makes a run use it, and whether a run did (given
-# the run and whether it is one of a vanilla-1.5x pair, driven through
-# run_round and so evaluated inline)
+# an engine: the plan that makes a run use it, and whether a run did
 ENGINES = {
     "sampled": (
-        sampled_rounds,
-        lambda run, paired: run.local.sampler is not None and (paired or evaluated_off_path(run)),
+        sampled_rounds, lambda run: run.local.sampler is not None and evaluated_off_path(run)
     ),
-    "split": (split_stacks, lambda run, paired: run.local.parts == 2),
+    "split": (split_stacks, lambda run: run.local.parts == 2),
 }
 
 
@@ -190,5 +184,4 @@ def test_every_engine_matches_pins(name, engine, tmp_path):
     built = []
     with plan():
         assert digests(name, tmp_path, built) == GOLDEN[name]
-    paired = isinstance(built[0], VanillaPair)
-    assert all(used(run, paired) for run in runs(built[0]))
+    assert all(used(run) for run in built[0].runs)
