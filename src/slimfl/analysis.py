@@ -132,9 +132,10 @@ def split_closed_form(sinr_threshold: float) -> float:
 
 
 def split_closed_form_alt(sinr_threshold: float) -> float:
-    """Rearranged variant (u + sqrt(1+u) - 1) / u; lies above 1 for any u > 0."""
+    """Rearranged variant (u + sqrt(1+u) - 1) / u; lies above 1 for any u > 0,
+    and is its limit 1.5 at u = 0 (a zero-rate channel)."""
     u = sinr_threshold
-    return (u + math.sqrt(1.0 + u) - 1.0) / u
+    return (u + math.sqrt(1.0 + u) - 1.0) / u if u else 1.5
 
 
 def optimize_power_split(obj: PowerObjective, tol: float = 1e-6) -> PowerSplitResult:

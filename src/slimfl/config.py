@@ -75,6 +75,11 @@ class CostConfig:
     use_reference: bool = True
     bits_per_param: float = 32.0
 
+    def validate(self) -> None:
+        """Raise ValueError whose message starts with the offending field."""
+        if self.bits_per_param <= 0:
+            raise ValueError("bits_per_param: must be positive")
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -90,6 +95,12 @@ class AnalysisConfig:
         """Raise ValueError whose message starts with the offending field."""
         if self.strong_convexity <= 0 or self.smoothness < self.strong_convexity:
             raise ValueError("strong_convexity: need 0 < strong_convexity <= smoothness")
+        if self.init_distance_sq < 0:
+            raise ValueError("init_distance_sq: must be >= 0")
+        if self.grad_batches < 1:
+            raise ValueError("grad_batches: must be >= 1")
+        if self.lambda_samples < 0:
+            raise ValueError("lambda_samples: must be >= 0")
 
 
 @dataclass(frozen=True)

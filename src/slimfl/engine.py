@@ -3,17 +3,20 @@ processes that carry it out.
 
 ``plan`` decides, once per run, how many contiguous parts its device stack
 trains in and whether it has a CPU to spare: a one-part run's sampler draws
-its inputs one round ahead there, and the evaluator of a run whose rounds
-``federation.Federation.run`` drives evaluates its global model one round
-behind.  The runs of a ``vanilla-1.5x`` pair are planned one after the
-other, so the first takes a spare CPU and its helpers leave none to the
-second.  A ``Helper`` is one forked process (a split stack's worker, or a
-run's sampler or evaluator) that runs one job per request and answers None
-or the job's exception; a helper that fails or dies raises ``HelperError``
-in the process, naming the round, the job, the helper's role and pid, and
-how it ended.  A ``Ring`` is a spare-CPU helper (the sampler, the
-evaluator) whose rounds take two slots of shared arrays in turn, each slot
-a ``record``.
+its inputs one round ahead there, and, in a round loop that
+``federation.Federation.run`` drives, the loop's one evaluator evaluates
+every run's global model one round behind.  ``federation.Federation``
+plans its runs one after the other at its first round, forking the
+evaluator right after the first run whose plan spares a CPU, so on 2 CPUs
+the first run of a ``vanilla-1.5x`` pair takes the spare CPU and its
+sampler and the evaluator leave none to the second.  A ``Helper`` is one
+forked process (a split stack's worker, a run's sampler or a loop's
+evaluator) that runs one job per request and answers None or the job's
+exception; a helper that fails or dies raises ``HelperError`` in the
+process, naming the round, the job, the helper's role and pid, and how it
+ended.  A ``Ring`` is a spare-CPU helper (the sampler, the evaluator)
+whose rounds take two slots of shared arrays in turn, each slot a
+``record``.
 """
 
 from __future__ import annotations
@@ -47,12 +50,14 @@ def plan(n_devices: int) -> tuple[int, bool]:
     """How a run of ``n_devices`` devices uses the CPUs: the number of
     contiguous parts its stack trains in, one per CPU with at least
     ``MIN_DEVICES_PER_PART`` devices each, and whether it has a CPU to spare
-    for a sampler that draws its inputs ahead (and an evaluator, when
-    ``federation.Federation.run`` drives it).  A one-part run has one when
-    the CPUs outnumber this process's threads and its live helpers: a BLAS
-    thread pool leaves no CPU on its own, nor do the helpers of a run
-    planned earlier, such as the first of a ``vanilla-1.5x`` pair.  Linux
-    only: elsewhere one part, no spare CPU."""
+    for a sampler that draws its inputs ahead (and for its round loop's
+    evaluator, when ``federation.Federation.run`` drives the loop).  A
+    one-part run has one when the CPUs outnumber this process's threads and
+    its live helpers: a BLAS thread pool leaves no CPU on its own, nor do
+    the helpers started before, such as the sampler of the first run of a
+    ``vanilla-1.5x`` pair and the evaluator forked after it.  Only
+    ``federation.Federation`` calls it, at its first round.  Linux only:
+    elsewhere one part, no spare CPU."""
     if not sys.platform.startswith("linux"):
         return 1, False
     cpus = available_cpus()

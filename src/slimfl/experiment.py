@@ -96,9 +96,8 @@ def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None) -> Fede
         init = init_params(layout, rngmod.stream(seed, "init", *tag))
         return FederatedRun(
             layout=layout, init_values=init.values, train=task.train, shards=task.shards,
-            test=task.test, train_cfg=train_cfg, chan_cfg=chan, fed_cfg=cfg.federation,
-            widths=widths, thresholds=thresholds, rounds=cfg.rounds, master_seed=seed,
-            stream_tag=tag, eval_every=cfg.eval_every,
+            train_cfg=train_cfg, chan_cfg=chan, fed_cfg=cfg.federation, widths=widths,
+            thresholds=thresholds, rounds=cfg.rounds, master_seed=seed, stream_tag=tag,
         )
 
     half = ("half", cost.half_bits, cost.half_mflops)
@@ -108,7 +107,8 @@ def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None) -> Fede
             Width(build_mask(task.layout, cfg.training.width_ratios[0]), *half),
             Width(build_mask(task.layout, 1.0), *full),
         )
-        return Federation((run(task.layout, widths, decode_thresholds(chan), cfg.training),))
+        runs = [run(task.layout, widths, decode_thresholds(chan), cfg.training)]
+        return Federation(runs, task.test, cfg.eval_every)
 
     single_width = replace(
         cfg.training, st_weights=(1.0,), width_ratios=(1.0,), algorithm="widthwise"
@@ -129,7 +129,7 @@ def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None) -> Fede
     }
     # vanilla-1.5x: both side by side, each with the full power budget
     picked = baselines.values() if scheme == "vanilla-1.5x" else [baselines[scheme]]
-    return Federation([vanilla(*args) for args in picked])
+    return Federation([vanilla(*args) for args in picked], task.test, cfg.eval_every)
 
 
 def summarize(cfg: ExperimentConfig, seed: int, metrics: list[RoundMetrics]) -> dict:

@@ -13,22 +13,22 @@ Each device's round is ``LocalTraining``'s: one draw of the round's inputs
 (``_fill``: the device's batches and its fading gain), then its local
 steps.  Every device starts from the one global vector, and all devices
 step together as one (devices, P) stack, with results bitwise equal to
-training each device alone.  At a run's first round ``engine.plan`` picks
-its engine, and ``LocalTraining.start`` sets it up: a large stack is split
-into contiguous parts, the process running the first part's round and one
-forked worker (``_DevicePool``) each other part's, each part drawing its
-own devices' inputs; a stack that trains in one process, with a CPU to
-spare, has its inputs drawn one round ahead in a forked sampler.  On that
-same spare CPU a run driven through ``Federation.run`` forks an evaluator
-that evaluates each evaluated round's global model one round behind, while
-the process trains the next round.  The sampler and the evaluator are each
-an ``engine.Ring``, the workers plain ``engine.Helper`` processes; every
-output byte is the same on each engine.
+training each device alone.  A large stack is split into contiguous parts,
+the process running the first part's round and one forked worker
+(``_DevicePool``) each other part's, each part drawing its own devices'
+inputs; a stack that trains in one process, with a CPU to spare, has its
+inputs drawn one round ahead in a forked sampler.
 
 A scheme's round loop is one ``Federation``, over its one run or, for
-``vanilla-1.5x``, the half- and full-width baselines side by side: it runs
-each run's round, reports them as one metrics row, and closes them when the
-loop ends.
+``vanilla-1.5x``, the half- and full-width baselines side by side.  At the
+first round it takes each run's ``engine.plan`` and hands it to
+``LocalTraining.start``; it evaluates every run's global model each
+evaluated round, inline or, on the first spare CPU of a loop driven
+through ``Federation.run``, in one forked evaluator one round behind while
+the process trains the next round; it reports the runs as one metrics row
+a round and closes them when the loop ends.  The sampler and the evaluator
+are each an ``engine.Ring``, the workers plain ``engine.Helper``
+processes; every output byte is the same on each engine.
 
 A round whose device loss or aggregated global vector is not finite raises
 ``ValueError`` naming the round and the devices (and width) at fault.
@@ -340,11 +340,6 @@ class _DevicePool:
         return self.out, self.losses.copy(), self.chi.copy()
 
 
-def _evaluate(layout: Layout, masks, test: Dataset, slot, round_: int) -> None:
-    """The evaluator's job: the accuracies of the global vector in its slot."""
-    slot.accuracies[:] = evaluate(SlimmableParams(layout, slot.vector), masks, test.x, test.y)
-
-
 def vanilla_threshold(chan_cfg: ChannelConfig, payload_ratio: float) -> float:
     """Single-message decode threshold with the rate scaled to the payload.
 
@@ -383,13 +378,8 @@ class FederatedRun:
     level >= 1 and the rest over devices at level 2.
 
     Each device's round, its local steps and its fading draw, is
-    ``LocalTraining``'s; at its first round a run hands it its
-    ``engine.plan``, and ``close`` stops the helpers it started.  When the
-    plan leaves a CPU to spare and the first round is asked to evaluate
-    ahead, its evaluations go to an evaluator on that CPU as well: an
-    ``engine.Ring`` that the run asks for each evaluated round's accuracies
-    of its global vector, keeping them in ``evaluated`` as it takes them,
-    the oldest round first when two are pending.
+    ``LocalTraining``'s, on the engine its ``Federation`` starts; ``close``
+    stops the helpers it started.
     """
 
     def __init__(
@@ -399,7 +389,6 @@ class FederatedRun:
         init_values: np.ndarray,
         train: Dataset,
         shards: list[Shard],
-        test: Dataset,
         train_cfg: TrainConfig,
         chan_cfg: ChannelConfig,
         fed_cfg: FederationConfig,
@@ -408,16 +397,12 @@ class FederatedRun:
         rounds: int,
         master_seed: int,
         stream_tag: tuple[str, ...] = (),
-        eval_every: int = 1,
     ):
         train_cfg.validate()
         fed_cfg.validate()
         if len(thresholds) != len(widths):
             raise ValueError("need one decode threshold per width")
-        if eval_every <= rounds and not len(test):  # found before any round trains
-            raise ValueError("test set must be nonempty")
         self.layout = layout
-        self.test = test
         self.chan_cfg = chan_cfg
         self.fed_cfg = fed_cfg
         self.widths = widths
@@ -431,7 +416,6 @@ class FederatedRun:
         expected = fed_cfg.aggregation_weighting == "expected"
         self.divisors = fed_cfg.n_devices * decode_probabilities(chan_cfg) if expected else None
         self.rounds = rounds
-        self.eval_every = eval_every
         self.local = LocalTraining(
             layout=layout, train=train, shards=shards, train_cfg=train_cfg,
             batch_rngs=[
@@ -449,28 +433,14 @@ class FederatedRun:
         self.global_values = init_values.copy()
         self.levels = np.zeros(fed_cfg.n_devices, dtype=np.intp)
         self.round = 0
-        self.evaluator: Ring | None = None
-        self.evaluated: dict[int, list[float]] = {}  # by round, from the evaluator
 
     def decode_levels(self, chi: np.ndarray) -> np.ndarray:
         """Each device's decode level this round, from its fading gain."""
         return decode_levels(chi, self.thresholds)
 
-    def run_round(self, ahead: bool) -> None:
-        """The next round: its ``loss``, decode ``levels``, global vector and
-        ``accuracies``.  An evaluated round's accuracies stay NaN when it
-        goes to the evaluator, which the first round starts if ``ahead``."""
+    def run_round(self) -> None:
+        """The next round: its ``loss``, decode ``levels`` and global vector."""
         self.round += 1
-        if self.round == 1:
-            parts, spare = engine.plan(len(self.local.shards))
-            self.local.start(parts, spare, self.rounds)
-            if spare and ahead and self.eval_every <= self.rounds:
-                self.evaluator = Ring(
-                    "evaluator", "evaluating the global model",
-                    functools.partial(_evaluate, self.layout, self.masks, self.test),
-                    vector=((self.layout.size,), np.float64),
-                    accuracies=((len(self.widths),), np.float64),
-                )
         trained, losses, chi = self.local.run(self.global_values, self.round)
         if not np.isfinite(losses).all():
             raise ValueError(
@@ -488,22 +458,6 @@ class FederatedRun:
             )
         if not np.isfinite(self.global_values).all():
             self._raise_non_finite(trained)
-
-        self.accuracies = [math.nan] * len(self.widths)
-        if self.round % self.eval_every == 0:
-            if self.evaluator is not None:
-                self.take_evaluated(1)
-                self.evaluator.ask(self.round, vector=self.global_values)
-            else:
-                params = SlimmableParams(self.layout, self.global_values)
-                self.accuracies = evaluate(params, self.masks, self.test.x, self.test.y)
-
-    def take_evaluated(self, keep: int) -> None:
-        """Wait for the evaluator's oldest rounds until ``keep`` stay
-        pending, and keep their accuracies."""
-        while self.evaluator is not None and len(self.evaluator.pending) > keep:
-            round_, slot = self.evaluator.take()
-            self.evaluated[round_] = slot.accuracies.tolist()
 
     def _raise_non_finite(self, trained: np.ndarray) -> None:
         """Name the first width segment of the global vector that is not
@@ -527,45 +481,67 @@ class FederatedRun:
             )
 
     def close(self) -> None:
-        """Stop and reap the local-training workers, or the sampler and the
-        evaluator, whichever started."""
+        """Stop and reap the local-training workers or the sampler."""
         self.local.close()
-        if self.evaluator is not None:
-            self.evaluator.close()
 
 
 class Federation:
     """One scheme's round loop over its runs: one ``FederatedRun``, or the
     ``vanilla-1.5x`` pair of baselines, reported as one metrics row a round.
 
-    ``run_round`` runs each run's round, evaluating inline, and reports
-    them as one row: each width's accuracy fills its column, and a device
-    counts under the widest column any run decoded for it; the loss is the
-    runs' mean, and decoded bits, power and compute add up run by run.
-    ``run`` asks every round to evaluate ahead (``ahead``): a run whose
-    plan spares a CPU evaluates in its evaluator, and each round's
-    accuracies from there fill their columns of its row.  In a pair, the
-    run that ``engine.plan`` gives a spare CPU evaluates ahead and the other
-    inline.  ``run`` calls ``self.run_round``, so a wrapper set on the
-    instance (a round timer) sees every round.
+    At the first round each run, in order, takes its ``engine.plan`` and
+    starts its ``LocalTraining`` on it.  ``run_round`` runs each run's
+    round and reports them as one row: each width's accuracy on ``test``
+    fills its column every ``eval_every``-th round, and a device counts
+    under the widest column any run decoded for it; the loss is the runs'
+    mean, and decoded bits, power and compute add up run by run.
+
+    A round evaluates every run inline, unless the loop evaluates ahead
+    (``ahead``, which ``run`` sets) and a run's plan spares a CPU: then the
+    loop forks one evaluator right after that run starts, so a later run's
+    plan counts it.  The evaluator is an ``engine.Ring`` whose slot holds
+    every run's global vector; each evaluated round asks it for that
+    round's accuracies, first taking the oldest round when two are pending,
+    into ``evaluated``.  ``run`` fills each row from there, and calls
+    ``self.run_round``, so a wrapper set on the instance (a round timer)
+    sees every round.
     """
 
-    def __init__(self, runs: Sequence[FederatedRun]):
+    ahead = False  # set by run(): its rows hold NaN until filled
+
+    def __init__(self, runs: Sequence[FederatedRun], test: Dataset, eval_every: int = 1):
         self.runs = tuple(runs)
-        self.ahead = False  # set by run(): its rows hold NaN until filled
+        self.rounds = self.runs[0].rounds
+        if eval_every <= self.rounds and not len(test):  # found before any round trains
+            raise ValueError("test set must be nonempty")
+        self.test = test
+        self.eval_every = eval_every
+        # the metrics field of each run's widths' accuracies, in evaluation order
+        self.columns = [f"acc_{width.column}" for run in self.runs for width in run.widths]
+        self.evaluator: Ring | None = None
+        self.evaluated: dict[int, list[float]] = {}  # by round, from the evaluator
 
     def run_round(self) -> RoundMetrics:
         runs = self.runs
+        if runs[0].round == 0:
+            self._start()
         for run in runs:
-            run.run_round(self.ahead)
+            run.run_round()
+        round_, accuracies = runs[0].round, ()
+        if round_ % self.eval_every == 0:
+            if self.evaluator is None:
+                accuracies = self._accuracies([run.global_values for run in runs])
+            else:
+                self._take(1)
+                self.evaluator.ask(
+                    round_, **{f"vector{i}": run.global_values for i, run in enumerate(runs)}
+                )
         widest = functools.reduce(np.maximum, [run.column_at_level[run.levels] for run in runs])
         none, half, full = np.bincount(widest, minlength=3).tolist()
         return RoundMetrics(
-            round=runs[0].round,
-            **{
-                "acc_half": math.nan, "acc_full": math.nan,  # a column no width fills
-                **_accuracy_columns(runs, lambda run: run.accuracies),
-            },
+            round=round_,
+            # NaN in a column no width fills, and until a round is evaluated
+            **{"acc_half": math.nan, "acc_full": math.nan, **dict(zip(self.columns, accuracies))},
             loss=sum(run.loss for run in runs) / len(runs),
             decoded_none=none, decoded_lh_only=half, decoded_both=full,
             decoded_megabits=sum(int(run.bits_at_level[run.levels].sum()) / 1e6 for run in runs),
@@ -573,25 +549,55 @@ class Federation:
             comp_mflops=sum(run.mflops for run in runs),
         )
 
+    def _start(self) -> None:
+        """Start each run's engine on its plan, in order, and the evaluator
+        right after the first run whose plan spares a CPU."""
+        runs = self.runs
+        for run in runs:
+            parts, spare = engine.plan(len(run.local.shards))
+            run.local.start(parts, spare, run.rounds)
+            if spare and self.ahead and self.evaluator is None and self.eval_every <= self.rounds:
+                self.evaluator = Ring(
+                    "evaluator", "evaluating the global model", self._evaluate,
+                    accuracies=((len(self.columns),), np.float64),
+                    **{f"vector{i}": ((r.layout.size,), np.float64) for i, r in enumerate(runs)},
+                )
+
+    def _accuracies(self, vectors) -> list[float]:
+        """Each run's widths' accuracies, from its global vector in ``vectors``."""
+        x, y = self.test.x, self.test.y
+        return [
+            accuracy for run, vector in zip(self.runs, vectors)
+            for accuracy in evaluate(SlimmableParams(run.layout, vector), run.masks, x, y)
+        ]
+
+    def _evaluate(self, slot, round_: int) -> None:
+        """The evaluator's job: the accuracies of the global vectors in its slot."""
+        vectors = [getattr(slot, f"vector{i}") for i in range(len(self.runs))]
+        slot.accuracies[:] = self._accuracies(vectors)
+
+    def _take(self, keep: int) -> None:
+        """Wait for the evaluator's oldest rounds until ``keep`` stay
+        pending, and keep their accuracies."""
+        while self.evaluator is not None and len(self.evaluator.pending) > keep:
+            round_, slot = self.evaluator.take()
+            self.evaluated[round_] = slot.accuracies.tolist()
+
     def close(self) -> None:
-        """Stop and reap every run's helpers."""
+        """Stop and reap every run's helpers and the evaluator."""
         for run in self.runs:
             run.close()
+        if self.evaluator is not None:
+            self.evaluator.close()
 
     def run(self) -> list[RoundMetrics]:
         """Every round's metrics row, each evaluated round's accuracies in it."""
         self.ahead = True
         try:
-            rows = [self.run_round() for _ in range(self.runs[0].rounds)]
-            for run in self.runs:
-                run.take_evaluated(0)
-            # only the evaluators' columns: a run that evaluated inline keeps its own
-            return [
-                dataclasses.replace(row, **_accuracy_columns(
-                    self.runs, lambda run: run.evaluated.get(row.round, ())
-                ))
-                for row in rows
-            ]
+            rows = [self.run_round() for _ in range(self.rounds)]
+            self._take(0)
+            filled = {r: dict(zip(self.columns, acc)) for r, acc in self.evaluated.items()}
+            return [dataclasses.replace(row, **filled.get(row.round, {})) for row in rows]
         finally:
             self.close()
 
@@ -600,11 +606,3 @@ def _ids(flags: np.ndarray) -> str:
     """The indices where ``flags`` is set, as a comma-separated list."""
     return ", ".join(map(str, np.flatnonzero(flags)))
 
-
-def _accuracy_columns(runs: Sequence[FederatedRun], accuracies) -> dict[str, float]:
-    """The accuracy fields of a metrics row that the runs fill: each
-    width's accuracy, one of ``accuracies(run)``, in its column."""
-    return {
-        f"acc_{width.column}": accuracy
-        for run in runs for width, accuracy in zip(run.widths, accuracies(run))
-    }

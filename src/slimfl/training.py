@@ -3,10 +3,12 @@
 The three update rules are one loop, ``_step``: one optimizer step down a
 weighted sum of the widths' losses, where the full width trains on the
 labels and each other width on the labels or, distilled, on the detached
-full-width logits.  superposed_step (SlimFL's superposition training) uses
-``st_weights`` and distills the sub-widths in ascending order;
-sandwich_step does the same with unit weights; widthwise_step trains every
-width on the labels, widest first, with unit weights.
+full-width logits.  A rule is three facts in ``STEP_RULES``, each bound
+into its step function in ``STEP_FUNCTIONS``: superposed_step (SlimFL's
+superposition training) uses ``st_weights`` and distills the sub-widths in
+ascending order; sandwich_step does the same with unit weights;
+widthwise_step trains every width on the labels, widest first, with unit
+weights.
 
 A rule steps one device's vector, or a (devices, P) stack of vectors with
 (devices, batch, ...) batches, padded where batch sizes differ
@@ -81,14 +83,13 @@ def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    _, e, total = _softmax_parts(logits)
+    return e / total
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted, _, total = _softmax_parts(logits)
+    return shifted - np.log(total)
 
 
 def _check_labels(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -273,53 +274,35 @@ def _step(params, batch_x, batch_y, opt, rows, full, others, distill) -> StepRes
     return StepResult(new_params, grad, loss, full_loss, tuple(other_losses))
 
 
-def superposed_step(
-    params: SlimmableParams,
-    batch_x: np.ndarray,
-    batch_y: np.ndarray,
-    cfg: TrainConfig,
-    opt: LocalOptimizer,
-    rows: BatchRows | None = None,
-) -> StepResult:
-    """The convex combination: the full width against the labels and each
-    sub-width, ascending, distilled from it, weighted by ``st_weights``."""
-    masks = masks_for(params.layout, cfg.width_ratios)
-    w = cfg.st_weights
-    others = list(zip(masks[:-1], w[:-1]))
-    return _step(params, batch_x, batch_y, opt, rows, (masks[-1], w[-1]), others, distill=True)
-
-
-def widthwise_step(
-    params: SlimmableParams,
-    batch_x: np.ndarray,
-    batch_y: np.ndarray,
-    cfg: TrainConfig,
-    opt: LocalOptimizer,
-    rows: BatchRows | None = None,
-) -> StepResult:
-    """Every width against the labels, widest first, losses summed unweighted."""
-    masks = masks_for(params.layout, cfg.width_ratios)
-    others = [(mask, 1.0) for mask in reversed(masks[:-1])]
-    return _step(params, batch_x, batch_y, opt, rows, (masks[-1], 1.0), others, distill=False)
-
-
-def sandwich_step(
-    params: SlimmableParams,
-    batch_x: np.ndarray,
-    batch_y: np.ndarray,
-    cfg: TrainConfig,
-    opt: LocalOptimizer,
-    rows: BatchRows | None = None,
-) -> StepResult:
-    """The full width against the labels and every sub-width, ascending,
-    distilled from it, losses summed unweighted."""
-    masks = masks_for(params.layout, cfg.width_ratios)
-    others = [(mask, 1.0) for mask in masks[:-1]]
-    return _step(params, batch_x, batch_y, opt, rows, (masks[-1], 1.0), others, distill=True)
-
-
-STEP_FUNCTIONS = {
-    "superposed": superposed_step,
-    "widthwise": widthwise_step,
-    "sandwich": sandwich_step,
+# each step rule's three facts: whether the widths' losses are weighted by
+# ``st_weights`` (else unit weights), whether the other widths are summed
+# ascending (else widest first), and whether they are distilled from the
+# full width (else trained on the labels)
+STEP_RULES = {
+    "superposed": (True, True, True),  # SlimFL's superposition training
+    "widthwise": (False, False, False),
+    "sandwich": (False, True, True),
 }
+
+
+def _rule(weighted: bool, ascending: bool, distill: bool):
+    """The step function of one rule: ``_step`` on the rule's facts."""
+
+    def step(
+        params: SlimmableParams, batch_x: np.ndarray, batch_y: np.ndarray, cfg: TrainConfig,
+        opt: LocalOptimizer, rows: BatchRows | None = None,
+    ) -> StepResult:
+        """One optimizer step of the rule: ``_step`` on the full width and
+        the other widths in the rule's order, each with its weight."""
+        masks = masks_for(params.layout, cfg.width_ratios)
+        widths = list(zip(masks, cfg.st_weights if weighted else [1.0] * len(masks)))
+        others = widths[:-1] if ascending else widths[-2::-1]
+        return _step(params, batch_x, batch_y, opt, rows, widths[-1], others, distill)
+
+    return step
+
+
+STEP_FUNCTIONS = {rule: _rule(*facts) for rule, facts in STEP_RULES.items()}
+superposed_step = STEP_FUNCTIONS["superposed"]
+widthwise_step = STEP_FUNCTIONS["widthwise"]
+sandwich_step = STEP_FUNCTIONS["sandwich"]

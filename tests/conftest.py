@@ -1,12 +1,19 @@
-"""Suite-wide checks, and helpers for tests of the split local-training
-engine and of the spare-CPU helpers, the sampler and the evaluator."""
+"""Suite-wide checks and the one ``hypothesis`` profile, and helpers for
+tests of the split local-training engine and of the spare-CPU helpers, a
+run's sampler and its ``Federation``'s evaluator."""
 
 import contextlib
 import os
 
 import pytest
+from hypothesis import settings
 
 from slimfl import engine, federation
+
+# no deadline (a round can take a while on a busy machine), and no example
+# database: a property replays nothing from, and writes nothing to, disk
+settings.register_profile("suite", deadline=None, database=None)
+settings.load_profile("suite")
 
 
 @contextlib.contextmanager
@@ -22,10 +29,10 @@ def split_stacks(min_devices=2, cpus=2):
 def sampled_rounds(on=True):
     """Runs whose ``engine.plan`` trains the stack in one process and finds
     a CPU to spare (``on``) or never does, whatever the rule finds.  On a
-    spare CPU every run starts a sampler, and a run driven through
-    ``Federation.run`` an evaluator too.  Under pytest the rule finds no
-    spare CPU on 2 CPUs: the ``faulthandler_timeout`` watchdog is a second
-    thread."""
+    spare CPU every run starts a sampler, and a ``Federation`` driven
+    through ``run`` one evaluator for all its runs.  Under pytest the rule
+    finds no spare CPU on 2 CPUs: the ``faulthandler_timeout`` watchdog is
+    a second thread."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "plan", lambda n: (1, on))
         yield
@@ -33,12 +40,11 @@ def sampled_rounds(on=True):
 
 @contextlib.contextmanager
 def evaluated_ahead():
-    """``sampled_rounds()``, with an evaluator however a run is driven: a
-    run whose rounds are driven through ``Federation.run_round`` alone
-    starts one too (and its rows keep NaN accuracies)."""
-    run_round = federation.FederatedRun.run_round
+    """``sampled_rounds()``, with an evaluator however a ``Federation`` is
+    driven: one whose rounds are driven through ``run_round`` alone starts
+    one too (and its rows keep NaN accuracies)."""
     with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(federation.FederatedRun, "run_round", lambda run, ahead: run_round(run, True))
+        mp.setattr(federation.Federation, "ahead", True)
         yield
 
 

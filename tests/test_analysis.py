@@ -157,6 +157,10 @@ class TestPowerSplit:
         for u in (0.01, 0.1, 0.667, 1.0, 5.0, 100.0):
             assert split_closed_form_alt(u) > 1.0
 
+    def test_alternate_form_takes_its_limit_at_zero_rate(self):
+        assert split_closed_form_alt(0.0) == 1.5
+        assert abs(split_closed_form_alt(1e-6) - 1.5) < 1e-6
+
     def test_numeric_agrees_with_closed_form_when_expansion_valid(self):
         rng = RNG(3)
         count = 0

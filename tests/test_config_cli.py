@@ -90,7 +90,7 @@ FADING_MODELS = [Rayleigh(), Rician(), Twdp()]
 class TestStreamFamily:
     """``StreamFamily`` yields ``rngmod.stream``'s generators, by bytes."""
 
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(max_examples=150)
     @given(
         master=st.one_of(st.sampled_from([0, 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)),
         tag=st.sampled_from([(), ("v-half",), ("v-full",)]),
@@ -251,6 +251,13 @@ class TestConfigParsing:
             ("[channel]\nbandwidth_hz = 1e-3\n", "channel.rate_bps"),
             ("[channel]\nnoise_psd_db_hz = -5000\n", "channel.noise_psd_db_hz"),
             ("[analysis]\nsmoothness = 0.5\n", "analysis.strong_convexity"),
+            # a ZeroDivisionError in analyze, or a noise bound of 0.0 from no batches
+            ("[analysis]\ngrad_batches = 0\n", "analysis.grad_batches"),
+            ("[analysis]\ngrad_batches = -2\n", "analysis.grad_batches"),
+            ("[analysis]\ninit_distance_sq = -1\n", "analysis.init_distance_sq"),
+            ("[analysis]\nlambda_samples = -3\n", "analysis.lambda_samples"),
+            # negative decoded megabits in every row of the CSV
+            ("[costs]\nuse_reference = false\nbits_per_param = -1\n", "costs.bits_per_param"),
             (
                 "[training]\nlr_mode = strongly_convex\nstrong_convexity = -1\nsmoothness = 1\n",
                 "training.strong_convexity",
@@ -305,7 +312,7 @@ def ini_ints(lists: st.SearchStrategy) -> st.SearchStrategy[str]:
 
 
 class TestConfigProperties:
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(
         key=st.sampled_from(NUMERIC_KEYS),
         value=st.one_of(st.integers().map(str), st.floats().map(repr)),
@@ -324,7 +331,7 @@ class TestConfigProperties:
         else:
             assert parse_config(serialize_config(cfg)) == cfg
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(
         seeds=ini_ints(st.lists(st.integers(-3, 2**40), max_size=4)),
         hidden=ini_ints(st.lists(st.integers(-1, 300), max_size=3)),
@@ -352,7 +359,6 @@ class TestConfigProperties:
         else:
             assert parse_config(serialize_config(cfg)) == cfg
 
-    @settings(deadline=None, database=None)
     @given(
         section=st.sampled_from(list(_SECTIONS)),
         key=st.from_regex(r"[a-z][a-z0-9_]{0,15}", fullmatch=True),
@@ -568,6 +574,20 @@ class TestCli:
         assert report["decode_probs"][0] >= report["decode_probs"][1]
         assert report["grad_variance_mean"] >= 0
         assert report["gap_bound_curve"][0][0] == 1
+
+    @pytest.mark.parametrize("line", ["rate_sinr_threshold = 0", "rate_bps = 0"])
+    def test_analyze_on_a_zero_rate_channel(self, tmp_path, capsys, line):
+        # ``run`` accepts a zero rate, so ``analyze`` reports on it too: the
+        # alternate closed form takes its limit at u = 0
+        config_path = tmp_path / "exp.ini"
+        config_path.write_text(
+            SMALL_RUN.format(out=str(tmp_path / "out")) + f"\n[channel]\n{line}\n"
+        )
+        out_path = tmp_path / "analysis.json"
+        assert main(["analyze", str(config_path), "--output", str(out_path)]) == 0
+        report = json.loads(out_path.read_text())
+        assert report["power_split"]["closed_form_alt"] == 1.5
+        assert report["decode_probs"] == [1.0, 1.0]
 
     def test_sweep_analyze_over_power_split(self, tmp_path):
         config_path = tmp_path / "exp.ini"

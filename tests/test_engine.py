@@ -1,7 +1,7 @@
 """The CPU plan: how many parts a run's stack trains in, and whether a
-spare CPU hosts a sampler that draws its inputs ahead and an evaluator that
-evaluates its global model behind; and the two-slot ``Ring`` that both
-spare-CPU helpers are."""
+spare CPU hosts a sampler that draws its inputs ahead and the evaluator
+that evaluates its round loop's global models behind; and the two-slot
+``Ring`` that both spare-CPU helpers are."""
 
 import ast
 import dataclasses
@@ -89,8 +89,8 @@ def tiny_config(scheme: str):
     return dataclasses.replace(cfg, rounds=3, federation=federation)
 
 
-# tiny_config(scheme)'s run driven through run(): whether each of its runs
-# sampled and evaluated ahead, and its rows
+# tiny_config(scheme)'s round loop driven through run(): whether each of its
+# runs sampled ahead, the rounds its evaluator evaluated, and its rows
 TINY_RUN = f"""
 import dataclasses
 from slimfl import experiment
@@ -100,7 +100,7 @@ cfg = load_config({str(REFERENCE)!r})
 federation = dataclasses.replace(cfg.federation, scheme={{scheme!r}})
 fed = experiment.make_run(dataclasses.replace(cfg, rounds=3, federation=federation), 4)
 rows = metrics_rows(fed.run())
-print(([(run.local.sampler is not None, run.evaluator is not None) for run in fed.runs], rows))
+print(([run.local.sampler is not None for run in fed.runs], list(fed.evaluated), rows))
 """
 
 
@@ -115,35 +115,43 @@ def test_fresh_process_run_samples_and_evaluates_on_the_spare_cpu():
     spare-CPU helpers, and writes the inline run's rows."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: no CPU to spare for a sampler or an evaluator")
-    helpers, rows = fresh_process(TINY_RUN.format(scheme="slimfl"))
-    assert helpers == [(True, True)]
+    sampled, evaluated, rows = fresh_process(TINY_RUN.format(scheme="slimfl"))
+    assert (sampled, evaluated) == ([True], [1, 2, 3])
     assert rows == inline_rows("slimfl")
 
 
 @pytest.mark.skipif(not LINUX, reason="the sampler and evaluator run on Linux only")
-def test_fresh_process_pair_evaluates_ahead_in_its_first_run():
+def test_fresh_process_pair_evaluates_both_runs_on_its_first_runs_spare_cpu():
     """A ``vanilla-1.5x`` pair under the unpatched rule: the first run's
-    plan finds the spare CPU and its helpers take it, so the second run
-    trains and evaluates inline; the rows are the inline pair's."""
+    plan finds the spare CPU, its sampler and the evaluator take it, so the
+    second run trains inline; every round of both runs is evaluated in the
+    one evaluator, and the rows are the inline pair's."""
     if len(os.sched_getaffinity(0)) != 2:
         pytest.skip("the first run's helpers leave no CPU to spare on 2 CPUs only")
-    helpers, rows = fresh_process(TINY_RUN.format(scheme="vanilla-1.5x"))
-    assert helpers == [(True, True), (False, False)]
+    sampled, evaluated, rows = fresh_process(TINY_RUN.format(scheme="vanilla-1.5x"))
+    assert (sampled, evaluated) == ([True, False], [1, 2, 3])
     assert rows == inline_rows("vanilla-1.5x")
 
 
 @pytest.mark.skipif(not LINUX, reason="the sampler and evaluator run on Linux only")
-def test_pair_fills_only_its_evaluated_column(monkeypatch):
-    """A pair whose first run alone gets a spare CPU: its evaluator's
-    accuracies fill the half-width column, and the full-width column keeps
-    the second run's inline accuracies."""
-    spare = iter([True])
-    monkeypatch.setattr(engine, "plan", lambda n: (1, next(spare, False)))
+def test_pair_evaluates_both_runs_in_one_evaluator(monkeypatch):
+    """A pair whose first run alone gets a spare CPU: the evaluator starts
+    right after that run, before the second run plans, and evaluates both
+    runs' global models every round; the rows are the inline pair's."""
+    spare, live = iter([True]), []
+
+    def plan(n_devices):
+        live.append(len(engine._PROCESS_ENDS))  # the helpers running at each plan
+        return 1, next(spare, False)
+
+    monkeypatch.setattr(engine, "plan", plan)
     fed = experiment.make_run(tiny_config("vanilla-1.5x"), 4)
     rows = metrics_rows(fed.run())
     half, full = fed.runs
-    assert (half.evaluator is not None, full.local.sampler, full.evaluator) == (True, None, None)
-    assert list(half.evaluated) == [1, 2, 3] and full.evaluated == {}
+    assert (half.local.sampler is not None, full.local.sampler) == (True, None)
+    assert live == [0, 2]  # the second plan counts the sampler and the evaluator
+    assert list(fed.evaluated) == [1, 2, 3]
+    assert all(len(accuracies) == 2 for accuracies in fed.evaluated.values())
     assert rows == inline_rows("vanilla-1.5x")
 
 
@@ -188,7 +196,7 @@ class TestRing:
         assert not ring.pending
         assert_no_child_process()
 
-    @settings(max_examples=25, deadline=None, database=None)
+    @settings(max_examples=25)
     @given(steps=st.lists(st.booleans(), max_size=12))
     def test_any_interleaving_of_at_most_two_pending(self, steps):
         """Each step asks (True) or takes (False) when the ring allows it,

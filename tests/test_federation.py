@@ -108,8 +108,8 @@ def make_run(
     cost = CostModel.reference()
     full = Width(build_mask(layout, 1.0), "full", cost.full_bits, cost.full_mflops)
     common = dict(
-        layout=layout, init_values=init.values, train=train, shards=shards, test=test,
-        chan_cfg=chan, fed_cfg=fed_cfg, rounds=rounds, master_seed=seed, eval_every=eval_every,
+        layout=layout, init_values=init.values, train=train, shards=shards, chan_cfg=chan,
+        fed_cfg=fed_cfg, rounds=rounds, master_seed=seed,
     )
     if scheme == "slimfl":
         half = Width(build_mask(layout, 0.5), "half", cost.half_bits, cost.half_mflops)
@@ -123,7 +123,7 @@ def make_run(
             thresholds=np.array([vanilla_threshold(chan, 2.0)]), stream_tag=("v-full",),
             **common,
         )
-    return Federation((run,))
+    return Federation((run,), test, eval_every)
 
 
 class TestAggregate:
@@ -180,7 +180,7 @@ class TestAggregate:
             expected = sum(self.devices[k][j] for k in delivered) / len(delivered)
             assert new[j] == expected
 
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(
         levels=st.lists(st.integers(0, 2), min_size=1, max_size=32),
         size=st.integers(1, 40),
@@ -284,7 +284,7 @@ class TestLocalTraining:
         assert len({min(32, len(shard)) for shard in SKEWED_SHARDS}) > 2
 
     @pytest.mark.parametrize("rule", sorted(STEP_FUNCTIONS))
-    @settings(max_examples=50, deadline=None, database=None)
+    @settings(max_examples=50)
     @given(
         shards=st.lists(
             st.lists(st.integers(0, len(LOCAL_TRAIN) - 1), min_size=1, max_size=40, unique=True),
@@ -328,7 +328,7 @@ class TestLocalTraining:
 
 
     @pytest.mark.parametrize("rule", sorted(STEP_FUNCTIONS))
-    @settings(max_examples=20, deadline=None, database=None)
+    @settings(max_examples=20)
     @given(
         shards=st.lists(
             st.lists(st.integers(0, len(LOCAL_TRAIN) - 1), min_size=1, max_size=40, unique=True),
@@ -502,29 +502,31 @@ class TestLocalTraining:
         }
 
 
-# a helper kind: the plan that makes a run start it, and the run's helpers
-# of that kind
+# a helper kind: the plan that makes a run start it, and the helpers of that
+# kind that a run of a round loop (a Federation) started, or its loop did
 HELPERS = {
     "worker": (
         functools.partial(split_stacks, min_devices=1),
-        lambda run: run.local._pool.workers if run.local.parts == 2 else [],
+        lambda fed, run: run.local._pool.workers if run.local.parts == 2 else [],
     ),
-    "sampler": (sampled_rounds, lambda run: [run.local.sampler] if run.local.sampler else []),
-    "evaluator": (evaluated_ahead, lambda run: [run.evaluator] if run.evaluator else []),
+    "sampler": (
+        sampled_rounds, lambda fed, run: [run.local.sampler] if run.local.sampler else []
+    ),
+    "evaluator": (evaluated_ahead, lambda fed, run: [fed.evaluator] if fed.evaluator else []),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(HELPERS))
 class TestHelpers:
-    """A run's helper processes, a split stack's workers or its sampler and
-    evaluator, end with it, however it ends."""
+    """A run's helper processes, a split stack's workers or its sampler, and
+    its round loop's evaluator, end with it, however it ends."""
 
     def test_run_reaps_its_helpers(self, kind):
         plan, helpers = HELPERS[kind]
         with plan():
             fed = make_run(seed=21, rounds=2)
             fed.run()
-        assert helpers(fed.runs[0])
+        assert helpers(fed, fed.runs[0])
         assert_no_child_process()
 
     def test_failed_run_reaps_its_helpers(self, kind):
@@ -532,14 +534,14 @@ class TestHelpers:
         with plan():
             fed = make_run(seed=22, rounds=2)
             [run] = fed.runs
-            run.test = Dataset(np.zeros((0, 10)), np.zeros(0, dtype=np.int64), 4)
+            fed.test = Dataset(np.zeros((0, 10)), np.zeros(0, dtype=np.int64), 4)
             # evaluate, after training: in the evaluator, on a spare CPU
             error = ValueError if kind == "worker" else RuntimeError
             with pytest.raises(error) as info:
                 fed.run()
         cause = info.value if kind == "worker" else info.value.__cause__
         assert isinstance(cause, ValueError) and str(cause) == "test set must be nonempty"
-        assert helpers(run)
+        assert helpers(fed, run)
         assert_no_child_process()
 
     def test_pair_run_reaps_both_runs_helpers(self, kind):
@@ -548,7 +550,7 @@ class TestHelpers:
             pair = TestCombinedVanillaRun().build(seed=23)
             pair.run()
         half_run, full_run = pair.runs
-        assert helpers(half_run) and helpers(full_run)
+        assert helpers(pair, half_run) and helpers(pair, full_run)
         assert_no_child_process()
 
     def test_collected_run_reaps_its_helpers(self, kind):
@@ -556,7 +558,7 @@ class TestHelpers:
         with plan():
             fed = make_run(seed=46)
             fed.run_round()
-        assert helpers(fed.runs[0])
+        assert helpers(fed, fed.runs[0])
         del fed
         gc.collect()
         assert_no_child_process()
@@ -574,7 +576,7 @@ class TestHelpers:
                     first.close()
             finally:
                 second.close()
-        assert helpers(first.runs[0]) and helpers(second.runs[0])
+        assert helpers(first, first.runs[0]) and helpers(second, second.runs[0])
         assert_no_child_process()
 
     def test_closed_run_cannot_train(self, kind):
@@ -597,7 +599,7 @@ class TestHelpers:
             fed = make_run(seed=51, rounds=5)
             try:
                 fed.run_round()
-                helper = helpers(fed.runs[0])[0]
+                helper = helpers(fed, fed.runs[0])[0]
                 os.kill(helper.pid, signal.SIGKILL)
                 with deadline(), pytest.raises(RuntimeError) as info:
                     for _ in range(4):
@@ -612,11 +614,11 @@ class TestHelpers:
 
 class TestSampler:
     """A run whose stack trains in one process draws its batches and fading
-    gains one round ahead in a sampler process, and a run driven through
-    ``run()`` evaluates one round behind in an evaluator process, every
-    output byte unchanged; both end with the run, however it ends."""
+    gains one round ahead in a sampler process, and a round loop driven
+    through ``run()`` evaluates one round behind in an evaluator process,
+    every output byte unchanged; both end with the run, however it ends."""
 
-    @settings(max_examples=30, deadline=None, database=None)
+    @settings(max_examples=30)
     @given(
         shards=st.lists(
             st.lists(st.integers(0, len(LOCAL_TRAIN) - 1), min_size=1, max_size=40, unique=True),
@@ -656,9 +658,9 @@ class TestSampler:
             [run] = fed.runs
             assert (run.local.sampler is not None) == sampled
             if sampled:  # every evaluated round's accuracies came from the evaluator
-                assert list(run.evaluated) == list(range(eval_every, rounds + 1, eval_every))
+                assert list(fed.evaluated) == list(range(eval_every, rounds + 1, eval_every))
             else:
-                assert run.evaluator is None
+                assert fed.evaluator is None
             return metrics_rows(metrics), run.global_values.tobytes()
 
         assert rows(True) == rows(False)
@@ -738,7 +740,7 @@ class TestSampler:
                     metrics = [fed.run_round() for _ in range(run.rounds)]
                 finally:
                     fed.close()
-            assert (run.local.sampler is not None, run.evaluator) == (sampled, None)
+            assert (run.local.sampler is not None, fed.evaluator) == (sampled, None)
             return metrics_rows(metrics)
 
         sampled = rounds(True)
@@ -763,10 +765,10 @@ class TestSampler:
                 RuntimeError, match=r"^round 2: evaluating .* evaluator process (\d+):"
             ) as info:
                 fed.run()
-        assert info.match(rf"evaluator process {run.evaluator.pid}:")
+        assert info.match(rf"evaluator process {fed.evaluator.pid}:")
         assert isinstance(info.value.__cause__, ArithmeticError)
         # collected when round 4 took its slot; the process evaluated nothing
-        assert run.round == 4 and list(run.evaluated) == [1] and calls == []
+        assert run.round == 4 and list(fed.evaluated) == [1] and calls == []
         assert_no_child_process()
 
     def test_killed_evaluator_fails_the_run_loudly(self):
@@ -778,14 +780,14 @@ class TestSampler:
             def kill_after_round_1():  # on the instance, as a round timer wraps it
                 metrics = run_round()
                 if run.round == 1:
-                    os.kill(run.evaluator.pid, signal.SIGKILL)
+                    os.kill(fed.evaluator.pid, signal.SIGKILL)
                 return metrics
 
             fed.run_round = kill_after_round_1
             with deadline(), pytest.raises(RuntimeError) as info:
                 fed.run()
         assert info.match(
-            rf"^round \d+: evaluating .* failed in evaluator process {run.evaluator.pid}: "
+            rf"^round \d+: evaluating .* failed in evaluator process {fed.evaluator.pid}: "
             "it was killed by signal 9$"
         )
         assert_no_child_process()
@@ -807,7 +809,7 @@ class TestSampler:
                 fed.run()
         assert str(info.value) == "round 4: the local loss of device(s) 2 is not finite"
         # round 3 took round 1's slot
-        assert run.evaluator is not None and list(run.evaluated) == [1]
+        assert fed.evaluator is not None and list(fed.evaluated) == [1]
         assert_no_child_process()
 
 
@@ -999,7 +1001,7 @@ class TestCombinedVanillaRun:
             init = init_params(layout, rngmod.stream(seed, "init", tag))
             return FederatedRun(
                 layout=layout, init_values=init.values, train=train, shards=shards,
-                test=test, train_cfg=train_cfg, chan_cfg=chan, fed_cfg=fed_cfg,
+                train_cfg=train_cfg, chan_cfg=chan, fed_cfg=fed_cfg,
                 widths=(Width(build_mask(layout, 1.0), label, bits, mflops),),
                 thresholds=np.array([vanilla_threshold(chan, payload)]),
                 rounds=rounds, master_seed=seed, stream_tag=(tag,),
@@ -1008,7 +1010,7 @@ class TestCombinedVanillaRun:
         return Federation((
             sub(layout_half, "half", "v-half", cost.half_bits, cost.half_mflops, 1.0),
             sub(layout_full, "full", "v-full", cost.full_bits, cost.full_mflops, 2.0),
-        ))
+        ), test)
 
     def test_doubles_power_and_sums_compute(self):
         run = self.build()

@@ -158,19 +158,24 @@ def test_outputs_match_pins(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
 
 
-def evaluated_off_path(run):
-    """Whether every round that ``run`` evaluated was evaluated in its
-    evaluator process."""
-    evaluated = range(run.eval_every, run.rounds + 1, run.eval_every)
-    return run.evaluator is not None and list(run.evaluated) == list(evaluated)
+def evaluated_off_path(fed):
+    """Whether every round that the round loop ``fed`` evaluated was
+    evaluated in its evaluator process, every run's global model in it."""
+    evaluated = range(fed.eval_every, fed.rounds + 1, fed.eval_every)
+    widths = sum(len(run.widths) for run in fed.runs)
+    return (
+        fed.evaluator is not None and list(fed.evaluated) == list(evaluated)
+        and all(len(accuracies) == widths for accuracies in fed.evaluated.values())
+    )
 
 
-# an engine: the plan that makes a run use it, and whether a run did
+# an engine: the plan that makes a round loop use it, and whether a loop did
 ENGINES = {
     "sampled": (
-        sampled_rounds, lambda run: run.local.sampler is not None and evaluated_off_path(run)
+        sampled_rounds, lambda fed: evaluated_off_path(fed)
+        and all(run.local.sampler is not None for run in fed.runs)
     ),
-    "split": (split_stacks, lambda run: run.local.parts == 2),
+    "split": (split_stacks, lambda fed: all(run.local.parts == 2 for run in fed.runs)),
 }
 
 
@@ -184,4 +189,4 @@ def test_every_engine_matches_pins(name, engine, tmp_path):
     built = []
     with plan():
         assert digests(name, tmp_path, built) == GOLDEN[name]
-    assert all(used(run) for run in built[0].runs)
+    assert used(built[0])

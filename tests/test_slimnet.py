@@ -225,7 +225,7 @@ class TestBackward:
 
 
 class TestMaskProperty:
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(
         dims=st.lists(st.integers(1, 12), min_size=2, max_size=5),
         narrow=st.lists(
@@ -268,7 +268,7 @@ class TestSharedFirstLayer:
         return h, trace
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(
         dims=st.lists(st.integers(1, 12), min_size=2, max_size=5),
         ratios=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3, unique=True),

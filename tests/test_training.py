@@ -139,7 +139,7 @@ def optimizer(kind, lr, size):
 class TestFusedLosses:
     """The step's fused (loss, logit gradient) pairs are the four definitions, bit for bit."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         counts=st.one_of(st.none(), st.lists(st.integers(1, 8), min_size=1, max_size=5)),
         batch=st.integers(1, 8),
@@ -464,7 +464,7 @@ class TestStackedSteps:
         ]
         assert_stack_equals_devices_alone(cfg, singles, batches, counts)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         rule=st.sampled_from(sorted(STEP_FUNCTIONS)),
         optimizer=st.sampled_from(["adam", "sgd"]),
