@@ -14,9 +14,12 @@ forked process (a split stack's worker, a run's sampler or a loop's
 evaluator) that runs one job per request and answers None or the job's
 exception; a helper that fails or dies raises ``HelperError`` in the
 process, naming the round, the job, the helper's role and pid, and how it
-ended.  A ``Ring`` is a spare-CPU helper (the sampler, the evaluator)
-whose rounds take two slots of shared arrays in turn, each slot a
-``record``.
+ended.  A ``spin`` helper and the process poll for each other's next
+message for up to ``SPIN_S`` before they block: ``spins`` says whether
+every busy thread has a CPU of its own, which ``federation.Federation``
+asks once its runs have started, for their split stacks' workers.  A
+``Ring`` is a spare-CPU helper (the sampler, the evaluator) whose rounds
+take two slots of shared arrays in turn, each slot a ``record``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import mmap
 import os
 import signal
 import sys
+import time
 import weakref
 from collections import deque
 from types import SimpleNamespace
@@ -39,6 +43,17 @@ import numpy as np
 # fanout-style stack (batch 8) trained at x0.76 the one-process speed at 20
 # devices and x1.20 at 22, x1.3-1.7 from 24 to 100 (2 CPUs).
 MIN_DEVICES_PER_PART = 12
+
+# How long a spinning helper polls for its next request, and the process for
+# its answer, before blocking in recv: about the median wait.  In a
+# fanout-shaped run (K=100 in two parts, 2 vCPUs under KVM) a worker waited
+# 0.37-0.42 ms after its answer for the next round's request (p90 1.1 ms,
+# the evaluated rounds').  A message reached a polling reader 22-27 us after
+# its send (median; p98 47-68 us) and a blocked one 42-54 us (p98 0.2-1.6
+# ms).  On the benchmark's fanout a 1 ms budget ran x1.074 the blocking
+# parent's rounds/s against x1.098, and a 5 ms one, which polled through
+# the host-speed probe between rounds, lost its gain to the normalisation.
+SPIN_S = 0.0005
 
 
 def available_cpus() -> int:
@@ -62,7 +77,22 @@ def plan(n_devices: int) -> tuple[int, bool]:
         return 1, False
     cpus = available_cpus()
     parts = max(1, min(cpus, n_devices // MIN_DEVICES_PER_PART))
-    return parts, parts == 1 and cpus > len(os.listdir("/proc/self/task")) + len(_PROCESS_ENDS)
+    return parts, parts == 1 and cpus > _busy()
+
+
+def spins() -> bool:
+    """Whether a split stack's workers and the process may poll for each
+    other's messages (``Helper.spin``): when every busy thread has a CPU of
+    its own, this process's threads plus its live helpers at most the CPUs,
+    counted as ``plan`` counts them.  A ``vanilla-1.5x`` pair's two workers
+    on 2 CPUs leave no CPU to poll on, nor does a second thread.  Linux
+    only: elsewhere they block."""
+    return sys.platform.startswith("linux") and _busy() <= available_cpus()
+
+
+def _busy() -> int:
+    """This process's threads and its live helpers."""
+    return len(os.listdir("/proc/self/task")) + len(_PROCESS_ENDS)
 
 
 def shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -95,9 +125,14 @@ class Helper:
     ``role`` ("worker", "sampler", "evaluator") and ``task`` (what the job
     does) name it in errors.  A ``background`` helper runs under
     ``SCHED_BATCH``: its wake-up waits for a CPU rather than preempt the
-    process.  ``close`` closes the pipe, so the helper leaves its loop, and
-    reaps it; it also runs when the helper is collected.
+    process.  While ``spin`` is set, the helper polls for its next request
+    after each answer, and the process for each answer, for up to
+    ``SPIN_S`` before blocking, so neither pays a sleeping CPU's wake-up.
+    ``close`` closes the pipe, so the helper leaves its loop, and reaps it;
+    it also runs when the helper is collected.
     """
+
+    spin = False
 
     def __init__(self, role: str, task: str, job, background: bool = False):
         # imported here: 1.5 MB and 15 ms in every process otherwise
@@ -127,7 +162,7 @@ class Helper:
     def ask(self, round_: int) -> None:
         """Send the helper round ``round_``'s request."""
         try:
-            self.end.send(round_)
+            self.end.send((round_, self.spin))
         except OSError:
             raise self._lost(round_) from None
 
@@ -135,6 +170,8 @@ class Helper:
         """The helper's answer to its oldest request: None, or the error to
         raise for round ``round_``."""
         try:
+            if self.spin:
+                _poll(self.end)
             reply = self.end.recv()
         except (EOFError, OSError):
             return self._lost(round_)
@@ -162,10 +199,14 @@ class Helper:
     @staticmethod
     def _serve(end, job) -> None:
         """A helper's loop: run the job of each request and answer it, until
-        the process closes its end."""
+        the process closes its end; after answering a request that spins,
+        poll for the next before blocking."""
+        spin = False
         while True:
             try:
-                round_ = end.recv()
+                if spin:
+                    _poll(end)
+                round_, spin = end.recv()
             except (EOFError, OSError):
                 return
             try:
@@ -194,6 +235,14 @@ class Helper:
         with contextlib.suppress(ChildProcessError):
             return os.waitpid(pid, 0)[1]
         return 0
+
+
+def _poll(end) -> None:
+    """Return once ``end`` has a message to read or ``SPIN_S`` has passed,
+    yielding the CPU between polls; a closed or broken pipe reads as one."""
+    deadline = time.perf_counter() + SPIN_S
+    while not end.poll(0) and time.perf_counter() < deadline:
+        os.sched_yield()
 
 
 class Ring(Helper):

@@ -1,12 +1,15 @@
 """Suite-wide checks and the one ``hypothesis`` profile, and helpers for
-tests of the split local-training engine and of the spare-CPU helpers, a
-run's sampler and its ``Federation``'s evaluator."""
+tests of the split local-training engine, its spinning or blocking
+handoffs, and the spare-CPU helpers, a run's sampler and its
+``Federation``'s evaluator."""
 
 import contextlib
 import os
+import tempfile
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from slimfl import engine, federation
 
@@ -14,6 +17,10 @@ from slimfl import engine, federation
 # database: a property replays nothing from, and writes nothing to, disk
 settings.register_profile("suite", deadline=None, database=None)
 settings.load_profile("suite")
+# what hypothesis still writes (its constants and unicode caches) goes to a
+# directory of this session's, removed when it ends, not to the checkout
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="slimfl-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @contextlib.contextmanager
@@ -35,6 +42,17 @@ def sampled_rounds(on=True):
     a second thread."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "plan", lambda n: (1, on))
+        yield
+
+
+@contextlib.contextmanager
+def spinning(on=True):
+    """Runs whose split stacks' workers and process poll for each other's
+    messages before they block (``on``) or always block, whatever
+    ``engine.spins`` finds.  Under pytest it finds no CPU to poll on 2
+    CPUs: the ``faulthandler_timeout`` watchdog is a second thread."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "spins", lambda: on)
         yield
 
 

@@ -1,7 +1,7 @@
-"""The CPU plan: how many parts a run's stack trains in, and whether a
-spare CPU hosts a sampler that draws its inputs ahead and the evaluator
-that evaluates its round loop's global models behind; and the two-slot
-``Ring`` that both spare-CPU helpers are."""
+"""The CPU plan: how many parts a run's stack trains in, whether a spare
+CPU hosts a sampler that draws its inputs ahead and the evaluator that
+evaluates its round loop's global models behind, and whether split stacks'
+workers spin; and the two-slot ``Ring`` that both spare-CPU helpers are."""
 
 import ast
 import dataclasses
@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,62 @@ def tiny_config(scheme: str):
     cfg = load_config(REFERENCE)
     federation = dataclasses.replace(cfg.federation, scheme=scheme)
     return dataclasses.replace(cfg, rounds=3, federation=federation)
+
+
+def worker_spins(scheme: str) -> list[bool]:
+    """Whether each worker of ``tiny_config(scheme)`` spins once its round
+    loop has started."""
+    fed = experiment.make_run(tiny_config(scheme), 4)
+    try:
+        fed.run_round()
+        return [worker.spin for run in fed.runs for worker in run.local.workers]
+    finally:
+        fed.close()
+
+
+@pytest.mark.skipif(not LINUX, reason="workers spin on Linux only")
+def test_workers_spin_only_when_every_busy_thread_has_a_cpu(monkeypatch):
+    """One split run on as many CPUs as its threads and its worker polls; a
+    split ``vanilla-1.5x`` pair (two workers) or one more thread leaves a
+    poller without a CPU, and blocks.  Forced to poll, a K=100 split pair on
+    2 CPUs ran 95-112 rounds/s against 113-122 blocking (5 alternations)."""
+    own = []  # the threads this test starts
+    monkeypatch.setattr(engine, "plan", lambda n: (2, False))
+    monkeypatch.setattr(engine, "available_cpus", lambda: threads() - len(own) + 1)
+    assert worker_spins("slimfl") == [True]
+    assert worker_spins("vanilla-1.5x") == [False, False]
+    stop = threading.Event()
+    own.append(threading.Thread(target=stop.wait))
+    own[0].start()
+    try:
+        assert worker_spins("slimfl") == [False]
+    finally:
+        stop.set()
+        own[0].join()
+    assert_no_child_process()
+
+
+@pytest.mark.skipif(not LINUX, reason="workers spin on Linux only")
+def test_fresh_process_split_run_spins_and_split_pair_blocks():
+    """The unpatched rule on 2 CPUs, as the benchmark's fanout meets it: a
+    24-device run splits in two and its worker spins; a pair's two workers
+    block."""
+    if len(os.sched_getaffinity(0)) != 2:
+        pytest.skip("one split run's worker takes the last CPU on 2 CPUs only")
+    code = f"""
+import dataclasses
+from slimfl import experiment
+from slimfl.config import load_config
+cfg = load_config({str(REFERENCE)!r})
+spins = []
+for scheme in ("slimfl", "vanilla-1.5x"):
+    federation = dataclasses.replace(cfg.federation, n_devices=24, scheme=scheme)
+    fed = experiment.make_run(dataclasses.replace(cfg, rounds=1, federation=federation), 4)
+    fed.run()
+    spins.append([worker.spin for run in fed.runs for worker in run.local.workers])
+print(spins)
+"""
+    assert fresh_process(code) == [[True], [False, False]]
 
 
 # tiny_config(scheme)'s round loop driven through run(): whether each of its

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_no_child_process, evaluated_ahead, sampled_rounds, split_stacks
+from conftest import (
+    assert_no_child_process, evaluated_ahead, sampled_rounds, spinning, split_stacks,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +128,11 @@ def make_run(
     return Federation((run,), test, eval_every)
 
 
+def nan_blind(values: np.ndarray) -> bytes:
+    """The bytes of ``values`` with every NaN written as the one ``np.nan``."""
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
 class TestAggregate:
     def setup_method(self):
         self.layout = Layout.mlp(6, (4,), 3)
@@ -182,7 +189,7 @@ class TestAggregate:
 
     @settings(max_examples=300)
     @given(
-        levels=st.lists(st.integers(0, 2), min_size=1, max_size=32),
+        levels=st.lists(st.integers(0, 2), min_size=1, max_size=300),
         size=st.integers(1, 40),
         first_bits=st.one_of(st.just("all"), st.integers(0, 2**16)),
         expected=st.booleans(),
@@ -219,6 +226,59 @@ class TestAggregate:
             elif len(rest) and not bits[j]:
                 oracle[j] = devices[rest, j].sum() / div_rest
         assert np.array_equal(got, oracle), (got - oracle)
+
+    @settings(max_examples=150)
+    @given(
+        n_devices=st.integers(1, 300),
+        dims=st.tuples(
+            st.integers(1, 12), st.lists(st.integers(1, 12), min_size=1, max_size=2),
+            st.integers(2, 6),
+        ),
+        ratio=st.one_of(st.just(None), st.floats(0.05, 1.0)),
+        levels=st.sampled_from(["all-2", "partial", "none"]),
+        expected=st.booleans(),
+        special=st.floats(0.0, 0.2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_segment_sums_match_column_major_copies(
+        self, n_devices, dims, ratio, levels, expected, special, seed
+    ):
+        """Each masked segment's sums, taken row by row, have the bytes of
+        numpy's sums of the segment's column-major copy, which every pinned
+        output was made with: any device count (blocks of 8, runs over 128),
+        random layouts and width ratios or a single-width plain mean, any
+        decode levels, expected-count divisors, and ±0, inf and NaN.  Only a
+        NaN's sign may differ: the sum of two NaNs keeps one operand's, and
+        a NaN in the global vector fails the round's finite check before
+        any output."""
+        rng = RNG(seed)
+        layout = Layout.mlp(dims[0], tuple(dims[1]), dims[2])
+        size = layout.size
+        bits = np.ones(size, bool) if ratio is None else build_mask(layout, ratio).bits
+        levels = {
+            "all-2": np.full(n_devices, 2), "none": np.zeros(n_devices, dtype=np.intp),
+            "partial": rng.integers(0, 3, n_devices),
+        }[levels]
+        # columns of mixed magnitudes, some whose sums overflow
+        devices = rng.normal(size=(n_devices, size)) * 10.0 ** rng.choice([-3, 0, 3, 307], size)
+        previous = rng.normal(size=size)
+        for array in (devices, previous):
+            hit = rng.random(array.shape) < special
+            array[hit] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], hit.sum())
+        divisors = tuple(rng.uniform(0.1, 1.0, 2) * n_devices) if expected else None
+
+        decoded, full = devices[levels >= 1], devices[levels >= 2]
+        div_first, div_rest = (len(decoded), len(full)) if divisors is None else divisors
+        oracle = previous.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = aggregate(previous, devices, levels, bits, divisors)
+            if len(decoded) and bits.all():
+                oracle = decoded.sum(axis=0) / div_first
+            elif len(decoded):
+                oracle[bits] = decoded[:, bits].sum(axis=0) / div_first
+                if len(full):
+                    oracle[~bits] = full[:, ~bits].sum(axis=0) / div_rest
+        assert nan_blind(got) == nan_blind(oracle)
 
 
 class TestEvaluate:
@@ -608,6 +668,54 @@ class TestHelpers:
                 fed.close()
         assert info.match(
             rf"^round \d+: \w.* failed in {kind} process {helper.pid}: it was killed by signal 9$"
+        )
+        assert_no_child_process()
+
+
+@pytest.mark.parametrize("spin", [False, True], ids=["blocking", "spinning"])
+class TestSplitHandoff:
+    """A split stack's worker and the process hand each round over by
+    polling or by blocking reads; a job that fails or a worker that dies
+    fails the round loudly either way."""
+
+    def test_failed_job_names_round_and_worker(self, spin):
+        draw, process, calls = federation.sample_fading, os.getpid(), []
+
+        def sample_fading(model, rng):
+            if os.getpid() != process:  # devices 2-3, from the worker's fork-time copy
+                calls.append(None)
+                if len(calls) == 3:
+                    raise ArithmeticError("no gain in round 2")
+            return draw(model, rng)
+
+        with split_stacks(), spinning(spin), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(federation, "sample_fading", sample_fading)
+            fed = make_run(seed=52, rounds=3)
+            with deadline(), pytest.raises(slimfl.engine.HelperError) as info:
+                fed.run()
+        [worker] = fed.runs[0].local.workers
+        assert worker.spin == spin
+        assert info.match(
+            rf"^round 2: local training of devices 2-3 failed in worker process {worker.pid}:\n"
+        )
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        assert_no_child_process()
+
+    def test_worker_killed_between_rounds_names_the_round(self, spin):
+        with split_stacks(), spinning(spin):
+            fed = make_run(seed=53, rounds=3)
+            try:
+                fed.run_round()
+                [worker] = fed.runs[0].local.workers
+                os.kill(worker.pid, signal.SIGKILL)  # while it polls for round 2, if it spins
+                with deadline(), pytest.raises(slimfl.engine.HelperError) as info:
+                    fed.run_round()
+            finally:
+                fed.close()
+        assert worker.spin == spin
+        assert info.match(
+            rf"^round 2: local training of devices 2-3 failed in worker process {worker.pid}: "
+            "it was killed by signal 9$"
         )
         assert_no_child_process()
 

@@ -10,14 +10,15 @@ a deliberate, documented output change.  Every case runs again on each
 other engine, to the same pins: with its batches and fading gains drawn
 ahead in a sampler process and its global model evaluated one round behind
 in an evaluator process, and with its device stack split over two
-processes.
+processes whose handoffs spin or block.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 
 import pytest
-from conftest import sampled_rounds, split_stacks
+from conftest import sampled_rounds, spinning, split_stacks
 
 from slimfl.channel import config_for_decode_probs
 from slimfl.config import parse_config
@@ -169,13 +170,29 @@ def evaluated_off_path(fed):
     )
 
 
+def split_over_two(spin):
+    """Whether every run of the round loop ``fed`` split its stack in two,
+    its worker spinning (``spin``) or blocking."""
+    return lambda fed: all(
+        run.local.parts == 2 and [worker.spin for worker in run.local.workers] == [spin]
+        for run in fed.runs
+    )
+
+
+@contextlib.contextmanager
+def split_plan(spin):
+    with split_stacks(), spinning(spin):
+        yield
+
+
 # an engine: the plan that makes a round loop use it, and whether a loop did
 ENGINES = {
     "sampled": (
         sampled_rounds, lambda fed: evaluated_off_path(fed)
         and all(run.local.sampler is not None for run in fed.runs)
     ),
-    "split": (split_stacks, lambda fed: all(run.local.parts == 2 for run in fed.runs)),
+    "split": (lambda: split_plan(False), split_over_two(False)),
+    "split-spinning": (lambda: split_plan(True), split_over_two(True)),
 }
 
 
@@ -184,7 +201,8 @@ ENGINES = {
 def test_every_engine_matches_pins(name, engine, tmp_path):
     """Batches drawn ahead in a sampler process with the global model
     evaluated one round behind in an evaluator process, or a stack split
-    over two processes, give the same bytes."""
+    over two processes that hand each round over by blocking reads or by
+    polling, give the same bytes."""
     plan, used = ENGINES[engine]
     built = []
     with plan():
