@@ -1,25 +1,23 @@
-"""Where a run's work runs: one CPU plan per run, and the forked helper
-processes that carry it out.
+"""Where a round loop's work runs: one CPU plan per loop, and the forked
+helper processes that carry it out.
 
-``plan`` decides, once per run, how many contiguous parts its device stack
-trains in and whether it has a CPU to spare: a one-part run's sampler draws
-its inputs one round ahead there, and, in a round loop that
-``federation.Federation.run`` drives, the loop's one evaluator evaluates
-every run's global model one round behind.  ``federation.Federation``
-plans its runs one after the other at its first round, forking the
-evaluator right after the first run whose plan spares a CPU, so on 2 CPUs
-the first run of a ``vanilla-1.5x`` pair takes the spare CPU and its
-sampler and the evaluator leave none to the second.  A ``Helper`` is one
-forked process (a split stack's worker, a run's sampler or a loop's
+``plan`` decides, once per round loop and before anything forks, how many
+contiguous parts each run's device stack trains in, whether a run has a
+CPU to spare, whether the loop forks its one evaluator, and whether split
+stacks' workers spin.  A one-part run's sampler draws its inputs one round
+ahead on its spare CPU, and, in a loop that ``federation.Federation.run``
+drives, the evaluator beside the first sampler evaluates every run's
+global model one round behind; each counts against the runs after it, so
+on 2 CPUs the first run of a ``vanilla-1.5x`` pair takes the spare CPU and
+its sampler and the evaluator leave none to the second.  A ``Helper`` is
+one forked process (a split stack's worker, a run's sampler or a loop's
 evaluator) that runs one job per request and answers None or the job's
 exception; a helper that fails or dies raises ``HelperError`` in the
 process, naming the round, the job, the helper's role and pid, and how it
-ended.  A ``spin`` helper and the process poll for each other's next
-message for up to ``SPIN_S`` before they block: ``spins`` says whether
-every busy thread has a CPU of its own, which ``federation.Federation``
-asks once its runs have started, for their split stacks' workers.  A
-``Ring`` is a spare-CPU helper (the sampler, the evaluator) whose rounds
-take two slots of shared arrays in turn, each slot a ``record``.
+ended.  A helper forked to ``spin`` and the process poll for each other's
+next message for up to ``SPIN_S`` before they block.  A ``Ring`` is a
+spare-CPU helper (the sampler, the evaluator) whose rounds take two slots
+of shared arrays in turn, each slot a ``record``.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import time
 import weakref
 from collections import deque
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,38 +60,44 @@ def available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def plan(n_devices: int) -> tuple[int, bool]:
-    """How a run of ``n_devices`` devices uses the CPUs: the number of
-    contiguous parts its stack trains in, one per CPU with at least
-    ``MIN_DEVICES_PER_PART`` devices each, and whether it has a CPU to spare
-    for a sampler that draws its inputs ahead (and for its round loop's
-    evaluator, when ``federation.Federation.run`` drives the loop).  A
-    one-part run has one when the CPUs outnumber this process's threads and
-    its live helpers: a BLAS thread pool leaves no CPU on its own, nor do
-    the helpers started before, such as the sampler of the first run of a
-    ``vanilla-1.5x`` pair and the evaluator forked after it.  Only
-    ``federation.Federation`` calls it, at its first round.  Linux only:
-    elsewhere one part, no spare CPU."""
+class Plan(NamedTuple):
+    """A round loop's use of the CPUs, taken once at its first round."""
+
+    runs: tuple[tuple[int, bool], ...]  # each run's (parts, sampled)
+    evaluates: bool  # whether the loop forks its one evaluator
+    spin: bool  # whether split stacks' workers and the process poll
+
+
+def plan(sizes: list[int], evaluates: bool) -> Plan:
+    """How a round loop over runs of ``sizes`` devices uses the CPUs, taken
+    before it forks anything; ``evaluates`` if it would evaluate ahead on a
+    spare CPU.
+
+    A run's stack trains in contiguous parts, one per CPU with at least
+    ``MIN_DEVICES_PER_PART`` devices each.  A one-part run has a CPU to
+    spare for a sampler that draws its inputs ahead when the CPUs outnumber
+    the busy threads: this process's threads, its live helpers, and the
+    helpers the runs before it fork.  The evaluator is forked beside the
+    first sampler, when the loop evaluates, and counts against the runs
+    after it too.  So a BLAS thread pool leaves no CPU to spare, nor do the
+    sampler and the evaluator of the first run of a ``vanilla-1.5x`` pair on
+    2 CPUs.  Split stacks' workers spin when every busy thread has a CPU of
+    its own once all are forked: a ``vanilla-1.5x`` pair's two workers on 2
+    CPUs leave no CPU to poll on, nor does a second thread.  Linux only:
+    elsewhere one part, nothing forked beside it, no spinning."""
     if not sys.platform.startswith("linux"):
-        return 1, False
+        return Plan(((1, False),) * len(sizes), False, False)
     cpus = available_cpus()
-    parts = max(1, min(cpus, n_devices // MIN_DEVICES_PER_PART))
-    return parts, parts == 1 and cpus > _busy()
-
-
-def spins() -> bool:
-    """Whether a split stack's workers and the process may poll for each
-    other's messages (``Helper.spin``): when every busy thread has a CPU of
-    its own, this process's threads plus its live helpers at most the CPUs,
-    counted as ``plan`` counts them.  A ``vanilla-1.5x`` pair's two workers
-    on 2 CPUs leave no CPU to poll on, nor does a second thread.  Linux
-    only: elsewhere they block."""
-    return sys.platform.startswith("linux") and _busy() <= available_cpus()
-
-
-def _busy() -> int:
-    """This process's threads and its live helpers."""
-    return len(os.listdir("/proc/self/task")) + len(_PROCESS_ENDS)
+    busy = len(os.listdir("/proc/self/task")) + len(_PROCESS_ENDS)
+    runs = []
+    for n_devices in sizes:
+        parts = max(1, min(cpus, n_devices // MIN_DEVICES_PER_PART))
+        sampled = parts == 1 and cpus > busy
+        # the evaluator is forked beside the first sampler
+        first = sampled and not any(s for _, s in runs)
+        busy += parts - 1 + sampled + (evaluates and first)
+        runs.append((parts, sampled))
+    return Plan(tuple(runs), evaluates and any(s for _, s in runs), busy <= cpus)
 
 
 def shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -125,20 +130,18 @@ class Helper:
     ``role`` ("worker", "sampler", "evaluator") and ``task`` (what the job
     does) name it in errors.  A ``background`` helper runs under
     ``SCHED_BATCH``: its wake-up waits for a CPU rather than preempt the
-    process.  While ``spin`` is set, the helper polls for its next request
-    after each answer, and the process for each answer, for up to
-    ``SPIN_S`` before blocking, so neither pays a sleeping CPU's wake-up.
-    ``close`` closes the pipe, so the helper leaves its loop, and reaps it;
-    it also runs when the helper is collected.
+    process.  A helper forked to ``spin`` polls for its next request after
+    each answer, and the process for each answer, for up to ``SPIN_S``
+    before blocking, so neither pays a sleeping CPU's wake-up.  ``close``
+    closes the pipe, so the helper leaves its loop, and reaps it; it also
+    runs when the helper is collected.
     """
 
-    spin = False
-
-    def __init__(self, role: str, task: str, job, background: bool = False):
+    def __init__(self, role: str, task: str, job, background: bool = False, spin: bool = False):
         # imported here: 1.5 MB and 15 ms in every process otherwise
         from multiprocessing.connection import Pipe
 
-        self.role, self.task = role, task
+        self.role, self.task, self.spin = role, task, spin
         self.end, helper_end = Pipe()
         self.pid = os.fork()
         if self.pid == 0:
@@ -151,7 +154,7 @@ class Helper:
                 self.end.close()
                 for other in _PROCESS_ENDS:
                     other.close()
-                self._serve(helper_end, job)
+                self._serve(helper_end, job, spin)
                 status = 0
             finally:
                 os._exit(status)
@@ -162,7 +165,7 @@ class Helper:
     def ask(self, round_: int) -> None:
         """Send the helper round ``round_``'s request."""
         try:
-            self.end.send((round_, self.spin))
+            self.end.send(round_)
         except OSError:
             raise self._lost(round_) from None
 
@@ -197,16 +200,13 @@ class Helper:
         )
 
     @staticmethod
-    def _serve(end, job) -> None:
+    def _serve(end, job, spin: bool) -> None:
         """A helper's loop: run the job of each request and answer it, until
-        the process closes its end; after answering a request that spins,
-        poll for the next before blocking."""
-        spin = False
+        the process closes its end; after each answer a ``spin`` helper
+        polls for the next request before blocking."""
         while True:
             try:
-                if spin:
-                    _poll(end)
-                round_, spin = end.recv()
+                round_ = end.recv()
             except (EOFError, OSError):
                 return
             try:
@@ -222,6 +222,8 @@ class Helper:
                 return
             except Exception:  # an exception that does not pickle
                 end.send((RuntimeError(repr(reply[0])), reply[1]))
+            if spin:
+                _poll(end)
 
     @staticmethod
     def _stop(pid: int, end, owner: int) -> int:

@@ -21,14 +21,16 @@ inputs drawn one round ahead in a forked sampler.
 
 A scheme's round loop is one ``Federation``, over its one run or, for
 ``vanilla-1.5x``, the half- and full-width baselines side by side.  At the
-first round it takes each run's ``engine.plan`` and hands it to
-``LocalTraining.start``; it evaluates every run's global model each
-evaluated round, inline or, on the first spare CPU of a loop driven
-through ``Federation.run``, in one forked evaluator one round behind while
-the process trains the next round; it reports the runs as one metrics row
-a round and closes them when the loop ends.  The sampler and the evaluator
-are each an ``engine.Ring``, the workers plain ``engine.Helper``
-processes; every output byte is the same on each engine.
+first round, before anything forks, it takes the loop's one
+``engine.plan``, hands each run its entry through ``LocalTraining.start``,
+and then forks the evaluator if the plan says so; it evaluates every run's
+global model each evaluated round, inline or, in a loop driven through
+``Federation.run`` with a CPU to spare, in that one evaluator one round
+behind while the process trains the next round; it reports the runs as
+one metrics row a round and closes them when the loop ends.  The sampler
+and the evaluator are each an ``engine.Ring``, the workers plain
+``engine.Helper`` processes; every output byte is the same on each
+engine.
 
 A round whose device loss or aggregated global vector is not finite raises
 ``ValueError`` naming the round and the devices (and width) at fault.
@@ -138,13 +140,15 @@ def _pairwise_sums(rows: np.ndarray) -> np.ndarray:
     segment's column-major copy, ``rows[:, bits]``, sums to): a run of over
     128 is split in two at a multiple of 8 below its half, and a shorter
     one of 8 or more is summed in 8 interleaved partial sums, added in
-    pairs, then the rest in order.  Computed row by row on every column at
-    once, with no copy of the columns: x2.4-3 faster."""
+    pairs, then the rest in order.  Every sum starts from +0.0, as numpy's
+    do, so a column of -0.0s sums to +0.0 at any length; only a NaN's sign
+    can differ.  Computed row by row on every column at once, with no copy
+    of the columns: x2.4-3 faster."""
     n = len(rows)
     if n > 128:
         half = n // 2 - n // 2 % 8
         return _pairwise_sums(rows[:half]) + _pairwise_sums(rows[half:])
-    total = np.full(rows.shape[1:], -0.0)  # numpy's start: keeps a lone -0.0
+    total = np.zeros(rows.shape[1:])
     if n >= 8:
         # the 8 partial sums, each over its rows in order
         stop = n - n % 8
@@ -188,15 +192,15 @@ class LocalTraining:
     its own stack.  ``_fill`` is the one draw of a round on every engine,
     into a record of the arrays declared once in ``inputs``: inline, and in
     each part, ``run`` fills a new record each round and trains from it.
-    ``start`` takes the run's engine plan: it forks one worker per part
-    after the first (``_DevicePool``), a ``LocalTraining`` of that part
-    that owns its shards, streams and optimizer rows for the rest of the
-    run, or a sampler, an ``engine.Ring`` whose slots are records of
-    ``inputs`` and whose job is ``_fill``, in its own process.  The sampler
-    is asked for rounds 1 and 2 at the start, and for round r + 2 once
-    round r has trained, up to the run's last round; a round past that is
-    asked for when it is taken.  ``close`` stops the helpers, and the
-    engine cannot run a round after it.
+    ``start`` takes the run's entry of its loop's engine plan: it forks one
+    worker per part after the first (``_DevicePool``), a ``LocalTraining``
+    of that part that owns its shards, streams and optimizer rows for the
+    rest of the run, or a sampler, an ``engine.Ring`` whose slots are
+    records of ``inputs`` and whose job is ``_fill``, in its own process.
+    The sampler is asked for rounds 1 and 2 at the start, and for round
+    r + 2 once round r has trained, up to the run's last round; a round
+    past that is asked for when it is taken.  ``close`` stops the helpers,
+    and the engine cannot run a round after it.
     """
 
     def __init__(
@@ -266,13 +270,14 @@ class LocalTraining:
             self.sampler.ask(round_ + 2)
         return local
 
-    def start(self, parts: int, sampled: bool, rounds: int) -> None:
+    def start(self, parts: int, sampled: bool, rounds: int, spin: bool = False) -> None:
         """Take the engine plan of a run of ``rounds`` rounds: run as
         ``parts`` contiguous parts, forking one worker per part after the
-        first, or draw ahead in a sampler (``sampled``)."""
+        first, which spins (``spin``) or blocks, or draw ahead in a sampler
+        (``sampled``)."""
         self.parts, self.rounds = parts, rounds
         if parts > 1:
-            self._pool = _DevicePool(self, parts)
+            self._pool = _DevicePool(self, parts, spin)
             self.workers = self._pool.workers
         elif sampled:
             self.sampler = Ring(
@@ -333,7 +338,7 @@ class _DevicePool:
     process runs the first part's.
     """
 
-    def __init__(self, local: LocalTraining, parts: int):
+    def __init__(self, local: LocalTraining, parts: int, spin: bool):
         n = len(local.shards)
         self.bounds = [i * n // parts for i in range(parts + 1)]
         self.start = shared((local.layout.size,))
@@ -344,7 +349,7 @@ class _DevicePool:
         self.workers = [
             Helper(
                 "worker", f"local training of devices {lo}-{hi - 1}",
-                functools.partial(self._run, local.part(lo, hi), lo, hi),
+                functools.partial(self._run, local.part(lo, hi), lo, hi), spin=spin,
             )
             for lo, hi in zip(self.bounds[1:-1], self.bounds[2:])
         ]
@@ -404,8 +409,8 @@ class FederatedRun:
     level >= 1 and the rest over devices at level 2.
 
     Each device's round, its local steps and its fading draw, is
-    ``LocalTraining``'s, on the engine its ``Federation`` starts; ``close``
-    stops the helpers it started.
+    ``LocalTraining``'s, on the engine its ``Federation`` starts and
+    closes.
     """
 
     def __init__(
@@ -430,7 +435,6 @@ class FederatedRun:
             raise ValueError("need one decode threshold per width")
         self.layout = layout
         self.chan_cfg = chan_cfg
-        self.fed_cfg = fed_cfg
         self.widths = widths
         self.masks = [w.mask for w in widths]
         # decode level -> the column its widest message fills, and the bits it delivers
@@ -506,33 +510,28 @@ class FederatedRun:
                 f"{width.column}-width segment are not finite; {cause}"
             )
 
-    def close(self) -> None:
-        """Stop and reap the local-training workers or the sampler."""
-        self.local.close()
-
 
 class Federation:
     """One scheme's round loop over its runs: one ``FederatedRun``, or the
     ``vanilla-1.5x`` pair of baselines, reported as one metrics row a round.
 
-    At the first round each run, in order, takes its ``engine.plan`` and
-    starts its ``LocalTraining`` on it; once all have started, their split
-    stacks' workers spin (``engine.Helper.spin``) when ``engine.spins``
-    finds a CPU for every busy thread.  ``run_round`` runs each run's
-    round and reports them as one row: each width's accuracy on ``test``
-    fills its column every ``eval_every``-th round, and a device counts
-    under the widest column any run decoded for it; the loss is the runs'
-    mean, and decoded bits, power and compute add up run by run.
+    At the first round, before anything forks, it takes the loop's one
+    ``engine.plan`` as ``plan`` and starts each run's ``LocalTraining`` on
+    that run's entry, its split stacks' workers spinning or blocking as the
+    plan says.  ``run_round`` runs each run's round and reports them as one
+    row: each width's accuracy on ``test`` fills its column every
+    ``eval_every``-th round, and a device counts under the widest column any
+    run decoded for it; the loss is the runs' mean, and decoded bits, power
+    and compute add up run by run.
 
     A round evaluates every run inline, unless the loop evaluates ahead
-    (``ahead``, which ``run`` sets) and a run's plan spares a CPU: then the
-    loop forks one evaluator right after that run starts, so a later run's
-    plan counts it.  The evaluator is an ``engine.Ring`` whose slot holds
-    every run's global vector; each evaluated round asks it for that
-    round's accuracies, first taking the oldest round when two are pending,
-    into ``evaluated``.  ``run`` fills each row from there, and calls
-    ``self.run_round``, so a wrapper set on the instance (a round timer)
-    sees every round.
+    (``ahead``, which ``run`` sets) and the plan spares a CPU: then the loop
+    forks one evaluator once its runs have started.  The evaluator is an
+    ``engine.Ring`` whose slot holds every run's global vector; each
+    evaluated round asks it for that round's accuracies, first taking the
+    oldest round when two are pending, into ``evaluated``.  ``run`` fills
+    each row from there, and calls ``self.run_round``, so a wrapper set on
+    the instance (a round timer) sees every round.
     """
 
     ahead = False  # set by run(): its rows hold NaN until filled
@@ -546,6 +545,7 @@ class Federation:
         self.eval_every = eval_every
         # the metrics field of each run's widths' accuracies, in evaluation order
         self.columns = [f"acc_{width.column}" for run in self.runs for width in run.widths]
+        self.plan: engine.Plan | None = None  # taken at the first round
         self.evaluator: Ring | None = None
         self.evaluated: dict[int, list[float]] = {}  # by round, from the evaluator
 
@@ -578,23 +578,19 @@ class Federation:
         )
 
     def _start(self) -> None:
-        """Start each run's engine on its plan, in order, and the evaluator
-        right after the first run whose plan spares a CPU; then let the
-        split stacks' workers spin if every busy thread has a CPU."""
+        """Take the loop's plan, start each run's engine on its entry, then
+        fork the evaluator if the plan says so."""
         runs = self.runs
-        for run in runs:
-            parts, spare = engine.plan(len(run.local.shards))
-            run.local.start(parts, spare, run.rounds)
-            if spare and self.ahead and self.evaluator is None and self.eval_every <= self.rounds:
-                self.evaluator = Ring(
-                    "evaluator", "evaluating the global model", self._evaluate,
-                    accuracies=((len(self.columns),), np.float64),
-                    **{f"vector{i}": ((r.layout.size,), np.float64) for i, r in enumerate(runs)},
-                )
-        spin = engine.spins()
-        for run in runs:
-            for worker in run.local.workers:
-                worker.spin = spin
+        evaluates = self.ahead and self.eval_every <= self.rounds
+        self.plan = engine.plan([len(run.local.shards) for run in runs], evaluates)
+        for run, (parts, sampled) in zip(runs, self.plan.runs):
+            run.local.start(parts, sampled, run.rounds, self.plan.spin)
+        if self.plan.evaluates:
+            self.evaluator = Ring(
+                "evaluator", "evaluating the global model", self._evaluate,
+                accuracies=((len(self.columns),), np.float64),
+                **{f"vector{i}": ((r.layout.size,), np.float64) for i, r in enumerate(runs)},
+            )
 
     def _accuracies(self, vectors) -> list[float]:
         """Each run's widths' accuracies, from its global vector in ``vectors``."""
@@ -618,10 +614,8 @@ class Federation:
 
     def close(self) -> None:
         """Stop and reap every run's helpers and the evaluator."""
-        for run in self.runs:
-            run.close()
-        if self.evaluator is not None:
-            self.evaluator.close()
+        for owner in filter(None, [*(run.local for run in self.runs), self.evaluator]):
+            owner.close()
 
     def run(self) -> list[RoundMetrics]:
         """Every round's metrics row, each evaluated round's accuracies in it."""

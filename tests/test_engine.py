@@ -1,21 +1,22 @@
-"""The CPU plan: how many parts a run's stack trains in, whether a spare
-CPU hosts a sampler that draws its inputs ahead and the evaluator that
-evaluates its round loop's global models behind, and whether split stacks'
-workers spin; and the two-slot ``Ring`` that both spare-CPU helpers are."""
+"""The CPU plan, one per round loop: how many parts each run's stack
+trains in, whether a spare CPU hosts a sampler that draws its inputs ahead
+and the evaluator that evaluates the loop's global models behind, and
+whether split stacks' workers spin; and the two-slot ``Ring`` that both
+spare-CPU helpers are."""
 
 import ast
+import contextlib
 import dataclasses
 import os
 import signal
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_no_child_process, sampled_rounds
-from hypothesis import given, settings
+from conftest import assert_no_child_process, planned, sampled_rounds
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slimfl import engine, experiment
@@ -32,10 +33,25 @@ def threads() -> int:
     return len(os.listdir("/proc/self/task"))
 
 
-def test_off_linux_one_part_and_no_sampler(monkeypatch):
-    monkeypatch.setattr(engine, "available_cpus", lambda: 64)
-    monkeypatch.setattr(sys, "platform", "darwin")
-    assert [engine.plan(n) for n in (10, 100)] == [(1, False)] * 2
+@contextlib.contextmanager
+def counts(cpus: int, threads: int, helpers: int = 0, platform: str = "linux"):
+    """What ``engine.plan`` finds: ``cpus`` CPUs, this process's ``threads``
+    and its ``helpers`` live helpers, on ``platform``."""
+    listdir = os.listdir
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "available_cpus", lambda: cpus)
+        mp.setattr(
+            os, "listdir",
+            lambda path=".": ["t"] * threads if path == "/proc/self/task" else listdir(path),
+        )
+        mp.setattr(engine, "_PROCESS_ENDS", {object() for _ in range(helpers)})
+        mp.setattr(sys, "platform", platform)
+        yield
+
+
+def test_off_linux_one_part_and_no_sampler():
+    with counts(cpus=64, threads=1, platform="darwin"):
+        assert engine.plan([10, 100], True) == engine.Plan(((1, False),) * 2, False, False)
 
 
 @pytest.mark.skipif(not LINUX, reason="the plan splits on Linux only")
@@ -47,19 +63,20 @@ def test_off_linux_one_part_and_no_sampler(monkeypatch):
 def test_parts_are_devices_over_12_capped_by_the_cpus(monkeypatch, cpus, n_devices, parts):
     assert engine.MIN_DEVICES_PER_PART == 12
     monkeypatch.setattr(engine, "available_cpus", lambda: cpus)
-    assert engine.plan(n_devices)[0] == parts
+    assert engine.plan([n_devices], False).runs[0][0] == parts
 
 
 @pytest.mark.skipif(not LINUX, reason="the sampler runs on Linux only")
 def test_sampler_needs_one_part_and_a_cpu_beyond_threads_and_helpers(monkeypatch):
     monkeypatch.setattr(engine, "available_cpus", lambda: threads() + 1)
-    assert engine.plan(10) == (1, True)
-    assert engine.plan(24) == (2, False)  # a split stack already uses the CPUs
+    assert engine.plan([10], False).runs == ((1, True),)
+    assert engine.plan([24], False).runs == ((2, False),)  # a split stack already uses the CPUs
+    assert engine.plan([10, 10], False).runs == ((1, True), (1, False))  # nor a sampler
     with monkeypatch.context() as mp:
         mp.setattr(engine, "_PROCESS_ENDS", {object()})  # a live helper takes the CPU
-        assert engine.plan(10) == (1, False)
+        assert engine.plan([10], False).runs == ((1, False),)
     monkeypatch.setattr(engine, "available_cpus", threads)
-    assert engine.plan(10) == (1, False)
+    assert engine.plan([10], False).runs == ((1, False),)
 
 
 @pytest.mark.skipif(not LINUX, reason="the sampler runs on Linux only")
@@ -69,7 +86,8 @@ def test_fresh_process_with_one_blas_thread_samples():
     a second thread."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: no CPU to spare for a sampler")
-    assert fresh_process("from slimfl import engine; print(engine.plan(10))") == (1, True)
+    code = "from slimfl import engine; print(engine.plan([10], False).runs[0])"
+    assert fresh_process(code) == (1, True)
 
 
 def fresh_process(code: str):
@@ -90,36 +108,102 @@ def tiny_config(scheme: str):
     return dataclasses.replace(cfg, rounds=3, federation=federation)
 
 
-def worker_spins(scheme: str) -> list[bool]:
-    """Whether each worker of ``tiny_config(scheme)`` spins once its round
-    loop has started."""
-    fed = experiment.make_run(tiny_config(scheme), 4)
-    try:
-        fed.run_round()
-        return [worker.spin for run in fed.runs for worker in run.local.workers]
-    finally:
-        fed.close()
+def test_workers_spin_only_when_every_busy_thread_has_a_cpu():
+    """One 24-device run on 2 CPUs splits in two, and its worker and the
+    process poll; a split ``vanilla-1.5x`` pair (two workers) or one more
+    thread leaves a poller without a CPU, and blocks.  Forced to poll, a
+    K=100 split pair on 2 CPUs ran 95-112 rounds/s against 113-122 blocking
+    (5 alternations)."""
+    with counts(cpus=2, threads=1):
+        assert engine.plan([24], True) == engine.Plan(((2, False),), False, True)
+        assert engine.plan([24, 24], True).spin is False
+    with counts(cpus=2, threads=2):
+        assert engine.plan([24], True).spin is False
 
 
-@pytest.mark.skipif(not LINUX, reason="workers spin on Linux only")
-def test_workers_spin_only_when_every_busy_thread_has_a_cpu(monkeypatch):
-    """One split run on as many CPUs as its threads and its worker polls; a
-    split ``vanilla-1.5x`` pair (two workers) or one more thread leaves a
-    poller without a CPU, and blocks.  Forced to poll, a K=100 split pair on
-    2 CPUs ran 95-112 rounds/s against 113-122 blocking (5 alternations)."""
-    own = []  # the threads this test starts
-    monkeypatch.setattr(engine, "plan", lambda n: (2, False))
-    monkeypatch.setattr(engine, "available_cpus", lambda: threads() - len(own) + 1)
-    assert worker_spins("slimfl") == [True]
-    assert worker_spins("vanilla-1.5x") == [False, False]
-    stop = threading.Event()
-    own.append(threading.Thread(target=stop.wait))
-    own[0].start()
-    try:
-        assert worker_spins("slimfl") == [False]
-    finally:
-        stop.set()
-        own[0].join()
+def parent_rule(sizes, evaluates: bool) -> engine.Plan:
+    """The rule that ``engine.plan`` restates, as the round loop once
+    applied it: each run, in order, took its own plan, counting the
+    helpers forked before it, and forked its helpers, the evaluator right
+    after the first sampler; once all had started, split stacks' workers
+    spun when every busy thread had a CPU.  Reads its counts as
+    ``engine.plan`` does."""
+    linux = sys.platform.startswith("linux")
+    live = len(engine._PROCESS_ENDS)  # the helpers forked so far
+
+    def busy():
+        return len(os.listdir("/proc/self/task")) + live
+
+    def run_plan(n_devices):
+        if not linux:
+            return 1, False
+        cpus = engine.available_cpus()
+        parts = max(1, min(cpus, n_devices // engine.MIN_DEVICES_PER_PART))
+        return parts, parts == 1 and cpus > busy()
+
+    runs, evaluator = [], False
+    for n_devices in sizes:
+        parts, spare = run_plan(n_devices)
+        runs.append((parts, spare))
+        live += parts - 1 + spare
+        if spare and evaluates and not evaluator:
+            evaluator = True
+            live += 1
+    return engine.Plan(tuple(runs), evaluator, linux and busy() <= engine.available_cpus())
+
+
+@settings(max_examples=300)
+@given(
+    # mostly the few CPUs where a thread, a helper or a part tips the rule
+    cpus=st.one_of(st.integers(1, 8), st.integers(1, 64)), threads=st.integers(1, 4),
+    helpers=st.integers(0, 3), evaluates=st.booleans(),
+    sizes=st.lists(st.integers(1, 150), min_size=1, max_size=2),
+    platform=st.sampled_from(["linux", "darwin"]),
+)
+# the second sampler takes the last CPU: the evaluator beside the first is
+# the one evaluator, so every busy thread still has a CPU
+@example(cpus=4, threads=1, helpers=0, evaluates=True, sizes=[10, 10], platform="linux")
+def test_plan_is_the_per_run_rule(cpus, threads, helpers, evaluates, sizes, platform):
+    """One plan per loop, taken before anything forks, is the plan the loop
+    once took run by run, counting each earlier run's forks, and then the
+    spin rule."""
+    with counts(cpus, threads, helpers, platform):
+        assert engine.plan(sizes, evaluates) == parent_rule(sizes, evaluates)
+
+
+def forks_counted(plan: engine.Plan) -> int:
+    """The helpers that ``plan`` counts: a worker per part after the first,
+    the samplers and the evaluator."""
+    return sum(parts - 1 + sampled for parts, sampled in plan.runs) + plan.evaluates
+
+
+@pytest.mark.skipif(not LINUX, reason="helpers fork on Linux only")
+@pytest.mark.parametrize(
+    "scheme, n_devices, forks",
+    [("slimfl", 10, 2), ("vanilla-1.5x", 10, 2), ("slimfl", 24, 1)],
+    ids=["one-run", "pair", "split"],
+)
+def test_helpers_started_are_the_plans(monkeypatch, scheme, n_devices, forks):
+    """Two CPUs beyond the threads: after the first round of a loop driven
+    through ``run()``, the live helpers are the ones its plan counted: a
+    one-run loop's sampler and evaluator, a pair's first sampler and the
+    evaluator (the second run trains inline), or a split run's worker."""
+    monkeypatch.setattr(engine, "available_cpus", lambda: threads() + 2)
+    cfg = tiny_config(scheme)
+    cfg = dataclasses.replace(
+        cfg, federation=dataclasses.replace(cfg.federation, n_devices=n_devices)
+    )
+    fed = experiment.make_run(cfg, 4)
+    live, run_round = [], fed.run_round
+
+    def first_round():
+        row = run_round()
+        live.append(len(engine._PROCESS_ENDS))
+        return row
+
+    fed.run_round = first_round
+    fed.run()
+    assert live[0] == forks_counted(fed.plan) == forks
     assert_no_child_process()
 
 
@@ -191,22 +275,22 @@ def test_fresh_process_pair_evaluates_both_runs_on_its_first_runs_spare_cpu():
 
 
 @pytest.mark.skipif(not LINUX, reason="the sampler and evaluator run on Linux only")
-def test_pair_evaluates_both_runs_in_one_evaluator(monkeypatch):
-    """A pair whose first run alone gets a spare CPU: the evaluator starts
-    right after that run, before the second run plans, and evaluates both
-    runs' global models every round; the rows are the inline pair's."""
-    spare, live = iter([True]), []
+def test_pair_evaluates_both_runs_in_one_evaluator():
+    """A pair whose first run alone gets a spare CPU: the loop takes its one
+    plan before anything forks, and its one evaluator evaluates both runs'
+    global models every round; the rows are the inline pair's."""
+    live = []  # the helpers running at each plan
 
-    def plan(n_devices):
-        live.append(len(engine._PROCESS_ENDS))  # the helpers running at each plan
-        return 1, next(spare, False)
+    def plan(sizes, evaluates):
+        live.append(len(engine._PROCESS_ENDS))
+        return engine.Plan(((1, True), (1, False)), evaluates, False)
 
-    monkeypatch.setattr(engine, "plan", plan)
-    fed = experiment.make_run(tiny_config("vanilla-1.5x"), 4)
-    rows = metrics_rows(fed.run())
+    with planned(plan):
+        fed = experiment.make_run(tiny_config("vanilla-1.5x"), 4)
+        rows = metrics_rows(fed.run())
     half, full = fed.runs
     assert (half.local.sampler is not None, full.local.sampler) == (True, None)
-    assert live == [0, 2]  # the second plan counts the sampler and the evaluator
+    assert live == [0]
     assert list(fed.evaluated) == [1, 2, 3]
     assert all(len(accuracies) == 2 for accuracies in fed.evaluated.values())
     assert rows == inline_rows("vanilla-1.5x")

@@ -240,6 +240,11 @@ class TestAggregate:
         special=st.floats(0.0, 0.2),
         seed=st.integers(0, 2**16),
     )
+    # a lone -0.0 column: numpy's sum starts from +0.0 below 8 rows too
+    @example(
+        n_devices=1, dims=(1, [1, 2], 2), ratio=0.5, levels="all-2", expected=False,
+        special=0.125, seed=1,
+    )
     def test_segment_sums_match_column_major_copies(
         self, n_devices, dims, ratio, levels, expected, special, seed
     ):
