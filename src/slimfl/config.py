@@ -123,6 +123,9 @@ class ExperimentConfig:
             raise ValueError("seeds: need at least one seed")
         if len(set(self.seeds)) < len(self.seeds):
             raise ValueError("seeds: a seed is repeated; each seed writes its own CSV")
+        for seed in self.seeds:
+            if not 0 <= seed < 2**64:  # a stream keeps a seed's low 64 bits
+                raise ValueError(f"seeds: {seed} is outside [0, 2**64)")
         if self.rounds < 1:
             raise ValueError("rounds: must be >= 1")
         if self.eval_every < 1:

@@ -2,22 +2,19 @@
 helper processes that carry it out.
 
 ``plan`` decides, once per round loop and before anything forks, how many
-contiguous parts each run's device stack trains in, whether a run has a
-CPU to spare, whether the loop forks its one evaluator, and whether split
-stacks' workers spin.  A one-part run's sampler draws its inputs one round
-ahead on its spare CPU, and, in a loop that ``federation.Federation.run``
-drives, the evaluator beside the first sampler evaluates every run's
-global model one round behind; each counts against the runs after it, so
-on 2 CPUs the first run of a ``vanilla-1.5x`` pair takes the spare CPU and
-its sampler and the evaluator leave none to the second.  A ``Helper`` is
-one forked process (a split stack's worker, a run's sampler or a loop's
-evaluator) that runs one job per request and answers None or the job's
-exception; a helper that fails or dies raises ``HelperError`` in the
-process, naming the round, the job, the helper's role and pid, and how it
-ended.  A helper forked to ``spin`` and the process poll for each other's
-next message for up to ``SPIN_S`` before they block.  A ``Ring`` is a
-spare-CPU helper (the sampler, the evaluator) whose rounds take two slots
-of shared arrays in turn, each slot a ``record``.
+contiguous parts each run's device stack trains in, whether the loop forks
+its one spare-CPU helper, and whether split stacks' workers spin.  The
+helper is forked when every stack trains in one part and the CPUs
+outnumber the busy threads; it draws every run's inputs two rounds ahead
+and, in a loop that ``federation.Federation.run`` drives, evaluates every
+run's global model two rounds behind.  A ``Helper`` is one forked process
+(a split stack's worker, or a loop's spare-CPU helper) that runs one job
+per request and answers None or the job's exception; a helper that fails
+or dies raises ``HelperError`` in the process, naming the round, the job,
+the helper's role and pid, and how it ended.  A helper forked to ``spin``
+and the process poll for each other's next message for up to ``SPIN_S``
+before they block.  A ``Ring`` is a spare-CPU helper whose rounds take two
+slots of shared arrays in turn, each slot a ``record``.
 """
 
 from __future__ import annotations
@@ -63,41 +60,31 @@ def available_cpus() -> int:
 class Plan(NamedTuple):
     """A round loop's use of the CPUs, taken once at its first round."""
 
-    runs: tuple[tuple[int, bool], ...]  # each run's (parts, sampled)
-    evaluates: bool  # whether the loop forks its one evaluator
+    parts: tuple[int, ...]  # each run's part count
+    helper: bool  # whether the loop forks its one spare-CPU helper
     spin: bool  # whether split stacks' workers and the process poll
 
 
-def plan(sizes: list[int], evaluates: bool) -> Plan:
+def plan(sizes: list[int]) -> Plan:
     """How a round loop over runs of ``sizes`` devices uses the CPUs, taken
-    before it forks anything; ``evaluates`` if it would evaluate ahead on a
-    spare CPU.
+    before it forks anything.
 
     A run's stack trains in contiguous parts, one per CPU with at least
-    ``MIN_DEVICES_PER_PART`` devices each.  A one-part run has a CPU to
-    spare for a sampler that draws its inputs ahead when the CPUs outnumber
-    the busy threads: this process's threads, its live helpers, and the
-    helpers the runs before it fork.  The evaluator is forked beside the
-    first sampler, when the loop evaluates, and counts against the runs
-    after it too.  So a BLAS thread pool leaves no CPU to spare, nor do the
-    sampler and the evaluator of the first run of a ``vanilla-1.5x`` pair on
-    2 CPUs.  Split stacks' workers spin when every busy thread has a CPU of
-    its own once all are forked: a ``vanilla-1.5x`` pair's two workers on 2
-    CPUs leave no CPU to poll on, nor does a second thread.  Linux only:
-    elsewhere one part, nothing forked beside it, no spinning."""
+    ``MIN_DEVICES_PER_PART`` devices each.  The loop forks its one helper
+    when every stack trains in one part and the CPUs outnumber the busy
+    threads: this process's threads and its live helpers.  So a BLAS thread
+    pool leaves no CPU to spare.  Split stacks' workers spin when every busy
+    thread has a CPU of its own once all are forked: a ``vanilla-1.5x``
+    pair's two workers on 2 CPUs leave no CPU to poll on, nor does a second
+    thread.  Linux only: elsewhere one part, nothing forked beside it, no
+    spinning."""
     if not sys.platform.startswith("linux"):
-        return Plan(((1, False),) * len(sizes), False, False)
+        return Plan((1,) * len(sizes), False, False)
     cpus = available_cpus()
     busy = len(os.listdir("/proc/self/task")) + len(_PROCESS_ENDS)
-    runs = []
-    for n_devices in sizes:
-        parts = max(1, min(cpus, n_devices // MIN_DEVICES_PER_PART))
-        sampled = parts == 1 and cpus > busy
-        # the evaluator is forked beside the first sampler
-        first = sampled and not any(s for _, s in runs)
-        busy += parts - 1 + sampled + (evaluates and first)
-        runs.append((parts, sampled))
-    return Plan(tuple(runs), evaluates and any(s for _, s in runs), busy <= cpus)
+    parts = tuple(max(1, min(cpus, n // MIN_DEVICES_PER_PART)) for n in sizes)
+    helper = max(parts) == 1 and cpus > busy
+    return Plan(parts, helper, busy + sum(parts) - len(parts) + helper <= cpus)
 
 
 def shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -108,9 +95,13 @@ def shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
 
 
 def record(make, **arrays) -> SimpleNamespace:
-    """One array per ``name=(shape, dtype)``, each ``make(shape, dtype)``:
-    ``np.empty`` for this process alone, ``shared`` for its helpers too."""
-    return SimpleNamespace(**{name: make(*spec) for name, spec in arrays.items()})
+    """One array per ``name=(shape, dtype)``, each ``make(shape, dtype)``
+    (``np.empty`` for this process alone, ``shared`` for its helpers too),
+    and a list of records per ``name=[arrays, ...]``."""
+    return SimpleNamespace(**{
+        name: [record(make, **each) for each in spec] if isinstance(spec, list) else make(*spec)
+        for name, spec in arrays.items()
+    })
 
 
 # the process-side pipe end of every live helper, closed in each new helper:
@@ -127,14 +118,14 @@ class Helper:
     asks of it, in order, and answers each with None or the job's exception,
     until its pipe closes.
 
-    ``role`` ("worker", "sampler", "evaluator") and ``task`` (what the job
-    does) name it in errors.  A ``background`` helper runs under
-    ``SCHED_BATCH``: its wake-up waits for a CPU rather than preempt the
-    process.  A helper forked to ``spin`` polls for its next request after
-    each answer, and the process for each answer, for up to ``SPIN_S``
-    before blocking, so neither pays a sleeping CPU's wake-up.  ``close``
-    closes the pipe, so the helper leaves its loop, and reaps it; it also
-    runs when the helper is collected.
+    ``role`` ("worker", "helper") and ``task`` (what the job does) name it
+    in errors.  A ``background`` helper runs under ``SCHED_BATCH``: its
+    wake-up waits for a CPU rather than preempt the process.  A helper
+    forked to ``spin`` polls for its next request after each answer, and
+    the process for each answer, for up to ``SPIN_S`` before blocking, so
+    neither pays a sleeping CPU's wake-up.  ``close`` closes the pipe, so
+    the helper leaves its loop, and reaps it; it also runs when the helper
+    is collected.
     """
 
     def __init__(self, role: str, task: str, job, background: bool = False, spin: bool = False):
@@ -251,13 +242,12 @@ class Ring(Helper):
     """A background helper whose rounds take two slots of shared arrays in
     turn: the k-th round asked of it uses ``slots[k % 2]``.
 
-    Each slot is a ``record`` of ``shared`` arrays, one per
-    ``name=(shape, dtype)``.
-    ``ask`` writes a round's inputs into its slot before the request goes
-    out, and the helper runs ``job(slot, round_)``, which writes the round's
-    outputs there.  ``take`` waits for the oldest round asked.  A round's
-    slot is the caller's again once taken, and a third round is asked only
-    after a take: at most two are pending.
+    Each slot is a ``record`` of ``shared`` arrays, declared by ``arrays``
+    as ``record`` takes them.  ``ask`` writes a round's inputs into its slot
+    before the request goes out, and the helper runs ``job(slot, round_)``,
+    which writes the round's outputs there.  ``take`` waits for the oldest
+    round asked.  A round's slot is the caller's again once taken, and a
+    third round is asked only after a take: at most two are pending.
     """
 
     def __init__(self, role: str, task: str, job, **arrays):

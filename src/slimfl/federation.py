@@ -16,21 +16,20 @@ step together as one (devices, P) stack, with results bitwise equal to
 training each device alone.  A large stack is split into contiguous parts,
 the process running the first part's round and one forked worker
 (``_DevicePool``) each other part's, each part drawing its own devices'
-inputs; a stack that trains in one process, with a CPU to spare, has its
-inputs drawn one round ahead in a forked sampler.
+inputs.
 
 A scheme's round loop is one ``Federation``, over its one run or, for
 ``vanilla-1.5x``, the half- and full-width baselines side by side.  At the
 first round, before anything forks, it takes the loop's one
-``engine.plan``, hands each run its entry through ``LocalTraining.start``,
-and then forks the evaluator if the plan says so; it evaluates every run's
-global model each evaluated round, inline or, in a loop driven through
-``Federation.run`` with a CPU to spare, in that one evaluator one round
-behind while the process trains the next round; it reports the runs as
-one metrics row a round and closes them when the loop ends.  The sampler
-and the evaluator are each an ``engine.Ring``, the workers plain
-``engine.Helper`` processes; every output byte is the same on each
-engine.
+``engine.plan``, hands each run its part count through
+``LocalTraining.start``, and then forks its one spare-CPU helper if the
+plan says so, when every stack trains in one process.  The helper, an
+``engine.Ring``, draws every run's inputs two rounds ahead and, in a loop
+driven through ``Federation.run``, evaluates every run's global model two
+rounds behind while the process trains; otherwise the loop evaluates
+inline.  It reports the runs as one metrics row a round and closes them
+when the loop ends.  The workers are plain ``engine.Helper`` processes;
+every output byte is the same on each engine.
 
 A round whose device loss or aggregated global vector is not finite raises
 ``ValueError`` naming the round and the devices (and width) at fault.
@@ -190,17 +189,13 @@ class LocalTraining:
 
     For the same reason a stack can run its round as contiguous parts, each
     its own stack.  ``_fill`` is the one draw of a round on every engine,
-    into a record of the arrays declared once in ``inputs``: inline, and in
-    each part, ``run`` fills a new record each round and trains from it.
-    ``start`` takes the run's entry of its loop's engine plan: it forks one
-    worker per part after the first (``_DevicePool``), a ``LocalTraining``
-    of that part that owns its shards, streams and optimizer rows for the
-    rest of the run, or a sampler, an ``engine.Ring`` whose slots are
-    records of ``inputs`` and whose job is ``_fill``, in its own process.
-    The sampler is asked for rounds 1 and 2 at the start, and for round
-    r + 2 once round r has trained, up to the run's last round; a round
-    past that is asked for when it is taken.  ``close`` stops the helpers,
-    and the engine cannot run a round after it.
+    into a record of the arrays declared once in ``inputs``: ``run`` trains
+    from a record it is handed (filled in its loop's helper) or fills a new
+    one itself, as each part does.  ``start`` takes the run's part count
+    from its loop's engine plan: it forks one worker per part after the
+    first (``_DevicePool``), a ``LocalTraining`` of that part that owns its
+    shards, streams and optimizer rows for the rest of the run.  ``close``
+    stops the workers, and a split engine cannot run a round after it.
     """
 
     def __init__(
@@ -237,18 +232,19 @@ class LocalTraining:
             chi=((len(shards),), np.float64),
         )
         self.opt = LocalOptimizer(train_cfg, (len(shards), layout.size))
-        self.parts, self.rounds = 1, 0  # set by start
+        self.parts = 1  # set by start
         self._pool: _DevicePool | None = None
         self.workers: list[Helper] = []  # a split stack's, from start
-        self.sampler: Ring | None = None
 
-    def run(self, global_values: np.ndarray, round_: int) -> LocalRound:
+    def run(self, global_values: np.ndarray, round_: int, drawn=None) -> LocalRound:
         """Round ``round_`` of every device: ``local_iters`` steps from the
-        (P,) global vector, and its fading gain.
+        (P,) global vector, and its fading gain, on the inputs of the filled
+        record ``drawn`` or, if None, of the round's own draw.
 
         Returns the trained vectors as a (devices, P) stack, each device's
         loss at its last step and its fading gain.  A split stack's trained
-        vectors are a shared buffer that the next call overwrites.
+        vectors, and the gains of a handed record, are shared buffers that a
+        later round overwrites.
         """
         if np.shape(global_values) != (self.layout.size,):
             raise ValueError(
@@ -257,39 +253,23 @@ class LocalTraining:
             )
         if self._pool is not None:
             return self._pool.run(global_values, round_)
-        if self.sampler is None:
+        if drawn is None:
             drawn = engine.record(np.empty, **self.inputs)
             self._fill(drawn, round_)
-            return (*self._train(global_values, drawn), drawn.chi)
-        if round_ > self.rounds:
-            self.sampler.ask(round_)
-        _, slot = self.sampler.take()
-        # the gains are copied out: the sampler refills the slot two rounds on
-        local = (*self._train(global_values, slot), slot.chi.copy())
-        if round_ + 2 <= self.rounds:
-            self.sampler.ask(round_ + 2)
-        return local
+        return (*self._train(global_values, drawn), drawn.chi)
 
-    def start(self, parts: int, sampled: bool, rounds: int, spin: bool = False) -> None:
-        """Take the engine plan of a run of ``rounds`` rounds: run as
-        ``parts`` contiguous parts, forking one worker per part after the
-        first, which spins (``spin``) or blocks, or draw ahead in a sampler
-        (``sampled``)."""
-        self.parts, self.rounds = parts, rounds
+    def start(self, parts: int, spin: bool = False) -> None:
+        """Run as ``parts`` contiguous parts, forking one worker per part
+        after the first, which spins (``spin``) or blocks."""
+        self.parts = parts
         if parts > 1:
             self._pool = _DevicePool(self, parts, spin)
             self.workers = self._pool.workers
-        elif sampled:
-            self.sampler = Ring(
-                "sampler", "drawing the batches and fading gains", self._fill, **self.inputs
-            )
-            for round_ in range(1, min(2, rounds) + 1):
-                self.sampler.ask(round_)
 
     def close(self) -> None:
-        """Stop and reap the workers or the sampler, whichever started."""
-        for helper in filter(None, [*self.workers, self.sampler]):
-            helper.close()
+        """Stop and reap the workers."""
+        for worker in self.workers:
+            worker.close()
 
     def part(self, lo: int, hi: int) -> "LocalTraining":
         """The engine of devices ``lo:hi`` alone, with their streams."""
@@ -303,7 +283,7 @@ class LocalTraining:
 
     def _fill(self, drawn, round_: int) -> None:
         """Round ``round_``'s inputs, into the record ``drawn`` (this
-        process's, or a sampler slot): each local step's (devices, batch,
+        process's, or a helper slot's): each local step's (devices, batch,
         ...) x and y rows, each device's batch drawn from its own stream,
         then each device's fading gain, from its stream for the round."""
         batch_idx = self.batch_idx
@@ -468,10 +448,11 @@ class FederatedRun:
         """Each device's decode level this round, from its fading gain."""
         return decode_levels(chi, self.thresholds)
 
-    def run_round(self) -> None:
-        """The next round: its ``loss``, decode ``levels`` and global vector."""
+    def run_round(self, drawn=None) -> None:
+        """The next round: its ``loss``, decode ``levels`` and global vector;
+        its inputs are the filled record ``drawn``, if given."""
         self.round += 1
-        trained, losses, chi = self.local.run(self.global_values, self.round)
+        trained, losses, chi = self.local.run(self.global_values, self.round, drawn)
         if not np.isfinite(losses).all():
             raise ValueError(
                 f"round {self.round}: the local loss of device(s) "
@@ -517,21 +498,25 @@ class Federation:
 
     At the first round, before anything forks, it takes the loop's one
     ``engine.plan`` as ``plan`` and starts each run's ``LocalTraining`` on
-    that run's entry, its split stacks' workers spinning or blocking as the
-    plan says.  ``run_round`` runs each run's round and reports them as one
-    row: each width's accuracy on ``test`` fills its column every
+    that run's part count, its split stacks' workers spinning or blocking
+    as the plan says.  ``run_round`` runs each run's round and reports them
+    as one row: each width's accuracy on ``test`` fills its column every
     ``eval_every``-th round, and a device counts under the widest column any
     run decoded for it; the loss is the runs' mean, and decoded bits, power
-    and compute add up run by run.
+    and compute add up run by run.  A round past the loop's ``rounds`` is
+    refused before anything trains.
 
-    A round evaluates every run inline, unless the loop evaluates ahead
-    (``ahead``, which ``run`` sets) and the plan spares a CPU: then the loop
-    forks one evaluator once its runs have started.  The evaluator is an
-    ``engine.Ring`` whose slot holds every run's global vector; each
-    evaluated round asks it for that round's accuracies, first taking the
-    oldest round when two are pending, into ``evaluated``.  ``run`` fills
-    each row from there, and calls ``self.run_round``, so a wrapper set on
-    the instance (a round timer) sees every round.
+    When the plan spares a CPU, the loop forks one ``helper``, an
+    ``engine.Ring`` whose slot holds every run's round inputs and global
+    vector.  It is asked for rounds 1 and 2 at the start, and for round
+    r + 2 once round r has trained, up to the loop's last round.  If the
+    loop evaluates ahead (``ahead``, which ``run`` sets), the ask for round
+    r + 2 carries round r's global vectors, and the helper evaluates them
+    after it draws; the process keeps their accuracies in ``evaluated``
+    when it takes round r + 2.  Every other evaluated round, the last two
+    included, is evaluated inline.  ``run`` fills each row from
+    ``evaluated``, and calls ``self.run_round``, so a wrapper set on the
+    instance (a round timer) sees every round.
     """
 
     ahead = False  # set by run(): its rows hold NaN until filled
@@ -546,24 +531,29 @@ class Federation:
         # the metrics field of each run's widths' accuracies, in evaluation order
         self.columns = [f"acc_{width.column}" for run in self.runs for width in run.widths]
         self.plan: engine.Plan | None = None  # taken at the first round
-        self.evaluator: Ring | None = None
-        self.evaluated: dict[int, list[float]] = {}  # by round, from the evaluator
+        self.helper: Ring | None = None
+        self.evaluated: dict[int, list[float]] = {}  # by round, from the helper
 
     def run_round(self) -> RoundMetrics:
-        runs = self.runs
-        if runs[0].round == 0:
+        runs, round_ = self.runs, self.runs[0].round + 1
+        if round_ > self.rounds:
+            raise ValueError(f"round {round_}: the round loop has only {self.rounds} rounds")
+        if round_ == 1:
             self._start()
-        for run in runs:
-            run.run_round()
-        round_, accuracies = runs[0].round, ()
-        if round_ % self.eval_every == 0:
-            if self.evaluator is None:
-                accuracies = self._accuracies([run.global_values for run in runs])
-            else:
-                self._take(1)
-                self.evaluator.ask(
-                    round_, **{f"vector{i}": run.global_values for i, run in enumerate(runs)}
-                )
+        drawn = [None] * len(runs)
+        if self.helper is not None:
+            _, slot = self.helper.take()
+            drawn = slot.runs
+            if self._ahead(round_ - 2):
+                self.evaluated[round_ - 2] = slot.accuracies.tolist()
+        for run, inputs in zip(runs, drawn):
+            run.run_round(inputs)
+        vectors = {f"vector{i}": run.global_values for i, run in enumerate(runs)}
+        accuracies = ()
+        if round_ % self.eval_every == 0 and not self._ahead(round_):
+            accuracies = self._accuracies(vectors.values())
+        if self.helper is not None and round_ + 2 <= self.rounds:
+            self.helper.ask(round_ + 2, **(vectors if self._ahead(round_) else {}))
         widest = functools.reduce(np.maximum, [run.column_at_level[run.levels] for run in runs])
         none, half, full = np.bincount(widest, minlength=3).tolist()
         return RoundMetrics(
@@ -578,19 +568,42 @@ class Federation:
         )
 
     def _start(self) -> None:
-        """Take the loop's plan, start each run's engine on its entry, then
-        fork the evaluator if the plan says so."""
+        """Take the loop's plan, start each run's engine on its part count,
+        then fork the helper if the plan says so and ask it for rounds 1
+        and 2."""
         runs = self.runs
-        evaluates = self.ahead and self.eval_every <= self.rounds
-        self.plan = engine.plan([len(run.local.shards) for run in runs], evaluates)
-        for run, (parts, sampled) in zip(runs, self.plan.runs):
-            run.local.start(parts, sampled, run.rounds, self.plan.spin)
-        if self.plan.evaluates:
-            self.evaluator = Ring(
-                "evaluator", "evaluating the global model", self._evaluate,
+        self.plan = engine.plan([len(run.local.shards) for run in runs])
+        for run, parts in zip(runs, self.plan.parts):
+            run.local.start(parts, self.plan.spin)
+        if self.plan.helper:
+            self.helper = Ring(
+                "helper", "drawing the batches and fading gains and evaluating the global "
+                "models of two rounds before", self._serve,
+                runs=[run.local.inputs for run in runs],
                 accuracies=((len(self.columns),), np.float64),
                 **{f"vector{i}": ((r.layout.size,), np.float64) for i, r in enumerate(runs)},
             )
+            for round_ in range(1, min(2, self.rounds) + 1):
+                self.helper.ask(round_)
+
+    def _ahead(self, round_: int) -> bool:
+        """Whether round ``round_`` is evaluated in the helper, as it draws
+        round ``round_ + 2``."""
+        return (
+            self.ahead and self.plan.helper and 0 < round_ <= self.rounds - 2
+            and round_ % self.eval_every == 0
+        )
+
+    def _serve(self, slot, round_: int) -> None:
+        """The helper's job: every run's inputs for round ``round_``, then,
+        if the loop evaluates round ``round_ - 2`` ahead, the accuracies of
+        the global vectors in the slot.  It reads ``plan`` and ``ahead``:
+        ``helper`` is None in its fork-time copy."""
+        for run, drawn in zip(self.runs, slot.runs):
+            run.local._fill(drawn, round_)
+        if self._ahead(round_ - 2):
+            vectors = [getattr(slot, f"vector{i}") for i in range(len(self.runs))]
+            slot.accuracies[:] = self._accuracies(vectors)
 
     def _accuracies(self, vectors) -> list[float]:
         """Each run's widths' accuracies, from its global vector in ``vectors``."""
@@ -600,21 +613,9 @@ class Federation:
             for accuracy in evaluate(SlimmableParams(run.layout, vector), run.masks, x, y)
         ]
 
-    def _evaluate(self, slot, round_: int) -> None:
-        """The evaluator's job: the accuracies of the global vectors in its slot."""
-        vectors = [getattr(slot, f"vector{i}") for i in range(len(self.runs))]
-        slot.accuracies[:] = self._accuracies(vectors)
-
-    def _take(self, keep: int) -> None:
-        """Wait for the evaluator's oldest rounds until ``keep`` stay
-        pending, and keep their accuracies."""
-        while self.evaluator is not None and len(self.evaluator.pending) > keep:
-            round_, slot = self.evaluator.take()
-            self.evaluated[round_] = slot.accuracies.tolist()
-
     def close(self) -> None:
-        """Stop and reap every run's helpers and the evaluator."""
-        for owner in filter(None, [*(run.local for run in self.runs), self.evaluator]):
+        """Stop and reap every run's workers and the helper."""
+        for owner in filter(None, [*(run.local for run in self.runs), self.helper]):
             owner.close()
 
     def run(self) -> list[RoundMetrics]:
@@ -622,11 +623,10 @@ class Federation:
         self.ahead = True
         try:
             rows = [self.run_round() for _ in range(self.rounds)]
-            self._take(0)
-            filled = {r: dict(zip(self.columns, acc)) for r, acc in self.evaluated.items()}
-            return [dataclasses.replace(row, **filled.get(row.round, {})) for row in rows]
         finally:
             self.close()
+        filled = {r: dict(zip(self.columns, acc)) for r, acc in self.evaluated.items()}
+        return [dataclasses.replace(row, **filled.get(row.round, {})) for row in rows]
 
 
 def _ids(flags: np.ndarray) -> str:

@@ -1,9 +1,10 @@
 """Suite-wide checks and the one ``hypothesis`` profile, and helpers that
 pick a round loop's engine plan for tests of the split local-training
-engine, its spinning or blocking handoffs, and the spare-CPU helpers, a
-run's sampler and its ``Federation``'s evaluator.  Each helper substitutes
-``engine.plan``, the one function that reads the CPUs, and ``spinning``
-amends the plan in force, so it composes with ``split_stacks``."""
+engine, its spinning or blocking handoffs, and the loop's one spare-CPU
+helper, which draws every run's inputs ahead and evaluates behind.  Each
+helper substitutes ``engine.plan``, the one function that reads the CPUs,
+and ``spinning`` amends the plan in force, so it composes with
+``split_stacks``."""
 
 import contextlib
 import os
@@ -28,7 +29,7 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 @contextlib.contextmanager
 def planned(plan):
-    """Round loops whose ``engine.plan`` is ``plan(sizes, evaluates)``."""
+    """Round loops whose ``engine.plan`` is ``plan(sizes)``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "plan", plan)
         yield
@@ -36,23 +37,21 @@ def planned(plan):
 
 def split_stacks(min_devices=2, cpus=2):
     """Round loops whose plan splits each stack of at least ``2 *
-    min_devices`` devices, into up to ``cpus`` parts, never samples nor
-    forks an evaluator, and whose workers block."""
-    return planned(lambda sizes, evaluates: engine.Plan(
-        tuple((max(1, min(cpus, n // min_devices)), False) for n in sizes), False, False
+    min_devices`` devices, into up to ``cpus`` parts, never forks the
+    spare-CPU helper, and whose workers block."""
+    return planned(lambda sizes: engine.Plan(
+        tuple(max(1, min(cpus, n // min_devices)) for n in sizes), False, False
     ))
 
 
 def sampled_rounds(on=True):
     """Round loops whose plan trains each stack in one process and finds a
     CPU to spare (``on``) or never does, whatever the rule finds.  On a
-    spare CPU every run starts a sampler, and a ``Federation`` driven
-    through ``run`` one evaluator for all its runs.  Under pytest the rule
-    finds no spare CPU on 2 CPUs: the ``faulthandler_timeout`` watchdog is
-    a second thread."""
-    return planned(lambda sizes, evaluates: engine.Plan(
-        ((1, on),) * len(sizes), on and evaluates, False
-    ))
+    spare CPU the loop forks its one helper, which draws every run's inputs
+    and, in a ``Federation`` driven through ``run``, evaluates them.  Under
+    pytest the rule finds no spare CPU on 2 CPUs: the
+    ``faulthandler_timeout`` watchdog is a second thread."""
+    return planned(lambda sizes: engine.Plan((1,) * len(sizes), on, False))
 
 
 @contextlib.contextmanager
@@ -62,15 +61,16 @@ def spinning(on=True):
     blocking, whatever the rule finds.  Under pytest it finds no CPU to poll
     on 2 CPUs: the ``faulthandler_timeout`` watchdog is a second thread."""
     plan = engine.plan
-    with planned(lambda sizes, evaluates: plan(sizes, evaluates)._replace(spin=on)):
+    with planned(lambda sizes: plan(sizes)._replace(spin=on)):
         yield
 
 
 @contextlib.contextmanager
 def evaluated_ahead():
-    """``sampled_rounds()``, with an evaluator however a ``Federation`` is
-    driven: one whose rounds are driven through ``run_round`` alone starts
-    one too (and its rows keep NaN accuracies)."""
+    """``sampled_rounds()``, with the helper evaluating ahead however a
+    ``Federation`` is driven: one whose rounds are driven through
+    ``run_round`` alone evaluates ahead too (and its rows keep NaN
+    accuracies)."""
     with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
         mp.setattr(federation.Federation, "ahead", True)
         yield

@@ -334,6 +334,7 @@ def trend_config(scheme, weights="0.5,0.5", hidden=32, lr=0.01, iters=1, spread=
     return dataclasses.replace(parse_config(text), channel=poor)
 
 
+@pytest.mark.slow
 def test_criterion_7_qualitative_trends():
     """Width ordering, stability under a poor channel, and weight tuning."""
     start = time.time()

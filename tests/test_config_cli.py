@@ -197,6 +197,9 @@ class TestConfigParsing:
         "text, key",
         [
             ("[experiment]\nseeds =\n", "experiment.seeds"),
+            # a seed's stream keeps its low 64 bits: these would alias 0 and 2**64 - 1
+            ("[experiment]\nseeds = 0,18446744073709551616\n", "experiment.seeds"),
+            ("[experiment]\nseeds = -1\n", "experiment.seeds"),
             ("[experiment]\nrounds = 0\n", "experiment.rounds"),
             ("[experiment]\neval_every = 0\n", "experiment.eval_every"),
             ("[dataset]\nkind = csv\n", "dataset.kind"),
@@ -506,7 +509,7 @@ class TestCli:
     )
     def test_failed_draw_exits_1_on_every_engine(self, plan, tmp_path, capsys, monkeypatch):
         # inline and in the split head the draw's error itself; in the
-        # sampler the helper's, naming the round and the process
+        # loop's spare-CPU helper the helper's, naming the round and process
         def no_gain(model, rng):
             raise ValueError("no fading gain")
 

@@ -1,8 +1,8 @@
 """The CPU plan, one per round loop: how many parts each run's stack
-trains in, whether a spare CPU hosts a sampler that draws its inputs ahead
-and the evaluator that evaluates the loop's global models behind, and
-whether split stacks' workers spin; and the two-slot ``Ring`` that both
-spare-CPU helpers are."""
+trains in, whether the loop forks its one spare-CPU helper, which draws
+every run's inputs ahead and evaluates its global models behind, and
+whether split stacks' workers spin; and the two-slot ``Ring`` that the
+helper is."""
 
 import ast
 import contextlib
@@ -51,7 +51,7 @@ def counts(cpus: int, threads: int, helpers: int = 0, platform: str = "linux"):
 
 def test_off_linux_one_part_and_no_sampler():
     with counts(cpus=64, threads=1, platform="darwin"):
-        assert engine.plan([10, 100], True) == engine.Plan(((1, False),) * 2, False, False)
+        assert engine.plan([10, 100]) == engine.Plan((1, 1), False, False)
 
 
 @pytest.mark.skipif(not LINUX, reason="the plan splits on Linux only")
@@ -63,31 +63,34 @@ def test_off_linux_one_part_and_no_sampler():
 def test_parts_are_devices_over_12_capped_by_the_cpus(monkeypatch, cpus, n_devices, parts):
     assert engine.MIN_DEVICES_PER_PART == 12
     monkeypatch.setattr(engine, "available_cpus", lambda: cpus)
-    assert engine.plan([n_devices], False).runs[0][0] == parts
+    assert engine.plan([n_devices]).parts == (parts,)
 
 
-@pytest.mark.skipif(not LINUX, reason="the sampler runs on Linux only")
+@pytest.mark.skipif(not LINUX, reason="the helper runs on Linux only")
 def test_sampler_needs_one_part_and_a_cpu_beyond_threads_and_helpers(monkeypatch):
+    """The loop's one helper, which samples every run's inputs, needs every
+    stack in one part and a CPU beyond the busy threads."""
     monkeypatch.setattr(engine, "available_cpus", lambda: threads() + 1)
-    assert engine.plan([10], False).runs == ((1, True),)
-    assert engine.plan([24], False).runs == ((2, False),)  # a split stack already uses the CPUs
-    assert engine.plan([10, 10], False).runs == ((1, True), (1, False))  # nor a sampler
+    assert engine.plan([10]).helper
+    assert engine.plan([10, 10]) == engine.Plan((1, 1), True, True)  # one for both runs
+    assert not engine.plan([24]).helper  # a split stack already uses the CPUs
+    assert not engine.plan([10, 24]).helper  # as does any split stack of the loop
     with monkeypatch.context() as mp:
         mp.setattr(engine, "_PROCESS_ENDS", {object()})  # a live helper takes the CPU
-        assert engine.plan([10], False).runs == ((1, False),)
+        assert not engine.plan([10]).helper
     monkeypatch.setattr(engine, "available_cpus", threads)
-    assert engine.plan([10], False).runs == ((1, False),)
+    assert not engine.plan([10]).helper
 
 
-@pytest.mark.skipif(not LINUX, reason="the sampler runs on Linux only")
+@pytest.mark.skipif(not LINUX, reason="the helper runs on Linux only")
 def test_fresh_process_with_one_blas_thread_samples():
     """The unpatched rule that the benchmark's one-part workloads meet.
-    Under pytest it never samples: the ``faulthandler_timeout`` watchdog is
-    a second thread."""
+    Under pytest it never forks the helper: the ``faulthandler_timeout``
+    watchdog is a second thread."""
     if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("one CPU: no CPU to spare for a sampler")
-    code = "from slimfl import engine; print(engine.plan([10], False).runs[0])"
-    assert fresh_process(code) == (1, True)
+        pytest.skip("one CPU: no CPU to spare for the helper")
+    code = "from slimfl import engine; print(tuple(engine.plan([10])))"
+    assert fresh_process(code) == ((1,), True, True)
 
 
 def fresh_process(code: str):
@@ -101,11 +104,11 @@ def fresh_process(code: str):
     return ast.literal_eval(out.stdout.strip())
 
 
-def tiny_config(scheme: str):
-    """Three rounds of the reference run, of ``scheme``."""
+def tiny_config(scheme: str, n_devices: int = 10):
+    """Four rounds of the reference run, of ``scheme`` over ``n_devices``."""
     cfg = load_config(REFERENCE)
-    federation = dataclasses.replace(cfg.federation, scheme=scheme)
-    return dataclasses.replace(cfg, rounds=3, federation=federation)
+    federation = dataclasses.replace(cfg.federation, scheme=scheme, n_devices=n_devices)
+    return dataclasses.replace(cfg, rounds=4, federation=federation)
 
 
 def test_workers_spin_only_when_every_busy_thread_has_a_cpu():
@@ -115,85 +118,64 @@ def test_workers_spin_only_when_every_busy_thread_has_a_cpu():
     K=100 split pair on 2 CPUs ran 95-112 rounds/s against 113-122 blocking
     (5 alternations)."""
     with counts(cpus=2, threads=1):
-        assert engine.plan([24], True) == engine.Plan(((2, False),), False, True)
-        assert engine.plan([24, 24], True).spin is False
+        assert engine.plan([24]) == engine.Plan((2,), False, True)
+        assert engine.plan([24, 24]).spin is False
     with counts(cpus=2, threads=2):
-        assert engine.plan([24], True).spin is False
+        assert engine.plan([24]).spin is False
 
 
-def parent_rule(sizes, evaluates: bool) -> engine.Plan:
-    """The rule that ``engine.plan`` restates, as the round loop once
-    applied it: each run, in order, took its own plan, counting the
-    helpers forked before it, and forked its helpers, the evaluator right
-    after the first sampler; once all had started, split stacks' workers
-    spun when every busy thread had a CPU.  Reads its counts as
-    ``engine.plan`` does."""
-    linux = sys.platform.startswith("linux")
-    live = len(engine._PROCESS_ENDS)  # the helpers forked so far
-
-    def busy():
-        return len(os.listdir("/proc/self/task")) + live
-
-    def run_plan(n_devices):
-        if not linux:
-            return 1, False
-        cpus = engine.available_cpus()
-        parts = max(1, min(cpus, n_devices // engine.MIN_DEVICES_PER_PART))
-        return parts, parts == 1 and cpus > busy()
-
-    runs, evaluator = [], False
-    for n_devices in sizes:
-        parts, spare = run_plan(n_devices)
-        runs.append((parts, spare))
-        live += parts - 1 + spare
-        if spare and evaluates and not evaluator:
-            evaluator = True
-            live += 1
-    return engine.Plan(tuple(runs), evaluator, linux and busy() <= engine.available_cpus())
+def one_helper_rule(sizes) -> engine.Plan:
+    """The rule that ``engine.plan`` states, read as ``engine.plan`` reads
+    its counts: a stack trains in one part per CPU with at least
+    ``MIN_DEVICES_PER_PART`` devices each; the loop forks its one helper
+    only if no stack is split and a CPU is idle beside this process's
+    threads and its live helpers; split stacks' workers spin only if the
+    threads, the live helpers and every process the loop forks each have a
+    CPU.  Off Linux: one part each, no helper, no spinning."""
+    if not sys.platform.startswith("linux"):
+        return engine.Plan(tuple(1 for _ in sizes), False, False)
+    cpus = engine.available_cpus()
+    idle = cpus - len(os.listdir("/proc/self/task")) - len(engine._PROCESS_ENDS)
+    parts = tuple(max(1, min(cpus, n // engine.MIN_DEVICES_PER_PART)) for n in sizes)
+    workers = sum(parts) - len(parts)
+    helper = workers == 0 and idle >= 1
+    return engine.Plan(parts, helper, workers + helper <= idle)
 
 
 @settings(max_examples=300)
 @given(
     # mostly the few CPUs where a thread, a helper or a part tips the rule
     cpus=st.one_of(st.integers(1, 8), st.integers(1, 64)), threads=st.integers(1, 4),
-    helpers=st.integers(0, 3), evaluates=st.booleans(),
-    sizes=st.lists(st.integers(1, 150), min_size=1, max_size=2),
+    helpers=st.integers(0, 3), sizes=st.lists(st.integers(1, 150), min_size=1, max_size=2),
     platform=st.sampled_from(["linux", "darwin"]),
 )
-# the second sampler takes the last CPU: the evaluator beside the first is
-# the one evaluator, so every busy thread still has a CPU
-@example(cpus=4, threads=1, helpers=0, evaluates=True, sizes=[10, 10], platform="linux")
-def test_plan_is_the_per_run_rule(cpus, threads, helpers, evaluates, sizes, platform):
-    """One plan per loop, taken before anything forks, is the plan the loop
-    once took run by run, counting each earlier run's forks, and then the
-    spin rule."""
+# a vanilla-1.5x pair on 2 CPUs: one helper for both runs
+@example(cpus=2, threads=1, helpers=0, sizes=[10, 10], platform="linux")
+def test_plan_is_the_one_helper_rule(cpus, threads, helpers, sizes, platform):
+    """One plan per loop, taken before anything forks: each run's parts,
+    the loop's one helper or none, and the spin rule."""
     with counts(cpus, threads, helpers, platform):
-        assert engine.plan(sizes, evaluates) == parent_rule(sizes, evaluates)
+        assert engine.plan(sizes) == one_helper_rule(sizes)
 
 
 def forks_counted(plan: engine.Plan) -> int:
     """The helpers that ``plan`` counts: a worker per part after the first,
-    the samplers and the evaluator."""
-    return sum(parts - 1 + sampled for parts, sampled in plan.runs) + plan.evaluates
+    and the loop's one spare-CPU helper."""
+    return sum(plan.parts) - len(plan.parts) + plan.helper
 
 
 @pytest.mark.skipif(not LINUX, reason="helpers fork on Linux only")
 @pytest.mark.parametrize(
-    "scheme, n_devices, forks",
-    [("slimfl", 10, 2), ("vanilla-1.5x", 10, 2), ("slimfl", 24, 1)],
+    "scheme, n_devices", [("slimfl", 10), ("vanilla-1.5x", 10), ("slimfl", 24)],
     ids=["one-run", "pair", "split"],
 )
-def test_helpers_started_are_the_plans(monkeypatch, scheme, n_devices, forks):
+def test_helpers_started_are_the_plans(monkeypatch, scheme, n_devices):
     """Two CPUs beyond the threads: after the first round of a loop driven
-    through ``run()``, the live helpers are the ones its plan counted: a
-    one-run loop's sampler and evaluator, a pair's first sampler and the
-    evaluator (the second run trains inline), or a split run's worker."""
+    through ``run()``, the live helpers are the ones its plan counted, one
+    of them: a one-run loop's or a pair's spare-CPU helper, or a split
+    run's worker."""
     monkeypatch.setattr(engine, "available_cpus", lambda: threads() + 2)
-    cfg = tiny_config(scheme)
-    cfg = dataclasses.replace(
-        cfg, federation=dataclasses.replace(cfg.federation, n_devices=n_devices)
-    )
-    fed = experiment.make_run(cfg, 4)
+    fed = experiment.make_run(tiny_config(scheme, n_devices), 4)
     live, run_round = [], fed.run_round
 
     def first_round():
@@ -203,45 +185,34 @@ def test_helpers_started_are_the_plans(monkeypatch, scheme, n_devices, forks):
 
     fed.run_round = first_round
     fed.run()
-    assert live[0] == forks_counted(fed.plan) == forks
+    assert live[0] == forks_counted(fed.plan) == 1
+    assert (fed.helper is not None) == (n_devices == 10)
     assert_no_child_process()
 
 
-@pytest.mark.skipif(not LINUX, reason="workers spin on Linux only")
-def test_fresh_process_split_run_spins_and_split_pair_blocks():
-    """The unpatched rule on 2 CPUs, as the benchmark's fanout meets it: a
-    24-device run splits in two and its worker spins; a pair's two workers
-    block."""
-    if len(os.sched_getaffinity(0)) != 2:
-        pytest.skip("one split run's worker takes the last CPU on 2 CPUs only")
-    code = f"""
+# tiny_config(scheme, n_devices)'s round loop driven through run(), in a
+# process that counts its _fill calls (a helper counts its own): the
+# helpers live after each round, the process's draws, each run's part
+# count, whether its split workers spin, the rounds its helper evaluated
+# with their accuracy counts, and its rows
+LOOP = f"""
 import dataclasses
-from slimfl import experiment
-from slimfl.config import load_config
-cfg = load_config({str(REFERENCE)!r})
-spins = []
-for scheme in ("slimfl", "vanilla-1.5x"):
-    federation = dataclasses.replace(cfg.federation, n_devices=24, scheme=scheme)
-    fed = experiment.make_run(dataclasses.replace(cfg, rounds=1, federation=federation), 4)
-    fed.run()
-    spins.append([worker.spin for run in fed.runs for worker in run.local.workers])
-print(spins)
-"""
-    assert fresh_process(code) == [[True], [False, False]]
-
-
-# tiny_config(scheme)'s round loop driven through run(): whether each of its
-# runs sampled ahead, the rounds its evaluator evaluated, and its rows
-TINY_RUN = f"""
-import dataclasses
-from slimfl import experiment
+from slimfl import engine, experiment, federation
 from slimfl.config import load_config
 from slimfl.metrics import metrics_rows
+fills, fill = [], federation.LocalTraining._fill
+federation.LocalTraining._fill = lambda *args: fills.append(1) or fill(*args)
 cfg = load_config({str(REFERENCE)!r})
-federation = dataclasses.replace(cfg.federation, scheme={{scheme!r}})
-fed = experiment.make_run(dataclasses.replace(cfg, rounds=3, federation=federation), 4)
+federation = dataclasses.replace(cfg.federation, scheme={{scheme!r}}, n_devices={{n_devices}})
+fed = experiment.make_run(dataclasses.replace(cfg, rounds=4, federation=federation), 4)
+live, run_round = [], fed.run_round
+fed.run_round = lambda: (run_round(), live.append(len(engine._PROCESS_ENDS)))[0]
 rows = metrics_rows(fed.run())
-print(([run.local.sampler is not None for run in fed.runs], list(fed.evaluated), rows))
+print((
+    live, len(fills), [run.local.parts for run in fed.runs],
+    [worker.spin for run in fed.runs for worker in run.local.workers],
+    [(r, len(accuracies)) for r, accuracies in fed.evaluated.items()], rows,
+))
 """
 
 
@@ -250,48 +221,70 @@ def inline_rows(scheme: str):
         return metrics_rows(experiment.make_run(tiny_config(scheme), 4).run())
 
 
-@pytest.mark.skipif(not LINUX, reason="the sampler and evaluator run on Linux only")
+@pytest.mark.skipif(not LINUX, reason="the helper runs on Linux only")
 def test_fresh_process_run_samples_and_evaluates_on_the_spare_cpu():
-    """A run driven through ``run()`` under the unpatched rule starts both
-    spare-CPU helpers, and writes the inline run's rows."""
+    """A one-run loop driven through ``run()`` under the unpatched rule
+    forks exactly one helper, which draws every round (the process draws
+    none) and evaluates every round but the last two; the rows are the
+    inline run's."""
     if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("one CPU: no CPU to spare for a sampler or an evaluator")
-    sampled, evaluated, rows = fresh_process(TINY_RUN.format(scheme="slimfl"))
-    assert (sampled, evaluated) == ([True], [1, 2, 3])
+        pytest.skip("one CPU: no CPU to spare for the helper")
+    live, fills, parts, _, evaluated, rows = fresh_process(
+        LOOP.format(scheme="slimfl", n_devices=10)
+    )
+    assert (live, fills, parts, evaluated) == ([1] * 4, 0, [1], [(1, 2), (2, 2)])
     assert rows == inline_rows("slimfl")
 
 
-@pytest.mark.skipif(not LINUX, reason="the sampler and evaluator run on Linux only")
-def test_fresh_process_pair_evaluates_both_runs_on_its_first_runs_spare_cpu():
-    """A ``vanilla-1.5x`` pair under the unpatched rule: the first run's
-    plan finds the spare CPU, its sampler and the evaluator take it, so the
-    second run trains inline; every round of both runs is evaluated in the
-    one evaluator, and the rows are the inline pair's."""
-    if len(os.sched_getaffinity(0)) != 2:
-        pytest.skip("the first run's helpers leave no CPU to spare on 2 CPUs only")
-    sampled, evaluated, rows = fresh_process(TINY_RUN.format(scheme="vanilla-1.5x"))
-    assert (sampled, evaluated) == ([True, False], [1, 2, 3])
+@pytest.mark.skipif(not LINUX, reason="the helper runs on Linux only")
+def test_fresh_process_pair_forks_one_helper_for_both_runs():
+    """A ``vanilla-1.5x`` pair under the unpatched rule forks one helper,
+    which draws both runs' inputs and evaluates both runs' global models;
+    the rows are the inline pair's."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: no CPU to spare for the helper")
+    live, fills, parts, _, evaluated, rows = fresh_process(
+        LOOP.format(scheme="vanilla-1.5x", n_devices=10)
+    )
+    # each run has one width: two accuracies a round
+    assert (live, fills, parts, evaluated) == ([1] * 4, 0, [1, 1], [(1, 2), (2, 2)])
     assert rows == inline_rows("vanilla-1.5x")
 
 
-@pytest.mark.skipif(not LINUX, reason="the sampler and evaluator run on Linux only")
+@pytest.mark.skipif(not LINUX, reason="workers spin on Linux only")
+def test_fresh_process_split_run_spins_and_split_pair_blocks():
+    """The unpatched rule on 2 CPUs, as the benchmark's fanout meets it: a
+    24-device run splits in two, forks its worker and no helper, and the
+    worker spins; a pair's two workers block."""
+    if len(os.sched_getaffinity(0)) != 2:
+        pytest.skip("one split run's worker takes the last CPU on 2 CPUs only")
+    live, fills, parts, spins, evaluated, _ = fresh_process(
+        LOOP.format(scheme="slimfl", n_devices=24)
+    )
+    # the process draws its part's inputs, and its worker the other part's
+    assert (live, fills, parts, spins, evaluated) == ([1] * 4, 4, [2], [True], [])
+    live, fills, parts, spins, evaluated, _ = fresh_process(
+        LOOP.format(scheme="vanilla-1.5x", n_devices=24)
+    )
+    assert (live, fills, parts, spins, evaluated) == ([2] * 4, 8, [2, 2], [False, False], [])
+
+
+@pytest.mark.skipif(not LINUX, reason="the helper runs on Linux only")
 def test_pair_evaluates_both_runs_in_one_evaluator():
-    """A pair whose first run alone gets a spare CPU: the loop takes its one
-    plan before anything forks, and its one evaluator evaluates both runs'
-    global models every round; the rows are the inline pair's."""
+    """A pair on a spare CPU: the loop takes its one plan before anything
+    forks, and its one helper draws both runs' inputs and evaluates both
+    runs' global models; the rows are the inline pair's."""
     live = []  # the helpers running at each plan
 
-    def plan(sizes, evaluates):
+    def plan(sizes):
         live.append(len(engine._PROCESS_ENDS))
-        return engine.Plan(((1, True), (1, False)), evaluates, False)
+        return engine.Plan((1, 1), True, False)
 
     with planned(plan):
         fed = experiment.make_run(tiny_config("vanilla-1.5x"), 4)
         rows = metrics_rows(fed.run())
-    half, full = fed.runs
-    assert (half.local.sampler is not None, full.local.sampler) == (True, None)
-    assert live == [0]
-    assert list(fed.evaluated) == [1, 2, 3]
+    assert fed.helper is not None and live == [0]
+    assert list(fed.evaluated) == [1, 2]
     assert all(len(accuracies) == 2 for accuracies in fed.evaluated.values())
     assert rows == inline_rows("vanilla-1.5x")
 

@@ -279,3 +279,46 @@ class TestRunAll:
         csv = (tmp_path / "metrics_seed4.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == summary["runs"][0]["metrics_sha256"]
         assert sorted(os.listdir(tmp_path)) == ["metrics_seed4.csv", "summary.json"]
+
+
+# a small synthetic task on the default Rayleigh channel, where every part
+# of the analysis report is computed
+ANALYZE_RUN = """
+[experiment]
+seeds = 3
+
+[dataset]
+per_class = 20
+test_per_class = 5
+dim = 8
+
+[model]
+hidden = 6
+
+[federation]
+devices = 3
+"""
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("grad_batches", 3, "grad_variance_mean"),
+        ("lambda_samples", 5, "objective_samples"),
+        ("init_distance_sq", 4.0, "gap_bound_curve"),
+        ("strong_convexity", 0.5, "gap_bound_curve"),
+        ("smoothness", 20.0, "gap_bound_curve"),
+    ],
+)
+def test_each_analysis_key_changes_the_report_field_it_feeds(key, value, field):
+    """Each ``[analysis]`` key, set away from its default, changes the
+    report field it feeds (for ``lambda_samples``, the sample count)."""
+    changed = ANALYZE_RUN + f"\n[analysis]\n{key} = {value}\n"
+    assert getattr(parse_config(ANALYZE_RUN).analysis, key) != value  # away from its default
+
+    def fed(text):
+        report = experiment.analyze_experiment(parse_config(text))
+        assert report[field] is not None
+        return len(report[field]) if key == "lambda_samples" else report[field]
+
+    assert fed(changed) != fed(ANALYZE_RUN)

@@ -1,5 +1,5 @@
 """Aggregation cases, decode-level plumbing, vanilla baselines, evaluation,
-and the split engine's workers and the sampler and evaluator processes."""
+and the split engine's workers and the round loop's spare-CPU helper."""
 
 import contextlib
 import dataclasses
@@ -417,7 +417,7 @@ class TestLocalTraining:
         def two_rounds(parts):
             engine = local_training(shards, cfg, local_iters)
             try:
-                engine.start(parts, False, len(starts))
+                engine.start(parts)
                 trained = []  # bytes now: a split stack's output is overwritten next round
                 for r, start in enumerate(starts, 1):
                     trained += [array.tobytes() for array in engine.run(start, r)]
@@ -437,7 +437,7 @@ class TestLocalTraining:
         init = init_params(layout, rngmod.stream(20, "init")).values
         engine = local_training(shards, cfg)
         try:
-            engine.start(2, False, 1)
+            engine.start(2)
             with pytest.raises(RuntimeError, match=r"round 1: .* devices 2-3 failed") as info:
                 engine.run(init, 1)
         finally:
@@ -447,20 +447,19 @@ class TestLocalTraining:
 
     @pytest.mark.parametrize("sampled", [False, True], ids=["inline", "sampled"])
     def test_bad_shard_index_raises_in_one_part(self, sampled):
-        # the one-part cases of the worker's: the batch gather checks its indices
-        layout = Layout.mlp(10, (8,), 4)
+        # the one-part cases of the worker's: the batch gather checks its
+        # indices, in the process or in its round loop's helper
         shards = index_shards([[0, 1], [2, 3]])
         shards[1] = Shard(1, np.array([len(LOCAL_TRAIN)]), shards[1].class_histogram)
-        init = init_params(layout, rngmod.stream(20, "init")).values
-        engine = local_training(shards, TrainConfig(batch_size=8))
-        try:
-            engine.start(1, sampled, 1)
-            with pytest.raises((IndexError, slimfl.engine.HelperError)) as info:
-                engine.run(init, 1)
-        finally:
-            engine.close()
+        with sampled_rounds(sampled):
+            fed = make_run(seed=20, shards=shards, train_cfg=TrainConfig(batch_size=8))
+            try:
+                with pytest.raises((IndexError, slimfl.engine.HelperError)) as info:
+                    fed.run_round()
+            finally:
+                fed.close()
         if sampled:
-            assert info.match(rf"^round 1: .* sampler process {engine.sampler.pid}:")
+            assert info.match(rf"^round 1: drawing .* helper process {fed.helper.pid}:")
         assert isinstance(info.value.__cause__ if sampled else info.value, IndexError)
         assert_no_child_process()
 
@@ -472,7 +471,7 @@ class TestLocalTraining:
                 index_shards([[0, 1], [2, 3], [4, 5], [6, 7]]), TrainConfig(batch_size=2)
             )
             try:
-                engine.start(parts, False, 1)  # a split engine starts its worker here
+                engine.start(parts)  # a split engine starts its worker here
                 engine.run(init, 1)
                 for start in (np.broadcast_to(init, (4, layout.size)), init[:-1], init[None]):
                     with pytest.raises(ValueError, match=rf"one \({layout.size},\) global"):
@@ -567,24 +566,29 @@ class TestLocalTraining:
         }
 
 
-# a helper kind: the plan that makes a run start it, and the helpers of that
-# kind that a run of a round loop (a Federation) started, or its loop did
+def loop_helper(fed, run) -> list:
+    return [fed.helper] if fed.helper else []
+
+
+# a helper kind: the plan that makes a round loop (a Federation) start it,
+# and the helpers of that kind that a run of the loop started, or the loop
+# did.  The loop's one spare-CPU helper goes by its jobs: it draws
+# ("sampler") and, in a loop that evaluates ahead however it is driven,
+# evaluates too ("evaluator")
 HELPERS = {
     "worker": (
         functools.partial(split_stacks, min_devices=1),
         lambda fed, run: run.local._pool.workers if run.local.parts == 2 else [],
     ),
-    "sampler": (
-        sampled_rounds, lambda fed, run: [run.local.sampler] if run.local.sampler else []
-    ),
-    "evaluator": (evaluated_ahead, lambda fed, run: [fed.evaluator] if fed.evaluator else []),
+    "sampler": (sampled_rounds, loop_helper),
+    "evaluator": (evaluated_ahead, loop_helper),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(HELPERS))
 class TestHelpers:
-    """A run's helper processes, a split stack's workers or its sampler, and
-    its round loop's evaluator, end with it, however it ends."""
+    """A run's helper processes, a split stack's workers, or its round
+    loop's spare-CPU helper, end with it, however it ends."""
 
     def test_run_reaps_its_helpers(self, kind):
         plan, helpers = HELPERS[kind]
@@ -597,10 +601,11 @@ class TestHelpers:
     def test_failed_run_reaps_its_helpers(self, kind):
         plan, helpers = HELPERS[kind]
         with plan():
-            fed = make_run(seed=22, rounds=2)
+            fed = make_run(seed=22, rounds=4)
             [run] = fed.runs
             fed.test = Dataset(np.zeros((0, 10)), np.zeros(0, dtype=np.int64), 4)
-            # evaluate, after training: in the evaluator, on a spare CPU
+            # evaluate, after training: rounds 1 and 2 in the helper, on a
+            # spare CPU, as it draws rounds 3 and 4
             error = ValueError if kind == "worker" else RuntimeError
             with pytest.raises(error) as info:
                 fed.run()
@@ -653,7 +658,10 @@ class TestHelpers:
         [run] = fed.runs
         head = run.local._pool.head if run.local._pool else run.local
         steps = head.opt.t
-        for train in (fed.run_round, lambda: run.local.run(run.global_values, 2)):
+        trains = [fed.run_round]
+        if kind == "worker":  # a one-part engine alone draws its own inputs
+            trains.append(lambda: run.local.run(run.global_values, 2))
+        for train in trains:
             with pytest.raises(RuntimeError, match=r"^round 2: .* the run is closed"):
                 train()
         assert head.opt.t == steps  # refused before the process trained a step
@@ -671,8 +679,9 @@ class TestHelpers:
                         fed.run_round()
             finally:
                 fed.close()
+        role = "worker" if kind == "worker" else "helper"
         assert info.match(
-            rf"^round \d+: \w.* failed in {kind} process {helper.pid}: it was killed by signal 9$"
+            rf"^round \d+: \w.* failed in {role} process {helper.pid}: it was killed by signal 9$"
         )
         assert_no_child_process()
 
@@ -726,10 +735,11 @@ class TestSplitHandoff:
 
 
 class TestSampler:
-    """A run whose stack trains in one process draws its batches and fading
-    gains one round ahead in a sampler process, and a round loop driven
-    through ``run()`` evaluates one round behind in an evaluator process,
-    every output byte unchanged; both end with the run, however it ends."""
+    """A round loop whose stacks train in one process each, with a CPU to
+    spare, draws every run's batches and fading gains two rounds ahead in
+    its one helper process, which, in a loop driven through ``run()``, also
+    evaluates every run's global model two rounds behind; every output byte
+    is unchanged, and the helper ends with the loop, however it ends."""
 
     @settings(max_examples=30)
     @given(
@@ -769,18 +779,17 @@ class TestSampler:
                 )
                 metrics = fed.run()
             [run] = fed.runs
-            assert (run.local.sampler is not None) == sampled
-            if sampled:  # every evaluated round's accuracies came from the evaluator
-                assert list(fed.evaluated) == list(range(eval_every, rounds + 1, eval_every))
-            else:
-                assert fed.evaluator is None
+            assert (fed.helper is not None) == sampled
+            # every evaluated round's accuracies but the last two rounds' came from the helper
+            ahead = range(eval_every, rounds - 1, eval_every) if sampled else []
+            assert list(fed.evaluated) == list(ahead)
             return metrics_rows(metrics), run.global_values.tobytes()
 
         assert rows(True) == rows(False)
 
     def test_start_rule_leaves_a_cpu_to_each_thread_and_helper(self):
         if not sys.platform.startswith("linux"):
-            pytest.skip("the sampler runs on Linux only")
+            pytest.skip("the helper runs on Linux only")
         with pytest.MonkeyPatch.context() as mp:
             # one CPU beyond the threads at each plan: a thread can end in between
             mp.setattr(
@@ -789,46 +798,60 @@ class TestSampler:
             first, second = make_run(seed=40), make_run(seed=41)
             try:
                 first.run_round()
-                second.run_round()  # the first run's sampler took the spare CPU
+                second.run_round()  # the first loop's helper took the spare CPU
             finally:
                 first.close()
                 second.close()
-        first, second = first.runs[0].local, second.runs[0].local
-        assert (first.sampler is not None, second.sampler is None) == (True, True)
+        assert (first.helper is not None, second.helper is None) == (True, True)
 
     def test_sampler_draws_no_round_past_the_run(self, tmp_path):
+        """The helper draws every round of every run, a pair's two included,
+        exactly once, and the process draws none."""
         log = tmp_path / "draws"
         draw = federation.sample_fading
 
         def sample_fading(model, rng):
-            with log.open("a") as f:  # the sampler's memory is its own
-                f.write("draw\n")
+            with log.open("a") as f:  # the helper's memory is its own
+                f.write(f"{os.getpid()}\n")
             return draw(model, rng)
 
         with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
             mp.setattr(federation, "sample_fading", sample_fading)
-            make_run(seed=52, rounds=5).run()
-        assert log.read_text().count("draw") == 5 * 4  # rounds x devices
+            one = make_run(seed=52, rounds=5)
+            one.run()
+            pair = TestCombinedVanillaRun().build(seed=52, rounds=5)
+            pair.run()
+        # rounds x devices: 4 devices in the one run, 3 in each run of the pair
+        assert Counter(log.read_text().split()) == {
+            str(one.helper.pid): 5 * 4, str(pair.helper.pid): 2 * 5 * 3
+        }
 
-    def test_round_past_the_run_matches_inline(self):
-        def rows(sampled):
-            with sampled_rounds(sampled), deadline():
-                fed = make_run(seed=53, rounds=2)
-                [run] = fed.runs
-                try:
-                    metrics = [fed.run_round() for _ in range(run.rounds + 1)]
-                finally:
-                    fed.close()
-            assert (run.local.sampler is not None) == sampled
-            return metrics_rows(metrics), run.global_values.tobytes()
-
-        assert rows(True) == rows(False)
+    @pytest.mark.parametrize(
+        "plan", [functools.partial(sampled_rounds, False), sampled_rounds, split_stacks],
+        ids=["inline", "sampled", "split"],
+    )
+    def test_round_past_the_loop_is_refused_before_it_trains(self, plan):
+        with plan(), deadline():
+            fed = make_run(seed=53, rounds=2)
+            [run] = fed.runs
+            head = run.local
+            try:
+                fed.run_round()
+                fed.run_round()
+                head = run.local._pool.head if run.local._pool else run.local
+                steps, values = head.opt.t, run.global_values.tobytes()
+                with pytest.raises(ValueError, match=r"^round 3: the round loop has only 2 rounds$"):
+                    fed.run_round()
+            finally:
+                fed.close()
+        assert run.round == 2 and head.opt.t == steps and run.global_values.tobytes() == values
+        assert_no_child_process()
 
     def test_failed_draw_names_round_and_sampler(self):
         draws = []
 
         def sample_fading(model, rng):
-            draws.append(model)  # counted in the sampler's copy
+            draws.append(model)  # counted in the helper's copy
             if len(draws) > 4:  # every one of round 2's 4 devices
                 raise ArithmeticError("no fading gain")
             return 1.0
@@ -837,11 +860,11 @@ class TestSampler:
             mp.setattr(federation, "sample_fading", sample_fading)
             fed = make_run(seed=47)
             [run] = fed.runs
-            with pytest.raises(RuntimeError, match=r"^round 2: .* sampler process (\d+)") as info:
+            with pytest.raises(RuntimeError, match=r"^round 2: drawing .* helper process (\d+)") as info:
                 fed.run()
-        assert info.match(rf"sampler process {run.local.sampler.pid}:")
+        assert info.match(rf"helper process {fed.helper.pid}:")
         assert isinstance(info.value.__cause__, ArithmeticError)
-        assert run.round == 2 and draws == []  # round 1 ran, and the process drew nothing
+        assert run.round == 1 and draws == []  # round 1 ran, and the process drew nothing
         assert_no_child_process()
 
     def test_rounds_driven_alone_evaluate_inline(self):
@@ -853,7 +876,7 @@ class TestSampler:
                     metrics = [fed.run_round() for _ in range(run.rounds)]
                 finally:
                     fed.close()
-            assert (run.local.sampler is not None, fed.evaluator) == (sampled, None)
+            assert (fed.helper is not None, fed.evaluated) == (sampled, {})
             return metrics_rows(metrics)
 
         sampled = rounds(True)
@@ -864,7 +887,7 @@ class TestSampler:
         calls = []
 
         def evaluate(*args):
-            calls.append(args)  # counted in the evaluator's copy
+            calls.append(args)  # counted in each process's copy
             if len(calls) == 2:
                 raise ArithmeticError("no accuracy")
             return federation_evaluate(*args)
@@ -874,14 +897,15 @@ class TestSampler:
             mp.setattr(federation, "evaluate", evaluate)
             fed = make_run(seed=56, rounds=4)
             [run] = fed.runs
+            # round 2, evaluated in the helper as it drew round 4
             with pytest.raises(
-                RuntimeError, match=r"^round 2: evaluating .* evaluator process (\d+):"
+                RuntimeError, match=r"^round 4: drawing .* evaluating .* helper process (\d+):"
             ) as info:
                 fed.run()
-        assert info.match(rf"evaluator process {fed.evaluator.pid}:")
+        assert info.match(rf"helper process {fed.helper.pid}:")
         assert isinstance(info.value.__cause__, ArithmeticError)
-        # collected when round 4 took its slot; the process evaluated nothing
-        assert run.round == 4 and list(fed.evaluated) == [1] and calls == []
+        # raised when round 4 took its slot; the process evaluated round 3 alone
+        assert run.round == 3 and list(fed.evaluated) == [1] and len(calls) == 1
         assert_no_child_process()
 
     def test_killed_evaluator_fails_the_run_loudly(self):
@@ -893,14 +917,14 @@ class TestSampler:
             def kill_after_round_1():  # on the instance, as a round timer wraps it
                 metrics = run_round()
                 if run.round == 1:
-                    os.kill(fed.evaluator.pid, signal.SIGKILL)
+                    os.kill(fed.helper.pid, signal.SIGKILL)
                 return metrics
 
             fed.run_round = kill_after_round_1
             with deadline(), pytest.raises(RuntimeError) as info:
                 fed.run()
         assert info.match(
-            rf"^round \d+: evaluating .* failed in evaluator process {fed.evaluator.pid}: "
+            rf"^round \d+: drawing .* evaluating .* failed in helper process {fed.helper.pid}: "
             "it was killed by signal 9$"
         )
         assert_no_child_process()
@@ -911,8 +935,8 @@ class TestSampler:
             [run] = fed.runs
             train = run.local.run
 
-            def run_local(values, round_):
-                trained, losses, chi = (array.copy() for array in train(values, round_))
+            def run_local(values, round_, drawn):
+                trained, losses, chi = (array.copy() for array in train(values, round_, drawn))
                 if round_ == 4:
                     losses[2] = np.nan
                 return trained, losses, chi
@@ -921,8 +945,8 @@ class TestSampler:
             with pytest.raises(ValueError) as info:
                 fed.run()
         assert str(info.value) == "round 4: the local loss of device(s) 2 is not finite"
-        # round 3 took round 1's slot
-        assert fed.evaluator is not None and list(fed.evaluated) == [1]
+        # rounds 3 and 4 took round 1's and round 2's accuracies
+        assert fed.helper is not None and list(fed.evaluated) == [1, 2]
         assert_no_child_process()
 
 
@@ -977,12 +1001,12 @@ class TestSlimFLRound:
         with split_stacks():  # the "parallel" side trains in a worker process too
             par = make_run(seed=11, rounds=3, parallel=True)
             m_par = par.run()
-        with sampled_rounds():  # and a side whose draws come from a sampler process
+        with sampled_rounds():  # and a side whose draws come from a helper process
             sam = make_run(seed=11, rounds=3)
             m_sam = sam.run()
+        assert [fed.helper is not None for fed in (seq, par, sam)] == [False, False, True]
         [seq], [par], [sam] = seq.runs, par.runs, sam.runs
         assert (seq.local.parts, par.local.parts, sam.local.parts) == (1, 2, 1)
-        assert [run.local.sampler is not None for run in (seq, par, sam)] == [False, False, True]
         for run in (par, sam):
             np.testing.assert_array_equal(seq.global_values, run.global_values)
         assert m_seq == m_par == m_sam
@@ -1000,8 +1024,8 @@ class TestNonFiniteRound:
         [run] = fed.runs
         train = run.local.run
 
-        def run_local(values, round_):
-            trained, losses, chi = (array.copy() for array in train(values, round_))
+        def run_local(values, round_, drawn):
+            trained, losses, chi = (array.copy() for array in train(values, round_, drawn))
             poison(run, trained, losses)
             return trained, losses, chi
 
