@@ -5,9 +5,10 @@ is a key of the section of the same name (``[experiment]`` holds
 ``ExperimentConfig``'s own scalars), read and written by the codec of its
 type; a key missing from the file takes the field's default.  Only
 ``[channel]`` has a hand-written builder, for its unit shorthands and the
-fading model.  Unknown sections or keys are rejected, every diagnostic
-names the offending field as ``section.key``, and parse -> serialize ->
-parse is the identity.
+fading model.  Every section checks itself when it is built, so a config
+built in code is refused as a parsed one is.  Unknown sections or keys are
+rejected, every diagnostic names the offending field as ``section.key``,
+and parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class DatasetConfig:
     test_labels: str = ""
     limit: int = 0  # cap on train samples for idx datasets; 0 = all
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ValueError whose message starts with the offending field."""
         if self.kind not in ("synth", "idx"):
             raise ValueError(f"kind: unknown kind {self.kind!r}")
@@ -64,7 +65,7 @@ class ModelConfig:
     # the width ratios are TrainConfig.width_ratios, set by [model] width_ratios
     hidden: tuple[int, ...] = (128,)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ValueError whose message starts with the offending field."""
         if any(units < 1 for units in self.hidden):
             raise ValueError("hidden: every layer must have >= 1 unit")
@@ -75,7 +76,7 @@ class CostConfig:
     use_reference: bool = True
     bits_per_param: float = 32.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ValueError whose message starts with the offending field."""
         if self.bits_per_param <= 0:
             raise ValueError("bits_per_param: must be positive")
@@ -91,7 +92,7 @@ class AnalysisConfig:
     grad_batches: int = 32
     lambda_samples: int = 41
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ValueError whose message starts with the offending field."""
         if self.strong_convexity <= 0 or self.smoothness < self.strong_convexity:
             raise ValueError("strong_convexity: need 0 < strong_convexity <= smoothness")
@@ -117,7 +118,7 @@ class ExperimentConfig:
     costs: CostConfig = field(default_factory=CostConfig)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Check the ``[experiment]`` scalars; each section checks its own."""
         if not self.seeds:
             raise ValueError("seeds: need at least one seed")
@@ -309,14 +310,12 @@ def _build_channel(values: dict, sec: dict[str, str]) -> ChannelConfig:
         raise _located(exc, "channel", used) from exc
 
 
-def _validated(section: str, obj):
-    validate = getattr(obj, "validate", None)  # sections without checks have none
-    if validate is not None:
-        try:
-            validate()
-        except ValueError as exc:
-            raise _located(exc, section, _RENAMED) from exc
-    return obj
+def _built(section: str, cls, **values):
+    """``cls(**values)``, the error of its check located at ``section.key``."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise _located(exc, section, _RENAMED) from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -327,12 +326,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if raw is not None:
             given[section][name] = _decode(raw, codec, f"{ini_section}.{key}")
     parts = {
-        section: _validated(section, cls(**given[section]))
+        section: _built(section, cls, **given[section])
         for section, cls in _SECTIONS.items()
         if section not in ("experiment", "channel")
     }
     parts["channel"] = _build_channel(given["channel"], sections.get("channel", {}))
-    cfg = _validated("experiment", ExperimentConfig(**given["experiment"], **parts))
+    cfg = _built("experiment", ExperimentConfig, **given["experiment"], **parts)
     fed, ds = cfg.federation, cfg.dataset
     if ds.kind == "synth" and ds.classes * ds.per_class < fed.n_devices:
         # at the default data size it is the device count that was set too high

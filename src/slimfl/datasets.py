@@ -30,7 +30,8 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class Shard:
-    device_id: int
+    """A device's training samples; its device is its index in the shard list."""
+
     indices: np.ndarray
     class_histogram: np.ndarray
 
@@ -156,8 +157,4 @@ def dirichlet_partition(
             assigned[device] = assigned[donor][-1:]
             assigned[donor] = assigned[donor][:-1]
 
-    shards = []
-    for device, idx in enumerate(assigned):
-        hist = np.bincount(labels[idx], minlength=n_classes)
-        shards.append(Shard(device_id=device, indices=idx, class_histogram=hist))
-    return shards
+    return [Shard(idx, np.bincount(labels[idx], minlength=n_classes)) for idx in assigned]

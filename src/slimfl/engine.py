@@ -6,15 +6,16 @@ contiguous parts each run's device stack trains in, whether the loop forks
 its one spare-CPU helper, and whether split stacks' workers spin.  The
 helper is forked when every stack trains in one part and the CPUs
 outnumber the busy threads; it draws every run's inputs two rounds ahead
-and, in a loop that ``federation.Federation.run`` drives, evaluates every
-run's global model two rounds behind.  A ``Helper`` is one forked process
-(a split stack's worker, or a loop's spare-CPU helper) that runs one job
-per request and answers None or the job's exception; a helper that fails
-or dies raises ``HelperError`` in the process, naming the round, the job,
-the helper's role and pid, and how it ended.  A helper forked to ``spin``
-and the process poll for each other's next message for up to ``SPIN_S``
-before they block.  A ``Ring`` is a spare-CPU helper whose rounds take two
-slots of shared arrays in turn, each slot a ``record``.
+and evaluates every run's global model two rounds behind.  A ``Helper`` is
+one forked process (a split stack's worker, or a loop's spare-CPU helper),
+forked, fed and closed by its loop's ``federation.Federation``, that
+runs one job per request and answers None or the job's exception; a
+helper that fails or dies raises ``HelperError`` in the process, naming
+the round, the job, the helper's role and pid, and how it ended.  A
+helper forked to ``spin`` and the process poll for each other's next
+message for up to ``SPIN_S`` before they block.  A ``Ring`` is a
+spare-CPU helper whose rounds take two slots of shared arrays in turn,
+each slot a ``record``.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None) -> Fede
         return FederatedRun(
             layout=layout, init_values=init.values, train=task.train, shards=task.shards,
             train_cfg=train_cfg, chan_cfg=chan, fed_cfg=cfg.federation, widths=widths,
-            thresholds=thresholds, rounds=cfg.rounds, master_seed=seed, stream_tag=tag,
+            thresholds=thresholds, master_seed=seed, stream_tag=tag,
         )
 
     half = ("half", cost.half_bits, cost.half_mflops)
@@ -108,7 +108,7 @@ def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None) -> Fede
             Width(build_mask(task.layout, 1.0), *full),
         )
         runs = [run(task.layout, widths, decode_thresholds(chan), cfg.training)]
-        return Federation(runs, task.test, cfg.eval_every)
+        return Federation(runs, task.test, cfg.rounds, cfg.eval_every)
 
     single_width = replace(
         cfg.training, st_weights=(1.0,), width_ratios=(1.0,), algorithm="widthwise"
@@ -129,7 +129,9 @@ def make_run(cfg: ExperimentConfig, seed: int, task: Task | None = None) -> Fede
     }
     # vanilla-1.5x: both side by side, each with the full power budget
     picked = baselines.values() if scheme == "vanilla-1.5x" else [baselines[scheme]]
-    return Federation([vanilla(*args) for args in picked], task.test, cfg.eval_every)
+    return Federation(
+        [vanilla(*args) for args in picked], task.test, cfg.rounds, cfg.eval_every
+    )
 
 
 def summarize(cfg: ExperimentConfig, seed: int, metrics: list[RoundMetrics]) -> dict:

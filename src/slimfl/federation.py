@@ -13,23 +13,25 @@ Each device's round is ``LocalTraining``'s: one draw of the round's inputs
 (``_fill``: the device's batches and its fading gain), then its local
 steps.  Every device starts from the one global vector, and all devices
 step together as one (devices, P) stack, with results bitwise equal to
-training each device alone.  A large stack is split into contiguous parts,
-the process running the first part's round and one forked worker
-(``_DevicePool``) each other part's, each part drawing its own devices'
-inputs.
+training each device alone.  A large stack is split into contiguous parts
+(``_DevicePool``), the process running the first part's round and one
+forked worker each other part's, each part a ``LocalTraining`` drawing its
+own devices' inputs.
 
 A scheme's round loop is one ``Federation``, over its one run or, for
-``vanilla-1.5x``, the half- and full-width baselines side by side.  At the
-first round, before anything forks, it takes the loop's one
-``engine.plan``, hands each run its part count through
-``LocalTraining.start``, and then forks its one spare-CPU helper if the
-plan says so, when every stack trains in one process.  The helper, an
-``engine.Ring``, draws every run's inputs two rounds ahead and, in a loop
-driven through ``Federation.run``, evaluates every run's global model two
-rounds behind while the process trains; otherwise the loop evaluates
-inline.  It reports the runs as one metrics row a round and closes them
-when the loop ends.  The workers are plain ``engine.Helper`` processes;
-every output byte is the same on each engine.
+``vanilla-1.5x``, the half- and full-width baselines side by side.  It is
+the only code that forks, feeds and closes helper processes.  At the first
+round, before anything forks, it takes the loop's one ``engine.plan``,
+puts a ``_DevicePool`` in place of each run's engine whose plan has more
+than one part, and then forks its one spare-CPU helper if the plan says
+so, when every stack trains in one process.  The helper, an
+``engine.Ring``, draws every run's inputs two rounds ahead and evaluates
+every run's global model two rounds behind while the process trains.
+Every forked process is in ``Federation.helpers``, which ``close`` walks,
+and every accuracy, inline or from the helper, goes into
+``Federation.evaluated``.  It reports the runs as one metrics row a round.
+The workers are plain ``engine.Helper`` processes; every output byte is
+the same on each engine.
 
 A round whose device loss or aggregated global vector is not finite raises
 ``ValueError`` naming the round and the devices (and width) at fault.
@@ -73,7 +75,7 @@ class FederationConfig:
     # local training always runs device-batched (LocalTraining).
     parallel_devices: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ValueError whose message starts with the offending field."""
         if self.n_devices < 1:
             raise ValueError("n_devices: must be >= 1")
@@ -188,15 +190,15 @@ class LocalTraining:
     trained alone.
 
     For the same reason a stack can run its round as contiguous parts, each
-    its own stack.  ``_fill`` is the one draw of a round on every engine,
-    into a record of the arrays declared once in ``inputs``: ``run`` trains
-    from a record it is handed (filled in its loop's helper) or fills a new
-    one itself, as each part does.  ``start`` takes the run's part count
-    from its loop's engine plan: it forks one worker per part after the
-    first (``_DevicePool``), a ``LocalTraining`` of that part that owns its
-    shards, streams and optimizer rows for the rest of the run.  ``close``
-    stops the workers, and a split engine cannot run a round after it.
+    its own stack (``part``).  ``_fill`` is the one draw of a round on every
+    engine, into a record of the arrays declared once in ``inputs``:
+    ``run`` trains from a record it is handed (filled in its loop's helper)
+    or fills a new one itself, as each part does.  It forks nothing: every
+    process runs this engine, and its loop's ``Federation`` puts a
+    ``_DevicePool`` in its place to split it.
     """
+
+    parts = 1  # the processes that train the stack, as a _DevicePool counts them
 
     def __init__(
         self,
@@ -232,9 +234,6 @@ class LocalTraining:
             chi=((len(shards),), np.float64),
         )
         self.opt = LocalOptimizer(train_cfg, (len(shards), layout.size))
-        self.parts = 1  # set by start
-        self._pool: _DevicePool | None = None
-        self.workers: list[Helper] = []  # a split stack's, from start
 
     def run(self, global_values: np.ndarray, round_: int, drawn=None) -> LocalRound:
         """Round ``round_`` of every device: ``local_iters`` steps from the
@@ -242,34 +241,14 @@ class LocalTraining:
         record ``drawn`` or, if None, of the round's own draw.
 
         Returns the trained vectors as a (devices, P) stack, each device's
-        loss at its last step and its fading gain.  A split stack's trained
-        vectors, and the gains of a handed record, are shared buffers that a
-        later round overwrites.
+        loss at its last step and its fading gain.  The gains of a handed
+        record are a shared buffer that a later round overwrites.
         """
-        if np.shape(global_values) != (self.layout.size,):
-            raise ValueError(
-                f"local training starts from one ({self.layout.size},) global vector, "
-                f"not an array of shape {np.shape(global_values)}"
-            )
-        if self._pool is not None:
-            return self._pool.run(global_values, round_)
+        _check_start(global_values, self.layout.size)
         if drawn is None:
             drawn = engine.record(np.empty, **self.inputs)
             self._fill(drawn, round_)
         return (*self._train(global_values, drawn), drawn.chi)
-
-    def start(self, parts: int, spin: bool = False) -> None:
-        """Run as ``parts`` contiguous parts, forking one worker per part
-        after the first, which spins (``spin``) or blocks."""
-        self.parts = parts
-        if parts > 1:
-            self._pool = _DevicePool(self, parts, spin)
-            self.workers = self._pool.workers
-
-    def close(self) -> None:
-        """Stop and reap the workers."""
-        for worker in self.workers:
-            worker.close()
 
     def part(self, lo: int, hi: int) -> "LocalTraining":
         """The engine of devices ``lo:hi`` alone, with their streams."""
@@ -309,16 +288,37 @@ class LocalTraining:
         return params.values, result.loss
 
 
+def _check_start(global_values: np.ndarray, size: int) -> None:
+    """Refuse a start that is not one (``size``,) global vector."""
+    if np.shape(global_values) != (size,):
+        raise ValueError(
+            f"local training starts from one ({size},) global vector, "
+            f"not an array of shape {np.shape(global_values)}"
+        )
+
+
 class _DevicePool:
-    """The workers of a split stack, one per part after the first.
+    """``local``'s stack split into ``parts`` contiguous parts: the process
+    trains the first, and one forked worker, spinning (``spin``) or
+    blocking, each other part.  Each part is a ``LocalTraining`` of its
+    devices that owns their shards, streams and optimizer rows for the rest
+    of the run.
 
     Each round the process writes the global vector into ``start`` and asks
     every worker for the round; each worker runs its part's round from it
     and writes its rows of ``out``, ``losses`` and ``chi``, while the
-    process runs the first part's.
+    process runs the first part's.  Its ``Federation`` forks it and closes
+    its ``workers``, after which it runs no round.
     """
 
     def __init__(self, local: LocalTraining, parts: int, spin: bool):
+        # Kept, though only its layout is read again: letting the whole-stack
+        # engine be freed after the fork (its untouched (devices, P) Adam
+        # moments among it) raised fanout's peak_rss_mb to 69.4-69.8 MB in 5
+        # of 5 8-s runs, against 67.7-67.9 in 4 of 5 runs keeping it (2
+        # vCPUs).  The cause is not known.
+        self.local = local
+        self.parts = parts
         n = len(local.shards)
         self.bounds = [i * n // parts for i in range(parts + 1)]
         self.start = shared((local.layout.size,))
@@ -337,7 +337,11 @@ class _DevicePool:
     def _run(self, part: LocalTraining, lo: int, hi: int, round_: int) -> None:
         self.out[lo:hi], self.losses[lo:hi], self.chi[lo:hi] = part.run(self.start, round_)
 
-    def run(self, global_values: np.ndarray, round_: int) -> LocalRound:
+    def run(self, global_values: np.ndarray, round_: int, drawn=None) -> LocalRound:
+        """``LocalTraining.run`` over the parts.  Each part draws its own
+        inputs (a split loop forks no helper to hand a record), and the
+        trained vectors are a shared buffer that a later round overwrites."""
+        _check_start(global_values, self.local.layout.size)
         self.start[:] = global_values
         for worker in self.workers:
             worker.ask(round_)
@@ -389,8 +393,8 @@ class FederatedRun:
     level >= 1 and the rest over devices at level 2.
 
     Each device's round, its local steps and its fading draw, is
-    ``LocalTraining``'s, on the engine its ``Federation`` starts and
-    closes.
+    ``local``'s: a ``LocalTraining``, or the ``_DevicePool`` that its
+    ``Federation`` puts in its place to split the stack.
     """
 
     def __init__(
@@ -405,12 +409,9 @@ class FederatedRun:
         fed_cfg: FederationConfig,
         widths: tuple[Width, ...],
         thresholds: np.ndarray,
-        rounds: int,
         master_seed: int,
         stream_tag: tuple[str, ...] = (),
     ):
-        train_cfg.validate()
-        fed_cfg.validate()
         if len(thresholds) != len(widths):
             raise ValueError("need one decode threshold per width")
         self.layout = layout
@@ -425,8 +426,7 @@ class FederatedRun:
         # expected-count weighting divides by K * P(decode)
         expected = fed_cfg.aggregation_weighting == "expected"
         self.divisors = fed_cfg.n_devices * decode_probabilities(chan_cfg) if expected else None
-        self.rounds = rounds
-        self.local = LocalTraining(
+        self.local: LocalTraining | _DevicePool = LocalTraining(
             layout=layout, train=train, shards=shards, train_cfg=train_cfg,
             batch_rngs=[
                 rngmod.stream(master_seed, "batch", *stream_tag, k)
@@ -493,38 +493,42 @@ class FederatedRun:
 
 
 class Federation:
-    """One scheme's round loop over its runs: one ``FederatedRun``, or the
-    ``vanilla-1.5x`` pair of baselines, reported as one metrics row a round.
+    """One scheme's round loop of ``rounds`` rounds over its runs: one
+    ``FederatedRun``, or the ``vanilla-1.5x`` pair of baselines, reported
+    as one metrics row a round.  It is the only code that forks, feeds and
+    closes helper processes, and every accuracy goes through it.
 
     At the first round, before anything forks, it takes the loop's one
-    ``engine.plan`` as ``plan`` and starts each run's ``LocalTraining`` on
-    that run's part count, its split stacks' workers spinning or blocking
-    as the plan says.  ``run_round`` runs each run's round and reports them
-    as one row: each width's accuracy on ``test`` fills its column every
-    ``eval_every``-th round, and a device counts under the widest column any
-    run decoded for it; the loss is the runs' mean, and decoded bits, power
-    and compute add up run by run.  A round past the loop's ``rounds`` is
+    ``engine.plan`` as ``plan``.  Each run whose plan has more than one part
+    gets a ``_DevicePool`` in place of its ``local`` engine, its workers
+    spinning or blocking as the plan says.  ``run_round`` runs each run's
+    round and reports them as one row: a device counts under the widest
+    column any run decoded for it, the loss is the runs' mean, and decoded
+    bits, power and compute add up run by run.  Every ``eval_every``-th
+    round each width's accuracy on ``test`` goes into ``evaluated``, by
+    round, and the row holds NaN accuracies.  A round past ``rounds`` is
     refused before anything trains.
 
     When the plan spares a CPU, the loop forks one ``helper``, an
     ``engine.Ring`` whose slot holds every run's round inputs and global
     vector.  It is asked for rounds 1 and 2 at the start, and for round
-    r + 2 once round r has trained, up to the loop's last round.  If the
-    loop evaluates ahead (``ahead``, which ``run`` sets), the ask for round
-    r + 2 carries round r's global vectors, and the helper evaluates them
-    after it draws; the process keeps their accuracies in ``evaluated``
-    when it takes round r + 2.  Every other evaluated round, the last two
-    included, is evaluated inline.  ``run`` fills each row from
-    ``evaluated``, and calls ``self.run_round``, so a wrapper set on the
-    instance (a round timer) sees every round.
+    r + 2 once round r has trained, up to the loop's last round.  When
+    round r is evaluated, and is not one of the last two, that ask carries
+    round r's global vectors, and the helper evaluates them after it draws;
+    the process takes their accuracies when it takes round r + 2.  Every
+    other evaluated round is evaluated inline.  The split stacks' workers
+    and the helper are ``helpers``, which ``close`` stops and reaps.
+    ``run`` drives every round through ``self.run_round``, so a wrapper set
+    on the instance (a round timer) sees every round, and fills each row
+    from ``evaluated``.
     """
 
-    ahead = False  # set by run(): its rows hold NaN until filled
-
-    def __init__(self, runs: Sequence[FederatedRun], test: Dataset, eval_every: int = 1):
+    def __init__(
+        self, runs: Sequence[FederatedRun], test: Dataset, rounds: int, eval_every: int = 1
+    ):
         self.runs = tuple(runs)
-        self.rounds = self.runs[0].rounds
-        if eval_every <= self.rounds and not len(test):  # found before any round trains
+        self.rounds = rounds
+        if eval_every <= rounds and not len(test):  # found before any round trains
             raise ValueError("test set must be nonempty")
         self.test = test
         self.eval_every = eval_every
@@ -532,7 +536,8 @@ class Federation:
         self.columns = [f"acc_{width.column}" for run in self.runs for width in run.widths]
         self.plan: engine.Plan | None = None  # taken at the first round
         self.helper: Ring | None = None
-        self.evaluated: dict[int, list[float]] = {}  # by round, from the helper
+        self.helpers: list[Helper] = []  # every process the loop forked
+        self.evaluated: dict[int, list[float]] = {}  # each evaluated round's accuracies
 
     def run_round(self) -> RoundMetrics:
         runs, round_ = self.runs, self.runs[0].round + 1
@@ -549,17 +554,14 @@ class Federation:
         for run, inputs in zip(runs, drawn):
             run.run_round(inputs)
         vectors = {f"vector{i}": run.global_values for i, run in enumerate(runs)}
-        accuracies = ()
         if round_ % self.eval_every == 0 and not self._ahead(round_):
-            accuracies = self._accuracies(vectors.values())
+            self.evaluated[round_] = self._accuracies(vectors.values())
         if self.helper is not None and round_ + 2 <= self.rounds:
             self.helper.ask(round_ + 2, **(vectors if self._ahead(round_) else {}))
         widest = functools.reduce(np.maximum, [run.column_at_level[run.levels] for run in runs])
         none, half, full = np.bincount(widest, minlength=3).tolist()
         return RoundMetrics(
-            round=round_,
-            # NaN in a column no width fills, and until a round is evaluated
-            **{"acc_half": math.nan, "acc_full": math.nan, **dict(zip(self.columns, accuracies))},
+            round=round_, acc_half=math.nan, acc_full=math.nan,  # filled by run()
             loss=sum(run.loss for run in runs) / len(runs),
             decoded_none=none, decoded_lh_only=half, decoded_both=full,
             decoded_megabits=sum(int(run.bits_at_level[run.levels].sum()) / 1e6 for run in runs),
@@ -568,13 +570,14 @@ class Federation:
         )
 
     def _start(self) -> None:
-        """Take the loop's plan, start each run's engine on its part count,
-        then fork the helper if the plan says so and ask it for rounds 1
-        and 2."""
+        """Take the loop's plan, split each run's stack into its parts, then
+        fork the helper if the plan says so and ask it for rounds 1 and 2."""
         runs = self.runs
         self.plan = engine.plan([len(run.local.shards) for run in runs])
         for run, parts in zip(runs, self.plan.parts):
-            run.local.start(parts, self.plan.spin)
+            if parts > 1:
+                run.local = _DevicePool(run.local, parts, self.plan.spin)
+                self.helpers += run.local.workers
         if self.plan.helper:
             self.helper = Ring(
                 "helper", "drawing the batches and fading gains and evaluating the global "
@@ -583,6 +586,7 @@ class Federation:
                 accuracies=((len(self.columns),), np.float64),
                 **{f"vector{i}": ((r.layout.size,), np.float64) for i, r in enumerate(runs)},
             )
+            self.helpers.append(self.helper)
             for round_ in range(1, min(2, self.rounds) + 1):
                 self.helper.ask(round_)
 
@@ -590,15 +594,14 @@ class Federation:
         """Whether round ``round_`` is evaluated in the helper, as it draws
         round ``round_ + 2``."""
         return (
-            self.ahead and self.plan.helper and 0 < round_ <= self.rounds - 2
-            and round_ % self.eval_every == 0
+            self.plan.helper and 0 < round_ <= self.rounds - 2 and round_ % self.eval_every == 0
         )
 
     def _serve(self, slot, round_: int) -> None:
         """The helper's job: every run's inputs for round ``round_``, then,
         if the loop evaluates round ``round_ - 2`` ahead, the accuracies of
-        the global vectors in the slot.  It reads ``plan`` and ``ahead``:
-        ``helper`` is None in its fork-time copy."""
+        the global vectors in the slot.  It reads ``plan``: ``helper`` is
+        None in its fork-time copy."""
         for run, drawn in zip(self.runs, slot.runs):
             run.local._fill(drawn, round_)
         if self._ahead(round_ - 2):
@@ -614,13 +617,12 @@ class Federation:
         ]
 
     def close(self) -> None:
-        """Stop and reap every run's workers and the helper."""
-        for owner in filter(None, [*(run.local for run in self.runs), self.helper]):
-            owner.close()
+        """Stop and reap every process the loop forked."""
+        for helper in self.helpers:
+            helper.close()
 
     def run(self) -> list[RoundMetrics]:
         """Every round's metrics row, each evaluated round's accuracies in it."""
-        self.ahead = True
         try:
             rows = [self.run_round() for _ in range(self.rounds)]
         finally:

@@ -41,7 +41,7 @@ class TrainConfig:
     batch_size: int = 64
     algorithm: str = "superposed"  # "superposed" | "widthwise" | "sandwich"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Raise ValueError whose message starts with the offending field."""
         if len(self.st_weights) != len(self.width_ratios):
             raise ValueError("st_weights: need one weight per entry of width_ratios")

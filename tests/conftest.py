@@ -1,10 +1,10 @@
 """Suite-wide checks and the one ``hypothesis`` profile, and helpers that
 pick a round loop's engine plan for tests of the split local-training
 engine, its spinning or blocking handoffs, and the loop's one spare-CPU
-helper, which draws every run's inputs ahead and evaluates behind.  Each
-helper substitutes ``engine.plan``, the one function that reads the CPUs,
-and ``spinning`` amends the plan in force, so it composes with
-``split_stacks``."""
+helper, which draws every run's inputs ahead and evaluates behind however
+the loop is driven.  Each helper substitutes ``engine.plan``, the one
+function that reads the CPUs, and ``spinning`` amends the plan in force,
+so it composes with ``split_stacks``."""
 
 import contextlib
 import os
@@ -65,15 +65,18 @@ def spinning(on=True):
         yield
 
 
-@contextlib.contextmanager
-def evaluated_ahead():
-    """``sampled_rounds()``, with the helper evaluating ahead however a
-    ``Federation`` is driven: one whose rounds are driven through
-    ``run_round`` alone evaluates ahead too (and its rows keep NaN
-    accuracies)."""
-    with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(federation.Federation, "ahead", True)
-        yield
+def counted_evaluations(mp, inline: list) -> None:
+    """Append the round to ``inline`` each time this process evaluates a
+    round loop's global models, under the monkeypatch ``mp``: a loop's
+    helper counts in its own fork-time copy, so ``inline`` holds the rounds
+    that the helper did not evaluate."""
+    accuracies = federation.Federation._accuracies
+
+    def counted(fed, vectors):
+        inline.append(fed.runs[0].round)
+        return accuracies(fed, vectors)
+
+    mp.setattr(federation.Federation, "_accuracies", counted)
 
 
 def assert_no_child_process():

@@ -239,7 +239,7 @@ class TestDataSkewEstimate:
     def test_identical_singleton_shards_have_zero_skew(self):
         x = np.tile(RNG(8).normal(size=(1, 4)), (6, 1))
         y = np.zeros(6, dtype=np.int64)
-        shards = [Shard(k, np.array([k]), np.array([1])) for k in range(6)]
+        shards = [Shard(np.array([k]), np.array([1])) for k in range(6)]
         grad_fn = self.logistic_zero_grad_fn(x, y, 3)
         delta, spread = estimate_data_skew(grad_fn, shards, 8, 10, RNG(9))
         assert delta < 1e-30

@@ -226,10 +226,14 @@ class TestConfigParsing:
             ("[training]\nlr = 0\n", "training.lr"),
             ("[training]\nlr = nan\n", "training.lr"),
             ("[training]\nlr_mode = cyclic\n", "training.lr_mode"),
+            ("[training]\nlr_mode = decay\n", "training.lr_mode"),
             ("[training]\noptimizer = lion\n", "training.optimizer"),
+            ("[training]\noptimizer = adamw\n", "training.optimizer"),
+            ("[training]\nst_weights = 0.9,0.9\n", "training.st_weights"),
             ("[training]\nbatch_size = 0\n", "training.batch_size"),
             ("[training]\nalgorithm = greedy\n", "training.algorithm"),
             ("[federation]\ndevices = 0\n", "federation.devices"),
+            ("[federation]\nscheme = bogus\n", "federation.scheme"),
             (
                 "[federation]\naggregation_weighting = expected\n[channel]\nfading = rician\n",
                 "federation.aggregation_weighting",
@@ -285,6 +289,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         assert str(info.value).startswith(f"{key}: ")
+
+    @pytest.mark.parametrize(
+        "section, values",
+        [
+            # each of these once built without error
+            ("federation", dict(scheme="bogus")),
+            ("federation", dict(n_devices=0)),
+            ("training", dict(optimizer="adamw")),
+            ("dataset", dict(kind="csv")),
+            ("model", dict(hidden=(0,))),
+            ("costs", dict(bits_per_param=-1.0)),
+            ("analysis", dict(grad_batches=0)),
+            ("experiment", dict(rounds=0)),
+        ],
+    )
+    def test_section_built_in_code_checks_itself(self, section, values):
+        """A section built in code, not parsed, is refused when it is built,
+        its message starting with the field at fault."""
+        [field] = values
+        with pytest.raises(ValueError, match=rf"^{field}: "):
+            _SECTIONS[section](**values)
 
 
 # every int and float key, as (section, key)

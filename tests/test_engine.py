@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import assert_no_child_process, planned, sampled_rounds
+from conftest import assert_no_child_process, counted_evaluations, planned, sampled_rounds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -191,10 +191,10 @@ def test_helpers_started_are_the_plans(monkeypatch, scheme, n_devices):
 
 
 # tiny_config(scheme, n_devices)'s round loop driven through run(), in a
-# process that counts its _fill calls (a helper counts its own): the
-# helpers live after each round, the process's draws, each run's part
-# count, whether its split workers spin, the rounds its helper evaluated
-# with their accuracy counts, and its rows
+# process that counts its _fill and _accuracies calls (a helper counts its
+# own): the helpers live after each round, the process's draws, each run's
+# part count, whether the loop's helpers spin, the rounds the process
+# evaluated, every evaluated round with its accuracy count, and its rows
 LOOP = f"""
 import dataclasses
 from slimfl import engine, experiment, federation
@@ -202,6 +202,10 @@ from slimfl.config import load_config
 from slimfl.metrics import metrics_rows
 fills, fill = [], federation.LocalTraining._fill
 federation.LocalTraining._fill = lambda *args: fills.append(1) or fill(*args)
+inline, accuracies = [], federation.Federation._accuracies
+federation.Federation._accuracies = lambda fed, vectors: (
+    inline.append(fed.runs[0].round) or accuracies(fed, vectors)
+)
 cfg = load_config({str(REFERENCE)!r})
 federation = dataclasses.replace(cfg.federation, scheme={{scheme!r}}, n_devices={{n_devices}})
 fed = experiment.make_run(dataclasses.replace(cfg, rounds=4, federation=federation), 4)
@@ -210,8 +214,8 @@ fed.run_round = lambda: (run_round(), live.append(len(engine._PROCESS_ENDS)))[0]
 rows = metrics_rows(fed.run())
 print((
     live, len(fills), [run.local.parts for run in fed.runs],
-    [worker.spin for run in fed.runs for worker in run.local.workers],
-    [(r, len(accuracies)) for r, accuracies in fed.evaluated.items()], rows,
+    [helper.spin for helper in fed.helpers], inline,
+    [(r, len(fed.evaluated[r])) for r in sorted(fed.evaluated)], rows,
 ))
 """
 
@@ -229,10 +233,11 @@ def test_fresh_process_run_samples_and_evaluates_on_the_spare_cpu():
     inline run's."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: no CPU to spare for the helper")
-    live, fills, parts, _, evaluated, rows = fresh_process(
+    live, fills, parts, _, inline, evaluated, rows = fresh_process(
         LOOP.format(scheme="slimfl", n_devices=10)
     )
-    assert (live, fills, parts, evaluated) == ([1] * 4, 0, [1], [(1, 2), (2, 2)])
+    assert (live, fills, parts, inline) == ([1] * 4, 0, [1], [3, 4])
+    assert evaluated == [(r, 2) for r in range(1, 5)]
     assert rows == inline_rows("slimfl")
 
 
@@ -243,11 +248,12 @@ def test_fresh_process_pair_forks_one_helper_for_both_runs():
     the rows are the inline pair's."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU: no CPU to spare for the helper")
-    live, fills, parts, _, evaluated, rows = fresh_process(
+    live, fills, parts, _, inline, evaluated, rows = fresh_process(
         LOOP.format(scheme="vanilla-1.5x", n_devices=10)
     )
+    assert (live, fills, parts, inline) == ([1] * 4, 0, [1, 1], [3, 4])
     # each run has one width: two accuracies a round
-    assert (live, fills, parts, evaluated) == ([1] * 4, 0, [1, 1], [(1, 2), (2, 2)])
+    assert evaluated == [(r, 2) for r in range(1, 5)]
     assert rows == inline_rows("vanilla-1.5x")
 
 
@@ -258,15 +264,18 @@ def test_fresh_process_split_run_spins_and_split_pair_blocks():
     worker spins; a pair's two workers block."""
     if len(os.sched_getaffinity(0)) != 2:
         pytest.skip("one split run's worker takes the last CPU on 2 CPUs only")
-    live, fills, parts, spins, evaluated, _ = fresh_process(
+    live, fills, parts, spins, inline, _, _ = fresh_process(
         LOOP.format(scheme="slimfl", n_devices=24)
     )
-    # the process draws its part's inputs, and its worker the other part's
-    assert (live, fills, parts, spins, evaluated) == ([1] * 4, 4, [2], [True], [])
-    live, fills, parts, spins, evaluated, _ = fresh_process(
+    # the process draws its part's inputs, and its worker the other part's;
+    # with no helper, the process evaluates every round
+    assert (live, fills, parts, spins, inline) == ([1] * 4, 4, [2], [True], [1, 2, 3, 4])
+    live, fills, parts, spins, inline, _, _ = fresh_process(
         LOOP.format(scheme="vanilla-1.5x", n_devices=24)
     )
-    assert (live, fills, parts, spins, evaluated) == ([2] * 4, 8, [2, 2], [False, False], [])
+    assert (live, fills, parts, spins, inline) == (
+        [2] * 4, 8, [2, 2], [False, False], [1, 2, 3, 4]
+    )
 
 
 @pytest.mark.skipif(not LINUX, reason="the helper runs on Linux only")
@@ -280,11 +289,14 @@ def test_pair_evaluates_both_runs_in_one_evaluator():
         live.append(len(engine._PROCESS_ENDS))
         return engine.Plan((1, 1), True, False)
 
-    with planned(plan):
+    inline = []
+    with planned(plan), pytest.MonkeyPatch.context() as mp:
+        counted_evaluations(mp, inline)
         fed = experiment.make_run(tiny_config("vanilla-1.5x"), 4)
         rows = metrics_rows(fed.run())
     assert fed.helper is not None and live == [0]
-    assert list(fed.evaluated) == [1, 2]
+    # the helper evaluated rounds 1 and 2, the process the last two
+    assert inline == [3, 4] and sorted(fed.evaluated) == [1, 2, 3, 4]
     assert all(len(accuracies) == 2 for accuracies in fed.evaluated.values())
     assert rows == inline_rows("vanilla-1.5x")
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from conftest import assert_no_child_process, sampled_rounds
 from slimfl.channel import ChannelConfig
 from slimfl.cli import main
 from slimfl import experiment
-from slimfl.config import parse_config, serialize_config
+from slimfl.config import _CHANNEL_KEYS, _KEYS, parse_config, serialize_config
 from slimfl.datasets import write_idx
 from slimfl.experiment import build_task, make_run, run_all, run_experiment, summarize
 from slimfl.metrics import CostModel
@@ -137,7 +138,7 @@ scheme = {scheme}
         fed = make_run(cfg, seed=2)
         [run] = fed.runs
         assert run.layout.layers[0].out_dim == 4  # ceil(8 * 0.5)
-        m = fed.run_round()
+        m = fed.run()[0]
         assert math.isnan(m.acc_full) and not math.isnan(m.acc_half)
         assert m.decoded_megabits == 3 * 86_344 / 1e6
 
@@ -152,7 +153,7 @@ scheme = {scheme}
     def test_combined_scheme_reports_both_columns(self):
         cfg = self.small_cfg("vanilla-1.5x")
         run = make_run(cfg, seed=4)
-        m = run.run_round()
+        m = run.run()[0]
         assert not math.isnan(m.acc_half) and not math.isnan(m.acc_full)
 
     @pytest.mark.parametrize("scheme", ["slimfl", "vanilla-1.5x"])
@@ -300,16 +301,17 @@ devices = 3
 """
 
 
-@pytest.mark.parametrize(
-    "key, value, field",
-    [
-        ("grad_batches", 3, "grad_variance_mean"),
-        ("lambda_samples", 5, "objective_samples"),
-        ("init_distance_sq", 4.0, "gap_bound_curve"),
-        ("strong_convexity", 0.5, "gap_bound_curve"),
-        ("smoothness", 20.0, "gap_bound_curve"),
-    ],
-)
+# each [analysis] key, a value away from its default, and the report field it feeds
+ANALYSIS_REACH = [
+    ("grad_batches", 3, "grad_variance_mean"),
+    ("lambda_samples", 5, "objective_samples"),
+    ("init_distance_sq", 4.0, "gap_bound_curve"),
+    ("strong_convexity", 0.5, "gap_bound_curve"),
+    ("smoothness", 20.0, "gap_bound_curve"),
+]
+
+
+@pytest.mark.parametrize("key, value, field", ANALYSIS_REACH)
 def test_each_analysis_key_changes_the_report_field_it_feeds(key, value, field):
     """Each ``[analysis]`` key, set away from its default, changes the
     report field it feeds (for ``lambda_samples``, the sample count)."""
@@ -322,3 +324,141 @@ def test_each_analysis_key_changes_the_report_field_it_feeds(key, value, field):
         return len(report[field]) if key == "lambda_samples" else report[field]
 
     assert fed(changed) != fed(ANALYZE_RUN)
+
+
+# the key-reach table's run: 4 devices for 6 rounds, each round evaluated
+REACH_RUN = {
+    "experiment": {"seeds": "1", "rounds": "6", "output_dir": "out"},
+    "dataset": {"classes": "3", "per_class": "20", "test_per_class": "10", "dim": "6"},
+    "model": {"hidden": "6"},
+    "training": {"lr": "0.05", "batch_size": "8"},
+    "federation": {"devices": "4"},
+}
+# contexts where a key acts: at the default -169 dB/Hz every device decodes
+# both messages every round, so the fading model, the weighting and the
+# rate mode change nothing; the curvature keys act only with their step
+# rule, bits_per_param only off the reference costs, and the IDX keys only
+# on IDX data
+POOR = {"channel.noise_psd_db_hz": "-140"}
+RICIAN = {**POOR, "channel.fading": "rician"}
+TWDP = {**POOR, "channel.fading": "twdp"}
+IDX = {
+    "dataset.kind": "idx", "dataset.train_images": "{train_images}",
+    "dataset.train_labels": "{train_labels}", "dataset.test_images": "{test_images}",
+    "dataset.test_labels": "{test_labels}",
+}
+# every settable key but the [analysis] keys, which ANALYSIS_REACH holds
+# field by field: (key, a value away from its default, the context where it acts)
+KEY_REACH = [
+    ("experiment.seeds", "2", {}),
+    ("experiment.rounds", "5", {}),
+    ("experiment.eval_every", "2", {}),
+    ("dataset.kind", "idx", {k: v for k, v in IDX.items() if k != "dataset.kind"}),
+    ("dataset.alpha", "0.3", {}),
+    ("dataset.classes", "4", {}),
+    ("dataset.per_class", "15", {}),
+    ("dataset.test_per_class", "7", {}),
+    ("dataset.dim", "5", {}),
+    ("dataset.spread", "0.5", {}),
+    ("dataset.train_images", "{other_images}", IDX),
+    ("dataset.train_labels", "{other_labels}", IDX),
+    ("dataset.test_images", "{other_images}", IDX),
+    ("dataset.test_labels", "{other_labels}", IDX),
+    ("dataset.limit", "50", IDX),
+    ("model.hidden", "5", {}),
+    ("model.width_ratios", "0.25,1.0", {}),
+    ("channel.distance_m", "150", {}),
+    ("channel.pathloss_exp", "2.6", {}),
+    ("channel.bandwidth_hz", "5e7", {}),
+    ("channel.total_power_w", "0.1", {}),
+    ("channel.noise_power_w", "1e-8", {}),
+    ("channel.rate_bps", "5e7", {}),
+    ("channel.power_split", "0.7", {}),
+    ("channel.total_power_dbm", "25", {}),
+    ("channel.noise_psd_db_hz", "-140", {}),
+    ("channel.rate_sinr_threshold", "1.0", {}),
+    ("channel.fading", "rician", POOR),
+    ("channel.normalize_fading", "true", RICIAN),
+    ("channel.rician_nu", "0.8", RICIAN),
+    ("channel.rician_sigma", "0.4", RICIAN),
+    ("channel.twdp_k", "10", TWDP),
+    ("channel.twdp_delta", "0.5", TWDP),
+    ("training.st_weights", "0.3,0.7", {}),
+    ("training.lr", "0.1", {}),
+    ("training.lr_mode", "strongly_convex", {}),
+    ("training.strong_convexity", "0.5", {"training.lr_mode": "strongly_convex"}),
+    ("training.smoothness", "2.0", {"training.lr_mode": "strongly_convex"}),
+    ("training.optimizer", "sgd", {}),
+    ("training.batch_size", "4", {}),
+    ("training.algorithm", "sandwich", {}),
+    ("federation.devices", "3", {}),
+    ("federation.local_iters", "2", {}),
+    ("federation.scheme", "vanilla-1.0x", {}),
+    ("federation.aggregation_weighting", "expected", POOR),
+    ("federation.vanilla_rate_mode", "same_rate", {**POOR, "federation.scheme": "vanilla-1.0x"}),
+    ("costs.use_reference", "false", {}),
+    ("costs.bits_per_param", "16", {"costs.use_reference": "false"}),
+]
+# the settable keys that no output's bytes read, and why
+UNREACHED = {
+    "experiment.output_dir": "it changes only where the outputs go",
+    "federation.parallel_devices": "accepted and inert",
+}
+
+
+@pytest.fixture(scope="module")
+def reach_idx(tmp_path_factory):
+    """Two IDX image and label files of 120 samples each, named as the
+    key-reach table's placeholders name them."""
+    root = tmp_path_factory.mktemp("reach-idx")
+    names = {}
+    for seed, (images, labels) in enumerate([("train_images", "train_labels"),
+                                             ("other_images", "other_labels")]):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 3, size=120, dtype=np.uint8)
+        x = rng.integers(0, 256, size=(120, 3, 3), dtype=np.uint8)
+        x[:, 0, 0] = y * 80  # a learnable corner
+        names[images], names[labels] = root / images, root / labels
+        write_idx(x, y, names[images], names[labels])
+    names["test_images"], names["test_labels"] = names["train_images"], names["train_labels"]
+    return {name: str(path) for name, path in names.items()}
+
+
+def reach_outputs(settings: dict, paths: dict) -> tuple:
+    """The config of ``REACH_RUN`` with ``settings`` (``section.key`` ->
+    value) over it, and the bytes of its metrics CSVs, ``summary.json`` and
+    ``analyze`` JSON, run in the current directory."""
+    sections = {section: dict(keys) for section, keys in REACH_RUN.items()}
+    for dotted, value in settings.items():
+        section, key = dotted.split(".")
+        sections.setdefault(section, {})[key] = value.format(**paths)
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    )
+    cfg = parse_config(text)
+    run_all(cfg)
+    names = [f"metrics_seed{seed}.csv" for seed in cfg.seeds] + ["summary.json"]
+    out = [Path(cfg.output_dir, name).read_bytes() for name in names]
+    analysis = json.dumps(experiment.analyze_experiment(cfg), sort_keys=True).encode()
+    return cfg, (*out, analysis)
+
+
+def test_key_reach_tables_hold_every_settable_key():
+    settable = {".".join(key) for key in _KEYS} | {f"channel.{key}" for key in _CHANNEL_KEYS}
+    keys = [key for key, _, _ in KEY_REACH] + [f"analysis.{key}" for key, _, _ in ANALYSIS_REACH]
+    assert len(set(keys)) == len(keys) and set(keys) | set(UNREACHED) == settable
+
+
+@pytest.mark.parametrize("key, value, context", KEY_REACH, ids=[key for key, _, _ in KEY_REACH])
+def test_each_settable_key_changes_an_output(key, value, context, reach_idx, tmp_path,
+                                             monkeypatch):
+    """Each settable key outside ``[analysis]``, set away from its default
+    in a context where it acts, changes the bytes of a metrics CSV,
+    ``summary.json`` or the ``analyze`` JSON: no key is read as a hard-coded
+    default."""
+    monkeypatch.chdir(tmp_path)  # where the relative output_dir goes
+    base_cfg, base = reach_outputs(context, reach_idx)
+    cfg, changed = reach_outputs({**context, key: value}, reach_idx)
+    assert cfg != base_cfg  # the value is away from the context's default
+    assert changed != base

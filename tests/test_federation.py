@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
-    assert_no_child_process, evaluated_ahead, sampled_rounds, spinning, split_stacks,
+    assert_no_child_process, counted_evaluations, sampled_rounds, spinning, split_stacks,
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -111,7 +111,7 @@ def make_run(
     full = Width(build_mask(layout, 1.0), "full", cost.full_bits, cost.full_mflops)
     common = dict(
         layout=layout, init_values=init.values, train=train, shards=shards, chan_cfg=chan,
-        fed_cfg=fed_cfg, rounds=rounds, master_seed=seed,
+        fed_cfg=fed_cfg, master_seed=seed,
     )
     if scheme == "slimfl":
         half = Width(build_mask(layout, 0.5), "half", cost.half_bits, cost.half_mflops)
@@ -125,7 +125,7 @@ def make_run(
             thresholds=np.array([vanilla_threshold(chan, 2.0)]), stream_tag=("v-full",),
             **common,
         )
-    return Federation((run,), test, eval_every)
+    return Federation((run,), test, rounds, eval_every)
 
 
 def nan_blind(values: np.ndarray) -> bytes:
@@ -327,9 +327,21 @@ SKEWED_SHARDS = dirichlet_partition(LOCAL_TRAIN.y, 6, 0.1, rngmod.stream(20, "pa
 
 def index_shards(index_lists) -> list[Shard]:
     return [
-        Shard(k, np.array(indices), np.bincount(LOCAL_TRAIN.y[indices], minlength=4))
-        for k, indices in enumerate(index_lists)
+        Shard(np.array(indices), np.bincount(LOCAL_TRAIN.y[indices], minlength=4))
+        for indices in index_lists
     ]
+
+
+def split(local: LocalTraining, parts: int):
+    """``local``, or the ``_DevicePool`` of its ``parts`` parts, as its round
+    loop would put in its place."""
+    return local if parts == 1 else federation._DevicePool(local, parts, spin=False)
+
+
+def close(engine) -> None:
+    """Stop and reap a split engine's workers, as its round loop would."""
+    for worker in getattr(engine, "workers", []):
+        worker.close()
 
 
 def local_training(shards, cfg, local_iters=1) -> LocalTraining:
@@ -415,15 +427,14 @@ class TestLocalTraining:
         starts = [init_params(layout, rngmod.stream(20, "init", r)).values for r in range(2)]
 
         def two_rounds(parts):
-            engine = local_training(shards, cfg, local_iters)
+            engine = split(local_training(shards, cfg, local_iters), parts)
             try:
-                engine.start(parts)
                 trained = []  # bytes now: a split stack's output is overwritten next round
                 for r, start in enumerate(starts, 1):
                     trained += [array.tobytes() for array in engine.run(start, r)]
                 return engine.parts, trained
             finally:
-                engine.close()
+                close(engine)
 
         _, serial = two_rounds(1)
         assert two_rounds(parts) == (parts, serial)
@@ -433,15 +444,14 @@ class TestLocalTraining:
         cfg = TrainConfig(batch_size=8)
         # device 3's shard indexes past the training set: only the worker fails
         shards = index_shards([[0, 1], [2, 3], [4, 5], [6]])
-        shards[3] = Shard(3, np.array([len(LOCAL_TRAIN)]), shards[3].class_histogram)
+        shards[3] = Shard(np.array([len(LOCAL_TRAIN)]), shards[3].class_histogram)
         init = init_params(layout, rngmod.stream(20, "init")).values
-        engine = local_training(shards, cfg)
+        engine = split(local_training(shards, cfg), 2)
         try:
-            engine.start(2)
             with pytest.raises(RuntimeError, match=r"round 1: .* devices 2-3 failed") as info:
                 engine.run(init, 1)
         finally:
-            engine.close()
+            close(engine)
         assert isinstance(info.value.__cause__, IndexError)
         assert_no_child_process()
 
@@ -450,7 +460,7 @@ class TestLocalTraining:
         # the one-part cases of the worker's: the batch gather checks its
         # indices, in the process or in its round loop's helper
         shards = index_shards([[0, 1], [2, 3]])
-        shards[1] = Shard(1, np.array([len(LOCAL_TRAIN)]), shards[1].class_histogram)
+        shards[1] = Shard(np.array([len(LOCAL_TRAIN)]), shards[1].class_histogram)
         with sampled_rounds(sampled):
             fed = make_run(seed=20, shards=shards, train_cfg=TrainConfig(batch_size=8))
             try:
@@ -467,18 +477,20 @@ class TestLocalTraining:
         layout = Layout.mlp(10, (8,), 4)
         init = init_params(layout, rngmod.stream(20, "init")).values
         for parts in (1, 2):
-            engine = local_training(
-                index_shards([[0, 1], [2, 3], [4, 5], [6, 7]]), TrainConfig(batch_size=2)
+            engine = split(  # a split engine starts its worker here
+                local_training(
+                    index_shards([[0, 1], [2, 3], [4, 5], [6, 7]]), TrainConfig(batch_size=2)
+                ),
+                parts,
             )
             try:
-                engine.start(parts)  # a split engine starts its worker here
                 engine.run(init, 1)
                 for start in (np.broadcast_to(init, (4, layout.size)), init[:-1], init[None]):
                     with pytest.raises(ValueError, match=rf"one \({layout.size},\) global"):
                         engine.run(start, 2)
                 assert engine.parts == parts
             finally:
-                engine.close()
+                close(engine)
 
     def test_fanout_step_holds_no_extra_stack(self):
         # K=100 devices, batch 8: the benchmark's fanout configuration
@@ -559,7 +571,7 @@ class TestLocalTraining:
             mp.setattr(federation, "sample_fading", sample_fading)
             fed = make_run(seed=54, rounds=3, n_devices=5)
             fed.run()
-        [worker] = fed.runs[0].local._pool.workers
+        [worker] = fed.helpers
         # devices 0-1 in this process and 2-4 in the worker, each round
         assert Counter(log.read_text().split()) == {
             str(os.getpid()): 3 * 2, str(worker.pid): 3 * 3
@@ -570,18 +582,16 @@ def loop_helper(fed, run) -> list:
     return [fed.helper] if fed.helper else []
 
 
-# a helper kind: the plan that makes a round loop (a Federation) start it,
-# and the helpers of that kind that a run of the loop started, or the loop
-# did.  The loop's one spare-CPU helper goes by its jobs: it draws
-# ("sampler") and, in a loop that evaluates ahead however it is driven,
-# evaluates too ("evaluator")
+# a helper kind: the plan that makes a round loop (a Federation) fork it,
+# and the helpers of that kind that the loop forked for a run: a split
+# stack's workers ("worker"), or the loop's one spare-CPU helper, which
+# draws and evaluates ("sampler")
 HELPERS = {
     "worker": (
         functools.partial(split_stacks, min_devices=1),
-        lambda fed, run: run.local._pool.workers if run.local.parts == 2 else [],
+        lambda fed, run: run.local.workers if run.local.parts == 2 else [],
     ),
     "sampler": (sampled_rounds, loop_helper),
-    "evaluator": (evaluated_ahead, loop_helper),
 }
 
 
@@ -656,7 +666,7 @@ class TestHelpers:
             fed.run_round()
             fed.close()
         [run] = fed.runs
-        head = run.local._pool.head if run.local._pool else run.local
+        head = getattr(run.local, "head", run.local)  # the process's part
         steps = head.opt.t
         trains = [fed.run_round]
         if kind == "worker":  # a one-part engine alone draws its own inputs
@@ -684,6 +694,45 @@ class TestHelpers:
             rf"^round \d+: \w.* failed in {role} process {helper.pid}: it was killed by signal 9$"
         )
         assert_no_child_process()
+
+
+@pytest.mark.parametrize("driven_by", ["run", "run_round"])
+def test_the_loop_owns_every_process_and_every_accuracy(driven_by):
+    """On every plan, however the loop is driven: after the first round the
+    live helper processes are exactly ``Federation.helpers``, which
+    ``close`` reaps; every row that ``run_round`` returns holds NaN
+    accuracies, and ``evaluated`` holds every round's, equal on every plan."""
+    plans = {
+        "inline": functools.partial(sampled_rounds, False), "helper": sampled_rounds,
+        "split": functools.partial(split_stacks, min_devices=1),
+    }
+    evaluated = {}
+    for name, plan in plans.items():
+        with plan(), deadline():
+            fed = make_run(seed=59, rounds=5)
+            rows, live, run_round = [], [], fed.run_round
+
+            def recorded():  # on the instance, as a round timer wraps it
+                rows.append(run_round())
+                live.append(set(slimfl.engine._PROCESS_ENDS))
+                return rows[-1]
+
+            fed.run_round = recorded
+            try:
+                if driven_by == "run":
+                    fed.run()
+                else:
+                    for _ in range(fed.rounds):
+                        fed.run_round()
+            finally:
+                fed.close()
+        assert_no_child_process()
+        assert len(fed.helpers) == (name != "inline")
+        assert live[0] == {helper.end for helper in fed.helpers}
+        assert all(math.isnan(row.acc_half) and math.isnan(row.acc_full) for row in rows)
+        assert sorted(fed.evaluated) == [1, 2, 3, 4, 5]
+        evaluated[name] = fed.evaluated
+    assert evaluated["inline"] == evaluated["helper"] == evaluated["split"]
 
 
 @pytest.mark.parametrize("spin", [False, True], ids=["blocking", "spinning"])
@@ -737,9 +786,9 @@ class TestSplitHandoff:
 class TestSampler:
     """A round loop whose stacks train in one process each, with a CPU to
     spare, draws every run's batches and fading gains two rounds ahead in
-    its one helper process, which, in a loop driven through ``run()``, also
-    evaluates every run's global model two rounds behind; every output byte
-    is unchanged, and the helper ends with the loop, however it ends."""
+    its one helper process, which also evaluates every run's global model
+    two rounds behind, however the loop is driven; every output byte is
+    unchanged, and the helper ends with the loop, however it ends."""
 
     @settings(max_examples=30)
     @given(
@@ -772,7 +821,9 @@ class TestSampler:
         chan = config_for_decode_probs(0.7, 0.5, fading=fading)
 
         def rows(sampled):
-            with sampled_rounds(sampled):
+            inline = []
+            with sampled_rounds(sampled), pytest.MonkeyPatch.context() as mp:
+                counted_evaluations(mp, inline)
                 fed = make_run(
                     scheme, seed=seed, shards=shards, train_cfg=cfg, local_iters=local_iters,
                     chan=chan, rounds=rounds, eval_every=eval_every,
@@ -781,8 +832,9 @@ class TestSampler:
             [run] = fed.runs
             assert (fed.helper is not None) == sampled
             # every evaluated round's accuracies but the last two rounds' came from the helper
-            ahead = range(eval_every, rounds - 1, eval_every) if sampled else []
-            assert list(fed.evaluated) == list(ahead)
+            evaluated = range(eval_every, rounds + 1, eval_every)
+            assert sorted(fed.evaluated) == list(evaluated)
+            assert inline == [r for r in evaluated if not sampled or r > rounds - 2]
             return metrics_rows(metrics), run.global_values.tobytes()
 
         assert rows(True) == rows(False)
@@ -838,7 +890,7 @@ class TestSampler:
             try:
                 fed.run_round()
                 fed.run_round()
-                head = run.local._pool.head if run.local._pool else run.local
+                head = getattr(run.local, "head", run.local)  # the process's part
                 steps, values = head.opt.t, run.global_values.tobytes()
                 with pytest.raises(ValueError, match=r"^round 3: the round loop has only 2 rounds$"):
                     fed.run_round()
@@ -867,21 +919,27 @@ class TestSampler:
         assert run.round == 1 and draws == []  # round 1 ran, and the process drew nothing
         assert_no_child_process()
 
-    def test_rounds_driven_alone_evaluate_inline(self):
+    def test_rounds_driven_alone_carry_no_accuracies(self):
+        """A loop driven through ``run_round`` alone evaluates where ``run()``
+        would: its rows hold NaN accuracies, and ``evaluated`` every round's."""
         def rounds(sampled):
-            with sampled_rounds(sampled):
-                fed = make_run(seed=55, rounds=3)
-                [run] = fed.runs
+            inline = []
+            with sampled_rounds(sampled), pytest.MonkeyPatch.context() as mp:
+                counted_evaluations(mp, inline)
+                fed = make_run(seed=55, rounds=4)
                 try:
-                    metrics = [fed.run_round() for _ in range(run.rounds)]
+                    metrics = [fed.run_round() for _ in range(fed.rounds)]
                 finally:
                     fed.close()
-            assert (fed.helper is not None, fed.evaluated) == (sampled, {})
-            return metrics_rows(metrics)
+            # the helper evaluated rounds 1 and 2 as it drew rounds 3 and 4
+            assert (fed.helper is not None) == sampled
+            assert inline == ([3, 4] if sampled else [1, 2, 3, 4])
+            assert all(math.isnan(m.acc_half) and math.isnan(m.acc_full) for m in metrics)
+            return metrics_rows(metrics), fed.evaluated
 
         sampled = rounds(True)
         assert sampled == rounds(False)
-        assert all(row[1] and row[2] for row in sampled[1:])  # each round's accuracies at once
+        assert sorted(sampled[1]) == [1, 2, 3, 4]
 
     def test_failed_evaluation_names_round_and_evaluator(self):
         calls = []
@@ -905,7 +963,7 @@ class TestSampler:
         assert info.match(rf"helper process {fed.helper.pid}:")
         assert isinstance(info.value.__cause__, ArithmeticError)
         # raised when round 4 took its slot; the process evaluated round 3 alone
-        assert run.round == 3 and list(fed.evaluated) == [1] and len(calls) == 1
+        assert run.round == 3 and sorted(fed.evaluated) == [1, 3] and len(calls) == 1
         assert_no_child_process()
 
     def test_killed_evaluator_fails_the_run_loudly(self):
@@ -945,8 +1003,9 @@ class TestSampler:
             with pytest.raises(ValueError) as info:
                 fed.run()
         assert str(info.value) == "round 4: the local loss of device(s) 2 is not finite"
-        # rounds 3 and 4 took round 1's and round 2's accuracies
-        assert fed.helper is not None and list(fed.evaluated) == [1, 2]
+        # rounds 3 and 4 took round 1's and round 2's accuracies, and the
+        # process evaluated round 3
+        assert fed.helper is not None and sorted(fed.evaluated) == [1, 2, 3]
         assert_no_child_process()
 
 
@@ -1116,7 +1175,7 @@ class TestVanillaRun:
 
     def test_metrics_fill_only_their_width_column(self):
         run = make_run("vanilla-1.0x", seed=14)
-        m = run.run_round()
+        m = run.run()[0]
         assert math.isnan(m.acc_half) and not math.isnan(m.acc_full)
         assert m.decoded_lh_only == 0
 
@@ -1141,17 +1200,17 @@ class TestCombinedVanillaRun:
                 train_cfg=train_cfg, chan_cfg=chan, fed_cfg=fed_cfg,
                 widths=(Width(build_mask(layout, 1.0), label, bits, mflops),),
                 thresholds=np.array([vanilla_threshold(chan, payload)]),
-                rounds=rounds, master_seed=seed, stream_tag=(tag,),
+                master_seed=seed, stream_tag=(tag,),
             )
 
         return Federation((
             sub(layout_half, "half", "v-half", cost.half_bits, cost.half_mflops, 1.0),
             sub(layout_full, "full", "v-full", cost.full_bits, cost.full_mflops, 2.0),
-        ), test)
+        ), test, rounds)
 
     def test_doubles_power_and_sums_compute(self):
         run = self.build()
-        m = run.run_round()
+        m = run.run()[0]
         assert abs(m.comm_power_mw - 2 * 199.5262315) < 1e-6
         assert m.comp_mflops == pytest.approx(0.79 + 2.76)
         assert not math.isnan(m.acc_half) and not math.isnan(m.acc_full)

@@ -18,7 +18,7 @@ import dataclasses
 import hashlib
 
 import pytest
-from conftest import sampled_rounds, spinning, split_stacks
+from conftest import counted_evaluations, sampled_rounds, spinning, split_stacks
 
 from slimfl.channel import config_for_decode_probs
 from slimfl.config import parse_config
@@ -159,24 +159,28 @@ def test_outputs_match_pins(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
 
 
-def evaluated_off_path(fed):
-    """Whether every round that the round loop ``fed`` evaluated, but those
-    of its last two rounds, was evaluated in its helper process, every
-    run's global model in it."""
-    evaluated = range(fed.eval_every, fed.rounds - 1, fed.eval_every)
+def evaluated_off_path(fed, inline):
+    """Whether the round loop ``fed`` evaluated every run's global model in
+    every evaluated round, and in its helper process every one but those of
+    its last two rounds, which this process evaluated (``inline``)."""
+    evaluated = range(fed.eval_every, fed.rounds + 1, fed.eval_every)
+    last_two = [r for r in evaluated if r > fed.rounds - 2]
     widths = sum(len(run.widths) for run in fed.runs)
     return (
-        fed.helper is not None and list(evaluated) and list(fed.evaluated) == list(evaluated)
+        fed.helper is not None and sorted(fed.evaluated) == list(evaluated)
+        and inline == last_two and last_two != list(evaluated)
         and all(len(accuracies) == widths for accuracies in fed.evaluated.values())
     )
 
 
 def split_over_two(spin):
     """Whether every run of the round loop ``fed`` split its stack in two,
-    its worker spinning (``spin``) or blocking."""
-    return lambda fed: all(
-        run.local.parts == 2 and [worker.spin for worker in run.local.workers] == [spin]
-        for run in fed.runs
+    its worker spinning (``spin``) or blocking, and the loop's helpers are
+    those workers."""
+    return lambda fed, inline: (
+        all(run.local.parts == 2 for run in fed.runs)
+        and fed.helpers == [worker for run in fed.runs for worker in run.local.workers]
+        and [worker.spin for worker in fed.helpers] == [spin] * len(fed.runs)
     )
 
 
@@ -186,7 +190,8 @@ def split_plan(spin):
         yield
 
 
-# an engine: the plan that makes a round loop use it, and whether a loop did
+# an engine: the plan that makes a round loop use it, and whether a loop
+# did, given the rounds this process evaluated
 ENGINES = {
     "sampled": (sampled_rounds, evaluated_off_path),
     "split": (lambda: split_plan(False), split_over_two(False)),
@@ -202,7 +207,8 @@ def test_every_engine_matches_pins(name, engine, tmp_path):
     hand each round over by blocking reads or by polling, give the same
     bytes."""
     plan, used = ENGINES[engine]
-    built = []
-    with plan():
+    built, inline = [], []
+    with plan(), pytest.MonkeyPatch.context() as mp:
+        counted_evaluations(mp, inline)
         assert digests(name, tmp_path, built) == GOLDEN[name]
-    assert used(built[0])
+    assert used(built[0], inline)

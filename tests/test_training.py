@@ -14,11 +14,13 @@ from slimfl.slimnet import (
     build_mask,
     forward,
     init_params,
+    masks_for,
 )
 from slimfl.training import (
     _ce_loss_grad,
     _kd_loss_grad,
     _softmax_parts,
+    _step,
     LocalOptimizer,
     TrainConfig,
     cross_entropy,
@@ -230,20 +232,31 @@ class TestLearningRateSchedule:
 
 
 class TestTrainConfig:
+    """A ``TrainConfig`` checks itself when it is built."""
+
     def test_equal_default_weights_accepted(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     def test_weight_sum_enforced(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            TrainConfig(st_weights=(0.4, 0.4)).validate()
+            TrainConfig(st_weights=(0.4, 0.4))
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            TrainConfig(st_weights=(0.0, 1.0)).validate()
+            TrainConfig(st_weights=(0.0, 1.0))
 
     def test_width_ratios_must_end_full(self):
         with pytest.raises(ValueError, match="1.0"):
-            TrainConfig(st_weights=(0.5, 0.5), width_ratios=(0.25, 0.5)).validate()
+            TrainConfig(st_weights=(0.5, 0.5), width_ratios=(0.25, 0.5))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        # each once ran a step silently: Adam at a constant rate, with weights summing to 1.8
+        [("optimizer", "adamw"), ("lr_mode", "decay"), ("st_weights", (0.9, 0.9))],
+    )
+    def test_bad_field_is_refused_before_any_step(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field}: "):
+            TrainConfig(**{field: value})
 
 
 class TestUpdateRuleArithmetic:
@@ -312,11 +325,13 @@ class TestSuperposedStep:
     def test_zero_first_weight_reduces_to_full_width_sgd(self):
         params = make_net(22)
         x, y = make_batch(23)
-        # degenerate weights bypass validate() on purpose: the limit must match
-        cfg = TrainConfig(st_weights=(0.0, 1.0), optimizer="sgd", lr=0.5)
-        result = superposed_step(params, x, y, cfg, LocalOptimizer(cfg, params.layout.size))
+        # a 0.0 weight, which TrainConfig refuses, goes to the step loop
+        # itself, as superposed_step hands it its widths: the limit must match
+        cfg = TrainConfig(optimizer="sgd", lr=0.5)
+        half, full = masks_for(params.layout, cfg.width_ratios)
+        opt = LocalOptimizer(cfg, params.layout.size)
+        result = _step(params, x, y, opt, None, (full, 1.0), [(half, 0.0)], distill=True)
 
-        full = build_mask(params.layout, 1.0)
         logits = forward(params, full, x)
         from slimfl.slimnet import backward
 
