@@ -86,7 +86,8 @@ class PowerObjective:
     def exact(self, lam: float) -> float:
         powers = (lam * self.total_power_w, (1.0 - lam) * self.total_power_w)
         thresholds = successive_thresholds(powers, self.effective_noise, self.sinr_threshold)
-        return float(np.exp(thresholds).sum())
+        with np.errstate(over="ignore"):  # a message that (almost) never decodes costs +inf
+            return float(np.exp(thresholds).sum())
 
     def taylor(self, lam: float) -> float:
         """First-order expansion, valid when both thresholds are small."""

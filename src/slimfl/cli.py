@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 from .config import ConfigError, override, parse_config
 from .engine import HelperError
 from .experiment import analyze_experiment, run_all
-from .metrics import write_json
+from .metrics import json_text, write_json
 
 EXIT_BAD_CONFIG = 2
 
@@ -45,7 +44,7 @@ def cmd_analyze(args) -> int:
         write_json(args.output, report)
         print(f"analysis {args.output}")
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json_text(report))
     return 0
 
 

@@ -119,7 +119,8 @@ class ExperimentConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     def __post_init__(self) -> None:
-        """Check the ``[experiment]`` scalars; each section checks its own."""
+        """Check the ``[experiment]`` scalars, then what no one section can
+        (each checks its own), naming those fields as ``section.field``."""
         if not self.seeds:
             raise ValueError("seeds: need at least one seed")
         if len(set(self.seeds)) < len(self.seeds):
@@ -131,6 +132,26 @@ class ExperimentConfig:
             raise ValueError("rounds: must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every: must be >= 1")
+        fed, ds, fading = self.federation, self.dataset, self.channel.fading
+        if ds.kind == "synth" and ds.classes * ds.per_class < fed.n_devices:
+            # at the default data size it is the device count that was set too high
+            sized = (ds.classes, ds.per_class) != (DatasetConfig.classes, DatasetConfig.per_class)
+            raise ValueError(
+                f"{'dataset.per_class' if sized else 'federation.n_devices'}: {ds.classes} classes"
+                f" x {ds.per_class} per_class synthetic samples, fewer than {fed.n_devices} devices"
+            )
+        if fed.scheme in ("vanilla-1.0x", "vanilla-1.5x") and fed.vanilla_rate_mode != "same_rate":
+            try:  # the full-width baseline sends twice a superposed message's payload
+                vanilla_threshold(self.channel, 2.0)
+            except ValueError as exc:
+                reason = str(exc).partition(": ")[2]
+                raise ValueError(f"channel.rate_bps: {fed.scheme} doubles it; {reason}") from exc
+        if fed.aggregation_weighting == "expected" and not isinstance(fading, Rayleigh):
+            raise ValueError(
+                "federation.aggregation_weighting: expected needs the closed-form decode "
+                f"probabilities of Rayleigh fading, not channel.fading = "
+                f"{type(fading).__name__.lower()}"
+            )
 
 
 def _finite_float(raw: str) -> float:
@@ -228,11 +249,13 @@ def _decode(raw: str, codec: tuple, where: str):
 
 
 def _located(exc: ValueError, section: str, renamed: dict) -> ConfigError:
-    """A dataclass check's "field: reason" message, with the field replaced by
-    the ``section.key`` that set it; ``renamed`` is shaped like ``_RENAMED``."""
+    """A dataclass check's "field: reason" message (a field of another
+    section as "section.field"), with the field replaced by the
+    ``section.key`` that set it; ``renamed`` is shaped like ``_RENAMED``."""
     name, _, reason = str(exc).partition(": ")
-    key = renamed.get((section, name), (section, name))
-    return ConfigError(f"{'.'.join(key)}: {reason}")
+    other, _, name = name.rpartition(".")
+    key = (other or section, name)
+    return ConfigError(f"{'.'.join(renamed.get(key, key))}: {reason}")
 
 
 def _read_sections(text: str) -> dict[str, dict[str, str]]:
@@ -331,28 +354,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if section not in ("experiment", "channel")
     }
     parts["channel"] = _build_channel(given["channel"], sections.get("channel", {}))
-    cfg = _built("experiment", ExperimentConfig, **given["experiment"], **parts)
-    fed, ds = cfg.federation, cfg.dataset
-    if ds.kind == "synth" and ds.classes * ds.per_class < fed.n_devices:
-        # at the default data size it is the device count that was set too high
-        sized = {"classes", "per_class"} & sections.get("dataset", {}).keys()
-        raise ConfigError(
-            f"{'dataset.per_class' if sized else 'federation.devices'}: {ds.classes} classes x "
-            f"{ds.per_class} per_class synthetic samples, fewer than {fed.n_devices} devices"
-        )
-    if fed.scheme in ("vanilla-1.0x", "vanilla-1.5x") and fed.vanilla_rate_mode != "same_rate":
-        try:  # the full-width baseline sends twice a superposed message's payload
-            vanilla_threshold(cfg.channel, 2.0)
-        except ValueError as exc:
-            reason = str(exc).partition(": ")[2]
-            raise ConfigError(f"channel.rate_bps: {fed.scheme} doubles it; {reason}") from exc
-    if fed.aggregation_weighting == "expected" and not isinstance(cfg.channel.fading, Rayleigh):
-        raise ConfigError(
-            "federation.aggregation_weighting: expected needs the closed-form decode "
-            f"probabilities of Rayleigh fading, not channel.fading = "
-            f"{type(cfg.channel.fading).__name__.lower()}"
-        )
-    return cfg
+    return _built("experiment", ExperimentConfig, **given["experiment"], **parts)
 
 
 def load_config(path) -> ExperimentConfig:

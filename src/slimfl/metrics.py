@@ -103,11 +103,25 @@ def write_metrics_csv(path, metrics: list[RoundMetrics]) -> None:
         csv.writer(fh, lineterminator="\n").writerows(metrics_rows(metrics))
 
 
+def json_text(obj) -> str:
+    """``obj`` as strict JSON, indented with sorted keys: JSON has no
+    Infinity or NaN, so each non-finite number is written as null."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _finite(obj):
+    """``obj`` with each non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_json(path, obj) -> None:
-    """``obj`` as indented JSON with sorted keys, replacing ``path`` in one step."""
+    """``json_text(obj)``, replacing ``path`` in one step."""
     with _replacing(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(obj) + "\n")
 
 
 def detect_convergence(

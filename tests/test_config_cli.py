@@ -1,6 +1,7 @@
 """Config parsing/serialization, CLI behavior, run determinism."""
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slimfl import federation
-from slimfl.channel import Rayleigh, Rician, Twdp, sample_fading
+from slimfl.channel import ChannelConfig, Rayleigh, Rician, Twdp, sample_fading
 from slimfl.cli import main
 from slimfl.config import (
     _CHANNEL_KEYS,
@@ -23,11 +24,13 @@ from slimfl.config import (
     _KEYS,
     _SECTIONS,
     ConfigError,
+    DatasetConfig,
+    ExperimentConfig,
     parse_config,
     serialize_config,
 )
 from slimfl.experiment import run_experiment
-from slimfl.federation import SCHEMES
+from slimfl.federation import SCHEMES, FederationConfig
 from slimfl.metrics import write_metrics_csv
 from slimfl import rng as rngmod
 
@@ -57,6 +60,14 @@ batch_size = 16
 devices = 3
 scheme = slimfl
 """
+
+
+def strict_json(text: str):
+    """``text`` parsed as JSON, which has no Infinity or NaN."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestRngStreams:
@@ -310,6 +321,28 @@ class TestConfigParsing:
         [field] = values
         with pytest.raises(ValueError, match=rf"^{field}: "):
             _SECTIONS[section](**values)
+
+    @pytest.mark.parametrize(
+        "base, replaced, field",
+        [
+            # each of these once built without error
+            (dict(federation=FederationConfig(aggregation_weighting="expected")),
+             dict(channel=ChannelConfig(fading=Rician())), "federation.aggregation_weighting"),
+            (dict(dataset=DatasetConfig(classes=2, per_class=3),
+                  federation=FederationConfig(n_devices=6)),
+             dict(federation=FederationConfig(n_devices=10)), "dataset.per_class"),
+            ({}, dict(federation=FederationConfig(n_devices=10001)), "federation.n_devices"),
+            (dict(channel=ChannelConfig(bandwidth_hz=1e5)),
+             dict(federation=FederationConfig(scheme="vanilla-1.5x")), "channel.rate_bps"),
+        ],
+    )
+    def test_config_built_in_code_meets_the_cross_section_checks(self, base, replaced, field):
+        """A config built in code, or a section replaced in one, meets the
+        checks that span sections, as a parsed config does."""
+        with pytest.raises(ValueError, match=rf"^{field}: "):
+            ExperimentConfig(**{**base, **replaced})
+        with pytest.raises(ValueError, match=rf"^{field}: "):
+            dataclasses.replace(ExperimentConfig(**base), **replaced)
 
 
 # every int and float key, as (section, key)
@@ -642,7 +675,8 @@ class TestCli:
         assert obj_at["0.662"] <= obj_at["0.6"] + 1e-9
         assert obj_at["0.662"] <= obj_at["0.8"] + 1e-9
 
-    # a shorthand and its field set one value, so setting either drops the other
+    # a shorthand and its field set one value, so setting either drops the
+    # other; a poor channel or a powerless second message writes null bounds
     @pytest.mark.parametrize(
         "param, values",
         [
@@ -650,6 +684,8 @@ class TestCli:
             ("channel.noise_psd_db_hz", ("-172", "-169")),
             ("channel.rate_sinr_threshold", ("0.5", "0.667")),
             ("channel.rate_bps", ("3e7", "5e7")),
+            ("channel.power_split", ("0.662", "1.0")),
+            ("channel.noise_psd_db_hz", ("-169", "-140")),
         ],
     )
     def test_sweep_analyze_over_channel_rate_and_shorthands(self, tmp_path, param, values):
@@ -658,8 +694,25 @@ class TestCli:
         args = ["sweep", str(config_path), "--param", param, f"--values={','.join(values)}"]
         assert main([*args, "--mode", "analyze"]) == 0
         sweep_dir = tmp_path / "out" / f"sweep_{param.replace('.', '_')}"
-        reports = [(sweep_dir / v / "analysis.json").read_text() for v in values]
+        reports = [strict_json((sweep_dir / v / "analysis.json").read_text()) for v in values]
         assert reports[0] != reports[1]
+
+    # a poor channel, whose objective overflows at splits near 1, and a
+    # second message with no power, which never decodes: infinite bounds
+    @pytest.mark.parametrize("channel", ["noise_psd_db_hz = -140", "power_split = 1.0"])
+    def test_analyze_writes_strict_json_on_every_channel(self, channel, tmp_path, capsys):
+        config = tmp_path / "exp.ini"
+        config.write_text(SMALL_RUN.format(out=str(tmp_path / "out")) + f"[channel]\n{channel}\n")
+        assert main(["analyze", str(config)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["analyze", str(config), "--output", str(tmp_path / "report.json")]) == 0
+        assert (tmp_path / "report.json").read_text() == printed
+        report = strict_json(printed)
+        if channel.startswith("power_split"):
+            assert report["gradient_noise_bound"] is None
+            assert [bound for _, bound in report["gap_bound_curve"]] == [None] * 10
+        else:
+            assert None in [objective for _, objective in report["objective_samples"]]
 
     def sweep_and_analyze(self, tmp_path, channel, param, values):
         """The analysis.json of each swept value, and ``slimfl analyze`` of
