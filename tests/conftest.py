@@ -5,8 +5,9 @@ An engine is where a round loop's work runs: inline, in the loop's one
 spare-CPU helper, which draws every run's inputs ahead and evaluates
 behind, or in a split stack's workers, whose handoffs spin or block.  Each
 plan helper substitutes ``engine.plan``, the one function that reads the
-CPUs; ``tests/test_engines.py`` and ``tests/test_golden.py`` give
-``planned`` whole plans."""
+CPUs, and ``spinning`` amends the plan in force, so it composes with
+``split_stacks``; ``tests/test_engines.py`` and ``tests/test_golden.py``
+give ``planned`` whole plans."""
 
 import contextlib
 import os
@@ -98,6 +99,17 @@ def sampled_rounds(on=True):
     pytest the rule finds no spare CPU on 2 CPUs: the
     ``faulthandler_timeout`` watchdog is a second thread."""
     return planned(lambda sizes: engine.Plan((1,) * len(sizes), on, False))
+
+
+@contextlib.contextmanager
+def spinning(on=True):
+    """The plan in force, with split stacks' workers and the process
+    polling for each other's messages before they block (``on``) or always
+    blocking, whatever the rule finds.  Under pytest it finds no CPU to poll
+    on 2 CPUs: the ``faulthandler_timeout`` watchdog is a second thread."""
+    plan = engine.plan
+    with planned(lambda sizes: plan(sizes)._replace(spin=on)):
+        yield
 
 
 def counted_evaluations(mp, inline: list) -> None:

@@ -1,14 +1,17 @@
 """Aggregation cases, decode-level plumbing, vanilla baselines, evaluation,
 and the split engine's workers and the round loop's spare-CPU helper.  That
-every engine writes the inline bytes, and that a failing or killed helper
-names its round, is ``tests/test_engines.py``'s."""
+every plan writes the inline bytes, and that a failing or killed helper
+names its round, over drawn configs and plans, is ``tests/test_engines.py``'s;
+the hand-written cases here pin single plans."""
 
 import dataclasses
 import functools
 import gc
+import hashlib
 import math
 import os
 import re
+import signal
 import sys
 import tracemalloc
 from collections import Counter
@@ -18,9 +21,9 @@ import numpy as np
 import pytest
 from conftest import (
     LOCAL_TRAIN, SKEWED_SHARDS, assert_no_child_process, counted_evaluations, deadline,
-    index_shards, make_task, sampled_rounds, split_stacks,
+    index_shards, make_task, sampled_rounds, spinning, split_stacks,
 )
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import slimfl.engine
@@ -28,6 +31,8 @@ from slimfl import federation
 from slimfl.channel import (
     ChannelConfig,
     Rayleigh,
+    Rician,
+    Twdp,
     config_for_decode_probs,
     decode_thresholds,
     rate_for_sinr_threshold,
@@ -46,7 +51,7 @@ from slimfl.federation import (
     evaluate,
     vanilla_threshold,
 )
-from slimfl.metrics import CostModel, metrics_rows
+from slimfl.metrics import CostModel, metrics_rows, write_metrics_csv
 from slimfl.slimnet import Layout, SlimmableParams, build_mask, forward, init_params
 from slimfl.training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
 from slimfl import rng as rngmod
@@ -364,6 +369,22 @@ class TestLocalTraining:
                 assert chi[k] == sample_fading(Rayleigh(), rngmod.stream(20, "fading", k, r))
 
 
+    def test_worker_failure_names_round_and_devices(self):
+        layout = Layout.mlp(10, (8,), 4)
+        cfg = TrainConfig(batch_size=8)
+        # device 3's shard indexes past the training set: only the worker fails
+        shards = index_shards([[0, 1], [2, 3], [4, 5], [6]])
+        shards[3] = Shard(np.array([len(LOCAL_TRAIN)]), shards[3].class_histogram)
+        init = init_params(layout, rngmod.stream(20, "init")).values
+        engine = split(local_training(shards, cfg), 2)
+        try:
+            with pytest.raises(RuntimeError, match=r"round 1: .* devices 2-3 failed") as info:
+                engine.run(init, 1)
+        finally:
+            close(engine)
+        assert isinstance(info.value.__cause__, IndexError)
+        assert_no_child_process()
+
     @pytest.mark.parametrize("sampled", [False, True], ids=["inline", "sampled"])
     def test_bad_shard_index_raises_in_one_part(self, sampled):
         # the one-part cases of the worker's: the batch gather checks its
@@ -439,6 +460,33 @@ class TestLocalTraining:
             "freed step temporaries back to the OS and fault them in again next step "
             "(about 2,550 minor page faults per K=100 round)"
         )
+
+    @pytest.mark.parametrize("scheme", ["slimfl", "vanilla-1.5x"])
+    def test_split_run_writes_the_same_csv(self, scheme, tmp_path):
+        cfg = load_config(REFERENCE)
+        cfg = dataclasses.replace(
+            cfg, rounds=4, channel=config_for_decode_probs(0.7, 0.5),
+            federation=dataclasses.replace(
+                cfg.federation, n_devices=6, local_iters=2, scheme=scheme
+            ),
+            training=dataclasses.replace(cfg.training, batch_size=16),
+        )
+        built = []
+
+        def digest(tag):
+            metrics, _ = experiment.run_experiment(cfg, 3)
+            write_metrics_csv(tmp_path / tag, metrics)
+            return hashlib.sha256((tmp_path / tag).read_bytes()).hexdigest()
+
+        serial = digest("serial.csv")
+        with split_stacks(), pytest.MonkeyPatch.context() as mp:
+            make = experiment.make_run
+            mp.setattr(experiment, "make_run", lambda *a: built.append(make(*a)) or built[-1])
+            split = digest("split.csv")
+        [fed] = built
+        assert len(fed.runs) == (2 if scheme == "vanilla-1.5x" else 1)
+        assert [run.local.parts for run in fed.runs] == [2] * len(fed.runs)
+        assert split == serial
 
     def test_split_run_draws_each_parts_gains_where_it_trains(self, tmp_path):
         log = tmp_path / "draws"
@@ -558,6 +606,26 @@ class TestHelpers:
                 train()
         assert head.opt.t == steps  # refused before the process trained a step
 
+    def test_killed_helper_fails_the_run_loudly(self, kind):
+        plan, helpers = HELPERS[kind]
+        with plan():
+            fed = make_run(seed=51, rounds=5)
+            try:
+                fed.run_round()
+                helper = helpers(fed, fed.runs[0])[0]
+                os.kill(helper.pid, signal.SIGKILL)
+                with deadline(), pytest.raises(RuntimeError) as info:
+                    for _ in range(4):
+                        fed.run_round()
+            finally:
+                fed.close()
+        role = "worker" if kind == "worker" else "helper"
+        assert info.match(
+            rf"^round \d+: \w.* failed in {role} process {helper.pid}: it was killed by signal 9$"
+        )
+        assert_no_child_process()
+
+
 @pytest.mark.parametrize("driven_by", ["run", "run_round"])
 def test_the_loop_owns_every_process_and_every_accuracy(driven_by):
     """On every plan, however the loop is driven: after the first round the
@@ -597,12 +665,109 @@ def test_the_loop_owns_every_process_and_every_accuracy(driven_by):
     assert evaluated["inline"] == evaluated["helper"] == evaluated["split"]
 
 
+@pytest.mark.parametrize("spin", [False, True], ids=["blocking", "spinning"])
+class TestSplitHandoff:
+    """A split stack's worker and the process hand each round over by
+    polling or by blocking reads; a job that fails or a worker that dies
+    fails the round loudly either way."""
+
+    def test_failed_job_names_round_and_worker(self, spin):
+        draw, process, calls = federation.sample_fading, os.getpid(), []
+
+        def sample_fading(model, rng):
+            if os.getpid() != process:  # devices 2-3, from the worker's fork-time copy
+                calls.append(None)
+                if len(calls) == 3:
+                    raise ArithmeticError("no gain in round 2")
+            return draw(model, rng)
+
+        with split_stacks(), spinning(spin), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(federation, "sample_fading", sample_fading)
+            fed = make_run(seed=52, rounds=3)
+            with deadline(), pytest.raises(slimfl.engine.HelperError) as info:
+                fed.run()
+        [worker] = fed.runs[0].local.workers
+        assert worker.spin == spin
+        assert info.match(
+            rf"^round 2: local training of devices 2-3 failed in worker process {worker.pid}:\n"
+        )
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        assert_no_child_process()
+
+    def test_worker_killed_between_rounds_names_the_round(self, spin):
+        with split_stacks(), spinning(spin):
+            fed = make_run(seed=53, rounds=3)
+            try:
+                fed.run_round()
+                [worker] = fed.runs[0].local.workers
+                os.kill(worker.pid, signal.SIGKILL)  # while it polls for round 2, if it spins
+                with deadline(), pytest.raises(slimfl.engine.HelperError) as info:
+                    fed.run_round()
+            finally:
+                fed.close()
+        assert worker.spin == spin
+        assert info.match(
+            rf"^round 2: local training of devices 2-3 failed in worker process {worker.pid}: "
+            "it was killed by signal 9$"
+        )
+        assert_no_child_process()
+
+
 class TestSampler:
     """A round loop whose stacks train in one process each, with a CPU to
     spare, draws every run's batches and fading gains two rounds ahead in
     its one helper process, which also evaluates every run's global model
-    two rounds behind, however the loop is driven, and only the rounds the
-    loop has."""
+    two rounds behind, however the loop is driven; every output byte is
+    unchanged, and the helper ends with the loop, however it ends."""
+
+    @settings(max_examples=30)
+    @given(
+        shards=st.lists(
+            st.lists(st.integers(0, len(LOCAL_TRAIN) - 1), min_size=1, max_size=40, unique=True),
+            min_size=1,
+            max_size=23,
+        ).map(index_shards),
+        batch_size=st.integers(1, 32),
+        local_iters=st.integers(1, 3),
+        rule=st.sampled_from(sorted(STEP_FUNCTIONS)),
+        optimizer=st.sampled_from(["adam", "sgd"]),
+        fading=st.sampled_from([Rayleigh(), Rician(), Twdp()]),
+        seed=st.integers(0, 2**34),
+        scheme=st.sampled_from(["slimfl", "vanilla-1.0x"]),
+        eval_every=st.sampled_from([1, 2, 3]),
+        rounds=st.integers(2, 8),
+    )
+    @example(
+        shards=SKEWED_SHARDS, batch_size=32, local_iters=2, rule="superposed",
+        optimizer="adam", fading=Rayleigh(), seed=20, scheme="slimfl", eval_every=2, rounds=5,
+    )
+    def test_sampled_run_writes_the_inline_runs_bytes(
+        self, shards, batch_size, local_iters, rule, optimizer, fading, seed, scheme,
+        eval_every, rounds,
+    ):
+        # a round is evaluated, and unless every round is, the last round is not
+        assume(rounds > eval_every and (eval_every == 1 or rounds % eval_every))
+        cfg = TrainConfig(batch_size=batch_size, algorithm=rule, optimizer=optimizer)
+        chan = config_for_decode_probs(0.7, 0.5, fading=fading)
+
+        def rows(sampled):
+            inline = []
+            with sampled_rounds(sampled), pytest.MonkeyPatch.context() as mp:
+                counted_evaluations(mp, inline)
+                fed = make_run(
+                    scheme, seed=seed, shards=shards, train_cfg=cfg, local_iters=local_iters,
+                    chan=chan, rounds=rounds, eval_every=eval_every,
+                )
+                metrics = fed.run()
+            [run] = fed.runs
+            assert (fed.helper is not None) == sampled
+            # every evaluated round's accuracies but the last two rounds' came from the helper
+            evaluated = range(eval_every, rounds + 1, eval_every)
+            assert sorted(fed.evaluated) == list(evaluated)
+            assert inline == [r for r in evaluated if not sampled or r > rounds - 2]
+            return metrics_rows(metrics), run.global_values.tobytes()
+
+        assert rows(True) == rows(False)
 
     def test_start_rule_leaves_a_cpu_to_each_thread_and_helper(self):
         if not sys.platform.startswith("linux"):
@@ -664,6 +829,26 @@ class TestSampler:
         assert run.round == 2 and head.opt.t == steps and run.global_values.tobytes() == values
         assert_no_child_process()
 
+    def test_failed_draw_names_round_and_sampler(self):
+        draws = []
+
+        def sample_fading(model, rng):
+            draws.append(model)  # counted in the helper's copy
+            if len(draws) > 4:  # every one of round 2's 4 devices
+                raise ArithmeticError("no fading gain")
+            return 1.0
+
+        with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(federation, "sample_fading", sample_fading)
+            fed = make_run(seed=47)
+            [run] = fed.runs
+            with pytest.raises(RuntimeError, match=r"^round 2: drawing .* helper process (\d+)") as info:
+                fed.run()
+        assert info.match(rf"helper process {fed.helper.pid}:")
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        assert run.round == 1 and draws == []  # round 1 ran, and the process drew nothing
+        assert_no_child_process()
+
     def test_rounds_driven_alone_carry_no_accuracies(self):
         """A loop driven through ``run_round`` alone evaluates where ``run()``
         would: its rows hold NaN accuracies, and ``evaluated`` every round's."""
@@ -685,6 +870,52 @@ class TestSampler:
         sampled = rounds(True)
         assert sampled == rounds(False)
         assert sorted(sampled[1]) == [1, 2, 3, 4]
+
+    def test_failed_evaluation_names_round_and_evaluator(self):
+        calls = []
+
+        def evaluate(*args):
+            calls.append(args)  # counted in each process's copy
+            if len(calls) == 2:
+                raise ArithmeticError("no accuracy")
+            return federation_evaluate(*args)
+
+        federation_evaluate = federation.evaluate
+        with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(federation, "evaluate", evaluate)
+            fed = make_run(seed=56, rounds=4)
+            [run] = fed.runs
+            # round 2, evaluated in the helper as it drew round 4
+            with pytest.raises(
+                RuntimeError, match=r"^round 4: drawing .* evaluating .* helper process (\d+):"
+            ) as info:
+                fed.run()
+        assert info.match(rf"helper process {fed.helper.pid}:")
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        # raised when round 4 took its slot; the process evaluated round 3 alone
+        assert run.round == 3 and sorted(fed.evaluated) == [1, 3] and len(calls) == 1
+        assert_no_child_process()
+
+    def test_killed_evaluator_fails_the_run_loudly(self):
+        with sampled_rounds():
+            fed = make_run(seed=57, rounds=5)
+            [run] = fed.runs
+            run_round = fed.run_round
+
+            def kill_after_round_1():  # on the instance, as a round timer wraps it
+                metrics = run_round()
+                if run.round == 1:
+                    os.kill(fed.helper.pid, signal.SIGKILL)
+                return metrics
+
+            fed.run_round = kill_after_round_1
+            with deadline(), pytest.raises(RuntimeError) as info:
+                fed.run()
+        assert info.match(
+            rf"^round \d+: drawing .* evaluating .* failed in helper process {fed.helper.pid}: "
+            "it was killed by signal 9$"
+        )
+        assert_no_child_process()
 
     def test_diverging_run_with_an_evaluator_names_its_round(self):
         with sampled_rounds():
