@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from dataclasses import dataclass, replace
 
@@ -148,8 +147,8 @@ def summarize(cfg: ExperimentConfig, seed: int, metrics: list[RoundMetrics]) -> 
         "rounds": len(metrics),
         "convergence_round": convergence,
         "energy": report,
-        "final_acc_0.5x": None if math.isnan(last.acc_half) else last.acc_half,
-        "final_acc_1.0x": None if math.isnan(last.acc_full) else last.acc_full,
+        "final_acc_0.5x": last.acc_half,  # NaN if not evaluated: json_text writes null
+        "final_acc_1.0x": last.acc_full,
         "decoded_megabits_total": sum(m.decoded_megabits for m in metrics),
     }
 

@@ -6,8 +6,8 @@ spare-CPU helper, which draws every run's inputs ahead and evaluates
 behind, or in a split stack's workers, whose handoffs spin or block.  Each
 plan helper substitutes ``engine.plan``, the one function that reads the
 CPUs, and ``spinning`` amends the plan in force, so it composes with
-``split_stacks``; ``tests/test_engines.py`` and ``tests/test_golden.py``
-give ``planned`` whole plans."""
+``split_stacks``; ``tests/test_engines.py`` gives ``planned`` whole
+plans."""
 
 import contextlib
 import os

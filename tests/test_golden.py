@@ -13,13 +13,13 @@ loop's one spare-CPU helper process, and with its device stack split over
 two processes whose handoffs spin or block.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 
 import pytest
-from conftest import planned
+from conftest import counted_evaluations, sampled_rounds, spinning, split_stacks
 
-from slimfl import engine
 from slimfl.channel import config_for_decode_probs
 from slimfl.config import parse_config
 from slimfl.experiment import build_task, make_run
@@ -159,24 +159,56 @@ def test_outputs_match_pins(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
 
 
-# an engine: each run's part count, whether the loop forks its spare-CPU
-# helper, and whether split stacks' workers spin, as the plan the loop runs
-# under.  tests/test_engines.py checks that a loop forks, draws and
-# evaluates as its plan says.
+def evaluated_off_path(fed, inline):
+    """Whether the round loop ``fed`` evaluated every run's global model in
+    every evaluated round, and in its helper process every one but those of
+    its last two rounds, which this process evaluated (``inline``)."""
+    evaluated = range(fed.eval_every, fed.rounds + 1, fed.eval_every)
+    last_two = [r for r in evaluated if r > fed.rounds - 2]
+    widths = sum(len(run.widths) for run in fed.runs)
+    return (
+        fed.helper is not None and sorted(fed.evaluated) == list(evaluated)
+        and inline == last_two and last_two != list(evaluated)
+        and all(len(accuracies) == widths for accuracies in fed.evaluated.values())
+    )
+
+
+def split_over_two(spin):
+    """Whether every run of the round loop ``fed`` split its stack in two,
+    its worker spinning (``spin``) or blocking, and the loop's helpers are
+    those workers."""
+    return lambda fed, inline: (
+        all(run.local.parts == 2 for run in fed.runs)
+        and fed.helpers == [worker for run in fed.runs for worker in run.local.workers]
+        and [worker.spin for worker in fed.helpers] == [spin] * len(fed.runs)
+    )
+
+
+@contextlib.contextmanager
+def split_plan(spin):
+    with split_stacks(), spinning(spin):
+        yield
+
+
+# an engine: the plan that makes a round loop use it, and whether a loop
+# did, given the rounds this process evaluated
 ENGINES = {
-    "sampled": (1, True, False), "split": (2, False, False), "split-spinning": (2, False, True)
+    "sampled": (sampled_rounds, evaluated_off_path),
+    "split": (lambda: split_plan(False), split_over_two(False)),
+    "split-spinning": (lambda: split_plan(True), split_over_two(True)),
 }
 
 
-@pytest.mark.parametrize("plan", sorted(ENGINES))
+@pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_every_engine_matches_pins(name, plan, tmp_path):
+def test_every_engine_matches_pins(name, engine, tmp_path):
     """Batches drawn ahead and the global model evaluated behind in the
     loop's one helper process, or a stack split over two processes that
     hand each round over by blocking reads or by polling, give the same
     bytes."""
-    parts, helper, spin = ENGINES[plan]
-    built = []
-    with planned(lambda sizes: engine.Plan((parts,) * len(sizes), helper, spin)):
+    plan, used = ENGINES[engine]
+    built, inline = [], []
+    with plan(), pytest.MonkeyPatch.context() as mp:
+        counted_evaluations(mp, inline)
         assert digests(name, tmp_path, built) == GOLDEN[name]
-    assert built[0].plan == engine.Plan((parts,) * len(built[0].runs), helper, spin)
+    assert used(built[0], inline)
