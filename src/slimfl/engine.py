@@ -182,7 +182,12 @@ class Helper:
         closed with its run, or it died and is reaped here."""
         if not self.close.alive:
             return self._error(round_, " the run is closed")
-        code = os.waitstatus_to_exitcode(self.close())
+        return self.ended(round_, self.close())
+
+    def ended(self, round_: int, status: int) -> HelperError:
+        """The error of a helper reaped with wait status ``status``, for
+        round ``round_``."""
+        code = os.waitstatus_to_exitcode(status)
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
         return self._error(round_, f" it {how}")
 

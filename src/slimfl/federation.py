@@ -423,25 +423,23 @@ class FederatedRun:
         self.bits_at_level = np.array([0, *(w.bits for w in widths)])
         self.mflops = sum(w.mflops for w in widths) * fed_cfg.local_iters
         self.thresholds = np.asarray(thresholds, dtype=np.float64)
+        devices = range(len(shards))  # one per shard, whatever fed_cfg.n_devices says
         # expected-count weighting divides by K * P(decode)
         expected = fed_cfg.aggregation_weighting == "expected"
-        self.divisors = fed_cfg.n_devices * decode_probabilities(chan_cfg) if expected else None
+        self.divisors = len(devices) * decode_probabilities(chan_cfg) if expected else None
         self.local: LocalTraining | _DevicePool = LocalTraining(
             layout=layout, train=train, shards=shards, train_cfg=train_cfg,
-            batch_rngs=[
-                rngmod.stream(master_seed, "batch", *stream_tag, k)
-                for k in range(fed_cfg.n_devices)
-            ],
+            batch_rngs=[rngmod.stream(master_seed, "batch", *stream_tag, k) for k in devices],
             fading=chan_cfg.fading,
             # device k's fading stream in round r is rng.stream(master_seed,
             # "fading", *stream_tag, k, r)
             fading_streams=rngmod.StreamFamily(
-                master_seed, [("fading", *stream_tag, k) for k in range(fed_cfg.n_devices)]
+                master_seed, [("fading", *stream_tag, k) for k in devices]
             ),
             local_iters=fed_cfg.local_iters,
         )
         self.global_values = init_values.copy()
-        self.levels = np.zeros(fed_cfg.n_devices, dtype=np.intp)
+        self.levels = np.zeros(len(devices), dtype=np.intp)
         self.round = 0
 
     def decode_levels(self, chi: np.ndarray) -> np.ndarray:
@@ -616,17 +614,22 @@ class Federation:
             for accuracy in evaluate(SlimmableParams(run.layout, vector), run.masks, x, y)
         ]
 
-    def close(self) -> None:
-        """Stop and reap every process the loop forked."""
-        for helper in self.helpers:
-            helper.close()
+    def close(self) -> list[int | None]:
+        """Stop and reap every process the loop forked: the wait status of
+        each, or None for one reaped before."""
+        return [helper.close() for helper in self.helpers]
 
     def run(self) -> list[RoundMetrics]:
-        """Every round's metrics row, each evaluated round's accuracies in it."""
+        """Every round's metrics row, each evaluated round's accuracies in it.
+        A helper that did not exit cleanly once every round is done (it died
+        after its last answer) fails the run, named for the last round."""
         try:
             rows = [self.run_round() for _ in range(self.rounds)]
         finally:
-            self.close()
+            statuses = self.close()
+        for helper, status in zip(self.helpers, statuses):
+            if status:
+                raise helper.ended(self.rounds, status)
         filled = {r: dict(zip(self.columns, acc)) for r, acc in self.evaluated.items()}
         return [dataclasses.replace(row, **filled.get(row.round, {})) for row in rows]
 

@@ -1,5 +1,7 @@
 """Suite-wide checks and the one ``hypothesis`` profile; the small task that
-the engine tests train on; and helpers that pick a round loop's engine plan.
+the engine tests train on, and ``make_loop``, which builds every round loop
+of the federation and engine tests through ``experiment.make_run``; and
+helpers that pick a round loop's engine plan.
 
 An engine is where a round loop's work runs: inline, in the loop's one
 spare-CPU helper, which draws every run's inputs ahead and evaluates
@@ -19,9 +21,11 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from slimfl import engine, federation
+from slimfl import engine, experiment, federation
 from slimfl import rng as rngmod
+from slimfl.config import ExperimentConfig
 from slimfl.datasets import Dataset, Shard, dirichlet_partition
+from slimfl.slimnet import Layout
 
 # no deadline (a round can take a while on a busy machine), no example
 # database (a property replays nothing from, and writes nothing to, disk),
@@ -46,6 +50,7 @@ def make_task(seed=0, n=200, dim=10, classes=4):
 
 
 LOCAL_TRAIN, LOCAL_TEST = make_task(20)
+LAYOUT = Layout.mlp(10, (8,), 4)
 # skewed shards, several smaller than the batch: padded batches of several lengths
 SKEWED_SHARDS = dirichlet_partition(LOCAL_TRAIN.y, 6, 0.1, rngmod.stream(20, "partition"))
 
@@ -56,6 +61,20 @@ def index_shards(index_lists) -> list[Shard]:
         Shard(np.array(indices), np.bincount(LOCAL_TRAIN.y[indices], minlength=4))
         for indices in index_lists
     ]
+
+
+def make_loop(cfg: ExperimentConfig, task: experiment.Task | None = None) -> federation.Federation:
+    """``cfg``'s round loop at its first seed, as ``experiment.make_run``
+    builds it for ``task``: by default ``make_task(seed)``'s data, in
+    Dirichlet(1.0) shards of ``cfg``'s devices, for a 10-8-4 MLP."""
+    seed = cfg.seeds[0]
+    if task is None:
+        train, test = make_task(seed)
+        shards = dirichlet_partition(
+            train.y, cfg.federation.n_devices, 1.0, rngmod.stream(seed, "partition")
+        )
+        task = experiment.Task(train, test, shards, LAYOUT)
+    return experiment.make_run(cfg, seed, task)
 
 
 @contextlib.contextmanager

@@ -1,8 +1,9 @@
 """The engine contract: a seed gives the inline plan's bytes on every
 engine, and a helper that fails or dies names its round.  Each loop is
-built through ``experiment.make_run`` and run under one drawn
-``engine.Plan``; each ``@example`` is the case of a hand-written test that
-the property replaced."""
+built through ``experiment.make_run`` (``conftest.make_loop``) and run under
+one ``engine.Plan``.  Two ``hypothesis`` properties draw the case; two
+parametrized tests run each named case of ``NAMED`` through the same check,
+one id per case."""
 
 import os
 import re
@@ -12,20 +13,17 @@ from typing import NamedTuple
 
 import pytest
 from conftest import (
-    LOCAL_TEST, LOCAL_TRAIN, SKEWED_SHARDS, assert_no_child_process, counted_evaluations,
-    deadline, index_shards, planned,
+    LAYOUT, LOCAL_TEST, LOCAL_TRAIN, SKEWED_SHARDS, assert_no_child_process,
+    counted_evaluations, deadline, index_shards, make_loop, planned,
 )
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slimfl import engine, experiment, federation
 from slimfl.channel import Rayleigh, Rician, Twdp, config_for_decode_probs
 from slimfl.config import ExperimentConfig
 from slimfl.federation import SCHEMES, FederationConfig, LocalTraining
-from slimfl.slimnet import Layout
 from slimfl.training import STEP_FUNCTIONS, TrainConfig
-
-SPLIT = engine.Plan((2,), False, False)
 
 
 def config(k, batch_size=32, local_iters=1, rule="superposed", optimizer="adam", scheme="slimfl",
@@ -42,14 +40,18 @@ def config(k, batch_size=32, local_iters=1, rule="superposed", optimizer="adam",
 class Fault(NamedTuple):
     kind: str  # "draw" or "evaluation" raises in the helper's job; "kill" SIGKILLs it
     helper: int  # its index in Federation.helpers: the split runs' workers, then the ring
-    round: int  # the round it fails
+    # the round it fails; a helper killed at round rounds + 1 dies after its last answer
+    round: int
+
+
+NO_FAULT = Fault("", -1, 0)
 
 
 class Case(NamedTuple):
     shards: list  # of LOCAL_TRAIN
     plan: engine.Plan
     cfg: ExperimentConfig
-    fault: Fault = Fault("", -1, 0)
+    fault: Fault = NO_FAULT
 
     def evaluated(self) -> tuple[list[int], list[int]]:
         """The rounds whose accuracies the loop holds when it ends, and those the
@@ -90,12 +92,13 @@ def run(case: Case):
     """The loop, its ``run()``'s rows or ``HelperError``, and its bytes: the
     rows at full precision, the accuracies, the final global vectors, and
     each aggregated stack and its levels (a sum hides two devices swapped).
-    Checks the plan's processes, which rounds the process drew and
-    evaluated, and that no process is left."""
-    task = experiment.Task(LOCAL_TRAIN, LOCAL_TEST, case.shards, Layout.mlp(10, (8,), 4))
-    fed, process = experiment.make_run(case.cfg, case.cfg.seeds[0], task), os.getpid()
+    Checks the plan's processes and that the ring alone runs under
+    ``SCHED_BATCH``, which rounds the process drew and evaluated, and that
+    no process is left."""
+    task = experiment.Task(LOCAL_TRAIN, LOCAL_TEST, case.shards, LAYOUT)
+    fed, process = make_loop(case.cfg, task), os.getpid()
     kind, helper, n = case.fault
-    aggregated, drawn, inline, ring_evaluated = [], [], [], []
+    aggregated, drawn, inline, ring_evaluated, batch = [], [], [], [], []
     aggregate, fill = federation.aggregate, LocalTraining._fill
     # the drawn worker's part draws from its first device's stream first; None: the ring
     target = {h: fed.runs[i].local.fading_streams.prefixes[lo]
@@ -123,13 +126,15 @@ def run(case: Case):
                 raise ArithmeticError(f"no accuracy for round {n - 2}")
         return accuracies(loop, vectors)
 
-    def killing(run_round=fed.run_round):  # on the instance, as a round timer wraps it
+    def observed(run_round=fed.run_round):  # on the instance, as a round timer wraps it
         row = run_round()
+        if fed.runs[0].round == 1:  # every helper has answered, so set its policy
+            batch.extend(os.sched_getscheduler(h.pid) == os.SCHED_BATCH for h in fed.helpers)
         if kind == "kill" and fed.runs[0].round == n - 1:
             os.kill(fed.helpers[helper].pid, signal.SIGKILL)
         return row
 
-    fed.run_round = killing
+    fed.run_round = observed
     with planned(lambda sizes: case.plan), pytest.MonkeyPatch.context() as mp, deadline(60):
         mp.setattr(federation, "aggregate", recorded)
         mp.setattr(LocalTraining, "_fill", faulty_fill)
@@ -145,21 +150,95 @@ def run(case: Case):
     assert fed.plan == case.plan and [run.local.parts for run in fed.runs] == [*case.plan.parts]
     assert fed.helpers == split + [fed.helper] * case.plan.helper
     assert [worker.spin for worker in split] == [case.plan.spin] * len(split)
+    # read after round 1, unless it failed
+    assert batch == ([False] * len(split) + [True] * case.plan.helper) * (n != 1)
     assert (sorted(fed.evaluated), inline) == case.evaluated()
     assert drawn == [] or not case.plan.helper  # the ring draws every round
     vectors = [run.global_values.tobytes() for run in fed.runs]
     return fed, outcome, (repr(outcome), fed.evaluated, vectors, aggregated)
 
 
-@settings(max_examples=80)
-@given(case=cases())
-# the split stack's, for each rule: parts [32, 32, 1] and [7, 32, 29] both pad
-@example(case=Case(SKEWED_SHARDS, SPLIT, config(6, local_iters=2, rounds=2)))
-@example(case=Case(SKEWED_SHARDS, SPLIT, config(6, local_iters=2, rule="widthwise", rounds=2)))
-@example(case=Case(SKEWED_SHARDS, SPLIT, config(6, local_iters=2, rule="sandwich", rounds=2)))
-def test_every_plan_writes_the_inline_bytes(case):
+def assert_inline_bytes(case: Case):
     inline = engine.Plan((1,) * len(case.plan.parts), False, False)
     assert run(case)[2] == run(case._replace(plan=inline))[2]
+
+
+def assert_fault_named(case: Case):
+    """The error names the round, the job, the helper's role and pid, and its
+    traceback and cause or its signal; every run stops at that round."""
+    fed, error, _ = run(case)
+    kind, index, n = case.fault
+    named = min(n, case.cfg.rounds)  # a helper dead after the last round: the last
+    helper = fed.helpers[index]
+    if helper is fed.helper:
+        assert re.match("drawing .* evaluating", helper.task)
+        role, task, stopped = "helper", re.escape(helper.task), [n - 1] * len(fed.runs)
+    else:  # the runs before the worker's trained round n; those after did not start it
+        i, lo, hi = case.workers()[index]
+        role, task = "worker", f"local training of devices {lo}-{hi}"
+        stopped = [named if j <= i else n - 1 for j in range(len(fed.runs))]
+    assert [run.round for run in fed.runs] == stopped
+    killed = kind == "kill"
+    ending = " it was killed by signal 9" if killed else "\nTraceback .*\nArithmeticError: no .*\n"
+    assert isinstance(error, engine.HelperError) and re.fullmatch(
+        rf"round {named}: {task} failed in {role} process {helper.pid}:{ending}", str(error),
+        re.DOTALL,
+    )
+    assert error.__cause__ is None if killed else isinstance(error.__cause__, ArithmeticError)
+
+
+def skewed(plan: engine.Plan, fault=NO_FAULT, **cfg) -> Case:
+    """A case of the six skewed shards."""
+    return Case(SKEWED_SHARDS, plan, config(6, **cfg), fault)
+
+
+RING, PAIR_RING = engine.Plan((1,), True, False), engine.Plan((1, 1), True, False)
+SPLIT, PAIR_SPLIT = engine.Plan((2,), False, False), engine.Plan((2, 2), False, False)
+SPINNING = SPLIT._replace(spin=True)
+# the named cases: each is one id of the test of its kind below
+NAMED = {
+    # the split stack's, for each rule: parts [32, 32, 1] and [7, 32, 29] both pad
+    **{f"split-rule-{rule}": skewed(SPLIT, local_iters=2, rule=rule, rounds=2)
+       for rule in sorted(STEP_FUNCTIONS)},
+    "split-slimfl": skewed(SPLIT, batch_size=16, local_iters=2, rounds=4, seed=3),
+    "split-vanilla-1.5x": skewed(
+        PAIR_SPLIT, batch_size=16, local_iters=2, scheme="vanilla-1.5x", rounds=4, seed=3,
+    ),
+    "ring-evaluating-every-2nd-round": skewed(RING, local_iters=2, eval_every=2, rounds=5),
+    "ring-draw-fails": skewed(RING, Fault("draw", 0, 2), seed=47),
+    # round 2's evaluation, as the ring draws round 4
+    "ring-evaluation-fails": skewed(RING, Fault("evaluation", 0, 4), rounds=4, seed=56),
+    "ring-killed": skewed(RING, Fault("kill", 0, 2), rounds=5, seed=57),
+    "ring-killed-in-a-pair": skewed(
+        PAIR_RING, Fault("kill", 0, 3), scheme="vanilla-1.5x", rounds=5, seed=51,
+    ),
+    "ring-killed-after-the-last-round": skewed(RING, Fault("kill", 0, 4), seed=58),
+    "worker-draw-fails-blocking": skewed(SPLIT, Fault("draw", 0, 2), seed=52),
+    "worker-draw-fails-spinning": skewed(SPINNING, Fault("draw", 0, 2), seed=52),
+    "worker-killed-blocking": skewed(SPLIT, Fault("kill", 0, 2), seed=53),
+    "worker-killed-spinning": skewed(SPINNING, Fault("kill", 0, 2), seed=53),
+    # the second run's worker, once the first run has trained round 3
+    "worker-killed-in-a-pair": skewed(
+        PAIR_SPLIT, Fault("kill", 1, 3), scheme="vanilla-1.5x", rounds=5, seed=51,
+    ),
+    "worker-killed-after-the-last-round": skewed(SPLIT, Fault("kill", 0, 4), seed=59),
+}
+
+
+@pytest.mark.parametrize("name", [name for name, case in NAMED.items() if not case.fault.kind])
+def test_named_plan_writes_the_inline_bytes(name):
+    assert_inline_bytes(NAMED[name])
+
+
+@pytest.mark.parametrize("name", [name for name, case in NAMED.items() if case.fault.kind])
+def test_named_fault_names_its_round(name):
+    assert_fault_named(NAMED[name])
+
+
+@settings(max_examples=80)
+@given(case=cases())
+def test_every_plan_writes_the_inline_bytes(case):
+    assert_inline_bytes(case)
 
 
 @st.composite
@@ -167,7 +246,7 @@ def faults(draw):
     case = draw(cases(with_helper=True))
     ring, rounds, every = len(case.workers()), case.cfg.rounds, case.cfg.eval_every
     helper = draw(st.integers(0, ring - 1 + case.plan.helper))
-    at = {"draw": range(1, rounds + 1), "kill": range(2, rounds + 1)}
+    at = {"draw": range(1, rounds + 1), "kill": range(2, rounds + 2)}
     if helper == ring:  # round r's evaluation fails as the ring draws round r + 2
         at["evaluation"] = range(every + 2, rounds + 1, every)
     kind = draw(st.sampled_from([kind for kind in sorted(at) if at[kind]]))
@@ -177,22 +256,4 @@ def faults(draw):
 @settings(max_examples=60)
 @given(case=faults())
 def test_a_failed_or_killed_helper_names_its_round(case):
-    """The error names the round, the job, the helper's role and pid, and its
-    traceback and cause or its signal; every run stops at that round."""
-    fed, error, _ = run(case)
-    kind, index, n = case.fault
-    helper = fed.helpers[index]
-    if helper is fed.helper:
-        assert re.match("drawing .* evaluating", helper.task)
-        role, task, stopped = "helper", re.escape(helper.task), [n - 1] * len(fed.runs)
-    else:  # the runs before the worker's trained round n; those after did not start it
-        i, lo, hi = case.workers()[index]
-        role, task = "worker", f"local training of devices {lo}-{hi}"
-        stopped = [n if j <= i else n - 1 for j in range(len(fed.runs))]
-    assert [run.round for run in fed.runs] == stopped
-    killed = kind == "kill"
-    ending = " it was killed by signal 9" if killed else "\nTraceback .*\nArithmeticError: no .*\n"
-    assert isinstance(error, engine.HelperError) and re.fullmatch(
-        rf"round {n}: {task} failed in {role} process {helper.pid}:{ending}", str(error), re.DOTALL
-    )
-    assert error.__cause__ is None if killed else isinstance(error.__cause__, ArithmeticError)
+    assert_fault_named(case)

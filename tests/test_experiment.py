@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from slimfl.datasets import write_idx
 from slimfl.experiment import build_task, make_run, run_all, run_experiment, summarize
 from slimfl.metrics import CostModel
 from slimfl.slimnet import build_mask
+from slimfl.training import STEP_FUNCTIONS
 
 IDX_RUN = """
 [experiment]
@@ -462,3 +464,23 @@ def test_each_settable_key_changes_an_output(key, value, context, reach_idx, tmp
     cfg, changed = reach_outputs({**context, key: value}, reach_idx)
     assert cfg != base_cfg  # the value is away from the context's default
     assert changed != base
+
+
+def test_the_benchmark_tracer_patches_and_restores_every_name():
+    """``bench/tracer.py`` patches slimfl's functions by name, through each
+    owner's ``__dict__``: a name renamed or moved in ``src/`` fails here
+    and not only in the benchmark, and every original comes back."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracermod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracermod)
+    tracer = tracermod.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._saved)
+    finally:
+        tracer.restore()
+    # the module names, rng.stream, LocalOptimizer.apply, each step rule and make_run
+    assert len(patched) == len(tracermod.MODULE_TARGETS) + 3 + len(STEP_FUNCTIONS)
+    for owner, attr, original in patched:
+        assert (owner if isinstance(owner, dict) else owner.__dict__)[attr] is original, attr

@@ -1,17 +1,15 @@
 """Aggregation cases, decode-level plumbing, vanilla baselines, evaluation,
 and the split engine's workers and the round loop's spare-CPU helper.  That
 every plan writes the inline bytes, and that a failing or killed helper
-names its round, over drawn configs and plans, is ``tests/test_engines.py``'s;
-the hand-written cases here pin single plans."""
+names its round, is ``tests/test_engines.py``'s; the cases here pin single
+plans.  Every round loop is ``conftest.make_loop``'s."""
 
 import dataclasses
 import functools
 import gc
-import hashlib
 import math
 import os
 import re
-import signal
 import sys
 import tracemalloc
 from collections import Counter
@@ -20,38 +18,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
-    LOCAL_TRAIN, SKEWED_SHARDS, assert_no_child_process, counted_evaluations, deadline,
-    index_shards, make_task, sampled_rounds, spinning, split_stacks,
+    LAYOUT, LOCAL_TEST, LOCAL_TRAIN, SKEWED_SHARDS, assert_no_child_process,
+    counted_evaluations, deadline, index_shards, make_loop, make_task, sampled_rounds,
+    split_stacks,
 )
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slimfl.engine
-from slimfl import federation
+from slimfl import experiment, federation
 from slimfl.channel import (
     ChannelConfig,
     Rayleigh,
-    Rician,
-    Twdp,
     config_for_decode_probs,
-    decode_thresholds,
     rate_for_sinr_threshold,
     sample_fading,
 )
-from slimfl import experiment
-from slimfl.config import load_config
-from slimfl.datasets import Dataset, Shard, dirichlet_partition
+from slimfl.config import ExperimentConfig, load_config
+from slimfl.datasets import Dataset, Shard
 from slimfl.federation import (
-    FederatedRun,
-    Federation,
     FederationConfig,
     LocalTraining,
-    Width,
     aggregate,
     evaluate,
     vanilla_threshold,
 )
-from slimfl.metrics import CostModel, metrics_rows, write_metrics_csv
+from slimfl.metrics import metrics_rows
 from slimfl.slimnet import Layout, SlimmableParams, build_mask, forward, init_params
 from slimfl.training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
 from slimfl import rng as rngmod
@@ -60,49 +52,15 @@ RNG = np.random.default_rng
 REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.ini"
 
 
-def perfect_channel() -> ChannelConfig:
-    return ChannelConfig(rate_bps=0.0)
-
-
-def single_width(cfg: TrainConfig) -> TrainConfig:
-    return dataclasses.replace(cfg, st_weights=(1.0,), width_ratios=(1.0,), algorithm="widthwise")
-
-
-def make_run(
-    scheme="slimfl", seed=0, rounds=3, n_devices=4, chan=None, parallel=False, shards=None,
-    train_cfg=None, local_iters=1, eval_every=1,
-):
-    """A small run's round loop; ``shards`` (indices into the training set)
-    replaces the partition of ``n_devices``."""
-    train, test = make_task(seed)
-    layout = Layout.mlp(10, (8,), 4)
-    if shards is None:
-        shards = dirichlet_partition(train.y, n_devices, 1.0, rngmod.stream(seed, "partition"))
-    init = init_params(layout, rngmod.stream(seed, "init"))
-    train_cfg = train_cfg or TrainConfig(batch_size=16)
-    fed_cfg = FederationConfig(
-        n_devices=len(shards), local_iters=local_iters, scheme=scheme, parallel_devices=parallel
+def config(
+    scheme="slimfl", seed=0, rounds=3, n_devices=4, chan=None, batch_size=16, **federation
+) -> ExperimentConfig:
+    """A small run's config, on a perfect channel unless ``chan``."""
+    return ExperimentConfig(
+        seeds=(seed,), rounds=rounds, channel=chan or ChannelConfig(rate_bps=0.0),
+        training=TrainConfig(batch_size=batch_size),
+        federation=FederationConfig(n_devices, scheme=scheme, **federation),
     )
-    chan = chan or perfect_channel()
-    cost = CostModel.reference()
-    full = Width(build_mask(layout, 1.0), "full", cost.full_bits, cost.full_mflops)
-    common = dict(
-        layout=layout, init_values=init.values, train=train, shards=shards, chan_cfg=chan,
-        fed_cfg=fed_cfg, master_seed=seed,
-    )
-    if scheme == "slimfl":
-        half = Width(build_mask(layout, 0.5), "half", cost.half_bits, cost.half_mflops)
-        run = FederatedRun(
-            train_cfg=train_cfg, widths=(half, full), thresholds=decode_thresholds(chan),
-            **common,
-        )
-    else:
-        run = FederatedRun(
-            train_cfg=single_width(train_cfg), widths=(full,),
-            thresholds=np.array([vanilla_threshold(chan, 2.0)]), stream_tag=("v-full",),
-            **common,
-        )
-    return Federation((run,), test, rounds, eval_every)
 
 
 def nan_blind(values: np.ndarray) -> bytes:
@@ -368,39 +326,33 @@ class TestLocalTraining:
             for r, chi in enumerate(gains, 1):  # each round's gain from its own stream
                 assert chi[k] == sample_fading(Rayleigh(), rngmod.stream(20, "fading", k, r))
 
-
-    def test_worker_failure_names_round_and_devices(self):
-        layout = Layout.mlp(10, (8,), 4)
-        cfg = TrainConfig(batch_size=8)
-        # device 3's shard indexes past the training set: only the worker fails
-        shards = index_shards([[0, 1], [2, 3], [4, 5], [6]])
-        shards[3] = Shard(np.array([len(LOCAL_TRAIN)]), shards[3].class_histogram)
-        init = init_params(layout, rngmod.stream(20, "init")).values
-        engine = split(local_training(shards, cfg), 2)
-        try:
-            with pytest.raises(RuntimeError, match=r"round 1: .* devices 2-3 failed") as info:
-                engine.run(init, 1)
-        finally:
-            close(engine)
-        assert isinstance(info.value.__cause__, IndexError)
-        assert_no_child_process()
-
-    @pytest.mark.parametrize("sampled", [False, True], ids=["inline", "sampled"])
-    def test_bad_shard_index_raises_in_one_part(self, sampled):
-        # the one-part cases of the worker's: the batch gather checks its
-        # indices, in the process or in its round loop's helper
+    @pytest.mark.parametrize("plan", ["inline", "sampled", "split"])
+    def test_bad_shard_index_raises_in_one_part(self, plan):
+        # device 1's shard indexes past the training set: the batch gather
+        # checks its indices, in the process, in its round loop's helper or
+        # in the split stack's worker that trains device 1 alone
         shards = index_shards([[0, 1], [2, 3]])
         shards[1] = Shard(np.array([len(LOCAL_TRAIN)]), shards[1].class_histogram)
-        with sampled_rounds(sampled):
-            fed = make_run(seed=20, shards=shards, train_cfg=TrainConfig(batch_size=8))
+        plans = {
+            "inline": functools.partial(sampled_rounds, False), "sampled": sampled_rounds,
+            "split": functools.partial(split_stacks, min_devices=1),
+        }
+        with plans[plan]():
+            fed = make_loop(
+                config(seed=20, n_devices=2, batch_size=8),
+                experiment.Task(LOCAL_TRAIN, LOCAL_TEST, shards, LAYOUT),
+            )
             try:
                 with pytest.raises((IndexError, slimfl.engine.HelperError)) as info:
                     fed.run_round()
             finally:
                 fed.close()
-        if sampled:
-            assert info.match(rf"^round 1: drawing .* helper process {fed.helper.pid}:")
-        assert isinstance(info.value.__cause__ if sampled else info.value, IndexError)
+        if plan != "inline":
+            [helper] = fed.helpers
+            assert info.match(
+                rf"^round 1: {re.escape(helper.task)} failed in {helper.role} process {helper.pid}:"
+            )
+        assert isinstance(info.value if plan == "inline" else info.value.__cause__, IndexError)
         assert_no_child_process()
 
     def test_start_must_be_one_global_vector(self):
@@ -461,33 +413,6 @@ class TestLocalTraining:
             "(about 2,550 minor page faults per K=100 round)"
         )
 
-    @pytest.mark.parametrize("scheme", ["slimfl", "vanilla-1.5x"])
-    def test_split_run_writes_the_same_csv(self, scheme, tmp_path):
-        cfg = load_config(REFERENCE)
-        cfg = dataclasses.replace(
-            cfg, rounds=4, channel=config_for_decode_probs(0.7, 0.5),
-            federation=dataclasses.replace(
-                cfg.federation, n_devices=6, local_iters=2, scheme=scheme
-            ),
-            training=dataclasses.replace(cfg.training, batch_size=16),
-        )
-        built = []
-
-        def digest(tag):
-            metrics, _ = experiment.run_experiment(cfg, 3)
-            write_metrics_csv(tmp_path / tag, metrics)
-            return hashlib.sha256((tmp_path / tag).read_bytes()).hexdigest()
-
-        serial = digest("serial.csv")
-        with split_stacks(), pytest.MonkeyPatch.context() as mp:
-            make = experiment.make_run
-            mp.setattr(experiment, "make_run", lambda *a: built.append(make(*a)) or built[-1])
-            split = digest("split.csv")
-        [fed] = built
-        assert len(fed.runs) == (2 if scheme == "vanilla-1.5x" else 1)
-        assert [run.local.parts for run in fed.runs] == [2] * len(fed.runs)
-        assert split == serial
-
     def test_split_run_draws_each_parts_gains_where_it_trains(self, tmp_path):
         log = tmp_path / "draws"
         draw = federation.sample_fading
@@ -499,7 +424,7 @@ class TestLocalTraining:
 
         with split_stacks(), pytest.MonkeyPatch.context() as mp:
             mp.setattr(federation, "sample_fading", sample_fading)
-            fed = make_run(seed=54, rounds=3, n_devices=5)
+            fed = make_loop(config(seed=54, n_devices=5))
             fed.run()
         [worker] = fed.helpers
         # devices 0-1 in this process and 2-4 in the worker, each round
@@ -533,7 +458,7 @@ class TestHelpers:
     def test_run_reaps_its_helpers(self, kind):
         plan, helpers = HELPERS[kind]
         with plan():
-            fed = make_run(seed=21, rounds=2)
+            fed = make_loop(config(seed=21, rounds=2))
             fed.run()
         assert helpers(fed, fed.runs[0])
         assert_no_child_process()
@@ -541,7 +466,7 @@ class TestHelpers:
     def test_failed_run_reaps_its_helpers(self, kind):
         plan, helpers = HELPERS[kind]
         with plan():
-            fed = make_run(seed=22, rounds=4)
+            fed = make_loop(config(seed=22, rounds=4))
             [run] = fed.runs
             fed.test = Dataset(np.zeros((0, 10)), np.zeros(0, dtype=np.int64), 4)
             # evaluate, after training: rounds 1 and 2 in the helper, on a
@@ -557,7 +482,7 @@ class TestHelpers:
     def test_pair_run_reaps_both_runs_helpers(self, kind):
         plan, helpers = HELPERS[kind]
         with plan(), deadline():
-            pair = TestCombinedVanillaRun().build(seed=23)
+            pair = make_loop(config("vanilla-1.5x", seed=23, rounds=2, n_devices=3))
             pair.run()
         half_run, full_run = pair.runs
         assert helpers(pair, half_run) and helpers(pair, full_run)
@@ -566,7 +491,7 @@ class TestHelpers:
     def test_collected_run_reaps_its_helpers(self, kind):
         plan, helpers = HELPERS[kind]
         with plan():
-            fed = make_run(seed=46)
+            fed = make_loop(config(seed=46))
             fed.run_round()
         assert helpers(fed, fed.runs[0])
         del fed
@@ -578,7 +503,7 @@ class TestHelpers:
         # closes it, the first helper never sees its pipe close
         plan, helpers = HELPERS[kind]
         with plan():
-            first, second = make_run(seed=24), make_run(seed=25)
+            first, second = make_loop(config(seed=24)), make_loop(config(seed=25))
             try:
                 with deadline():
                     first.run_round()
@@ -592,7 +517,7 @@ class TestHelpers:
     def test_closed_run_cannot_train(self, kind):
         plan, helpers = HELPERS[kind]
         with plan():
-            fed = make_run(seed=26)
+            fed = make_loop(config(seed=26))
             fed.run_round()
             fed.close()
         [run] = fed.runs
@@ -605,25 +530,6 @@ class TestHelpers:
             with pytest.raises(RuntimeError, match=r"^round 2: .* the run is closed"):
                 train()
         assert head.opt.t == steps  # refused before the process trained a step
-
-    def test_killed_helper_fails_the_run_loudly(self, kind):
-        plan, helpers = HELPERS[kind]
-        with plan():
-            fed = make_run(seed=51, rounds=5)
-            try:
-                fed.run_round()
-                helper = helpers(fed, fed.runs[0])[0]
-                os.kill(helper.pid, signal.SIGKILL)
-                with deadline(), pytest.raises(RuntimeError) as info:
-                    for _ in range(4):
-                        fed.run_round()
-            finally:
-                fed.close()
-        role = "worker" if kind == "worker" else "helper"
-        assert info.match(
-            rf"^round \d+: \w.* failed in {role} process {helper.pid}: it was killed by signal 9$"
-        )
-        assert_no_child_process()
 
 
 @pytest.mark.parametrize("driven_by", ["run", "run_round"])
@@ -639,7 +545,7 @@ def test_the_loop_owns_every_process_and_every_accuracy(driven_by):
     evaluated = {}
     for name, plan in plans.items():
         with plan(), deadline():
-            fed = make_run(seed=59, rounds=5)
+            fed = make_loop(config(seed=59, rounds=5))
             rows, live, run_round = [], [], fed.run_round
 
             def recorded():  # on the instance, as a round timer wraps it
@@ -665,109 +571,12 @@ def test_the_loop_owns_every_process_and_every_accuracy(driven_by):
     assert evaluated["inline"] == evaluated["helper"] == evaluated["split"]
 
 
-@pytest.mark.parametrize("spin", [False, True], ids=["blocking", "spinning"])
-class TestSplitHandoff:
-    """A split stack's worker and the process hand each round over by
-    polling or by blocking reads; a job that fails or a worker that dies
-    fails the round loudly either way."""
-
-    def test_failed_job_names_round_and_worker(self, spin):
-        draw, process, calls = federation.sample_fading, os.getpid(), []
-
-        def sample_fading(model, rng):
-            if os.getpid() != process:  # devices 2-3, from the worker's fork-time copy
-                calls.append(None)
-                if len(calls) == 3:
-                    raise ArithmeticError("no gain in round 2")
-            return draw(model, rng)
-
-        with split_stacks(), spinning(spin), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(federation, "sample_fading", sample_fading)
-            fed = make_run(seed=52, rounds=3)
-            with deadline(), pytest.raises(slimfl.engine.HelperError) as info:
-                fed.run()
-        [worker] = fed.runs[0].local.workers
-        assert worker.spin == spin
-        assert info.match(
-            rf"^round 2: local training of devices 2-3 failed in worker process {worker.pid}:\n"
-        )
-        assert isinstance(info.value.__cause__, ArithmeticError)
-        assert_no_child_process()
-
-    def test_worker_killed_between_rounds_names_the_round(self, spin):
-        with split_stacks(), spinning(spin):
-            fed = make_run(seed=53, rounds=3)
-            try:
-                fed.run_round()
-                [worker] = fed.runs[0].local.workers
-                os.kill(worker.pid, signal.SIGKILL)  # while it polls for round 2, if it spins
-                with deadline(), pytest.raises(slimfl.engine.HelperError) as info:
-                    fed.run_round()
-            finally:
-                fed.close()
-        assert worker.spin == spin
-        assert info.match(
-            rf"^round 2: local training of devices 2-3 failed in worker process {worker.pid}: "
-            "it was killed by signal 9$"
-        )
-        assert_no_child_process()
-
-
 class TestSampler:
     """A round loop whose stacks train in one process each, with a CPU to
     spare, draws every run's batches and fading gains two rounds ahead in
     its one helper process, which also evaluates every run's global model
     two rounds behind, however the loop is driven; every output byte is
     unchanged, and the helper ends with the loop, however it ends."""
-
-    @settings(max_examples=30)
-    @given(
-        shards=st.lists(
-            st.lists(st.integers(0, len(LOCAL_TRAIN) - 1), min_size=1, max_size=40, unique=True),
-            min_size=1,
-            max_size=23,
-        ).map(index_shards),
-        batch_size=st.integers(1, 32),
-        local_iters=st.integers(1, 3),
-        rule=st.sampled_from(sorted(STEP_FUNCTIONS)),
-        optimizer=st.sampled_from(["adam", "sgd"]),
-        fading=st.sampled_from([Rayleigh(), Rician(), Twdp()]),
-        seed=st.integers(0, 2**34),
-        scheme=st.sampled_from(["slimfl", "vanilla-1.0x"]),
-        eval_every=st.sampled_from([1, 2, 3]),
-        rounds=st.integers(2, 8),
-    )
-    @example(
-        shards=SKEWED_SHARDS, batch_size=32, local_iters=2, rule="superposed",
-        optimizer="adam", fading=Rayleigh(), seed=20, scheme="slimfl", eval_every=2, rounds=5,
-    )
-    def test_sampled_run_writes_the_inline_runs_bytes(
-        self, shards, batch_size, local_iters, rule, optimizer, fading, seed, scheme,
-        eval_every, rounds,
-    ):
-        # a round is evaluated, and unless every round is, the last round is not
-        assume(rounds > eval_every and (eval_every == 1 or rounds % eval_every))
-        cfg = TrainConfig(batch_size=batch_size, algorithm=rule, optimizer=optimizer)
-        chan = config_for_decode_probs(0.7, 0.5, fading=fading)
-
-        def rows(sampled):
-            inline = []
-            with sampled_rounds(sampled), pytest.MonkeyPatch.context() as mp:
-                counted_evaluations(mp, inline)
-                fed = make_run(
-                    scheme, seed=seed, shards=shards, train_cfg=cfg, local_iters=local_iters,
-                    chan=chan, rounds=rounds, eval_every=eval_every,
-                )
-                metrics = fed.run()
-            [run] = fed.runs
-            assert (fed.helper is not None) == sampled
-            # every evaluated round's accuracies but the last two rounds' came from the helper
-            evaluated = range(eval_every, rounds + 1, eval_every)
-            assert sorted(fed.evaluated) == list(evaluated)
-            assert inline == [r for r in evaluated if not sampled or r > rounds - 2]
-            return metrics_rows(metrics), run.global_values.tobytes()
-
-        assert rows(True) == rows(False)
 
     def test_start_rule_leaves_a_cpu_to_each_thread_and_helper(self):
         if not sys.platform.startswith("linux"):
@@ -777,7 +586,7 @@ class TestSampler:
             mp.setattr(
                 slimfl.engine, "available_cpus", lambda: len(os.listdir("/proc/self/task")) + 1
             )
-            first, second = make_run(seed=40), make_run(seed=41)
+            first, second = make_loop(config(seed=40)), make_loop(config(seed=41))
             try:
                 first.run_round()
                 second.run_round()  # the first loop's helper took the spare CPU
@@ -799,9 +608,9 @@ class TestSampler:
 
         with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
             mp.setattr(federation, "sample_fading", sample_fading)
-            one = make_run(seed=52, rounds=5)
+            one = make_loop(config(seed=52, rounds=5))
             one.run()
-            pair = TestCombinedVanillaRun().build(seed=52, rounds=5)
+            pair = make_loop(config("vanilla-1.5x", seed=52, rounds=5, n_devices=3))
             pair.run()
         # rounds x devices: 4 devices in the one run, 3 in each run of the pair
         assert Counter(log.read_text().split()) == {
@@ -814,7 +623,7 @@ class TestSampler:
     )
     def test_round_past_the_loop_is_refused_before_it_trains(self, plan):
         with plan(), deadline():
-            fed = make_run(seed=53, rounds=2)
+            fed = make_loop(config(seed=53, rounds=2))
             [run] = fed.runs
             head = run.local
             try:
@@ -829,26 +638,6 @@ class TestSampler:
         assert run.round == 2 and head.opt.t == steps and run.global_values.tobytes() == values
         assert_no_child_process()
 
-    def test_failed_draw_names_round_and_sampler(self):
-        draws = []
-
-        def sample_fading(model, rng):
-            draws.append(model)  # counted in the helper's copy
-            if len(draws) > 4:  # every one of round 2's 4 devices
-                raise ArithmeticError("no fading gain")
-            return 1.0
-
-        with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(federation, "sample_fading", sample_fading)
-            fed = make_run(seed=47)
-            [run] = fed.runs
-            with pytest.raises(RuntimeError, match=r"^round 2: drawing .* helper process (\d+)") as info:
-                fed.run()
-        assert info.match(rf"helper process {fed.helper.pid}:")
-        assert isinstance(info.value.__cause__, ArithmeticError)
-        assert run.round == 1 and draws == []  # round 1 ran, and the process drew nothing
-        assert_no_child_process()
-
     def test_rounds_driven_alone_carry_no_accuracies(self):
         """A loop driven through ``run_round`` alone evaluates where ``run()``
         would: its rows hold NaN accuracies, and ``evaluated`` every round's."""
@@ -856,7 +645,7 @@ class TestSampler:
             inline = []
             with sampled_rounds(sampled), pytest.MonkeyPatch.context() as mp:
                 counted_evaluations(mp, inline)
-                fed = make_run(seed=55, rounds=4)
+                fed = make_loop(config(seed=55, rounds=4))
                 try:
                     metrics = [fed.run_round() for _ in range(fed.rounds)]
                 finally:
@@ -871,55 +660,9 @@ class TestSampler:
         assert sampled == rounds(False)
         assert sorted(sampled[1]) == [1, 2, 3, 4]
 
-    def test_failed_evaluation_names_round_and_evaluator(self):
-        calls = []
-
-        def evaluate(*args):
-            calls.append(args)  # counted in each process's copy
-            if len(calls) == 2:
-                raise ArithmeticError("no accuracy")
-            return federation_evaluate(*args)
-
-        federation_evaluate = federation.evaluate
-        with sampled_rounds(), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(federation, "evaluate", evaluate)
-            fed = make_run(seed=56, rounds=4)
-            [run] = fed.runs
-            # round 2, evaluated in the helper as it drew round 4
-            with pytest.raises(
-                RuntimeError, match=r"^round 4: drawing .* evaluating .* helper process (\d+):"
-            ) as info:
-                fed.run()
-        assert info.match(rf"helper process {fed.helper.pid}:")
-        assert isinstance(info.value.__cause__, ArithmeticError)
-        # raised when round 4 took its slot; the process evaluated round 3 alone
-        assert run.round == 3 and sorted(fed.evaluated) == [1, 3] and len(calls) == 1
-        assert_no_child_process()
-
-    def test_killed_evaluator_fails_the_run_loudly(self):
-        with sampled_rounds():
-            fed = make_run(seed=57, rounds=5)
-            [run] = fed.runs
-            run_round = fed.run_round
-
-            def kill_after_round_1():  # on the instance, as a round timer wraps it
-                metrics = run_round()
-                if run.round == 1:
-                    os.kill(fed.helper.pid, signal.SIGKILL)
-                return metrics
-
-            fed.run_round = kill_after_round_1
-            with deadline(), pytest.raises(RuntimeError) as info:
-                fed.run()
-        assert info.match(
-            rf"^round \d+: drawing .* evaluating .* failed in helper process {fed.helper.pid}: "
-            "it was killed by signal 9$"
-        )
-        assert_no_child_process()
-
     def test_diverging_run_with_an_evaluator_names_its_round(self):
         with sampled_rounds():
-            fed = make_run(seed=58, rounds=4)
+            fed = make_loop(config(seed=58, rounds=4))
             [run] = fed.runs
             train = run.local.run
 
@@ -941,13 +684,13 @@ class TestSampler:
 
 class TestSlimFLRound:
     def test_perfect_channel_aggregates_all_devices_both_segments(self):
-        fed_a = make_run(seed=7)
+        fed_a = make_loop(config(seed=7))
         metrics = fed_a.run_round()
         assert metrics.decoded_both == 4
         assert metrics.decoded_none == metrics.decoded_lh_only == 0
 
         # reconstruct: fresh identical run, local updates only, then plain mean
-        [run_a], [run_b] = fed_a.runs, make_run(seed=7).runs
+        [run_a], [run_b] = fed_a.runs, make_loop(config(seed=7)).runs
         locals_b, _, _ = run_b.local.run(run_b.global_values, 1)
         np.testing.assert_array_equal(run_a.global_values, np.mean(np.stack(locals_b), axis=0))
 
@@ -955,7 +698,7 @@ class TestSlimFLRound:
         dead = ChannelConfig(
             rate_bps=rate_for_sinr_threshold(3.0, 75e6), power_split=0.6
         )  # both thresholds infinite
-        fed = make_run(seed=8, chan=dead)
+        fed = make_loop(config(seed=8, chan=dead))
         [run] = fed.runs
         before = run.global_values.copy()
         metrics = fed.run_round()
@@ -963,9 +706,9 @@ class TestSlimFLRound:
         np.testing.assert_array_equal(run.global_values, before)
 
     def test_scripted_mixed_outcomes(self):
-        [run] = make_run(seed=9, n_devices=3).runs
+        [run] = make_loop(config(seed=9, n_devices=3)).runs
         locals_, _, _ = run.local.run(run.global_values, 1)
-        fed_b = make_run(seed=9, n_devices=3)
+        fed_b = make_loop(config(seed=9, n_devices=3))
         [run_b] = fed_b.runs
         run_b.decode_levels = lambda chi: np.array([2, 1, 0])  # device 2 silent
         metrics = fed_b.run_round()
@@ -977,7 +720,7 @@ class TestSlimFLRound:
         np.testing.assert_array_equal(run_b.global_values[~lh], locals_[0][~lh])
 
     def test_decoded_bits_use_reference_payloads(self):
-        run = make_run(seed=10)
+        run = make_loop(config(seed=10))
         metrics = run.run_round()
         assert metrics.decoded_megabits == 4 * 172_688 / 1e6
         assert abs(metrics.comm_power_mw - 199.5262315) < 1e-6
@@ -985,13 +728,13 @@ class TestSlimFLRound:
 
     def test_parallel_devices_match_sequential(self):
         with sampled_rounds(False):  # draws inline, on any host
-            seq = make_run(seed=11, rounds=3)
+            seq = make_loop(config(seed=11, rounds=3))
             m_seq = seq.run()
         with split_stacks():  # the "parallel" side trains in a worker process too
-            par = make_run(seed=11, rounds=3, parallel=True)
+            par = make_loop(config(seed=11, rounds=3, parallel_devices=True))
             m_par = par.run()
         with sampled_rounds():  # and a side whose draws come from a helper process
-            sam = make_run(seed=11, rounds=3)
+            sam = make_loop(config(seed=11, rounds=3))
             m_sam = sam.run()
         assert [fed.helper is not None for fed in (seq, par, sam)] == [False, False, True]
         [seq], [par], [sam] = seq.runs, par.runs, sam.runs
@@ -999,6 +742,22 @@ class TestSlimFLRound:
         for run in (par, sam):
             np.testing.assert_array_equal(seq.global_values, run.global_values)
         assert m_seq == m_par == m_sam
+
+    @pytest.mark.parametrize("n_devices", [2, 4])
+    def test_each_shard_is_one_device_whatever_the_device_count(self, n_devices):
+        """A run trains, draws for and weights one device per shard of its
+        task, whatever its config's ``n_devices`` says."""
+        shards = index_shards([[0, 1, 2], [3, 4], [5, 6, 7, 8]])
+
+        def outputs(n):
+            cfg = config(
+                n_devices=n, chan=config_for_decode_probs(0.7, 0.5), batch_size=2,
+                aggregation_weighting="expected",
+            )
+            fed = make_loop(cfg, experiment.Task(LOCAL_TRAIN, LOCAL_TEST, shards, LAYOUT))
+            return repr(fed.run()), fed.runs[0].global_values.tobytes()
+
+        assert outputs(n_devices) == outputs(3)
 
 
 class TestNonFiniteRound:
@@ -1009,7 +768,7 @@ class TestNonFiniteRound:
     def message(poison, scheme="slimfl", levels=None):
         """The error of a 3-round run whose trained stack and losses
         ``poison(run, trained, losses)`` edits each round."""
-        fed = make_run(scheme, seed=27)
+        fed = make_loop(config(scheme, seed=27))
         [run] = fed.runs
         train = run.local.run
 
@@ -1081,9 +840,9 @@ class TestVanillaRun:
         # 10 devices: numpy sums 8 or more rows of a masked copy pairwise,
         # which would differ from the mean in the last bits
         for n_devices in (4, 10):
-            fed_a = make_run("vanilla-1.0x", seed=12, n_devices=n_devices)
+            fed_a = make_loop(config("vanilla-1.0x", seed=12, n_devices=n_devices))
             fed_a.run_round()
-            fed_b = make_run("vanilla-1.0x", seed=12, n_devices=n_devices)
+            fed_b = make_loop(config("vanilla-1.0x", seed=12, n_devices=n_devices))
             [run_a], [run_b] = fed_a.runs, fed_b.runs
             locals_b, _, _ = run_b.local.run(run_b.global_values, 1)
             np.testing.assert_array_equal(
@@ -1095,16 +854,16 @@ class TestVanillaRun:
         assert vanilla_threshold(chan, 2.0) > vanilla_threshold(chan, 1.0)
 
     def test_poor_channel_decodes_fewer_bits_than_good(self):
-        good = make_run("vanilla-1.0x", seed=13, rounds=30)
-        poor = make_run(
-            "vanilla-1.0x", seed=13, rounds=30, chan=config_for_decode_probs(0.55, 0.3)
+        good = make_loop(config("vanilla-1.0x", seed=13, rounds=30))
+        poor = make_loop(
+            config("vanilla-1.0x", seed=13, rounds=30, chan=config_for_decode_probs(0.55, 0.3))
         )
         good_bits = sum(m.decoded_megabits for m in good.run())
         poor_bits = sum(m.decoded_megabits for m in poor.run())
         assert poor_bits < good_bits
 
     def test_metrics_fill_only_their_width_column(self):
-        run = make_run("vanilla-1.0x", seed=14)
+        run = make_loop(config("vanilla-1.0x", seed=14))
         m = run.run()[0]
         assert math.isnan(m.acc_half) and not math.isnan(m.acc_full)
         assert m.decoded_lh_only == 0
@@ -1113,50 +872,25 @@ class TestVanillaRun:
 class TestCombinedVanillaRun:
     """vanilla-1.5x: the half- and full-width baselines, one ``Federation``."""
 
-    def build(self, seed=15, rounds=2):
-        train, test = make_task(seed)
-        layout_full = Layout.mlp(10, (8,), 4)
-        layout_half = Layout.mlp(10, (4,), 4)
-        shards = dirichlet_partition(train.y, 3, 1.0, rngmod.stream(seed, "partition"))
-        train_cfg = single_width(TrainConfig(batch_size=16))
-        fed_cfg = FederationConfig(n_devices=3, scheme="vanilla-1.5x")
-        chan = perfect_channel()
-        cost = CostModel.reference()
-
-        def sub(layout, label, tag, bits, mflops, payload):
-            init = init_params(layout, rngmod.stream(seed, "init", tag))
-            return FederatedRun(
-                layout=layout, init_values=init.values, train=train, shards=shards,
-                train_cfg=train_cfg, chan_cfg=chan, fed_cfg=fed_cfg,
-                widths=(Width(build_mask(layout, 1.0), label, bits, mflops),),
-                thresholds=np.array([vanilla_threshold(chan, payload)]),
-                master_seed=seed, stream_tag=(tag,),
-            )
-
-        return Federation((
-            sub(layout_half, "half", "v-half", cost.half_bits, cost.half_mflops, 1.0),
-            sub(layout_full, "full", "v-full", cost.full_bits, cost.full_mflops, 2.0),
-        ), test, rounds)
-
     def test_doubles_power_and_sums_compute(self):
-        run = self.build()
+        run = make_loop(config("vanilla-1.5x", seed=15, rounds=2, n_devices=3))
         m = run.run()[0]
         assert abs(m.comm_power_mw - 2 * 199.5262315) < 1e-6
         assert m.comp_mflops == pytest.approx(0.79 + 2.76)
         assert not math.isnan(m.acc_half) and not math.isnan(m.acc_full)
 
     def test_decode_counts_partition_devices(self):
-        run = self.build(seed=16)
+        run = make_loop(config("vanilla-1.5x", seed=16, n_devices=3))
         m = run.run_round()
         assert m.decoded_none + m.decoded_lh_only + m.decoded_both == 3
 
     def test_perfect_channel_bits_sum_both_models(self):
-        run = self.build(seed=17)
+        run = make_loop(config("vanilla-1.5x", seed=17, n_devices=3))
         m = run.run_round()
         assert m.decoded_megabits == pytest.approx(3 * (86_344 + 172_688) / 1e6)
 
     def test_scripted_half_only_device_counts_as_lh_only(self):
-        run = self.build(seed=18)
+        run = make_loop(config("vanilla-1.5x", seed=18, n_devices=3))
         half_run, full_run = run.runs
         half_run.decode_levels = lambda chi: np.array([1, 1, 0])
         full_run.decode_levels = lambda chi: np.array([1, 0, 0])
