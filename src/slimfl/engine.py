@@ -13,15 +13,12 @@ runs one job per request and answers None or the job's exception; a
 helper that fails or dies raises ``HelperError`` in the process, naming
 the round, the job, the helper's role and pid, and how it ended.  A
 helper forked to ``spin`` and the process poll for each other's next
-message for up to ``SPIN_S`` before they block.  A ``Ring`` is a
-spare-CPU helper whose rounds take two slots of shared arrays in turn,
-each slot a ``record``.
+message for up to ``SPIN_S`` before they block.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import mmap
 import os
@@ -29,7 +26,6 @@ import signal
 import sys
 import time
 import weakref
-from collections import deque
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -97,12 +93,8 @@ def shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
 
 def record(make, **arrays) -> SimpleNamespace:
     """One array per ``name=(shape, dtype)``, each ``make(shape, dtype)``
-    (``np.empty`` for this process alone, ``shared`` for its helpers too),
-    and a list of records per ``name=[arrays, ...]``."""
-    return SimpleNamespace(**{
-        name: [record(make, **each) for each in spec] if isinstance(spec, list) else make(*spec)
-        for name, spec in arrays.items()
-    })
+    (``np.empty`` for this process alone, ``shared`` for its helpers too)."""
+    return SimpleNamespace(**{name: make(*spec) for name, spec in arrays.items()})
 
 
 # the process-side pipe end of every live helper, closed in each new helper:
@@ -243,44 +235,3 @@ def _poll(end) -> None:
     while not end.poll(0) and time.perf_counter() < deadline:
         os.sched_yield()
 
-
-class Ring(Helper):
-    """A background helper whose rounds take two slots of shared arrays in
-    turn: the k-th round asked of it uses ``slots[k % 2]``.
-
-    Each slot is a ``record`` of ``shared`` arrays, declared by ``arrays``
-    as ``record`` takes them.  ``ask`` writes a round's inputs into its slot
-    before the request goes out, and the helper runs ``job(slot, round_)``,
-    which writes the round's outputs there.  ``take`` waits for the oldest
-    round asked.  A round's slot is the caller's again once taken, and a
-    third round is asked only after a take: at most two are pending.
-    """
-
-    def __init__(self, role: str, task: str, job, **arrays):
-        self.slots = [record(shared, **arrays) for _ in range(2)]
-        self.pending: deque = deque()  # (round, slot) asked and not yet taken
-        # the next round's slot; the helper turns its fork-time copy in step
-        self._turn = itertools.cycle(self.slots)
-        super().__init__(
-            role, task, lambda round_: job(next(self._turn), round_), background=True
-        )
-
-    def ask(self, round_: int, **inputs) -> None:
-        """Write round ``round_``'s inputs into the next slot and ask the
-        helper for the round."""
-        slot = next(self._turn)
-        for name, value in inputs.items():
-            getattr(slot, name)[...] = value
-        super().ask(round_)
-        self.pending.append((round_, slot))
-
-    def take(self) -> tuple[int, SimpleNamespace]:
-        """The oldest round asked and its slot, once the helper has run it.
-        A round that fails raises and stays pending: once the ring is
-        closed, every later ``take`` names that round."""
-        round_, slot = self.pending[0]
-        error = self.answer(round_)
-        if error is not None:
-            raise error
-        self.pending.popleft()
-        return round_, slot

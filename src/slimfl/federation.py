@@ -24,14 +24,14 @@ the only code that forks, feeds and closes helper processes.  At the first
 round, before anything forks, it takes the loop's one ``engine.plan``,
 puts a ``_DevicePool`` in place of each run's engine whose plan has more
 than one part, and then forks its one spare-CPU helper if the plan says
-so, when every stack trains in one process.  The helper, an
-``engine.Ring``, draws every run's inputs two rounds ahead and evaluates
-every run's global model two rounds behind while the process trains.
-Every forked process is in ``Federation.helpers``, which ``close`` walks,
-and every accuracy, inline or from the helper, goes into
-``Federation.evaluated``.  It reports the runs as one metrics row a round.
-The workers are plain ``engine.Helper`` processes; every output byte is
-the same on each engine.
+so, when every stack trains in one process.  The helper draws every run's
+inputs two rounds ahead and evaluates every run's global model two rounds
+behind while the process trains, each round in a slot of shared arrays
+keyed by the round.  Every forked process is a plain ``engine.Helper`` in
+``Federation.helpers``, which ``close`` walks, and every accuracy, inline
+or from the helper, goes into ``Federation.evaluated``.  It reports the
+runs as one metrics row a round.  Every output byte is the same on each
+engine.
 
 A round whose device loss or aggregated global vector is not finite raises
 ``ValueError`` naming the round and the devices (and width) at fault.
@@ -52,7 +52,7 @@ from . import rng as rngmod
 from .channel import ChannelConfig, FadingModel, decode_levels, decode_probabilities
 from .channel import sample_fading, successive_thresholds
 from .datasets import Dataset, Shard
-from .engine import Helper, Ring, shared
+from .engine import Helper, shared
 from .metrics import RoundMetrics
 from .slimnet import BatchRows, ForwardTrace, Layout, SlimmableParams, WidthMask, forward
 from .training import STEP_FUNCTIONS, LocalOptimizer, TrainConfig
@@ -505,17 +505,22 @@ class Federation:
     bits, power and compute add up run by run.  Every ``eval_every``-th
     round each width's accuracy on ``test`` goes into ``evaluated``, by
     round, and the row holds NaN accuracies.  A round past ``rounds`` is
-    refused before anything trains.
+    refused before anything trains, and so is every round after one that
+    raised.
 
-    When the plan spares a CPU, the loop forks one ``helper``, an
-    ``engine.Ring`` whose slot holds every run's round inputs and global
-    vector.  It is asked for rounds 1 and 2 at the start, and for round
-    r + 2 once round r has trained, up to the loop's last round.  When
-    round r is evaluated, and is not one of the last two, that ask carries
-    round r's global vectors, and the helper evaluates them after it draws;
-    the process takes their accuracies when it takes round r + 2.  Every
-    other evaluated round is evaluated inline.  The split stacks' workers
-    and the helper are ``helpers``, which ``close`` stops and reaps.
+    When the plan spares a CPU, the loop forks one background ``helper``
+    over two ``slots`` of shared arrays: round r's is ``slots[r % 2]``, in
+    the process and in the helper alike.  A slot holds one record per run,
+    of its round inputs and its global vector, and the runs' accuracies.
+    The helper is asked for rounds 1 and 2 at the start, and for round
+    r + 2 once round r has trained, up to the loop's last round: so at most
+    two rounds are pending, and a round's slot is the process's from its
+    answer to its ask of r + 2.  When round r is evaluated, and is not one
+    of the last two, the process writes round r's global vectors into its
+    slot before that ask, and the helper evaluates them after it draws; the
+    process reads their accuracies at round r + 2.  Every other evaluated
+    round is evaluated inline.  The split stacks' workers and the helper
+    are ``helpers``, which ``close`` stops and reaps.
     ``run`` drives every round through ``self.run_round``, so a wrapper set
     on the instance (a round timer) sees every round, and fills each row
     from ``evaluated``.
@@ -533,29 +538,39 @@ class Federation:
         # the metrics field of each run's widths' accuracies, in evaluation order
         self.columns = [f"acc_{width.column}" for run in self.runs for width in run.widths]
         self.plan: engine.Plan | None = None  # taken at the first round
-        self.helper: Ring | None = None
+        self.helper: Helper | None = None
+        self.slots: list = []  # the helper's: round r's (records, accuracies) is slots[r % 2]
         self.helpers: list[Helper] = []  # every process the loop forked
         self.evaluated: dict[int, list[float]] = {}  # each evaluated round's accuracies
+        self.stopped = 0  # the round that raised, once one has
 
     def run_round(self) -> RoundMetrics:
         runs, round_ = self.runs, self.runs[0].round + 1
+        if self.stopped:
+            raise ValueError(f"round {round_}: the round loop stopped at round {self.stopped}")
         if round_ > self.rounds:
             raise ValueError(f"round {round_}: the round loop has only {self.rounds} rounds")
+        self.stopped = round_  # until the round is done
         if round_ == 1:
             self._start()
         drawn = [None] * len(runs)
         if self.helper is not None:
-            _, slot = self.helper.take()
-            drawn = slot.runs
+            error = self.helper.answer(round_)
+            if error is not None:
+                raise error
+            drawn, accuracies = self.slots[round_ % 2]
             if self._ahead(round_ - 2):
-                self.evaluated[round_ - 2] = slot.accuracies.tolist()
+                self.evaluated[round_ - 2] = accuracies.tolist()
         for run, inputs in zip(runs, drawn):
             run.run_round(inputs)
-        vectors = {f"vector{i}": run.global_values for i, run in enumerate(runs)}
         if round_ % self.eval_every == 0 and not self._ahead(round_):
-            self.evaluated[round_] = self._accuracies(vectors.values())
+            self.evaluated[round_] = self._accuracies([run.global_values for run in runs])
         if self.helper is not None and round_ + 2 <= self.rounds:
-            self.helper.ask(round_ + 2, **(vectors if self._ahead(round_) else {}))
+            if self._ahead(round_):
+                for run, record in zip(runs, drawn):
+                    record.vector[:] = run.global_values
+            self.helper.ask(round_ + 2)
+        self.stopped = 0
         widest = functools.reduce(np.maximum, [run.column_at_level[run.levels] for run in runs])
         none, half, full = np.bincount(widest, minlength=3).tolist()
         return RoundMetrics(
@@ -569,7 +584,8 @@ class Federation:
 
     def _start(self) -> None:
         """Take the loop's plan, split each run's stack into its parts, then
-        fork the helper if the plan says so and ask it for rounds 1 and 2."""
+        fork the helper over its two slots if the plan says so and ask it
+        for rounds 1 and 2."""
         runs = self.runs
         self.plan = engine.plan([len(run.local.shards) for run in runs])
         for run, parts in zip(runs, self.plan.parts):
@@ -577,12 +593,14 @@ class Federation:
                 run.local = _DevicePool(run.local, parts, self.plan.spin)
                 self.helpers += run.local.workers
         if self.plan.helper:
-            self.helper = Ring(
+            self.slots = [(
+                [engine.record(shared, vector=((run.layout.size,), np.float64), **run.local.inputs)
+                 for run in runs],
+                shared((len(self.columns),)),
+            ) for _ in range(2)]
+            self.helper = Helper(
                 "helper", "drawing the batches and fading gains and evaluating the global "
-                "models of two rounds before", self._serve,
-                runs=[run.local.inputs for run in runs],
-                accuracies=((len(self.columns),), np.float64),
-                **{f"vector{i}": ((r.layout.size,), np.float64) for i, r in enumerate(runs)},
+                "models of two rounds before", self._serve, background=True,
             )
             self.helpers.append(self.helper)
             for round_ in range(1, min(2, self.rounds) + 1):
@@ -595,16 +613,16 @@ class Federation:
             self.plan.helper and 0 < round_ <= self.rounds - 2 and round_ % self.eval_every == 0
         )
 
-    def _serve(self, slot, round_: int) -> None:
-        """The helper's job: every run's inputs for round ``round_``, then,
-        if the loop evaluates round ``round_ - 2`` ahead, the accuracies of
-        the global vectors in the slot.  It reads ``plan``: ``helper`` is
-        None in its fork-time copy."""
-        for run, drawn in zip(self.runs, slot.runs):
+    def _serve(self, round_: int) -> None:
+        """The helper's job: every run's inputs for round ``round_`` into
+        its slot, then, if the loop evaluates round ``round_ - 2`` ahead, the
+        accuracies of the global vectors there.  It reads ``plan``:
+        ``helper`` is None in its fork-time copy."""
+        records, accuracies = self.slots[round_ % 2]
+        for run, drawn in zip(self.runs, records):
             run.local._fill(drawn, round_)
         if self._ahead(round_ - 2):
-            vectors = [getattr(slot, f"vector{i}") for i in range(len(self.runs))]
-            slot.accuracies[:] = self._accuracies(vectors)
+            accuracies[:] = self._accuracies([drawn.vector for drawn in records])
 
     def _accuracies(self, vectors) -> list[float]:
         """Each run's widths' accuracies, from its global vector in ``vectors``."""

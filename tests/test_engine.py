@@ -1,8 +1,8 @@
 """The CPU plan, one per round loop: how many parts each run's stack
 trains in, whether the loop forks its one spare-CPU helper, which draws
 every run's inputs ahead and evaluates its global models behind, and
-whether split stacks' workers spin; and the two-slot ``Ring`` that the
-helper is."""
+whether split stacks' workers spin; and a background ``Helper`` over two
+slots keyed by round, as the spare-CPU helper is."""
 
 import ast
 import contextlib
@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -301,105 +302,145 @@ def test_pair_evaluates_both_runs_in_one_evaluator():
     assert rows == inline_rows("vanilla-1.5x")
 
 
-def doubler(fail_round=None) -> engine.Ring:
-    """A toy ring whose job doubles its slot's input, and raises in round
-    ``fail_round``."""
+class Unpicklable(Exception):
+    """An exception that holds a lock, so it cannot be pickled."""
 
-    def double(slot, round_):
+    def __init__(self, text):
+        super().__init__(text)
+        self.lock = threading.Lock()
+
+
+def doubler(fail_round=None, error=ArithmeticError):
+    """A toy background helper over two slots, round r's ``slots[r % 2]``,
+    as a round loop's spare-CPU helper: its job doubles its round's input,
+    and raises ``error`` in round ``fail_round``.  The helper and its slots."""
+    slots = [
+        engine.record(engine.shared, inp=((3,), np.float64), out=((3,), np.float64))
+        for _ in range(2)
+    ]
+
+    def double(round_):
         if round_ == fail_round:
-            raise ArithmeticError(f"no double for round {round_}")
+            raise error(f"no double for round {round_}")
+        slot = slots[round_ % 2]
         slot.out[:] = 2 * slot.inp
 
-    return engine.Ring(
-        "doubler", "doubling the input", double, inp=((3,), np.float64), out=((3,), np.float64)
-    )
+    return engine.Helper("doubler", "doubling the input", double, background=True), slots
 
 
 def inputs(round_: int) -> np.ndarray:
     return np.array([round_, round_ + 0.5, -round_])
 
 
-@pytest.mark.skipif(not LINUX, reason="a ring's helper runs on Linux only")
-class TestRing:
-    """A ``Ring`` answers its rounds in the order asked, from slots that
-    alternate by ask order, and fails naming the round."""
+def ask(helper, slots, round_: int) -> None:
+    """Write round ``round_``'s input into its slot, then ask for the round."""
+    slots[round_ % 2].inp[:] = inputs(round_)
+    helper.ask(round_)
 
-    def test_rounds_answer_in_order_from_alternating_slots(self):
-        ring = doubler()
+
+def answered(helper, round_: int) -> None:
+    error = helper.answer(round_)
+    if error is not None:
+        raise error
+
+
+@pytest.mark.skipif(not LINUX, reason="the spare-CPU helper runs on Linux only")
+class TestSlottedHelper:
+    """A background ``Helper`` over two slots keyed by round, as a round
+    loop's spare-CPU helper: it answers its rounds in the order asked, each
+    in its round's slot, and fails naming the round."""
+
+    def test_rounds_answer_in_order_from_their_rounds_slots(self):
+        helper, slots = doubler()
         try:
-            ring.ask(1, inp=inputs(1))
-            ring.ask(2, inp=inputs(2))
-            taken = [ring.take()]
-            ring.ask(3, inp=inputs(3))  # into round 1's slot, now taken
-            taken += [ring.take(), ring.take()]
+            ask(helper, slots, 1)
+            ask(helper, slots, 2)
+            answered(helper, 1)
+            np.testing.assert_array_equal(slots[1].out, 2 * inputs(1))
+            ask(helper, slots, 3)  # into round 1's slot, now answered
+            answered(helper, 2)
+            answered(helper, 3)
         finally:
-            ring.close()
-        assert [round_ for round_, _ in taken] == [1, 2, 3]
-        assert [slot for _, slot in taken] == [ring.slots[0], ring.slots[1], ring.slots[0]]
-        # round 3's output is the last in slot 0; round 2's is still in slot 1
-        np.testing.assert_array_equal(ring.slots[0].out, 2 * inputs(3))
-        np.testing.assert_array_equal(ring.slots[1].out, 2 * inputs(2))
-        assert not ring.pending
+            helper.close()
+        # round 3's output is the last in slot 1; round 2's is still in slot 0
+        np.testing.assert_array_equal(slots[1].out, 2 * inputs(3))
+        np.testing.assert_array_equal(slots[0].out, 2 * inputs(2))
         assert_no_child_process()
 
     @settings(max_examples=25)
     @given(steps=st.lists(st.booleans(), max_size=12))
     def test_any_interleaving_of_at_most_two_pending(self, steps):
-        """Each step asks (True) or takes (False) when the ring allows it,
-        and does the other when not; the rest is taken at the end."""
-        ring = doubler()
-        asked, taken = [], []
+        """Each step asks (True) while fewer than two rounds are pending, or
+        reads the oldest round's answer (False) while one is, and does the
+        other when it cannot; the rest is read at the end."""
+        helper, slots = doubler()
+        asked, pending, answers = 0, [], []
         try:
-            for ask in steps + [False] * 2:
-                if (ask and len(ring.pending) < 2) or not ring.pending:
-                    round_ = len(asked) + 1
-                    ring.ask(round_, inp=inputs(round_))
-                    asked.append(round_)
+            for step in steps + [False] * 2:
+                if (step and len(pending) < 2) or not pending:
+                    asked += 1
+                    ask(helper, slots, asked)
+                    pending.append(asked)
                 else:
-                    round_, slot = ring.take()
-                    # asked round k (from 1) took slot (k - 1) % 2; its output is its input's
-                    assert slot is ring.slots[(round_ - 1) % 2]
-                    np.testing.assert_array_equal(slot.out, 2 * inputs(round_))
-                    taken.append(round_)
-            while ring.pending:
-                taken.append(ring.take()[0])
+                    round_ = pending.pop(0)
+                    answered(helper, round_)
+                    np.testing.assert_array_equal(slots[round_ % 2].out, 2 * inputs(round_))
+                    answers.append(round_)
+            for round_ in pending:
+                answered(helper, round_)
+                answers.append(round_)
         finally:
-            ring.close()
-        assert taken == asked
+            helper.close()
+        assert answers == list(range(1, asked + 1))
         assert_no_child_process()
 
     def test_failed_round_names_itself_until_closed(self):
-        ring = doubler(fail_round=2)
+        helper, slots = doubler(fail_round=2)
         try:
-            ring.ask(1, inp=inputs(1))
-            ring.ask(2, inp=inputs(2))
-            assert ring.take()[0] == 1
+            ask(helper, slots, 1)
+            ask(helper, slots, 2)
+            answered(helper, 1)
             with pytest.raises(
                 RuntimeError,
-                match=rf"^round 2: doubling the input failed in doubler process {ring.pid}:",
+                match=rf"^round 2: doubling the input failed in doubler process {helper.pid}:",
             ) as info:
-                ring.take()
+                answered(helper, 2)
         finally:
-            ring.close()
+            helper.close()
         assert isinstance(info.value.__cause__, ArithmeticError)
         assert str(info.value.__cause__) == "no double for round 2"
         with pytest.raises(RuntimeError, match=r"^round 2: .* the run is closed$"):
-            ring.take()  # the failed round stays pending
+            answered(helper, 2)
         assert_no_child_process()
 
-    def test_killed_ring_names_the_signal(self):
-        ring = doubler()
+    def test_failed_job_whose_exception_does_not_pickle_is_named(self):
+        helper, slots = doubler(fail_round=1, error=Unpicklable)
         try:
-            ring.ask(1, inp=inputs(1))
-            ring.take()
-            os.kill(ring.pid, signal.SIGKILL)
-            with pytest.raises(RuntimeError) as info:
-                ring.ask(2, inp=inputs(2))  # a send may still reach the pipe
-                ring.take()
+            ask(helper, slots, 1)
+            with pytest.raises(
+                RuntimeError,
+                match=rf"^round 1: doubling the input failed in doubler process {helper.pid}:\n",
+            ) as info:
+                answered(helper, 1)
         finally:
-            ring.close()
+            helper.close()
+        cause = info.value.__cause__
+        assert type(cause) is RuntimeError and str(cause) == "Unpicklable('no double for round 1')"
+        assert_no_child_process()
+
+    def test_killed_helper_names_the_signal(self):
+        helper, slots = doubler()
+        try:
+            ask(helper, slots, 1)
+            answered(helper, 1)
+            os.kill(helper.pid, signal.SIGKILL)
+            with pytest.raises(RuntimeError) as info:
+                ask(helper, slots, 2)  # a send may still reach the pipe
+                answered(helper, 2)
+        finally:
+            helper.close()
         assert info.match(
-            rf"^round 2: doubling the input failed in doubler process {ring.pid}: "
+            rf"^round 2: doubling the input failed in doubler process {helper.pid}: "
             "it was killed by signal 9$"
         )
         assert_no_child_process()

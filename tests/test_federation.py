@@ -4,6 +4,7 @@ every plan writes the inline bytes, and that a failing or killed helper
 names its round, is ``tests/test_engines.py``'s; the cases here pin single
 plans.  Every round loop is ``conftest.make_loop``'s."""
 
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -571,6 +572,85 @@ def test_the_loop_owns_every_process_and_every_accuracy(driven_by):
     assert evaluated["inline"] == evaluated["helper"] == evaluated["split"]
 
 
+
+@contextlib.contextmanager
+def draws_failing_in_helpers(round_: int, poisoned=False):
+    """Round loops whose helper processes raise as they draw round
+    ``round_``; with ``poisoned``, this process draws NaN inputs for it."""
+    process, fill = os.getpid(), LocalTraining._fill
+
+    def faulty_fill(local, drawn, r):
+        if r == round_ and os.getpid() != process:
+            raise ArithmeticError(f"no draw in round {r}")
+        fill(local, drawn, r)
+        if r == round_ and poisoned:
+            drawn.x[...] = np.nan
+
+    with pytest.MonkeyPatch.context() as mp, deadline():
+        mp.setattr(LocalTraining, "_fill", faulty_fill)
+        yield
+
+
+def skewed_loop() -> federation.Federation:
+    return make_loop(
+        config(seed=60, n_devices=6), experiment.Task(LOCAL_TRAIN, LOCAL_TEST, SKEWED_SHARDS, LAYOUT)
+    )
+
+
+@pytest.mark.parametrize("plan", ["inline", "ring", "split"])
+def test_a_loop_that_raised_runs_no_further_round(plan):
+    """Once ``run_round`` has raised, every later call raises naming the
+    failed round before anything trains: inline after a non-finite loss in
+    round 2, on the ring and on a split after the helper's or the worker's
+    draw of round 2 failed."""
+    plans = {
+        "inline": functools.partial(sampled_rounds, False), "ring": sampled_rounds,
+        "split": functools.partial(split_stacks, min_devices=1),
+    }
+    with plans[plan](), draws_failing_in_helpers(2, poisoned=plan == "inline"):
+        fed = skewed_loop()
+        [run] = fed.runs
+        try:
+            fed.run_round()
+            with pytest.raises((ValueError, slimfl.engine.HelperError), match=r"^round 2: "):
+                fed.run_round()
+            head = getattr(run.local, "head", run.local)  # the process's part
+            trained, steps, values = run.round, head.opt.t, run.global_values.tobytes()
+            for _ in range(2):
+                with pytest.raises(
+                    ValueError, match=rf"^round {trained + 1}: the round loop stopped at round 2$"
+                ):
+                    fed.run_round()
+        finally:
+            fed.close()
+    # the ring failed before round 2 trained; inline and the split, after
+    assert trained == (1 if plan == "ring" else 2)
+    assert run.round == trained and head.opt.t == steps and run.global_values.tobytes() == values
+    assert_no_child_process()
+
+
+def test_two_failed_workers_leave_no_answer_unread():
+    """A stack in 3 parts whose two workers both fail their draw of round 2:
+    the error names the first, and every worker's answer has been read."""
+    with split_stacks(min_devices=2, cpus=3), draws_failing_in_helpers(2):
+        fed = skewed_loop()
+        try:
+            fed.run_round()
+            with pytest.raises(
+                slimfl.engine.HelperError,
+                match=r"^round 2: local training of devices 2-3 failed in worker process",
+            ):
+                fed.run_round()
+            unread = [worker.end.poll(1.0) for worker in fed.helpers]
+        finally:
+            fed.close()
+    assert [worker.task for worker in fed.helpers] == [
+        "local training of devices 2-3", "local training of devices 4-5",
+    ]
+    assert unread == [False, False]
+    assert_no_child_process()
+
+
 class TestSampler:
     """A round loop whose stacks train in one process each, with a CPU to
     spare, draws every run's batches and fading gains two rounds ahead in
@@ -637,6 +717,27 @@ class TestSampler:
                 fed.close()
         assert run.round == 2 and head.opt.t == steps and run.global_values.tobytes() == values
         assert_no_child_process()
+
+    def test_a_rounds_vectors_are_in_its_slot_before_the_next_ask(self):
+        """When round r + 2 is asked, round r's slot already holds every run's
+        global vector of round r, so the helper evaluates round r however
+        soon it reads them."""
+        asked, ask = [], slimfl.engine.Helper.ask
+
+        def recorded(helper, round_):
+            records, _ = pair.slots[round_ % 2]
+            asked.append((round_, [record.vector.tobytes() for record in records],
+                          [run.global_values.tobytes() for run in pair.runs]))
+            ask(helper, round_)
+
+        with sampled_rounds(), pytest.MonkeyPatch.context() as mp, deadline():
+            mp.setattr(slimfl.engine.Helper, "ask", recorded)
+            pair = make_loop(config("vanilla-1.5x", seed=56, rounds=5, n_devices=3))
+            pair.run()
+        assert [round_ for round_, _, _ in asked] == [1, 2, 3, 4, 5]
+        # rounds 1-3 are evaluated ahead, as the helper draws rounds 3-5
+        for _, in_slot, trained in asked[2:]:
+            assert in_slot == trained
 
     def test_rounds_driven_alone_carry_no_accuracies(self):
         """A loop driven through ``run_round`` alone evaluates where ``run()``
